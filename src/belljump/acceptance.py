@@ -25,6 +25,7 @@ from .ensemble import (
     run_ensemble,
     sector0_comparison,
 )
+from .errors import ValidationError
 from .jump_process import (
     CoefficientTrack,
     jump_rate_density,
@@ -591,6 +592,6 @@ def run_all(only=None) -> list[AcceptanceResult]:
     results = []
     for k in numbers:
         if k not in _CRITERIA:
-            raise ValueError(f"no acceptance criterion {k}")
+            raise ValidationError(f"no acceptance criterion {k}")
         results.append(_CRITERIA[k]())
     return results

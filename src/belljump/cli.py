@@ -25,7 +25,6 @@ from .config import RunConfig, parse_config, serialize
 from .errors import (
     BelljumpError,
     InsufficientEvents,
-    ParseError,
     ValidationError,
 )
 from .jump_process import CoefficientTrack, VacuumInterval
@@ -185,7 +184,10 @@ def _build_track(cfg: RunConfig) -> CoefficientTrack:
             np.array(tc.c_plus_grid),
             np.array(tc.psi0_grid),
         )
-    rows = np.loadtxt(tc.file, delimiter=",", comments="#", ndmin=2)
+    try:
+        rows = np.loadtxt(tc.file, delimiter=",", comments="#", ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"track file {tc.file}: {exc}") from exc
     if rows.shape[1] != 7:
         raise ValidationError(
             "track file needs 7 columns: t, c_minus re,im, c_plus re,im, psi0 re,im"
@@ -400,6 +402,7 @@ def _cmd_simulate(ns) -> int:
         r_min=r_min,
         tol=cfg.run.tol,
         probe_radii=probes,
+        dense=bool(ns.trace_dir),
     )
     out = _resolve(ns.output if ns.output else cfg.run.output)
     sink = _Sink(out)
@@ -564,7 +567,10 @@ def _cmd_selftest(ns) -> int:
 
     only = None
     if ns.only:
-        only = tuple(int(tok) for tok in ns.only.split(","))
+        try:
+            only = tuple(int(tok) for tok in ns.only.split(","))
+        except ValueError as exc:
+            raise ValidationError(f"--only: {exc}") from exc
     results = run_all(only=only)
     all_passed = True
     for res in results:
@@ -596,11 +602,16 @@ def dispatch(argv) -> int:
         parser.print_usage(sys.stderr)
         print(f"belljump: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ParseError, ValidationError, ValueError) as exc:
-        print(f"belljump: validation error: {exc}", file=sys.stderr)
-        return 1
     except BelljumpError as exc:
+        # the package's ValueError subclasses mark bad input; a plain
+        # ValueError is a broken internal invariant, a runtime failure
+        if isinstance(exc, ValueError):
+            print(f"belljump: validation error: {exc}", file=sys.stderr)
+            return 1
         print(f"belljump: runtime error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"belljump: internal error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"belljump: {exc}", file=sys.stderr)

@@ -144,57 +144,6 @@ class EnsembleStats:
         )
 
 
-def _accumulate(
-    stats: EnsembleStats, path: ProcessPath, snapshot_time: float | None
-) -> EnsembleStats:
-    em = path.emissions
-    ab = path.absorptions
-    inward = []
-    outward = []
-    for seg in path.segments:
-        for pc in seg.probe_crossings:
-            (outward if pc.direction > 0 else inward).append(pc.t)
-    snap = np.empty(0)
-    if snapshot_time is not None:
-        r_at = _radius_at(path, snapshot_time)
-        if r_at is not None:
-            snap = np.array([r_at])
-    return replace(
-        stats,
-        n_paths=stats.n_paths + 1,
-        vacuum_counts=stats.vacuum_counts
-        + path.occupancy(stats.time_grid).astype(np.int64),
-        emission_times=np.concatenate(
-            [stats.emission_times, [e.t0 for e in em]]
-        ),
-        absorption_times=np.concatenate(
-            [stats.absorption_times, [a.t0 for a in ab]]
-        ),
-        emission_cos_theta=np.concatenate(
-            [stats.emission_cos_theta, [math.cos(e.theta0) for e in em]]
-        ),
-        emission_phi=np.concatenate([stats.emission_phi, [e.phi0 for e in em]]),
-        inward_crossing_times=np.concatenate(
-            [stats.inward_crossing_times, inward]
-        ),
-        outward_crossing_times=np.concatenate(
-            [stats.outward_crossing_times, outward]
-        ),
-        snapshot_radii=np.concatenate([stats.snapshot_radii, snap]),
-    )
-
-
-def _radius_at(path: ProcessPath, t: float) -> float | None:
-    """Radius of the in-flight particle at time t, or None if the
-    configuration is the vacuum (or unrecorded: parked, or inside the
-    seed radius)."""
-    for seg in path.segments:
-        if seg.t[0] <= t <= seg.t[-1]:
-            # interpolate linearly in s, the integrator's own variable
-            return float(np.interp(t, seg.t, seg.r))
-    return None
-
-
 # =====================================================================
 # initial-condition sampling
 # =====================================================================
@@ -251,8 +200,10 @@ def draw_path(
     r_min: float,
     tol: float = 1e-6,
     probe_radii: tuple[float, ...] = (),
+    dense: bool = False,
 ) -> ProcessPath:
-    """One realization on the per-index Philox stream keyed (seed, index)."""
+    """One realization on the per-index Philox stream keyed (seed, index);
+    `dense` as in simulate_path."""
     t_a, t_b = float(t_span[0]), float(t_span[1])
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
@@ -279,6 +230,7 @@ def draw_path(
         rng,
         tol=tol,
         probe_radii=probe_radii,
+        dense=dense,
     )
 
 
@@ -303,12 +255,14 @@ def run_ensemble(
     if r_min is None:
         r_min = R_MIN_FRACTION * model_family.r_cut
     grid = np.linspace(t_a, t_b, time_grid_n)
-    stats = EnsembleStats.empty(grid, probe_radius, snapshot_time)
     if n_paths == 0:
-        return stats
+        return EnsembleStats.empty(grid, probe_radius, snapshot_time)
 
     vac_weight, sampler = make_initial_sampler(model_family, track, t_a, r_min)
     probes = (probe_radius,) if probe_radius is not None else ()
+    # per-path values are collected in lists and turned into arrays once
+    vacuum_counts = np.zeros(len(grid), dtype=np.int64)
+    emissions, absorptions, inward, outward, snapshots = [], [], [], [], []
     for index in range(n_paths):
         path = draw_path(
             model_family,
@@ -322,8 +276,34 @@ def run_ensemble(
             tol=tol,
             probe_radii=probes,
         )
-        stats = _accumulate(stats, path, snapshot_time)
-    return stats
+        vacuum_counts += path.occupancy(grid)
+        emissions.extend(path.emissions)
+        absorptions.extend(a.t0 for a in path.absorptions)
+        for seg in path.segments:
+            for pc in seg.probe_crossings:
+                (outward if pc.direction > 0 else inward).append(pc.t)
+        if snapshot_time is not None:
+            # flights are disjoint in time: at most one covers the snapshot
+            radii = (seg.radius_at(snapshot_time) for seg in path.segments)
+            snapshots.extend(r for r in radii if r is not None)
+
+    def floats(values):
+        return np.array(values, dtype=float)
+
+    return EnsembleStats(
+        n_paths=n_paths,
+        time_grid=grid,
+        vacuum_counts=vacuum_counts,
+        emission_times=floats([e.t0 for e in emissions]),
+        absorption_times=floats(absorptions),
+        emission_cos_theta=floats([math.cos(e.theta0) for e in emissions]),
+        emission_phi=floats([e.phi0 for e in emissions]),
+        probe_radius=probe_radius,
+        inward_crossing_times=floats(inward),
+        outward_crossing_times=floats(outward),
+        snapshot_time=snapshot_time,
+        snapshot_radii=floats(snapshots),
+    )
 
 
 def normalized_amplitudes(

@@ -399,13 +399,17 @@ def simulate_path(
     *,
     tol: float = 1e-8,
     probe_radii: tuple[float, ...] = (),
+    dense: bool = False,
 ) -> ProcessPath:
     """One realization of the process on t_span.
 
     In flight the coefficients are re-read from the track at every
-    accepted integrator step (quasi-static update) unless the family is
-    frozen, in which case each segment keeps the coefficients of its
-    start time.  Identical (inputs, rng state) give identical paths.
+    accepted integrator step (quasi-static update) unless they cannot
+    change over a flight: the family is frozen (each segment keeps the
+    coefficients of its start time) or the track holds them constant.
+    Such flights of a subleading-free model are evaluated in closed form
+    unless `dense` asks for integrator samples.  Identical (inputs, rng
+    state) give identical paths.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -421,11 +425,18 @@ def simulate_path(
     events: list = []
     vac: list[tuple[float, float]] = []
 
-    def refresh_for(t_at: float):
-        if model_family.frozen:
-            frozen_pair = track.coefficients(t_at)
-            return lambda _t: frozen_pair
-        return track.coefficients
+    fixed = model_family.frozen or track.constant_coefficients is not None
+
+    def refresh_for(cm: complex, cp: complex):
+        if not fixed:
+            return track.coefficients
+        if (cm.conjugate() * cp).imag == 0.0:
+            # no radial motion (Im = 0): the particle circles at its start
+            # radius, which the closed forms do not cover and integrate
+            # rejects without a refresh; refreshing the fixed pair keeps
+            # such flights on the integrator
+            return lambda _t: (cm, cp)
+        return None
 
     t = t_a
     config: Vacuum | Particle = q_init
@@ -470,7 +481,8 @@ def simulate_path(
                 t_end=t_b,
                 r_min=r_min,
                 probe_radii=probe_radii,
-                refresh=refresh_for(t_jump),
+                refresh=refresh_for(cm, cp),
+                dense=dense,
             )
         else:
             r0, th0, ph0 = _to_spherical_config(config.position)
@@ -483,7 +495,8 @@ def simulate_path(
                 tol,
                 r_min,
                 probe_radii=probe_radii,
-                refresh=refresh_for(t),
+                refresh=refresh_for(cm, cp),
+                dense=dense,
             )
         entries.append(segment)
         if isinstance(segment.terminal, Absorbed) and segment.terminal.t0 < t_b:

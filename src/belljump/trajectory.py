@@ -1,6 +1,6 @@
-"""Bohmian trajectories near the source: exact ODE rates, an adaptive
-integrator in the substituted radial variable, emission seeding, and the
-closed-form asymptotics used to cross-validate the integrator.
+"""Bohmian trajectories near the source: exact ODE rates, the closed-form
+flow relations, a closed-form flight evaluator, an adaptive integrator in
+the substituted radial variable, and emission seeding.
 
 Radial substitution.  With s = r^(1-2B) the leading radial equation
 becomes ds/dt = const near the origin (the power-law r(t) ~ |t|^(1/(1-2B))
@@ -20,9 +20,15 @@ with Im = Im[conj(c_minus) c_plus], Re likewise, sgn = sgn(m~ k~):
                     - sgn Re/(B Im) ln r
                     - q sgn |c+|^2/(4B^2 Im) r^(2B)
 
-Both are exact for the subleading-free model, not asymptotic; the
-integrator is tested against them and emission trajectories are seeded
-from them.
+Both are exact for the subleading-free model, not asymptotic, and r is
+monotone along such a flight.  So a flight with fixed coefficients and
+no subleading amplitudes is evaluated directly from them when the caller
+does not ask for dense samples (`dense=False`; the ensemble path does
+this): terminal event, probe crossings and end point cost a few
+evaluations and at most one root-find of t(r).  The DP5 integrator
+serves dense traces, subleading models and time-varying coefficients,
+and is tested against the closed forms; emission trajectories are
+seeded from them.
 """
 
 from __future__ import annotations
@@ -64,8 +70,9 @@ class SphericalState(NamedTuple):
 
 @dataclass(frozen=True)
 class Absorbed:
-    """Terminal event: the path reached r_min; t0 is the extrapolated
-    arrival time at the source (linear s(t) continuation below r_min)."""
+    """Terminal event: the path reached r_min; t0 is the arrival time at
+    the source, exact for closed-form flights and extrapolated (linear
+    s(t) continuation below r_min) for integrated ones."""
 
     t0: float
 
@@ -91,7 +98,11 @@ class ProbeCrossing:
 
 @dataclass
 class TrajectorySegment:
-    """One deterministic flight: samples at accepted steps plus terminal."""
+    """One deterministic flight.  Integrated flights sample every accepted
+    step plus the terminal point; closed-form flights (n_accepted = 0)
+    sample the start, each probe crossing and the terminal point.  `model`
+    is the model the flight was computed from (for a refreshed flight,
+    the one at its start)."""
 
     t: np.ndarray
     r: np.ndarray
@@ -101,6 +112,7 @@ class TrajectorySegment:
     probe_crossings: tuple[ProbeCrossing, ...] = ()
     n_accepted: int = 0
     n_rejected: int = 0
+    model: ModelWavefunction | None = None
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -128,6 +140,29 @@ class TrajectorySegment:
     @property
     def final(self) -> SphericalState:
         return SphericalState(self.t[-1], self.r[-1], self.theta[-1], self.phi[-1])
+
+    def radius_at(self, t: float) -> float | None:
+        """Radius at time t, or None outside the segment's time span.
+
+        Closed-form segments invert t(r) of their frozen model exactly;
+        integrated ones interpolate s = r^(1-2B), the integrator's own
+        variable, with a cubic spline through the samples (linear
+        interpolation between the integrator's wide steps is off by more
+        than 1e-5 relative far from the source).
+        """
+        if not self.t[0] <= t <= self.t[-1]:
+            return None
+        if self.model is None:
+            raise DomainError("segment carries no model to evaluate radii with")
+        p, cm, cp = self.model.params, self.model.c_minus, self.model.c_plus
+        if self.n_accepted == 0:
+            t_src = self.t[0] - time_from_radius(p, cm, cp, self.r[0])
+            lo, hi = sorted((float(self.r[0]), float(self.r[-1])))
+            return _invert_time(p, cm, cp, t - t_src, lo, hi)
+        from scipy.interpolate import CubicSpline
+
+        one = 1.0 - 2.0 * p.B
+        return float(CubicSpline(self.t, self.r**one)(t)) ** (1.0 / one)
 
 
 # =====================================================================
@@ -236,8 +271,6 @@ def radius_from_time(
     """Invert time_from_radius: the radius reached dt after (Im > 0) or
     before (Im < 0, dt < 0) the visit to the source.  dt must carry the
     sign of Im and satisfy |dt| <= |t(r_max) - t0|."""
-    from scipy.optimize import brentq
-
     _, _, _, im = _overlap_parts(c_minus, c_plus)
     if im == 0.0:
         raise DegenerateError("no radial motion for Im[conj(c_minus) c_plus] = 0")
@@ -248,8 +281,27 @@ def radius_from_time(
     t_max = time_from_radius(params, c_minus, c_plus, r_max)
     if abs(dt) > abs(t_max):
         raise DomainError(f"|dt| = {abs(dt)!r} beyond reach r_max = {r_max!r}")
+    return _invert_time(params, c_minus, c_plus, dt, 1e-300, r_max)
+
+
+def _invert_time(
+    params: PhysParams,
+    c_minus: complex,
+    c_plus: complex,
+    dt: float,
+    r_lo: float,
+    r_hi: float,
+) -> float:
+    """The radius in [r_lo, r_hi] at which t(r) - t0 = dt.  t(r) is
+    monotone; when rounding puts dt just outside the bracket's image,
+    the nearer end is returned."""
+    from scipy.optimize import brentq
+
     f = lambda r: time_from_radius(params, c_minus, c_plus, r) - dt
-    return float(brentq(f, 1e-300, r_max, xtol=1e-300, rtol=8.9e-16, maxiter=200))
+    f_lo, f_hi = f(r_lo), f(r_hi)
+    if f_lo * f_hi > 0.0:
+        return r_lo if abs(f_lo) < abs(f_hi) else r_hi
+    return float(brentq(f, r_lo, r_hi, xtol=1e-300, rtol=8.9e-16, maxiter=200))
 
 
 def asymptotic_solution(
@@ -284,6 +336,61 @@ def asymptotic_solution(
         - sgn * re / (B * im * one) * math.log(abs(t))
     )
     return SphericalState(t, r, theta0, phi)
+
+
+def _closed_form_flight(
+    model: ModelWavefunction,
+    initial: SphericalState,
+    t_end: float,
+    r_min: float,
+    probe_radii: tuple[float, ...],
+) -> TrajectorySegment:
+    """The flight integrate would step, evaluated from the exact relations
+    of the pure frozen-coefficient model.
+
+    r is monotone, so the flight ends at the source side (r_min, ingoing)
+    or at r_cut/2 (outgoing) unless t_end comes first; probe radii
+    between the start and that end are crossed once each.  Samples: the
+    start, each crossing and the terminal point.
+    """
+    p, cm, cp = model.params, model.c_minus, model.c_plus
+    t_i, r_i = float(initial.t), float(initial.r)
+    phi_i = float(initial.phi)
+    t_src = t_i - time_from_radius(p, cm, cp, r_i)  # visit to the source
+    phi_label = phi_i - azimuth_from_radius(p, cm, cp, r_i)
+    inward = (cm.conjugate() * cp).imag < 0.0
+    r_term = r_min if inward else 0.5 * model.r_cut
+    lo, hi = sorted((r_i, r_term))
+    t_last = t_src + time_from_radius(p, cm, cp, r_term)
+    r_last = r_term
+    if t_last <= t_end:
+        terminal = Absorbed(t0=t_src) if inward else LeftInnerRegion()
+    else:
+        terminal = TimeExhausted()
+        t_last = t_end
+        r_last = _invert_time(p, cm, cp, t_end - t_src, lo, hi)
+
+    crossings = []
+    for rp in probe_radii:
+        if lo < rp < hi:
+            tc = t_src + time_from_radius(p, cm, cp, rp)
+            if t_i < tc < t_last:
+                crossings.append(
+                    ProbeCrossing(t=tc, r=float(rp), direction=-1 if inward else 1)
+                )
+    crossings.sort(key=lambda pc: pc.t)
+
+    radii = [r_i, *(pc.r for pc in crossings), r_last]
+    return TrajectorySegment(
+        t=[t_i, *(pc.t for pc in crossings), t_last],
+        r=radii,
+        theta=np.full(len(radii), float(initial.theta)),
+        phi=[phi_i]
+        + [phi_label + azimuth_from_radius(p, cm, cp, r) for r in radii[1:]],
+        terminal=terminal,
+        probe_crossings=tuple(crossings),
+        model=model,
+    )
 
 
 # =====================================================================
@@ -383,6 +490,7 @@ def integrate(
     probe_radii: tuple[float, ...] = (),
     refresh: Callable[[float], tuple[complex, complex]] | None = None,
     max_steps: int = 500_000,
+    dense: bool = True,
 ) -> TrajectorySegment:
     """Integrate the guiding equation forward from `initial` to t_end.
 
@@ -391,6 +499,11 @@ def integrate(
     (c_minus(t), c_plus(t)) at the start of every accepted step; within a
     step the field stays frozen (quasi-static update).  Probe radii
     record non-terminal crossings in either direction.
+
+    With dense=False, no refresh and no subleading amplitudes the flight
+    is evaluated in closed form instead (exact; Absorbed then carries the
+    exact arrival time at the source, and only the start, the crossings
+    and the terminal point are sampled).
     """
     p = model.params
     if r_min is None:
@@ -408,6 +521,8 @@ def integrate(
             raise DegenerateError(
                 "Im[conj(c_minus) c_plus] = 0: radial motion degenerates"
             )
+        if not dense:
+            return _closed_form_flight(model, initial, t_end, r_min, probe_radii)
 
     one = 1.0 - 2.0 * p.B
     inv_one = 1.0 / one
@@ -563,6 +678,7 @@ def integrate(
         probe_crossings=tuple(crossings),
         n_accepted=n_acc,
         n_rejected=n_rej,
+        model=model,
     )
 
 
@@ -578,10 +694,12 @@ def emit_trajectory(
     r_min: float | None = None,
     probe_radii: tuple[float, ...] = (),
     refresh: Callable[[float], tuple[complex, complex]] | None = None,
+    dense: bool = True,
 ) -> TrajectorySegment:
     """Outgoing trajectory emanating from the source at t0 with labels
     (theta0, phi0): seed (t, phi) at r_seed from the exact closed forms,
-    then integrate forward until leaving the inner region (or t_end).
+    then integrate forward until leaving the inner region (or t_end);
+    `dense` as in integrate.
     """
     p = model.params
     if r_min is None:
@@ -599,7 +717,7 @@ def emit_trajectory(
     if not t_end > t_seed:
         raise DomainError("t_end precedes the seed time")
     end = t_end
-    if end is math.inf:
+    if math.isinf(end):
         # generous bound: exact exit time for frozen coefficients, doubled
         end = t_seed + 2.0 * abs(
             time_from_radius(p, model.c_minus, model.c_plus, 0.5 * model.r_cut)
@@ -612,6 +730,7 @@ def emit_trajectory(
         r_min,
         probe_radii=probe_radii,
         refresh=refresh,
+        dense=dense,
     )
 
 

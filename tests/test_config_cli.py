@@ -234,9 +234,22 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     no_seed.write_text(MINIMAL)
     assert dispatch(["simulate", "--config", str(no_seed)]) == 1
     assert dispatch(["selftest", "--only", "99"]) == 1
+    assert dispatch(["selftest", "--only", "x"]) == 1
     err = capsys.readouterr().err
     assert "validation error" in err
     assert "seed" in err
+
+
+def test_internal_value_error_exits_2(monkeypatch, capsys):
+    # a plain ValueError is a broken invariant, not a bad input
+    from belljump import cli
+
+    def broken(ns):
+        raise ValueError("samples must be strictly time-ordered")
+
+    monkeypatch.setitem(cli._COMMANDS, "coeffs", broken)
+    assert dispatch(["coeffs", "--q", "0.9"]) == 2
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_unnormalized_track_exits_2(tmp_path, capsys):
@@ -295,6 +308,8 @@ def test_coeffs_reads_file_track(tmp_path):
     assert body["C_r"] == current_coeffs(canonical_params(0.96), 1.0, 1j).C_r
     # malformed track files are a validation failure
     track_csv.write_text("0.0, 1.0, 0.0, 0.0\n")
+    assert dispatch(["coeffs", "--config", str(conf)]) == 1
+    track_csv.write_text("0.0, 1.0, 0.0, 0.0, 1.0, 0.5, zero\n")
     assert dispatch(["coeffs", "--config", str(conf)]) == 1
 
 
@@ -424,7 +439,8 @@ def test_simulate_event_records(tmp_path):
     assert set(emission) == {"record", "t0", "theta0", "phi0"}
     assert 0.0 <= emission["theta0"] <= math.pi
     flight = next(rec for rec in records if rec["record"] == "flight")
-    assert flight["samples"] > 0 and flight["n_accepted"] >= 0
+    # --trace-dir asks for integrator samples
+    assert flight["samples"] > 2 and flight["n_accepted"] > 0
     assert flight["terminal"]["kind"] in (
         "absorbed", "left_inner_region", "time_exhausted"
     )

@@ -83,6 +83,63 @@ def test_merge_unit_and_associativity():
     assert np.all(merged.vacuum_counts == a.vacuum_counts + b.vacuum_counts)
 
 
+def _single_path_stats(path, grid, probe_radius, snapshot_time):
+    """Stats of one path, built independently of run_ensemble."""
+    inward = [
+        pc.t for seg in path.segments for pc in seg.probe_crossings
+        if pc.direction < 0
+    ]
+    outward = [
+        pc.t for seg in path.segments for pc in seg.probe_crossings
+        if pc.direction > 0
+    ]
+    snap = [seg.radius_at(snapshot_time) for seg in path.segments]
+    return EnsembleStats(
+        n_paths=1,
+        time_grid=grid,
+        vacuum_counts=path.occupancy(grid).astype(np.int64),
+        emission_times=np.array([e.t0 for e in path.emissions], dtype=float),
+        absorption_times=np.array([a.t0 for a in path.absorptions], dtype=float),
+        emission_cos_theta=np.array(
+            [math.cos(e.theta0) for e in path.emissions], dtype=float
+        ),
+        emission_phi=np.array([e.phi0 for e in path.emissions], dtype=float),
+        probe_radius=probe_radius,
+        inward_crossing_times=np.array(inward, dtype=float),
+        outward_crossing_times=np.array(outward, dtype=float),
+        snapshot_time=snapshot_time,
+        snapshot_radii=np.array([r for r in snap if r is not None], dtype=float),
+    )
+
+
+@pytest.mark.parametrize("setup", ["balanced", "ingoing"])
+def test_run_equals_fold_of_single_path_stats(setup):
+    if setup == "balanced":
+        fam, track = _balanced_setup()
+        span, probe, snapshot = (0.0, 3.0), 0.2, 1.5
+    else:
+        fam, track, _, _ = _ingoing_setup()
+        span, probe, snapshot = (0.0, 1.0), 0.05, 0.5
+    n, seed = 40, 66
+    stats = run_ensemble(
+        fam, track, n, span, seed, time_grid_n=11,
+        probe_radius=probe, snapshot_time=snapshot,
+    )
+    grid = np.linspace(*span, 11)
+    vac_weight, sampler = make_initial_sampler(fam, track, span[0], 1e-8)
+    folded = EnsembleStats.empty(grid, probe, snapshot)
+    for index in range(n):
+        path = draw_path(
+            fam, track, span, seed, index, vac_weight=vac_weight,
+            sampler=sampler, r_min=1e-8, probe_radii=(probe,),
+        )
+        folded = folded.merge(_single_path_stats(path, grid, probe, snapshot))
+    assert _stats_equal(stats, folded)
+    assert len(stats.snapshot_radii) > 0
+    assert len(stats.inward_crossing_times) + len(stats.outward_crossing_times) > 0
+    assert len(stats.emission_times) + len(stats.absorption_times) > 0
+
+
 def test_merge_rejects_mismatched_layouts():
     base = EnsembleStats.empty(np.linspace(0.0, 1.0, 5))
     with pytest.raises(DomainError):
@@ -113,6 +170,22 @@ def test_run_reproducible_by_seed():
     c = run_ensemble(fam, track, 40, (0.0, 3.0), 64, time_grid_n=11)
     assert _stats_equal(a, b)
     assert not _stats_equal(a, c)
+
+
+def test_balanced_run_digest_is_stable():
+    # occupancy, emission times and labels do not depend on how flights
+    # are evaluated: this digest was recorded with every flight integrated
+    import hashlib
+
+    fam, track = _balanced_setup()
+    stats = run_ensemble(fam, track, 300, (0.0, 3.0), 808, tol=1e-6)
+    h = hashlib.sha256()
+    for values in (stats.vacuum_counts, stats.emission_times, stats.emission_phi):
+        h.update(values.tobytes())
+    assert len(stats.emission_times) == 66
+    assert h.hexdigest() == (
+        "df71a0572ebc821038dddba069b0c52ef9590940a52042cddb2a122cb12d0964"
+    )
 
 
 def test_run_zero_paths():

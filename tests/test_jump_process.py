@@ -27,7 +27,7 @@ from belljump.jump_process import (
     total_jump_rate,
     validate_balance,
 )
-from belljump.trajectory import Absorbed, LeftInnerRegion
+from belljump.trajectory import Absorbed, LeftInnerRegion, TimeExhausted
 from belljump.wavefunction import ModelFamily, current_coeffs
 
 P96 = canonical_params(0.96)
@@ -303,6 +303,37 @@ def test_simulate_path_outgoing_particle_leaves_and_parks():
     assert len(path.segments) == 1
     assert isinstance(path.segments[0].terminal, LeftInnerRegion)
     assert path.vacuum_spans == ()
+
+
+def test_simulate_path_flight_evaluation():
+    # fixed coefficients: closed form unless dense samples are asked for;
+    # a spline track keeps refreshing them, so it stays on the integrator
+    fam = _family()
+    start = Particle((0.01, 0.0, 0.0))
+    varying = CoefficientTrack(
+        P96, np.linspace(0.0, 3.0, 9), np.ones(9),
+        1j * np.linspace(1.0, 1.5, 9), np.full(9, 0.5),
+    )
+    for track, dense, stepped in (
+        (_constant_track(), False, False),
+        (_constant_track(), True, True),
+        (varying, False, True),
+    ):
+        rng = np.random.default_rng(58)
+        path = simulate_path(fam, track, start, (0.0, 3.0), None, rng, dense=dense)
+        seg = path.segments[0]
+        assert isinstance(seg.terminal, LeftInnerRegion)
+        assert (seg.n_accepted > 0) == stepped
+    # no radial flux: the particle circles at its start radius to the end
+    for frozen in (False, True):
+        family = ModelFamily(P96, 1.0, frozen=frozen)
+        rng = np.random.default_rng(59)
+        path = simulate_path(
+            family, _constant_track(cp=0.5), start, (0.0, 3.0), None, rng
+        )
+        seg = path.segments[0]
+        assert isinstance(seg.terminal, TimeExhausted)
+        assert seg.t[-1] == 3.0 and np.allclose(seg.r, 0.01, rtol=1e-12)
 
 
 def test_simulate_path_guards():

@@ -239,6 +239,84 @@ def test_quasi_static_refresh_reduces_to_frozen_for_constant_coeffs():
     assert np.allclose(plain.r, refreshed.r, rtol=1e-12, atol=0.0)
 
 
+def _flight_cases():
+    # (model, start, t_end, probes): ingoing with a probe; ingoing cut off
+    # by t_end before and after the probe; outgoing leaving the inner
+    # region past a probe; outgoing cut off by t_end
+    p = canonical_params(0.96)
+    r0 = 1e-2
+    t_abs = -time_from_radius(p, 1.0, -1j, r0)
+    t_probe_in = t_abs + time_from_radius(p, 1.0, -1j, 1e-4)
+    t_src_out = -time_from_radius(p, 1.0, 1j, r0)
+    t_probe_out = t_src_out + time_from_radius(p, 1.0, 1j, 0.2)
+    start = SphericalState(0.0, r0, 1.0, 0.3)
+    return {
+        "ingoing_probe": (_model(cp=-1j), start, 10.0, (1e-4,)),
+        "ingoing_cut_before_probe": (_model(cp=-1j), start, 0.5 * t_probe_in, (1e-4,)),
+        "ingoing_cut_after_probe": (
+            _model(cp=-1j), start, 0.5 * (t_probe_in + t_abs), (1e-4,)
+        ),
+        "outgoing_leaves": (_model(), start, 100.0, (0.2,)),
+        "outgoing_time_exhausted": (_model(), start, 0.5 * t_probe_out, (0.2,)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_flight_cases()))
+def test_closed_form_flight_agrees_with_integrator(case):
+    m, start, t_end, probes = _flight_cases()[case]
+    exact = integrate(m, start, t_end, probe_radii=probes, dense=False)
+    stepped = integrate(m, start, t_end, tol=1e-9, probe_radii=probes, dense=True)
+    assert exact.n_accepted == exact.n_rejected == 0
+    assert stepped.n_accepted > 0
+    assert type(exact.terminal) is type(stepped.terminal)
+    if isinstance(exact.terminal, Absorbed):
+        assert abs(exact.terminal.t0 - stepped.terminal.t0) < 1e-9 * exact.terminal.t0
+    assert abs(exact.t[-1] - stepped.t[-1]) < 1e-7 * abs(stepped.t[-1])
+    assert abs(exact.r[-1] - stepped.r[-1]) < 1e-7 * stepped.r[-1]
+    assert len(exact.probe_crossings) == len(stepped.probe_crossings)
+    for a, b in zip(exact.probe_crossings, stepped.probe_crossings):
+        assert a.direction == b.direction
+        assert abs(a.t - b.t) < 1e-7 * abs(b.t)
+    # samples: start, each crossing, terminal
+    assert len(exact.t) == 2 + len(exact.probe_crossings)
+    assert exact.initial == start
+
+
+def test_closed_form_radius_at_matches_integrator():
+    m, start, t_end, probes = _flight_cases()["ingoing_probe"]
+    exact = integrate(m, start, t_end, probe_radii=probes, dense=False)
+    stepped = integrate(m, start, t_end, tol=1e-9, probe_radii=probes, dense=True)
+    for frac in (0.0, 0.1, 0.5, 0.9, 0.999):
+        t = exact.t[0] + frac * (exact.t[-1] - exact.t[0])
+        r_exact = exact.radius_at(t)
+        assert abs(r_exact - stepped.radius_at(t)) < 1e-6 * r_exact
+    assert exact.radius_at(exact.t[-1] + 1.0) is None
+    assert exact.radius_at(exact.t[0] - 1.0) is None
+
+
+def test_subleading_flights_stay_on_the_integrator():
+    m = _model(subleading_amp=(0.05, 0.05j))
+    seg = integrate(m, SphericalState(0.0, 1e-2, 1.0, 0.0), 1e9, tol=1e-6, dense=False)
+    assert seg.n_accepted > 0
+    refreshed = integrate(
+        _model(), SphericalState(0.0, 1e-2, 1.0, 0.0), 1e9, tol=1e-6,
+        refresh=lambda t: (1.0, 1j), dense=False,
+    )
+    assert refreshed.n_accepted > 0
+
+
+def test_emit_bounds_any_infinite_end():
+    # radial motion stops after t = 1e-3, so only the exit-time bound that
+    # an infinite t_end is replaced with ends the flight
+    m = _model()
+    stall = lambda t: (1.0, 1j) if t < 1e-3 else (1.0, 1.0 + 0j)
+    bound = 2.0 * time_from_radius(m.params, 1.0, 1j, 0.5) + 1.0
+    for end in (math.inf, float("inf")):
+        seg = emit_trajectory(m, 0.0, 1.0, 0.0, t_end=end, refresh=stall)
+        assert isinstance(seg.terminal, TimeExhausted)
+        assert abs(seg.t[-1] - bound) < 1e-2
+
+
 def test_integrate_guards():
     m = _model()
     with pytest.raises(DomainError):
