@@ -18,7 +18,6 @@ from .errors import (
     NormalizationError,
     OriginError,
     ParseError,
-    PoleError,
     RangeError,
     SetError,
     SignError,
@@ -64,12 +63,10 @@ from .trajectory import (
     SphericalState,
     TimeExhausted,
     TrajectorySegment,
-    asymptotic_solution,
     azimuth_from_radius,
     emit_trajectory,
     fit_power_law,
     integrate,
-    ode_rhs,
     radius_from_time,
     time_from_radius,
 )

@@ -38,7 +38,7 @@ from .trajectory import (
     emit_trajectory,
     integrate,
 )
-from .wavefunction import ModelFamily, ModelWavefunction, current_coeffs
+from .wavefunction import ModelFamily, current_coeffs
 
 USAGE_EXIT = 64
 
@@ -292,23 +292,16 @@ def _cmd_trace(ns) -> int:
     cfg = _load_config(ns.config)
     track = _build_track(cfg)
     run = cfg.run
-    cm, cp = track.coefficients(run.t0)
-    mc = cfg.model
-    sub = (mc.s_minus, mc.s_plus) if mc.subleading else (0j, 0j)
-    model = ModelWavefunction(cfg.params, cm, cp, mc.r_cut, sub)
-    kwargs = {}
-    if run.t_end is not None:
-        kwargs["t_end"] = run.t_end
-    if mc.r_min is not None:
-        kwargs["r_min"] = mc.r_min
+    model = _model_family(cfg).at(*track.coefficients(run.t0))
+    t_end = run.t_end if run.t_end is not None else math.inf
     if run.r0 is not None:
         # start at a given radius (ingoing runs trace to absorption)
         segment = integrate(
             model,
             SphericalState(t=run.t0, r=run.r0, theta=run.theta0, phi=run.phi0),
-            t_end=run.t_end if run.t_end is not None else math.inf,
+            t_end=t_end,
             tol=run.tol,
-            r_min=mc.r_min,
+            r_min=cfg.model.r_min,
         )
     else:
         segment = emit_trajectory(
@@ -318,7 +311,8 @@ def _cmd_trace(ns) -> int:
             run.phi0,
             r_seed=run.r_seed,
             tol=run.tol,
-            **kwargs,
+            t_end=t_end,
+            r_min=cfg.model.r_min,
         )
     out = _resolve(ns.output if ns.output else run.output)
     sink = _Sink(out)

@@ -217,9 +217,7 @@ def draw_path(
         phi0 = 2.0 * math.pi * rng.random()
         if r0 >= r_top:
             # parked outside the modeled region: sector 1 throughout
-            return ProcessPath(
-                t_span=(t_a, t_b), entries=(), events=(), vacuum_spans=()
-            )
+            return ProcessPath(t_span=(t_a, t_b), entries=(), events=())
         config = Particle(tuple(from_spherical(r0, math.acos(c), phi0)))
     return simulate_path(
         model_family,

@@ -60,10 +60,6 @@ class ZeroDensity(BelljumpError, RuntimeError):
     """|psi|^2 vanished where a velocity was needed."""
 
 
-class PoleError(BelljumpError, RuntimeError):
-    """Azimuthal velocity requested on the polar axis."""
-
-
 class StepFailure(BelljumpError, RuntimeError):
     """Adaptive step control could not meet the error tolerance."""
 

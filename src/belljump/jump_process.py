@@ -25,8 +25,9 @@ two-sector probability flow closes (validate_balance checks it).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +93,6 @@ class CoefficientTrack:
         self._cm = self._interpolant(t, cm)
         self._cp = self._interpolant(t, cp)
         self._p0 = self._interpolant(t, p0)
-        self._interval_bounds: dict[int, float] = {}
 
     @staticmethod
     def _interpolant(t, y):
@@ -154,6 +154,14 @@ class CoefficientTrack:
         with np.errstate(divide="ignore"):
             out[pos] = 8.0 * (1.0 + p.q) * p.B * im[pos] / weight[pos]
         return out
+
+    @functools.cached_property
+    def interval_bounds(self) -> list[float]:
+        """Per grid interval, the largest rate_profile value over
+        _MAJORANT_PROBES evenly spaced times; built once, on first use."""
+        g = self.times
+        probes = np.linspace(g[:-1], g[1:], _MAJORANT_PROBES, axis=1)
+        return np.max(self.rate_profile(probes), axis=1).tolist()
 
     @classmethod
     def constant(
@@ -239,14 +247,11 @@ class AbsorptionEvent:
 @dataclass
 class ProcessPath:
     """One realization: alternating vacuum intervals and flight segments,
-    with the jump events in time order.  vacuum_spans are the closed
-    intervals during which the configuration is the vacuum (at a jump
-    time itself the configuration is the vacuum, on both jump kinds)."""
+    with the jump events in time order."""
 
     t_span: tuple[float, float]
     entries: tuple
     events: tuple
-    vacuum_spans: tuple[tuple[float, float], ...] = field(default=())
 
     def __post_init__(self):
         last_kind = None
@@ -261,8 +266,13 @@ class ProcessPath:
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("events must be time-ordered")
 
-    def in_vacuum(self, t: float) -> bool:
-        return any(a <= t <= b for a, b in self.vacuum_spans)
+    @property
+    def vacuum_spans(self) -> tuple[tuple[float, float], ...]:
+        """The closed VacuumInterval spans (at a jump time itself the
+        configuration is the vacuum, on both jump kinds)."""
+        return tuple(
+            (e.t_start, e.t_end) for e in self.entries if isinstance(e, VacuumInterval)
+        )
 
     def occupancy(self, times) -> np.ndarray:
         """Boolean array: configuration is the vacuum at each time."""
@@ -329,6 +339,7 @@ def sample_waiting_time(
     if t_start >= track.t_end or len(track.times) < 2:
         return None
     grid = track.times
+    bounds = track.interval_bounds
     start_idx = int(np.searchsorted(grid, t_start, side="right")) - 1
     start_idx = max(start_idx, 0)
     for i in range(start_idx, len(grid) - 1):
@@ -336,11 +347,7 @@ def sample_waiting_time(
         b = float(grid[i + 1])
         if b <= a:
             continue
-        bound = track._interval_bounds.get(i)
-        if bound is None:
-            probes = np.linspace(float(grid[i]), b, _MAJORANT_PROBES)
-            bound = float(np.max(track.rate_profile(probes)))
-            track._interval_bounds[i] = bound
+        bound = bounds[i]
         if not math.isfinite(bound):
             raise MajorantError(
                 f"rate unbounded on [{a!r}, {b!r}]: psi0 vanishes"
@@ -423,7 +430,6 @@ def simulate_path(
 
     entries: list = []
     events: list = []
-    vac: list[tuple[float, float]] = []
 
     fixed = model_family.frozen or track.constant_coefficients is not None
 
@@ -453,12 +459,10 @@ def simulate_path(
         if isinstance(config, Vacuum):
             t_jump = sample_waiting_time(track, t, rng)
             if t_jump is None or t_jump >= t_b:
-                vac.append((t, t_b))
                 entries.append(VacuumInterval(t, t_b))
                 t = t_b
                 break
             theta0, phi0 = sample_emission_angles(rng)
-            vac.append((t, t_jump))
             entries.append(VacuumInterval(t, t_jump))
             events.append(EmissionEvent(t_jump, theta0, phi0))
             cm, cp = track.coefficients(t_jump)
@@ -515,7 +519,6 @@ def simulate_path(
         t_span=(t_a, t_b),
         entries=tuple(entries),
         events=tuple(events),
-        vacuum_spans=tuple(vac),
     )
 
 

@@ -1,6 +1,7 @@
-"""Bohmian trajectories near the source: exact ODE rates, the closed-form
-flow relations, a closed-form flight evaluator, an adaptive integrator in
-the substituted radial variable, and emission seeding.
+"""Bohmian trajectories near the source: the closed-form flow relations,
+a closed-form flight evaluator, an adaptive integrator in the substituted
+radial variable, and emission seeding.  The integrator's guiding field is
+wavefunction.span_currents of the reduced amplitudes.
 
 Radial substitution.  With s = r^(1-2B) the leading radial equation
 becomes ds/dt = const near the origin (the power-law r(t) ~ |t|^(1/(1-2B))
@@ -44,19 +45,16 @@ from .errors import (
     DomainError,
     FitError,
     OriginError,
-    PoleError,
     SignError,
     StepFailure,
 )
 from .params import PhysParams
-from .wavefunction import SUBLEADING_DELTA, ModelWavefunction
+from .wavefunction import ModelWavefunction, reduced_amplitudes, span_currents
 
 #: Default absorption radius as a fraction of r_cut.
 R_MIN_FRACTION = 1e-8
 #: Default emission seed radius as a multiple of r_min.
 R_SEED_FACTOR = 10.0
-
-_SIN_POLE = 1e-12
 
 
 class SphericalState(NamedTuple):
@@ -166,64 +164,14 @@ class TrajectorySegment:
 
 
 # =====================================================================
-# exact rates
-# =====================================================================
-
-def ode_rhs(
-    params: PhysParams, c_minus: complex, c_plus: complex, state: SphericalState
-) -> tuple[float, float, float]:
-    """(dr/dt, dtheta/dt, dphi/dt) of the pure frozen-coefficient model.
-
-    dr/dt = j_r/rho, dtheta/dt = j_theta/(r rho) = 0, dphi/dt =
-    j_phi/(r sin(theta) rho); the sin(theta) in j_phi cancels the one in
-    the geometric factor, so the azimuthal rate is evaluated in the
-    cancelled form and is finite at any theta.
-    """
-    r = state.r
-    if r <= 0.0:
-        raise OriginError("rates are defined on the punctured ball only")
-    x = complex(c_minus).conjugate() * complex(c_plus)
-    if x.imag == 0.0:
-        raise DegenerateError(
-            "Im[conj(c_minus) c_plus] = 0: radial motion degenerates"
-        )
-    q, B = params.q, params.B
-    u = r ** (2.0 * B)
-    mod2 = abs(c_minus) ** 2 + abs(c_plus) ** 2 * u * u
-    den = abs(c_minus) ** 2 + 2.0 * q * u * x.real + abs(c_plus) ** 2 * u * u
-    phi_over_sin = q * mod2 + 2.0 * u * x.real
-    sin_t = math.sin(state.theta)
-    if sin_t < _SIN_POLE and phi_over_sin * sin_t != 0.0:
-        raise PoleError(
-            f"azimuthal rate ill-conditioned at sin(theta) = {sin_t!r}"
-        )
-    dr_dt = 2.0 * B * u * x.imag / den
-    dphi_dt = -params.sign_mk * phi_over_sin / (r * den)
-    return dr_dt, 0.0, dphi_dt
-
-
-def phi_rate_correction(
-    params: PhysParams, c_minus: complex, c_plus: complex
-) -> float:
-    """Coefficient of r^(2B-1) in dphi/dt beyond the leading -q sgn / r.
-
-    Obtained by series division of the azimuthal rate:
-    dphi/dt = -(sgn/r) [q + 2 B^2 Re[conj(c-)c+]/|c-|^2 r^(2B) + O(r^(4B))].
-    """
-    x = complex(c_minus).conjugate() * complex(c_plus)
-    if abs(c_minus) == 0.0:
-        raise DegenerateError("correction undefined for c_minus = 0")
-    return (
-        -params.sign_mk * 2.0 * params.B**2 * x.real / abs(c_minus) ** 2
-    )
-
-
-# =====================================================================
 # closed forms
 # =====================================================================
 
 def _overlap_parts(c_minus: complex, c_plus: complex) -> tuple[float, float, float, float]:
+    """(|c-|^2, |c+|^2, Re, Im) of conj(c-) c+; DegenerateError if Im = 0."""
     x = complex(c_minus).conjugate() * complex(c_plus)
+    if x.imag == 0.0:
+        raise DegenerateError("no radial motion for Im[conj(c_minus) c_plus] = 0")
     return abs(c_minus) ** 2, abs(c_plus) ** 2, x.real, x.imag
 
 def time_from_radius(
@@ -237,8 +185,6 @@ def time_from_radius(
     if r <= 0.0:
         raise OriginError("radius must be positive")
     m2, p2, re, im = _overlap_parts(c_minus, c_plus)
-    if im == 0.0:
-        raise DegenerateError("no radial motion for Im[conj(c_minus) c_plus] = 0")
     q, B = params.q, params.B
     one = 1.0 - 2.0 * B
     return (
@@ -254,8 +200,6 @@ def azimuth_from_radius(
     if r <= 0.0:
         raise OriginError("radius must be positive")
     m2, p2, re, im = _overlap_parts(c_minus, c_plus)
-    if im == 0.0:
-        raise DegenerateError("no radial motion for Im[conj(c_minus) c_plus] = 0")
     q, B = params.q, params.B
     sgn = params.sign_mk
     return (
@@ -272,8 +216,6 @@ def radius_from_time(
     before (Im < 0, dt < 0) the visit to the source.  dt must carry the
     sign of Im and satisfy |dt| <= |t(r_max) - t0|."""
     _, _, _, im = _overlap_parts(c_minus, c_plus)
-    if im == 0.0:
-        raise DegenerateError("no radial motion for Im[conj(c_minus) c_plus] = 0")
     if dt == 0.0:
         return 0.0
     if math.copysign(1.0, dt) != math.copysign(1.0, im):
@@ -302,40 +244,6 @@ def _invert_time(
     if f_lo * f_hi > 0.0:
         return r_lo if abs(f_lo) < abs(f_hi) else r_hi
     return float(brentq(f, r_lo, r_hi, xtol=1e-300, rtol=8.9e-16, maxiter=200))
-
-
-def asymptotic_solution(
-    params: PhysParams,
-    c_minus: complex,
-    c_plus: complex,
-    theta0: float,
-    phi0: float,
-    t: float,
-) -> SphericalState:
-    """Leading small-|t| behaviour around the visit to the source at t=0:
-
-    r(t) = [2B(1-2B)|Im|/|c-|^2]^(1/(1-2B)) |t|^(1/(1-2B)),  theta = theta0,
-    phi(t) = phi0 + (leading r^(-2B) term of the exact azimuth)
-             - sgn Re/(B Im (1-2B)) ln|t|.
-    """
-    m2, _, re, im = _overlap_parts(c_minus, c_plus)
-    if im == 0.0:
-        raise DegenerateError("no radial motion for Im[conj(c_minus) c_plus] = 0")
-    if m2 == 0.0:
-        raise DegenerateError("leading asymptotics require c_minus != 0")
-    if t == 0.0 or math.copysign(1.0, t) != math.copysign(1.0, im):
-        raise SignError(f"t = {t!r} has the wrong sign for Im = {im!r}")
-    q, B = params.q, params.B
-    one = 1.0 - 2.0 * B
-    sgn = params.sign_mk
-    prefactor = (2.0 * B * one * abs(im) / m2) ** (1.0 / one)
-    r = prefactor * abs(t) ** (1.0 / one)
-    phi = (
-        phi0
-        + q * sgn * m2 / (4.0 * B * B * im) * r ** (-2.0 * B)
-        - sgn * re / (B * im * one) * math.log(abs(t))
-    )
-    return SphericalState(t, r, theta0, phi)
 
 
 def _closed_form_flight(
@@ -447,35 +355,20 @@ def _make_rhs(
 ) -> Callable:
     """RHS for y = (s, phi) with s = r^(1-2B); coefficients passed per call.
 
-    Factored so that nothing blows up as s -> 0: with u = r^(2B),
-    A^ = c- + s- r^(1/2+B+delta) and C~ = c+ + s+ r^(1/2-B+delta),
-
-      ds/dt   = 2B(1-2B) Im[conj(A^) C~] / den
-      dphi/dt = -sgn (q(|A^|^2 + u^2 |C~|^2) + 2u Re[conj(A^) C~]) / (r den)
-      den     = |A^|^2 + 2q u Re[conj(A^) C~] + u^2 |C~|^2.
+    v = j/rho from span_currents of the reduced amplitudes, whose common
+    factor cancels from the ratios: ds/dt = (1-2B) r^(-2B) j_r/rho and
+    dphi/dt = (j_phi/sin(theta))/(r rho).  Both stay finite as s -> 0
+    (j_r ~ r^(2B) while rho -> (1+q)|c-|^2/pi).
     """
-    q, B = params.q, params.B
-    one = 1.0 - 2.0 * B
+    one = 1.0 - 2.0 * params.B
     inv_one = 1.0 / one
-    sgn = params.sign_mk
-    s_minus, s_plus = subleading
-    has_sub = s_minus != 0j or s_plus != 0j
+    neg_two_b = -2.0 * params.B
 
     def rhs(s: float, c_minus: complex, c_plus: complex) -> tuple[float, float]:
         r = s**inv_one
-        u = r ** (2.0 * B)
-        a_hat = c_minus
-        c_tilde = c_plus
-        if has_sub:
-            a_hat = a_hat + s_minus * r ** (0.5 + B + SUBLEADING_DELTA)
-            c_tilde = c_tilde + s_plus * r ** (0.5 - B + SUBLEADING_DELTA)
-        x = a_hat.conjugate() * c_tilde
-        a2 = a_hat.real * a_hat.real + a_hat.imag * a_hat.imag
-        c2 = (c_tilde.real * c_tilde.real + c_tilde.imag * c_tilde.imag) * u * u
-        den = a2 + 2.0 * q * u * x.real + c2
-        ds_dt = 2.0 * B * one * x.imag / den
-        dphi_dt = -sgn * (q * (a2 + c2) + 2.0 * u * x.real) / (r * den)
-        return ds_dt, dphi_dt
+        a_hat, c_hat = reduced_amplitudes(params, c_minus, c_plus, r, subleading)
+        j_r, j_phi_over_sin, rho = span_currents(params, a_hat, c_hat)
+        return one * r**neg_two_b * j_r / rho, j_phi_over_sin / (r * rho)
 
     return rhs
 
@@ -516,11 +409,7 @@ def integrate(
     if not t_end > initial.t:
         raise DomainError("t_end must exceed the initial time")
     if refresh is None and not model.has_subleading:
-        x = model.c_minus.conjugate() * model.c_plus
-        if x.imag == 0.0:
-            raise DegenerateError(
-                "Im[conj(c_minus) c_plus] = 0: radial motion degenerates"
-            )
+        _overlap_parts(model.c_minus, model.c_plus)  # Im = 0 guard
         if not dense:
             return _closed_form_flight(model, initial, t_end, r_min, probe_radii)
 

@@ -19,10 +19,13 @@ and C (along f^+),
     j_phi        = -(1+q)/pi * sgn * (q(|A|^2+|C|^2) + 2 Re[X]) sin(theta)
     rho          = (1+q)/pi * (|A|^2 + 2 q Re[X] + |C|^2)
 
-with sgn = sgn(m_tilde kappa_tilde).  For the pure model (s = 0) this
-gives the exact expansion coefficients frozen in CurrentCoeffs, e.g.
-r^2 j_r = C_r = 2(1+q) B Im[conj(c_minus) c_plus]/pi exactly below
-r_cut/2.
+with sgn = sgn(m_tilde kappa_tilde).  reduced_amplitudes and
+span_currents code these formulas once, for scalars or arrays; the
+integrator's guiding field and the radial mass profile evaluate them,
+and current_exact (the spinor contraction) checks them.  For the pure
+model (s = 0) they give the exact expansion coefficients frozen in
+CurrentCoeffs, e.g. r^2 j_r = C_r = 2(1+q) B Im[conj(c_minus) c_plus]/pi
+exactly below r_cut/2.
 """
 
 from __future__ import annotations
@@ -123,29 +126,28 @@ def current_coeffs(params: PhysParams, c_minus: complex, c_plus: complex) -> Cur
 # pointwise evaluation
 # =====================================================================
 
-def cutoff(r: float, r_cut: float) -> float:
-    """C^1 cubic bridge: 1 on r <= r_cut/2, 0 on r >= r_cut."""
-    if r <= 0.5 * r_cut:
-        return 1.0
-    if r >= r_cut:
-        return 0.0
-    u = (r - 0.5 * r_cut) / (0.5 * r_cut)
-    return 1.0 - u * u * (3.0 - 2.0 * u)
+def cutoff(r, r_cut: float):
+    """C^1 cubic bridge: 1 on r <= r_cut/2, 0 on r >= r_cut; r may be a
+    float (float result) or an array (elementwise)."""
+    u = np.clip((np.asarray(r, dtype=float) - 0.5 * r_cut) / (0.5 * r_cut), 0.0, 1.0)
+    chi = 1.0 - u * u * (3.0 - 2.0 * u)
+    return float(chi) if chi.ndim == 0 else chi
 
 
-def reduced_amplitudes(model: ModelWavefunction, r: float) -> tuple[complex, complex]:
+def reduced_amplitudes(params: PhysParams, c_minus, c_plus, r, subleading_amp):
     """Radial amplitudes along f^- and f^+ with the common factor
     chi(r) r^(-1-B) removed: (c_minus + s_minus r^(1/2+B+delta),
-    c_plus r^(2B) + s_plus r^(1/2+B+delta)).
+    c_plus r^(2B) + s_plus r^(1/2+B+delta)); r >= 0, float or array.
 
     Keeping the reduced form avoids overflow at tiny radii; the common
-    factor cancels from every velocity ratio.
+    factor cancels from every velocity ratio.  At r = 0 the pair is
+    (c_minus, 0).
     """
-    B = model.params.B
-    s_minus, s_plus = model.subleading_amp
-    a_hat = model.c_minus
-    c_hat = model.c_plus * r ** (2.0 * B)
-    if model.has_subleading:
+    B = params.B
+    a_hat = c_minus
+    c_hat = c_plus * r ** (2.0 * B)
+    if subleading_amp != (0j, 0j):
+        s_minus, s_plus = subleading_amp
         bump = r ** (0.5 + B + SUBLEADING_DELTA)
         a_hat = a_hat + s_minus * bump
         c_hat = c_hat + s_plus * bump
@@ -156,7 +158,9 @@ def radial_amplitudes(model: ModelWavefunction, r: float) -> tuple[complex, comp
     """Full radial amplitudes (A, C) of psi = A f^- + C f^+ at radius r."""
     if r <= 0.0:
         raise OriginError("radius must be positive")
-    a_hat, c_hat = reduced_amplitudes(model, r)
+    a_hat, c_hat = reduced_amplitudes(
+        model.params, model.c_minus, model.c_plus, r, model.subleading_amp
+    )
     common = cutoff(r, model.r_cut) * r ** (-1.0 - model.params.B)
     return common * a_hat, common * c_hat
 
@@ -174,14 +178,13 @@ def eval_psi1(model: ModelWavefunction, x) -> np.ndarray:
     )
 
 
-def span_currents(
-    params: PhysParams, a_minus: complex, a_plus: complex
-) -> tuple[float, float, float]:
+def span_currents(params: PhysParams, a_minus, a_plus):
     """(j_r, j_phi / sin(theta), rho) for a spinor A f^- + C f^+.
 
     The bilinear route: assembled from the closed-form boundary-spinor
     overlaps, valid for any radial amplitudes (with or without the
-    injected subleading terms, with or without the cutoff factor).
+    injected subleading terms, with or without the cutoff factor) and
+    elementwise for arrays of them.
     """
     q, B = params.q, params.B
     w = (1.0 + q) / math.pi
@@ -256,20 +259,13 @@ def radial_mass_profile(
     p = model.params
     one = 1.0 - 2.0 * p.B
     s_grid = np.linspace(0.0, model.r_cut ** one, n)
-    integrand = np.empty(n)
-    w = 4.0 * (1.0 + p.q) / one
-    for i, s in enumerate(s_grid):
-        if s == 0.0:
-            # limit: only |c_minus|^2 survives in the reduced bilinear
-            integrand[i] = w * abs(model.c_minus) ** 2
-            continue
-        r = s ** (1.0 / one)
-        a_hat, c_hat = reduced_amplitudes(model, r)
-        x = a_hat.conjugate() * c_hat
-        chi = cutoff(r, model.r_cut)
-        integrand[i] = w * chi * chi * (
-            abs(a_hat) ** 2 + 2.0 * p.q * x.real + abs(c_hat) ** 2
-        )
+    r = s_grid ** (1.0 / one)
+    a_hat, c_hat = reduced_amplitudes(
+        p, model.c_minus, model.c_plus, r, model.subleading_amp
+    )
+    rho_hat = span_currents(p, a_hat, c_hat)[2]
+    # 4 pi r^2 rho dr = (4 pi / (1-2B)) chi^2 rho_hat ds
+    integrand = (4.0 * math.pi / one) * cutoff(r, model.r_cut) ** 2 * rho_hat
     cum = np.concatenate(
         ([0.0], np.cumsum(np.diff(s_grid) * 0.5 * (integrand[1:] + integrand[:-1])))
     )

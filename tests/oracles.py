@@ -1,0 +1,101 @@
+"""Independent formulas the tests compare the package against.
+
+Each one is derived on its own from the paper's expressions and is not
+called by the package: the pure-model guiding equation in (r, theta,
+phi), the series coefficient of its azimuthal rate, the leading
+small-|t| flight, and vacuum membership read off a path's entries.
+"""
+
+import math
+
+from belljump import DegenerateError, OriginError, SignError
+from belljump.jump_process import VacuumInterval
+from belljump.trajectory import SphericalState
+
+#: Below this sin(theta) a nonzero azimuthal rate is reported as a pole.
+SIN_POLE = 1e-12
+
+
+class PoleError(RuntimeError):
+    """Azimuthal velocity requested on the polar axis."""
+
+
+def ode_rhs(params, c_minus, c_plus, state):
+    """(dr/dt, dtheta/dt, dphi/dt) of the pure frozen-coefficient model.
+
+    dr/dt = j_r/rho, dtheta/dt = j_theta/(r rho) = 0, dphi/dt =
+    j_phi/(r sin(theta) rho); the sin(theta) in j_phi cancels the one in
+    the geometric factor, so the azimuthal rate is evaluated in the
+    cancelled form and is finite at any theta.
+    """
+    r = state.r
+    if r <= 0.0:
+        raise OriginError("rates are defined on the punctured ball only")
+    x = complex(c_minus).conjugate() * complex(c_plus)
+    if x.imag == 0.0:
+        raise DegenerateError(
+            "Im[conj(c_minus) c_plus] = 0: radial motion degenerates"
+        )
+    q, B = params.q, params.B
+    u = r ** (2.0 * B)
+    mod2 = abs(c_minus) ** 2 + abs(c_plus) ** 2 * u * u
+    den = abs(c_minus) ** 2 + 2.0 * q * u * x.real + abs(c_plus) ** 2 * u * u
+    phi_over_sin = q * mod2 + 2.0 * u * x.real
+    sin_t = math.sin(state.theta)
+    if sin_t < SIN_POLE and phi_over_sin * sin_t != 0.0:
+        raise PoleError(
+            f"azimuthal rate ill-conditioned at sin(theta) = {sin_t!r}"
+        )
+    dr_dt = 2.0 * B * u * x.imag / den
+    dphi_dt = -params.sign_mk * phi_over_sin / (r * den)
+    return dr_dt, 0.0, dphi_dt
+
+
+def phi_rate_correction(params, c_minus, c_plus):
+    """Coefficient of r^(2B-1) in dphi/dt beyond the leading -q sgn / r.
+
+    Obtained by series division of the azimuthal rate:
+    dphi/dt = -(sgn/r) [q + 2 B^2 Re[conj(c-)c+]/|c-|^2 r^(2B) + O(r^(4B))].
+    """
+    x = complex(c_minus).conjugate() * complex(c_plus)
+    if abs(c_minus) == 0.0:
+        raise DegenerateError("correction undefined for c_minus = 0")
+    return -params.sign_mk * 2.0 * params.B**2 * x.real / abs(c_minus) ** 2
+
+
+def asymptotic_solution(params, c_minus, c_plus, theta0, phi0, t):
+    """Leading small-|t| behaviour around the visit to the source at t=0:
+
+    r(t) = [2B(1-2B)|Im|/|c-|^2]^(1/(1-2B)) |t|^(1/(1-2B)),  theta = theta0,
+    phi(t) = phi0 + (leading r^(-2B) term of the exact azimuth)
+             - sgn Re/(B Im (1-2B)) ln|t|.
+    """
+    x = complex(c_minus).conjugate() * complex(c_plus)
+    m2, re, im = abs(c_minus) ** 2, x.real, x.imag
+    if im == 0.0:
+        raise DegenerateError("no radial motion for Im[conj(c_minus) c_plus] = 0")
+    if m2 == 0.0:
+        raise DegenerateError("leading asymptotics require c_minus != 0")
+    if t == 0.0 or math.copysign(1.0, t) != math.copysign(1.0, im):
+        raise SignError(f"t = {t!r} has the wrong sign for Im = {im!r}")
+    q, B = params.q, params.B
+    one = 1.0 - 2.0 * B
+    sgn = params.sign_mk
+    prefactor = (2.0 * B * one * abs(im) / m2) ** (1.0 / one)
+    r = prefactor * abs(t) ** (1.0 / one)
+    phi = (
+        phi0
+        + q * sgn * m2 / (4.0 * B * B * im) * r ** (-2.0 * B)
+        - sgn * re / (B * im * one) * math.log(abs(t))
+    )
+    return SphericalState(t, r, theta0, phi)
+
+
+def in_vacuum(path, t):
+    """Whether the configuration of `path` is the vacuum at time t: t lies
+    in one of its closed VacuumInterval entries."""
+    return any(
+        e.t_start <= t <= e.t_end
+        for e in path.entries
+        if isinstance(e, VacuumInterval)
+    )

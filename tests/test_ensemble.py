@@ -29,6 +29,7 @@ from belljump.ensemble import (
 )
 from belljump.jump_process import CoefficientTrack
 from belljump.wavefunction import ModelFamily, ModelWavefunction, particle_sector_mass
+from oracles import in_vacuum
 
 P96 = canonical_params(0.96)
 
@@ -234,7 +235,7 @@ def test_parked_draws_outside_modeled_region():
         if path.entries == () and path.vacuum_spans == ():
             parked += 1
             assert path.events == ()
-            assert not path.in_vacuum(0.005)
+            assert not in_vacuum(path, 0.005)
         elif path.segments:
             in_flight += 1
     assert parked > 0 and in_flight > 0

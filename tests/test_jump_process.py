@@ -29,6 +29,7 @@ from belljump.jump_process import (
 )
 from belljump.trajectory import Absorbed, LeftInnerRegion, TimeExhausted
 from belljump.wavefunction import ModelFamily, current_coeffs
+from oracles import in_vacuum
 
 P96 = canonical_params(0.96)
 
@@ -269,12 +270,12 @@ def test_simulate_path_alternation_and_spans():
                 found_events = True
                 assert 0.0 < ev.theta0 < math.pi
                 assert 0.0 <= ev.phi0 < 2.0 * math.pi
-                assert path.in_vacuum(ev.t0)
+                assert in_vacuum(path, ev.t0)
         # occupancy flags agree with the recorded spans
         grid = np.linspace(0.0, 3.0, 31)
         occ = path.occupancy(grid)
         for t, flag in zip(grid, occ):
-            assert flag == path.in_vacuum(t)
+            assert flag == in_vacuum(path, t)
     assert found_events
 
 
@@ -290,8 +291,8 @@ def test_simulate_path_ingoing_absorbs_then_stays_vacuum():
     seg = path.segments[0]
     assert isinstance(seg.terminal, Absorbed)
     assert path.vacuum_spans == ((t0, 3.0),)
-    assert not path.in_vacuum(0.5 * t0)
-    assert path.in_vacuum(2.0)
+    assert not in_vacuum(path, 0.5 * t0)
+    assert in_vacuum(path, 2.0)
 
 
 def test_simulate_path_outgoing_particle_leaves_and_parks():

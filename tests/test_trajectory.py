@@ -11,28 +11,27 @@ from belljump import (
     DomainError,
     FitError,
     OriginError,
-    PoleError,
     SignError,
     canonical_params,
     circling_sign,
 )
+from belljump.spinor_basis import from_spherical
 from belljump.trajectory import (
     Absorbed,
     LeftInnerRegion,
     SphericalState,
     TimeExhausted,
     TrajectorySegment,
-    asymptotic_solution,
+    _make_rhs,
     azimuth_from_radius,
     emit_trajectory,
     fit_power_law,
     integrate,
-    ode_rhs,
-    phi_rate_correction,
     radius_from_time,
     time_from_radius,
 )
-from belljump.wavefunction import ModelWavefunction
+from belljump.wavefunction import ModelWavefunction, velocity_field
+from oracles import PoleError, asymptotic_solution, ode_rhs, phi_rate_correction
 
 
 # ---------------------------------------------------------------------
@@ -78,6 +77,47 @@ def test_phi_rate_correction_matches_series():
         assert abs(got - corr) < 1e-4 * (1.0 + abs(corr))
     with pytest.raises(DegenerateError):
         phi_rate_correction(canonical_params(0.9), 0.0, 1j)
+
+
+def test_integrator_rhs_matches_oracles():
+    # the integrator's (ds/dt, dphi/dt) pointwise, ds/dt = (1-2B) r^(-2B)
+    # dr/dt: without subleading terms against the pure-model rates,
+    # componentwise; with them against the spinor-contraction guiding
+    # field v = j/rho, relative to the speed |v| (the contraction loses
+    # the small v_r near the source to cancellation against rho)
+    rng = np.random.default_rng(43)
+    labels = ((-0.5, -1), (-0.5, 1), (0.5, -1), (0.5, 1))
+    worst = 0.0
+    for k in range(40):
+        p = canonical_params(
+            math.copysign(rng.uniform(0.87, 0.999), rng.normal()), *labels[k % 4]
+        )
+        cm = complex(rng.normal(), rng.normal())
+        cp = complex(rng.normal(), rng.normal())
+        r = math.exp(rng.uniform(math.log(1e-8), math.log(0.5)))
+        theta = rng.uniform(0.1, math.pi - 0.1)
+        u, one = r ** (2.0 * p.B), 1.0 - 2.0 * p.B
+        if k % 2 == 0:
+            ds_dt, dphi_dt = _make_rhs(p, (0j, 0j))(r**one, cm, cp)
+            dr_dt, _, want_phi = ode_rhs(p, cm, cp, SphericalState(0.0, r, theta, 0.0))
+            want_s = one * dr_dt / u
+            worst = max(
+                worst,
+                abs(ds_dt - want_s) / abs(want_s),
+                abs(dphi_dt - want_phi) / abs(want_phi),
+            )
+        else:
+            sub = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
+            ds_dt, dphi_dt = _make_rhs(p, sub)(r**one, cm, cp)
+            model = ModelWavefunction(p, cm, cp, 1.0, sub)
+            v_r, _, v_phi = velocity_field(model, from_spherical(r, theta, 0.3))
+            speed = math.hypot(v_r, v_phi)
+            worst = max(
+                worst,
+                abs(ds_dt * u / one - v_r) / speed,
+                abs(dphi_dt * r * math.sin(theta) - v_phi) / speed,
+            )
+    assert worst < 1e-10
 
 
 # ---------------------------------------------------------------------

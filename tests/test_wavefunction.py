@@ -13,6 +13,7 @@ from belljump import (
 )
 from belljump.spinor_basis import from_spherical
 from belljump.wavefunction import (
+    SUBLEADING_DELTA,
     CurrentCoeffs,
     ModelFamily,
     ModelWavefunction,
@@ -181,16 +182,34 @@ def test_cutoff_c1_bridge():
     grid = np.linspace(1.0, 2.0, 101)
     vals = [cutoff(r, r_cut) for r in grid]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
+    # an array of radii gives the scalar values elementwise
+    radii = np.concatenate(([0.0, 0.3], grid, [2.5]))
+    scalars = [cutoff(float(r), r_cut) for r in radii]
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(cutoff(radii, r_cut), scalars)
 
 
 def test_reduced_amplitudes_limits():
     rng = np.random.default_rng(36)
     m = _random_model(rng, q=0.93)
-    a0, c0 = reduced_amplitudes(m, 1e-12)
+    a0, c0 = reduced_amplitudes(m.params, m.c_minus, m.c_plus, 1e-12, m.subleading_amp)
     assert abs(a0 - m.c_minus) < 1e-12
     assert abs(c0) < 1e-6  # c_plus r^2B -> 0
     with pytest.raises(OriginError):
         radial_amplitudes(m, 0.0)
+    # with subleading terms, elementwise on an array that includes r = 0:
+    # times r^(-1-B) the pair is the model's c- r^(-1-B) + s- r^(-1/2+delta)
+    # and c+ r^(-1+B) + s+ r^(-1/2+delta); at r = 0 it is (c_minus, 0)
+    ms = _random_model(rng, q=-0.95, subleading=True)
+    B, (s_minus, s_plus) = ms.params.B, ms.subleading_amp
+    r = np.array([0.0, 1e-9, 1e-3, 0.2])
+    a, c = reduced_amplitudes(ms.params, ms.c_minus, ms.c_plus, r, ms.subleading_amp)
+    assert a[0] == ms.c_minus and c[0] == 0.0
+    rr = r[1:]
+    want_a = ms.c_minus * rr ** (-1.0 - B) + s_minus * rr ** (-0.5 + SUBLEADING_DELTA)
+    want_c = ms.c_plus * rr ** (-1.0 + B) + s_plus * rr ** (-0.5 + SUBLEADING_DELTA)
+    assert np.allclose(a[1:] * rr ** (-1.0 - B), want_a, rtol=1e-12, atol=0.0)
+    assert np.allclose(c[1:] * rr ** (-1.0 - B), want_c, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------
