@@ -27,8 +27,8 @@ from .errors import (
     InsufficientEvents,
     ValidationError,
 )
-from .jump_process import CoefficientTrack, VacuumInterval
-from .params import PhysParams, canonical_params
+from .jump_process import CoefficientTrack
+from .params import canonical_params
 from .spinor_basis import from_spherical
 from .trajectory import (
     Absorbed,
@@ -521,6 +521,14 @@ def _cmd_ensemble(ns) -> int:
             "n_absorptions": len(stats.absorption_times),
         }
     )
+    if stats.snapshot_time is not None:
+        records.append(
+            {
+                "record": "snapshot",
+                "time": stats.snapshot_time,
+                "count": len(stats.snapshot_radii),
+            }
+        )
 
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(_json_header(cfg, seed) + "\n")
@@ -549,6 +557,11 @@ def _cmd_ensemble(ns) -> int:
             10,
         ):
             fh.write(line + "\n")
+        if stats.snapshot_time is not None:
+            for line in _hist_lines(
+                "snapshot_radius", stats.snapshot_radii, 0.0, 0.5 * family.r_cut, 20
+            ):
+                fh.write(line + "\n")
     print(
         f"ensemble: {stats.n_paths} paths, {len(stats.emission_times)} emissions, "
         f"{len(stats.absorption_times)} absorptions -> {summary_path}, {hist_path}"

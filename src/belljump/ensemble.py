@@ -19,7 +19,7 @@ emission rate, and A is the absorption influx.  For ingoing constant
 coefficients every arriving shell carries flux 4 pi |C_r| (r^2 j_r is
 exactly constant), so A(t) = 4 pi |C_r| until the shell that started at
 r_cut/2 arrives, and 0 after.  The solver (scipy RK45 on this scalar
-ODE) shares no code with the path sampler.
+ODE) shares only the rate law, total_jump_rate, with the path sampler.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .jump_process import (
     Particle,
     ProcessPath,
     Vacuum,
+    sample_emission_angles,
     simulate_path,
     total_jump_rate,
 )
@@ -213,12 +214,11 @@ def draw_path(
         config: Vacuum | Particle = Vacuum()
     else:
         r0 = sampler.draw_radius(rng.random())
-        c = min(max(1.0 - 2.0 * rng.random(), -1.0 + 1e-15), 1.0 - 1e-15)
-        phi0 = 2.0 * math.pi * rng.random()
+        theta0, phi0 = sample_emission_angles(rng)
         if r0 >= r_top:
             # parked outside the modeled region: sector 1 throughout
             return ProcessPath(t_span=(t_a, t_b), entries=(), events=())
-        config = Particle(tuple(from_spherical(r0, math.acos(c), phi0)))
+        config = Particle(tuple(from_spherical(r0, theta0, phi0)))
     return simulate_path(
         model_family,
         track,

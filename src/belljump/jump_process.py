@@ -11,11 +11,14 @@ uniform over the sphere; the per-solid-angle form is
 
     sigma(theta0) = (2(1+q)B/pi) max{0, Im[...]} sin(theta0) / |psi0|^2,
 
-independent of phi0.  A particle follows the guiding field until its
-radius falls below r_min (absorption: the configuration becomes the
-vacuum at the extrapolated arrival time t0) or until it leaves the inner
-region r < r_cut/2, after which the near-source model no longer applies
-and the path is parked as a particle for the rest of the window.
+independent of phi0.  The law is coded once, in
+CoefficientTrack.rate_profile; total_jump_rate, jump_rate_density and
+the thinning majorants (CoefficientTrack.majorant_table) all evaluate it
+there.  A particle follows the guiding field until its radius falls
+below r_min (absorption: the configuration becomes the vacuum at the
+extrapolated arrival time t0) or until it leaves the inner region
+r < r_cut/2, after which the near-source model no longer applies and the
+path is parked as a particle for the rest of the window.
 
 The emission intensity is exactly 4 pi C_r / |psi0|^2 when C_r > 0, the
 flux of |psi|^2 out of the source; a track is "balanced" when
@@ -25,9 +28,12 @@ two-sector probability flow closes (validate_balance checks it).
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -98,7 +104,7 @@ class CoefficientTrack:
     def _interpolant(t, y):
         if len(t) == 1:
             value = complex(y[0])
-            return lambda s: value
+            return lambda s: np.full(np.shape(s), value)
         from scipy.interpolate import CubicSpline
 
         kind = "not-a-knot" if len(t) >= 4 else "natural"
@@ -136,32 +142,35 @@ class CoefficientTrack:
         cm, cp = self.coefficients(t)
         return (cm.conjugate() * cp).imag
 
-    def rate_profile(self, times) -> np.ndarray:
-        """total_jump_rate evaluated on an array of times; a vanishing
-        psi0 under positive flux gives inf at that entry."""
-        times = np.clip(np.asarray(times, dtype=float), self.t_start, self.t_end)
-        if self._const_pair is not None:
-            cm, cp = self._const_pair
-            im = np.full(times.shape, (cm.conjugate() * cp).imag)
-        else:
-            im = (np.conj(self._cm(times)) * self._cp(times)).imag
-        weight = np.broadcast_to(
-            np.asarray(np.abs(self._p0(times)) ** 2, dtype=float), times.shape
-        )
+    def rate_profile(self, times):
+        """The emission rate law Gamma at a time or an array of times
+        (clamped to the grid): 8 (1+q) B max{0, Im[conj(c_minus) c_plus]}
+        / |psi0|^2, and inf where psi0 vanishes under positive flux."""
+        t = np.clip(times, self.t_start, self.t_end)
+        cm, cp = self._const_pair or (self._cm(t), self._cp(t))
+        im = (cm.conjugate() * cp).imag
+        weight = np.abs(self._p0(t)) ** 2
         p = self.params
-        out = np.zeros(times.shape)
-        pos = im > 0.0
-        with np.errstate(divide="ignore"):
-            out[pos] = 8.0 * (1.0 + p.q) * p.B * im[pos] / weight[pos]
-        return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(im > 0.0, 8.0 * (1.0 + p.q) * p.B * im / weight, 0.0)
 
     @functools.cached_property
-    def interval_bounds(self) -> list[float]:
-        """Per grid interval, the largest rate_profile value over
-        _MAJORANT_PROBES evenly spaced times; built once, on first use."""
+    def majorant_table(self) -> tuple[tuple[float, float, float], ...]:
+        """Thinning pieces (start, end, majorant), in time order, for the
+        grid intervals whose rate bound is positive; built once, on first
+        use.  The bound is the largest rate_profile value at
+        _MAJORANT_PROBES evenly spaced times, the majorant MAJORANT_MARGIN
+        times it, or inf where no bound can be trusted (psi0 vanishes at a
+        probe, or the bound exceeds _MAJORANT_CAP)."""
         g = self.times
         probes = np.linspace(g[:-1], g[1:], _MAJORANT_PROBES, axis=1)
-        return np.max(self.rate_profile(probes), axis=1).tolist()
+        bound = np.max(self.rate_profile(probes), axis=1)
+        trusted = bound <= _MAJORANT_CAP
+        majorant = np.where(trusted, MAJORANT_MARGIN * bound, math.inf)
+        keep = ~trusted | (bound > 0.0)
+        return tuple(
+            zip(g[:-1][keep].tolist(), g[1:][keep].tolist(), majorant[keep].tolist())
+        )
 
     @classmethod
     def constant(
@@ -301,29 +310,16 @@ class ProcessPath:
 
 def jump_rate_density(track: CoefficientTrack, t0: float, theta0: float) -> float:
     """Emission rate per (d theta0 d phi0) at time t0; independent of phi0."""
-    p = track.params
-    im = track.im_cross(t0)
-    if im <= 0.0:
-        return 0.0
-    weight = track.vacuum_weight(t0)
-    if weight == 0.0:
-        raise VacuumEmpty(f"psi0({t0!r}) = 0 with positive emission flux")
-    return (
-        2.0 * (1.0 + p.q) * p.B / math.pi * im * math.sin(theta0) / weight
-    )
+    return total_jump_rate(track, t0) * math.sin(theta0) / (4.0 * math.pi)
 
 
 def total_jump_rate(track: CoefficientTrack, t0: float) -> float:
-    """Total rate of leaving the vacuum at t0 (the (theta0, phi0) integral
-    of jump_rate_density; equals 4 pi C_r/|psi0|^2 when C_r > 0)."""
-    p = track.params
-    im = track.im_cross(t0)
-    if im <= 0.0:
-        return 0.0
-    weight = track.vacuum_weight(t0)
-    if weight == 0.0:
+    """Total rate of leaving the vacuum at t0, track.rate_profile at one
+    time (equals 4 pi C_r/|psi0|^2 when C_r > 0)."""
+    rate = float(track.rate_profile(t0))
+    if rate == math.inf:
         raise VacuumEmpty(f"psi0({t0!r}) = 0 with positive emission flux")
-    return 8.0 * (1.0 + p.q) * p.B * im / weight
+    return rate
 
 
 # =====================================================================
@@ -335,35 +331,18 @@ def sample_waiting_time(
 ) -> float | None:
     """First-event time of the inhomogeneous Poisson process with
     intensity total_jump_rate, from t_start; None if the track ends
-    first.  Thinning against a per-grid-interval sampled majorant."""
-    if t_start >= track.t_end or len(track.times) < 2:
-        return None
-    grid = track.times
-    bounds = track.interval_bounds
-    start_idx = int(np.searchsorted(grid, t_start, side="right")) - 1
-    start_idx = max(start_idx, 0)
-    for i in range(start_idx, len(grid) - 1):
-        a = max(float(grid[i]), t_start)
-        b = float(grid[i + 1])
-        if b <= a:
-            continue
-        bound = bounds[i]
-        if not math.isfinite(bound):
+    first.  Thinning against track.majorant_table, from its first piece
+    that ends after t_start."""
+    pieces = track.majorant_table
+    first = bisect.bisect_right(pieces, t_start, key=itemgetter(1))
+    for a, b, majorant in itertools.islice(pieces, first, None):
+        if majorant == math.inf:
             raise MajorantError(
-                f"rate unbounded on [{a!r}, {b!r}]: psi0 vanishes"
+                f"no trusted rate majorant on [{a!r}, {b!r}]: psi0 vanishes "
+                f"or the rate bound exceeds {_MAJORANT_CAP!r}"
             )
-        if bound > _MAJORANT_CAP:
-            raise MajorantError(
-                f"rate majorant {bound!r} on [{a!r}, {b!r}] treated as unbounded"
-            )
-        if bound == 0.0:
-            continue
-        majorant = MAJORANT_MARGIN * bound
-        t = a
-        while True:
-            t += rng.exponential(1.0 / majorant)
-            if t > b:
-                break
+        t = max(a, t_start)
+        while (t := t + rng.exponential(1.0 / majorant)) <= b:
             rate = total_jump_rate(track, t)
             if rate > majorant:
                 raise MajorantError(

@@ -55,6 +55,8 @@ from .wavefunction import ModelWavefunction, reduced_amplitudes, span_currents
 R_MIN_FRACTION = 1e-8
 #: Default emission seed radius as a multiple of r_min.
 R_SEED_FACTOR = 10.0
+#: Integrator steps (accepted plus rejected) one flight may take.
+MAX_STEPS = 500_000
 
 
 class SphericalState(NamedTuple):
@@ -382,7 +384,6 @@ def integrate(
     *,
     probe_radii: tuple[float, ...] = (),
     refresh: Callable[[float], tuple[complex, complex]] | None = None,
-    max_steps: int = 500_000,
     dense: bool = True,
 ) -> TrajectorySegment:
     """Integrate the guiding equation forward from `initial` to t_end.
@@ -448,8 +449,8 @@ def integrate(
     terminal: Absorbed | LeftInnerRegion | TimeExhausted | None = None
 
     while terminal is None:
-        if n_acc + n_rej >= max_steps:
-            raise StepFailure(f"step budget {max_steps} exhausted at t = {t!r}")
+        if n_acc + n_rej >= MAX_STEPS:
+            raise StepFailure(f"step budget {MAX_STEPS} exhausted at t = {t!r}")
         if h < 16.0 * abs(t) * 2.3e-16 + 1e-300:
             raise StepFailure(f"step size underflow at t = {t!r}")
         if f_s < 0.0:

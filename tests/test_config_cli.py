@@ -491,6 +491,32 @@ def test_ensemble_summary_and_histograms(tmp_path):
     assert len(tables["emission_cos_theta"]) == 10
     assert sum(tables["emission_time"]) == totals["n_emissions"]
     assert sum(tables["emission_cos_theta"]) == totals["n_emissions"]
+    assert "snapshot" not in records
+
+
+def test_ensemble_snapshot_radii(tmp_path):
+    conf = tmp_path / "ens.conf"
+    conf.write_text(ENSEMBLE_CONF + "snapshot_time = 1.5\n")
+    rc = dispatch(
+        ["ensemble", "--config", str(conf), "--output", str(tmp_path / "out")]
+    )
+    assert rc == 0
+    summary = tmp_path / "out" / "ensemble_summary.json"
+    hist = tmp_path / "out" / "ensemble_hist.csv"
+    records = {
+        rec["record"]: rec
+        for rec in map(json.loads, summary.read_text().splitlines())
+    }
+    snapshot = records["snapshot"]
+    assert snapshot["time"] == 1.5 and snapshot["count"] > 0
+    rows = [
+        line.split(",")
+        for line in hist.read_text().splitlines()
+        if line.startswith("snapshot_radius,")
+    ]
+    assert len(rows) == 20
+    assert float(rows[0][1]) == 0.0 and float(rows[-1][2]) == 0.5  # r_cut = 1
+    assert sum(int(row[3]) for row in rows) == snapshot["count"]
 
 
 # ---------------------------------------------------------------------

@@ -110,6 +110,8 @@ def test_waiting_time_truncations():
     assert sample_waiting_time(_constant_track(cp=-1j), 0.0, rng) is None
     tr = _constant_track()
     assert sample_waiting_time(tr, 3.0, rng) is None  # at the track end
+    single = CoefficientTrack(P96, [0.0], [1.0], [1j], [1.0])
+    assert sample_waiting_time(single, 0.0, rng) is None
     # a window much shorter than the mean wait usually returns None
     short = CoefficientTrack.constant(P96, 1.0, 1j, 1.0, 0.0, 1e-6)
     nones = sum(sample_waiting_time(short, 0.0, rng) is None for _ in range(50))
@@ -128,6 +130,47 @@ def test_waiting_time_majorant_guards():
         sample_waiting_time(
             CoefficientTrack(P96, t, ones, 1j * ones, 1e-8 * ones), 0.0, rng
         )
+
+
+def test_waiting_times_pinned_on_spline_track():
+    # Im[conj(c_minus) c_plus] <= 0 on [0.75, 1.25] (zero majorant there)
+    # and complex psi0; values recorded before the majorant table existed
+    t = np.linspace(0.0, 2.0, 9)
+    im = np.array([0.6, 0.8, 0.5, -0.3, -0.6, -0.4, 0.2, 0.7, 0.9])
+    tr = CoefficientTrack(P96, t, np.ones(9), 1j * im, 0.9 - 0.05 * t + 0.02j * t)
+    rng = np.random.default_rng(2024)
+    starts = (0.0, 0.5, 0.61, 0.95, 1.3, 1.9)  # 0.5 is a grid node
+    draws = [tuple(sample_waiting_time(tr, t0, rng) for _ in range(3)) for t0 in starts]
+    assert draws == [
+        (0.17394161796343044, 0.2976405658309197, 0.08854994518330087),
+        (1.585699175925309, 1.5932995324917791, 0.5222928376823772),
+        (1.5558870217287002, 1.5774735061431517, 1.6583526192427196),
+        (1.5902869362804841, 1.7733828079988647, 1.523314924894845),
+        (1.7365420096050572, 1.7642688194007032, 1.7556089195699875),
+        (None, None, 1.9055963196377657),
+    ]
+
+
+def test_waiting_time_stops_at_untrusted_interval():
+    # psi0 = 1 - t vanishes at t = 1: no majorant on [0.95, 1], while the
+    # hazard up to 0.95 (about 83) makes a jump before it all but certain
+    t = np.linspace(0.0, 1.0, 21)
+    ones = np.ones(21)
+    tr = CoefficientTrack(P96, t, ones, 1j * ones, 1.0 - t)
+    rng = np.random.default_rng(56)
+    for t0 in (0.0, 0.5, 0.9):
+        assert t0 < sample_waiting_time(tr, t0, rng) < 0.95
+    with pytest.raises(MajorantError):
+        sample_waiting_time(tr, 0.97, rng)
+
+
+def test_waiting_time_without_rate_draws_nothing():
+    rng = np.random.default_rng(57)
+    state = rng.bit_generator.state
+    tr = CoefficientTrack.balanced_constant_flux(P96, 0.1, -0.1j, 0.3, 0.0, 3.0)
+    for t0 in (0.0, 1.0, 2.99):
+        assert sample_waiting_time(tr, t0, rng) is None
+    assert rng.bit_generator.state == state
 
 
 def test_emission_angles_distribution():

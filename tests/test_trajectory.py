@@ -12,9 +12,11 @@ from belljump import (
     FitError,
     OriginError,
     SignError,
+    StepFailure,
     canonical_params,
     circling_sign,
 )
+from belljump import trajectory
 from belljump.spinor_basis import from_spherical
 from belljump.trajectory import (
     Absorbed,
@@ -245,6 +247,14 @@ def test_time_exhausted_terminal():
     seg = integrate(m, start, t_end=0.1 * t_half, tol=1e-8)
     assert isinstance(seg.terminal, TimeExhausted)
     assert abs(seg.t[-1] - 0.1 * t_half) < 1e-12
+
+
+def test_step_budget_raises_step_failure(monkeypatch):
+    m = _model()
+    start = SphericalState(0.0, 0.01, 1.0, 0.0)
+    monkeypatch.setattr(trajectory, "MAX_STEPS", 5)
+    with pytest.raises(StepFailure, match="step budget 5"):
+        integrate(m, start, t_end=1e9, tol=1e-8)
 
 
 def test_probe_crossings_recorded():
