@@ -305,13 +305,12 @@ def criterion_3() -> AcceptanceResult:
         beta = 0.5 + 0.5 * rng.random()
         cm = complex(math.cos(alpha), math.sin(alpha))
         cp = -1j * beta * cm
-        model = ModelWavefunction(params, cm, cp, r_cut=1.0)
+        model = ModelWavefunction(params, cm, cp, r_cut=1.0, r_min=1e-9)
         seg = integrate(
             model,
             SphericalState(t=0.0, r=1e-4, theta=1.1, phi=0.0),
             t_end=math.inf,
             tol=1e-10,
-            r_min=1e-9,
         )
         if not isinstance(seg.terminal, Absorbed):
             return _result(
@@ -361,7 +360,7 @@ def criterion_4() -> AcceptanceResult:
         cm = complex(math.cos(alpha), math.sin(alpha))
         # purely imaginary cross term: the log part of phi(r) drops out
         cp = -1j * beta * cm
-        model = ModelWavefunction(params, cm, cp, r_cut=1.0)
+        model = ModelWavefunction(params, cm, cp, r_cut=1.0, r_min=1e-9)
         r0 = 1e-4
         seg = integrate(
             model,
@@ -373,7 +372,6 @@ def criterion_4() -> AcceptanceResult:
             ),
             t_end=math.inf,
             tol=1e-10,
-            r_min=1e-9,
         )
         if not isinstance(seg.terminal, Absorbed):
             return _result(
@@ -410,9 +408,9 @@ def criterion_5() -> AcceptanceResult:
     params = canonical_params(0.94)
     cm, cp = 0.8 + 0.1j, -0.6j
     theta0 = 0.77
-    pure = ModelWavefunction(params, cm, cp, r_cut=1.0)
+    pure = ModelWavefunction(params, cm, cp, r_cut=1.0, r_min=1e-9)
     perturbed = ModelWavefunction(
-        params, cm, cp, r_cut=1.0, subleading_amp=(0.3 - 0.2j, 0.25j)
+        params, cm, cp, r_cut=1.0, subleading_amp=(0.3 - 0.2j, 0.25j), r_min=1e-9
     )
     devs = []
     for model in (pure, perturbed):
@@ -421,7 +419,6 @@ def criterion_5() -> AcceptanceResult:
             SphericalState(t=0.0, r=1e-4, theta=theta0, phi=0.0),
             t_end=math.inf,
             tol=1e-10,
-            r_min=1e-9,
         )
         # final decade of radius before absorption: [r_min, 10 r_min]
         mask = seg.r <= 1e-8

@@ -34,7 +34,6 @@ from .trajectory import (
     Absorbed,
     LeftInnerRegion,
     SphericalState,
-    TimeExhausted,
     emit_trajectory,
     integrate,
 )
@@ -162,7 +161,7 @@ def _model_family(cfg: RunConfig) -> ModelFamily:
     mc = cfg.model
     sub = (mc.s_minus, mc.s_plus) if mc.subleading else (0j, 0j)
     return ModelFamily(
-        cfg.params, r_cut=mc.r_cut, subleading_amp=sub, frozen=mc.frozen
+        cfg.params, r_cut=mc.r_cut, subleading_amp=sub, frozen=mc.frozen, r_min=mc.r_min
     )
 
 
@@ -301,7 +300,6 @@ def _cmd_trace(ns) -> int:
             SphericalState(t=run.t0, r=run.r0, theta=run.theta0, phi=run.phi0),
             t_end=t_end,
             tol=run.tol,
-            r_min=cfg.model.r_min,
         )
     else:
         segment = emit_trajectory(
@@ -312,7 +310,6 @@ def _cmd_trace(ns) -> int:
             r_seed=run.r_seed,
             tol=run.tol,
             t_end=t_end,
-            r_min=cfg.model.r_min,
         )
     out = _resolve(ns.output if ns.output else run.output)
     sink = _Sink(out)
@@ -352,10 +349,8 @@ def _event_records(path):
             term = {"kind": "absorbed", "t0": terminal.t0}
         elif isinstance(terminal, LeftInnerRegion):
             term = {"kind": "left_inner_region"}
-        elif isinstance(terminal, TimeExhausted):
-            term = {"kind": "time_exhausted"}
         else:
-            term = {"kind": type(terminal).__name__}
+            term = {"kind": "time_exhausted"}
         yield {
             "record": "flight",
             "t_start": float(seg.t[0]),
@@ -373,18 +368,14 @@ def _event_records(path):
 
 def _cmd_simulate(ns) -> int:
     from .ensemble import draw_path, make_initial_sampler
-    from .trajectory import R_MIN_FRACTION
 
     cfg = _load_config(ns.config)
     seed = _require_seed(cfg)
     family = _model_family(cfg)
     track = _build_track(cfg)
     t_span = _window(cfg, track)
-    r_min = cfg.model.r_min
-    if r_min is None:
-        r_min = R_MIN_FRACTION * family.r_cut
     probes = (cfg.run.probe_radius,) if cfg.run.probe_radius else ()
-    vac_weight, sampler = make_initial_sampler(family, track, t_span[0], r_min)
+    vac_weight, sampler = make_initial_sampler(family, track, t_span[0])
     path = draw_path(
         family,
         track,
@@ -393,10 +384,8 @@ def _cmd_simulate(ns) -> int:
         0,
         vac_weight=vac_weight,
         sampler=sampler,
-        r_min=r_min,
         tol=cfg.run.tol,
         probe_radii=probes,
-        dense=bool(ns.trace_dir),
     )
     out = _resolve(ns.output if ns.output else cfg.run.output)
     sink = _Sink(out)
@@ -421,6 +410,16 @@ def _cmd_simulate(ns) -> int:
     if ns.trace_dir:
         trace_dir = _resolve(str(Path(ns.trace_dir) / "x")).parent
         for i, seg in enumerate(path.segments):
+            if seg.n_accepted == 0:
+                # a closed-form flight samples only its ends and crossings;
+                # its trace steps DP5 along the same flight
+                seg = integrate(
+                    seg.model,
+                    seg.initial,
+                    t_span[1],
+                    cfg.run.tol,
+                    probe_radii=probes,
+                )
             with open(trace_dir / f"flight_{i:03d}.csv", "w") as fh:
                 for line in _csv_header(cfg, seed):
                     fh.write(line + "\n")
@@ -459,7 +458,6 @@ def _cmd_ensemble(ns) -> int:
         seed,
         time_grid_n=cfg.run.time_grid_n,
         tol=cfg.run.tol,
-        r_min=cfg.model.r_min,
         probe_radius=cfg.run.probe_radius,
         snapshot_time=cfg.run.snapshot_time,
     )
@@ -530,6 +528,19 @@ def _cmd_ensemble(ns) -> int:
             }
         )
 
+    t_a, t_b = t_span
+    two_pi = 2.0 * math.pi
+    tables = [  # (name, values, lo, hi, bins)
+        ("emission_time", stats.emission_times, t_a, t_b, 20),
+        ("absorption_time", stats.absorption_times, t_a, t_b, 20),
+        ("emission_cos_theta", stats.emission_cos_theta, -1.0, 1.0, 10),
+        ("emission_phi", np.mod(stats.emission_phi, two_pi), 0.0, two_pi, 10),
+    ]
+    if stats.snapshot_time is not None:
+        tables.append(
+            ("snapshot_radius", stats.snapshot_radii, 0.0, 0.5 * family.r_cut, 20)
+        )
+
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(_json_header(cfg, seed) + "\n")
         for record in records:
@@ -538,29 +549,8 @@ def _cmd_ensemble(ns) -> int:
         for line in _csv_header(cfg, seed):
             fh.write(line + "\n")
         fh.write("table,lo,hi,count\n")
-        t_a, t_b = t_span
-        for line in _hist_lines("emission_time", stats.emission_times, t_a, t_b, 20):
-            fh.write(line + "\n")
-        for line in _hist_lines(
-            "absorption_time", stats.absorption_times, t_a, t_b, 20
-        ):
-            fh.write(line + "\n")
-        for line in _hist_lines(
-            "emission_cos_theta", stats.emission_cos_theta, -1.0, 1.0, 10
-        ):
-            fh.write(line + "\n")
-        for line in _hist_lines(
-            "emission_phi",
-            np.mod(stats.emission_phi, 2.0 * math.pi),
-            0.0,
-            2.0 * math.pi,
-            10,
-        ):
-            fh.write(line + "\n")
-        if stats.snapshot_time is not None:
-            for line in _hist_lines(
-                "snapshot_radius", stats.snapshot_radii, 0.0, 0.5 * family.r_cut, 20
-            ):
+        for table in tables:
+            for line in _hist_lines(*table):
                 fh.write(line + "\n")
     print(
         f"ensemble: {stats.n_paths} paths, {len(stats.emission_times)} emissions, "

@@ -288,6 +288,8 @@ def _validate(model: ModelConfig, track: TrackConfig, run: RunBlock) -> None:
         raise ValidationError("model.r_cut must be positive")
     if model.r_min is not None and not 0.0 < model.r_min < 0.5 * model.r_cut:
         raise ValidationError("model.r_min must lie in (0, r_cut/2)")
+    if run.probe_radius is not None and not 0.0 < run.probe_radius < 0.5 * model.r_cut:
+        raise ValidationError("run.probe_radius must lie in (0, r_cut/2)")
     if track.kind not in _TRACK_KINDS:
         raise ValidationError(
             f"track.kind must be one of {', '.join(_TRACK_KINDS)}"

@@ -8,8 +8,9 @@ density rho/(1 - |psi0|^2).  rho depends on the radius only (the angular
 bilinears of the boundary spinors are constant on the sphere), so the
 draw is an inverse-CDF in the substituted radial variable s = r^(1-2B)
 times a uniform direction, and is exact up to the quadrature grid of the
-cumulative mass.  Draws are conditioned away from a thin shell at r_min
-(relative mass ~ (r_min/r_cut)^(1-2B), far below Monte Carlo noise);
+cumulative mass.  Draws are conditioned away from a thin shell at the
+model's r_min (relative mass ~ (r_min/r_cut)^(1-2B), far below Monte
+Carlo noise);
 draws outside the inner region r < r_cut/2 are parked: they stay in
 sector 1 for the whole window, which is exact for outgoing fields and
 for windows shorter than their travel time to the probe region.
@@ -25,7 +26,7 @@ ODE) shares only the rate law, total_jump_rate, with the path sampler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .jump_process import (
 )
 from .params import PhysParams
 from .spinor_basis import from_spherical
-from .trajectory import R_MIN_FRACTION, time_from_radius
+from .trajectory import time_from_radius
 from .wavefunction import (
     ModelFamily,
     ModelWavefunction,
@@ -72,19 +73,12 @@ class EnsembleStats:
     emission_cos_theta: np.ndarray
     emission_phi: np.ndarray
     probe_radius: float | None = None
-    inward_crossing_times: np.ndarray = None
-    outward_crossing_times: np.ndarray = None
+    inward_crossing_times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    outward_crossing_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     snapshot_time: float | None = None
-    snapshot_radii: np.ndarray = None
+    snapshot_radii: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
-        for name in (
-            "inward_crossing_times",
-            "outward_crossing_times",
-            "snapshot_radii",
-        ):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, np.empty(0))
         if self.n_paths and len(self.vacuum_counts):
             if np.any(self.vacuum_counts < 0) or np.any(
                 self.vacuum_counts > self.n_paths
@@ -152,12 +146,12 @@ class EnsembleStats:
 class _RadialSampler:
     """Inverse-CDF draw of the initial radius from the sector-1 mass."""
 
-    def __init__(self, model: ModelWavefunction, r_min: float):
+    def __init__(self, model: ModelWavefunction):
         s_grid, cum = radial_mass_profile(model)
         self.total_mass = float(cum[-1])
         one = 1.0 - 2.0 * model.params.B
         self.inv_exponent = 1.0 / one
-        s_floor = (DRAW_FLOOR_FACTOR * r_min) ** one
+        s_floor = (DRAW_FLOOR_FACTOR * model.r_min) ** one
         lo = float(np.interp(s_floor, s_grid, cum))
         self.s_grid = s_grid
         self.cum = cum
@@ -173,13 +167,12 @@ def make_initial_sampler(
     model_family: ModelFamily,
     track: CoefficientTrack,
     t: float,
-    r_min: float,
 ) -> tuple[float, _RadialSampler]:
     """Vacuum weight and radial sampler at time t, with the two-sector
     normalization checked."""
     vac_weight = track.vacuum_weight(t)
     cm, cp = track.coefficients(t)
-    sampler = _RadialSampler(model_family.at(cm, cp), r_min)
+    sampler = _RadialSampler(model_family.at(cm, cp))
     total = vac_weight + sampler.total_mass
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NormalizationError(
@@ -198,13 +191,10 @@ def draw_path(
     *,
     vac_weight: float,
     sampler: _RadialSampler,
-    r_min: float,
     tol: float = 1e-6,
     probe_radii: tuple[float, ...] = (),
-    dense: bool = False,
 ) -> ProcessPath:
-    """One realization on the per-index Philox stream keyed (seed, index);
-    `dense` as in simulate_path."""
+    """One realization on the per-index Philox stream keyed (seed, index)."""
     t_a, t_b = float(t_span[0]), float(t_span[1])
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
@@ -224,11 +214,9 @@ def draw_path(
         track,
         config,
         (t_a, t_b),
-        r_min,
         rng,
         tol=tol,
         probe_radii=probe_radii,
-        dense=dense,
     )
 
 
@@ -241,7 +229,6 @@ def run_ensemble(
     *,
     time_grid_n: int = 101,
     tol: float = 1e-6,
-    r_min: float | None = None,
     probe_radius: float | None = None,
     snapshot_time: float | None = None,
 ) -> EnsembleStats:
@@ -250,13 +237,11 @@ def run_ensemble(
     (seed, path index), so any subset of indices reproduces bitwise.
     """
     t_a, t_b = float(t_span[0]), float(t_span[1])
-    if r_min is None:
-        r_min = R_MIN_FRACTION * model_family.r_cut
     grid = np.linspace(t_a, t_b, time_grid_n)
     if n_paths == 0:
         return EnsembleStats.empty(grid, probe_radius, snapshot_time)
 
-    vac_weight, sampler = make_initial_sampler(model_family, track, t_a, r_min)
+    vac_weight, sampler = make_initial_sampler(model_family, track, t_a)
     probes = (probe_radius,) if probe_radius is not None else ()
     # per-path values are collected in lists and turned into arrays once
     vacuum_counts = np.zeros(len(grid), dtype=np.int64)
@@ -270,7 +255,6 @@ def run_ensemble(
             index,
             vac_weight=vac_weight,
             sampler=sampler,
-            r_min=r_min,
             tol=tol,
             probe_radii=probes,
         )
@@ -498,7 +482,7 @@ def flux_report(
         z_score=z,
         n_inward=n_in,
         n_outward=n_out,
-        passed=abs(z) <= z_limit,
+        passed=bool(abs(z) <= z_limit),
     )
 
 
@@ -539,7 +523,7 @@ def angle_arrays_report(
     dof = bins * bins - 1
     chi2_p = float(sps.chi2.sf(chi2, dof))
     ks = sps.kstest(cos_theta, sps.uniform(loc=-1.0, scale=2.0).cdf)
-    passed = chi2_p > significance and ks.pvalue > significance
+    passed = bool(chi2_p > significance and ks.pvalue > significance)
     return AngleUniformityReport(
         n_events=n,
         chi2=chi2,

@@ -15,10 +15,14 @@ independent of phi0.  The law is coded once, in
 CoefficientTrack.rate_profile; total_jump_rate, jump_rate_density and
 the thinning majorants (CoefficientTrack.majorant_table) all evaluate it
 there.  A particle follows the guiding field until its radius falls
-below r_min (absorption: the configuration becomes the vacuum at the
-extrapolated arrival time t0) or until it leaves the inner region
+below the model's r_min (absorption: the configuration becomes the
+vacuum at the arrival time t0) or until it leaves the inner region
 r < r_cut/2, after which the near-source model no longer applies and the
-path is parked as a particle for the rest of the window.
+path is parked as a particle for the rest of the window.  The flight
+itself decides how it is computed: fixed coefficients and no subleading
+amplitudes give the exact closed-form flight, anything else steps DP5;
+no caller switch selects between them, so a path is the same whoever
+draws it.
 
 The emission intensity is exactly 4 pi C_r / |psi0|^2 when C_r > 0, the
 flux of |psi|^2 out of the source; a track is "balanced" when
@@ -46,7 +50,6 @@ from .errors import (
 from .params import PhysParams
 from .trajectory import (
     Absorbed,
-    R_MIN_FRACTION,
     R_SEED_FACTOR,
     SphericalState,
     TrajectorySegment,
@@ -380,12 +383,10 @@ def simulate_path(
     track: CoefficientTrack,
     q_init: Vacuum | Particle,
     t_span: tuple[float, float],
-    r_min: float | None = None,
     rng: np.random.Generator | None = None,
     *,
     tol: float = 1e-8,
     probe_radii: tuple[float, ...] = (),
-    dense: bool = False,
 ) -> ProcessPath:
     """One realization of the process on t_span.
 
@@ -393,9 +394,9 @@ def simulate_path(
     accepted integrator step (quasi-static update) unless they cannot
     change over a flight: the family is frozen (each segment keeps the
     coefficients of its start time) or the track holds them constant.
-    Such flights of a subleading-free model are evaluated in closed form
-    unless `dense` asks for integrator samples.  Identical (inputs, rng
-    state) give identical paths.
+    Such flights of a subleading-free model are evaluated in closed form;
+    the others step DP5.  Flights end at model_family.r_min.  Identical
+    (inputs, rng state) give identical paths.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -404,8 +405,7 @@ def simulate_path(
         raise DomainError("track does not cover the requested time span")
     if not t_b > t_a:
         raise DomainError("empty time span")
-    if r_min is None:
-        r_min = R_MIN_FRACTION * model_family.r_cut
+    r_seed = R_SEED_FACTOR * model_family.r_min
 
     entries: list = []
     events: list = []
@@ -425,15 +425,6 @@ def simulate_path(
 
     t = t_a
     config: Vacuum | Particle = q_init
-
-    if isinstance(config, Particle):
-        r0, th0, ph0 = _to_spherical_config(config.position)
-        if not (r_min < r0 < 0.5 * model_family.r_cut):
-            raise DomainError(
-                f"initial particle radius {r0!r} outside ({r_min!r}, "
-                f"{0.5 * model_family.r_cut!r})"
-            )
-
     while t < t_b:
         if isinstance(config, Vacuum):
             t_jump = sample_waiting_time(track, t, rng)
@@ -446,9 +437,7 @@ def simulate_path(
             events.append(EmissionEvent(t_jump, theta0, phi0))
             cm, cp = track.coefficients(t_jump)
             model = model_family.at(cm, cp)
-            t_seed = t_jump + time_from_radius(
-                track.params, cm, cp, R_SEED_FACTOR * r_min
-            )
+            t_seed = t_jump + time_from_radius(track.params, cm, cp, r_seed)
             if t_seed >= t_b:
                 # emitted just before the window closes: the particle is
                 # still inside the seed radius at t_b, no flight recorded
@@ -459,13 +448,12 @@ def simulate_path(
                 t_jump,
                 theta0,
                 phi0,
-                R_SEED_FACTOR * r_min,
+                r_seed,
                 tol,
                 t_end=t_b,
-                r_min=r_min,
                 probe_radii=probe_radii,
                 refresh=refresh_for(cm, cp),
-                dense=dense,
+                dense=False,
             )
         else:
             r0, th0, ph0 = _to_spherical_config(config.position)
@@ -476,10 +464,9 @@ def simulate_path(
                 SphericalState(t, r0, th0, ph0),
                 t_b,
                 tol,
-                r_min,
                 probe_radii=probe_radii,
                 refresh=refresh_for(cm, cp),
-                dense=dense,
+                dense=False,
             )
         entries.append(segment)
         if isinstance(segment.terminal, Absorbed) and segment.terminal.t0 < t_b:

@@ -24,12 +24,15 @@ with Im = Im[conj(c_minus) c_plus], Re likewise, sgn = sgn(m~ k~):
 Both are exact for the subleading-free model, not asymptotic, and r is
 monotone along such a flight.  So a flight with fixed coefficients and
 no subleading amplitudes is evaluated directly from them when the caller
-does not ask for dense samples (`dense=False`; the ensemble path does
-this): terminal event, probe crossings and end point cost a few
+does not ask for dense samples (`dense=False`; the path sampler always
+does this): terminal event, probe crossings and end point cost a few
 evaluations and at most one root-find of t(r).  The DP5 integrator
-serves dense traces, subleading models and time-varying coefficients,
-and is tested against the closed forms; emission trajectories are
-seeded from them.
+serves dense traces (`trace`, the `simulate --trace-dir` CSVs),
+subleading models and time-varying coefficients, and is tested against
+the closed forms; emission trajectories are seeded from them.
+
+Flights end at the model's r_min (ModelWavefunction.r_min), the
+numerical stand-in for the source.
 """
 
 from __future__ import annotations
@@ -51,8 +54,6 @@ from .errors import (
 from .params import PhysParams
 from .wavefunction import ModelWavefunction, reduced_amplitudes, span_currents
 
-#: Default absorption radius as a fraction of r_cut.
-R_MIN_FRACTION = 1e-8
 #: Default emission seed radius as a multiple of r_min.
 R_SEED_FACTOR = 10.0
 #: Integrator steps (accepted plus rejected) one flight may take.
@@ -252,7 +253,6 @@ def _closed_form_flight(
     model: ModelWavefunction,
     initial: SphericalState,
     t_end: float,
-    r_min: float,
     probe_radii: tuple[float, ...],
 ) -> TrajectorySegment:
     """The flight integrate would step, evaluated from the exact relations
@@ -269,7 +269,7 @@ def _closed_form_flight(
     t_src = t_i - time_from_radius(p, cm, cp, r_i)  # visit to the source
     phi_label = phi_i - azimuth_from_radius(p, cm, cp, r_i)
     inward = (cm.conjugate() * cp).imag < 0.0
-    r_term = r_min if inward else 0.5 * model.r_cut
+    r_term = model.r_min if inward else 0.5 * model.r_cut
     lo, hi = sorted((r_i, r_term))
     t_last = t_src + time_from_radius(p, cm, cp, r_term)
     r_last = r_term
@@ -380,7 +380,6 @@ def integrate(
     initial: SphericalState,
     t_end: float,
     tol: float = 1e-8,
-    r_min: float | None = None,
     *,
     probe_radii: tuple[float, ...] = (),
     refresh: Callable[[float], tuple[complex, complex]] | None = None,
@@ -388,7 +387,7 @@ def integrate(
 ) -> TrajectorySegment:
     """Integrate the guiding equation forward from `initial` to t_end.
 
-    Stops early with Absorbed (r crossed r_min, t0 extrapolated) or
+    Stops early with Absorbed (r crossed model.r_min, t0 extrapolated) or
     LeftInnerRegion (r crossed r_cut/2).  `refresh`, when given, supplies
     (c_minus(t), c_plus(t)) at the start of every accepted step; within a
     step the field stays frozen (quasi-static update).  Probe radii
@@ -400,8 +399,7 @@ def integrate(
     and the terminal point are sampled).
     """
     p = model.params
-    if r_min is None:
-        r_min = R_MIN_FRACTION * model.r_cut
+    r_min = model.r_min
     r_top = 0.5 * model.r_cut
     if not r_min < initial.r < r_top:
         raise DomainError(
@@ -412,7 +410,7 @@ def integrate(
     if refresh is None and not model.has_subleading:
         _overlap_parts(model.c_minus, model.c_plus)  # Im = 0 guard
         if not dense:
-            return _closed_form_flight(model, initial, t_end, r_min, probe_radii)
+            return _closed_form_flight(model, initial, t_end, probe_radii)
 
     one = 1.0 - 2.0 * p.B
     inv_one = 1.0 / one
@@ -438,12 +436,14 @@ def integrate(
     c_mi, c_pl = coeffs(t)
     f_s, f_phi = rhs(s, c_mi, c_pl)
 
-    # initial step: resolve the nearer of the s-gap and the phi scale
+    # Hairer's first-step guess h0 = 0.01 d0/d1, with d0 and d1 the
+    # scaled norms of y0 and f(y0)
     atol_s = 0.1 * tol * s_min
     scale_s = atol_s + tol * abs(s)
     scale_phi = tol * max(1.0, abs(phi))
-    d = max(abs(f_s) / scale_s, abs(f_phi) / scale_phi, 1e-300)
-    h = min(0.01 / d, t_end - t)
+    d0 = max(abs(s) / scale_s, abs(phi) / scale_phi)
+    d1 = max(abs(f_s) / scale_s, abs(f_phi) / scale_phi, 1e-300)
+    h = min(0.01 * d0 / d1, t_end - t)
 
     err_prev = 1.0
     terminal: Absorbed | LeftInnerRegion | TimeExhausted | None = None
@@ -581,7 +581,6 @@ def emit_trajectory(
     tol: float = 1e-8,
     *,
     t_end: float = math.inf,
-    r_min: float | None = None,
     probe_radii: tuple[float, ...] = (),
     refresh: Callable[[float], tuple[complex, complex]] | None = None,
     dense: bool = True,
@@ -589,13 +588,12 @@ def emit_trajectory(
     """Outgoing trajectory emanating from the source at t0 with labels
     (theta0, phi0): seed (t, phi) at r_seed from the exact closed forms,
     then integrate forward until leaving the inner region (or t_end);
-    `dense` as in integrate.
+    r_seed defaults to R_SEED_FACTOR * model.r_min, `dense` as in
+    integrate.
     """
     p = model.params
-    if r_min is None:
-        r_min = R_MIN_FRACTION * model.r_cut
     if r_seed is None:
-        r_seed = R_SEED_FACTOR * r_min
+        r_seed = R_SEED_FACTOR * model.r_min
     x = model.c_minus.conjugate() * model.c_plus
     if x.imag <= 0.0:
         raise DegenerateError(
@@ -617,7 +615,6 @@ def emit_trajectory(
         start,
         end,
         tol,
-        r_min,
         probe_radii=probe_radii,
         refresh=refresh,
         dense=dense,

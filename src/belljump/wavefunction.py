@@ -41,21 +41,37 @@ from .spinor_basis import SpherePoint, f_boundary, to_spherical
 
 #: The injected error terms scale as r^(-1/2 + SUBLEADING_DELTA).
 SUBLEADING_DELTA = 0.1
+#: Default absorption radius as a fraction of r_cut.
+R_MIN_FRACTION = 1e-8
+
+
+def _absorption_radius(r_cut: float, r_min: float | None) -> float:
+    """r_min, or its default R_MIN_FRACTION * r_cut; DomainError unless
+    0 < r_min < r_cut/2."""
+    if r_min is None:
+        r_min = R_MIN_FRACTION * r_cut
+    if not 0.0 < r_min < 0.5 * r_cut:
+        raise DomainError(f"r_min = {r_min!r} outside (0, r_cut/2 = {0.5 * r_cut!r})")
+    return float(r_min)
 
 
 @dataclass(frozen=True)
 class ModelWavefunction:
-    """Frozen-coefficient model wave function on the punctured ball."""
+    """Frozen-coefficient model wave function on the punctured ball.
+    Flights end at r_min, the numerical stand-in for the source
+    (default R_MIN_FRACTION * r_cut)."""
 
     params: PhysParams
     c_minus: complex
     c_plus: complex
     r_cut: float
     subleading_amp: tuple[complex, complex] = (0j, 0j)
+    r_min: float | None = None
 
     def __post_init__(self):
         if not self.r_cut > 0.0:
             raise DomainError(f"r_cut must be positive, got {self.r_cut!r}")
+        object.__setattr__(self, "r_min", _absorption_radius(self.r_cut, self.r_min))
         object.__setattr__(self, "c_minus", complex(self.c_minus))
         object.__setattr__(self, "c_plus", complex(self.c_plus))
         s_minus, s_plus = self.subleading_amp
@@ -75,17 +91,21 @@ class ModelFamily:
     Maps track coefficients (c_minus(t), c_plus(t)) to concrete
     ModelWavefunction instances; `frozen` selects strictly frozen
     coefficients per flight segment instead of the quasi-static per-step
-    refresh.
+    refresh; r_min as in ModelWavefunction.
     """
 
     params: PhysParams
     r_cut: float
     subleading_amp: tuple[complex, complex] = (0j, 0j)
     frozen: bool = False
+    r_min: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "r_min", _absorption_radius(self.r_cut, self.r_min))
 
     def at(self, c_minus: complex, c_plus: complex) -> ModelWavefunction:
         return ModelWavefunction(
-            self.params, c_minus, c_plus, self.r_cut, self.subleading_amp
+            self.params, c_minus, c_plus, self.r_cut, self.subleading_amp, self.r_min
         )
 
 

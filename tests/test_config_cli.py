@@ -11,7 +11,7 @@ from belljump import ParseError, ValidationError, canonical_params
 from belljump.cli import dispatch
 from belljump.config import parse_config, serialize
 from belljump.trajectory import fit_power_law, time_from_radius
-from belljump.wavefunction import current_coeffs
+from belljump.wavefunction import ModelFamily, current_coeffs
 
 MINIMAL = "[params]\nq = 0.9\n"
 
@@ -133,6 +133,7 @@ def test_block_range_validation():
         ("[run]\nn_paths = -3\n", "n_paths"),
         ("[run]\ndecimation = 0\n", "decimation"),
         ("[run]\ntime_grid_n = 1\n", "time_grid_n"),
+        ("[run]\nprobe_radius = -0.1\n", "probe_radius"),
         ("[track]\nt_end = 0.0\n", "t_end"),
     ]
     for block, name in bad:
@@ -417,20 +418,43 @@ tol = 1e-6
 """
 
 
+def _simulate_with_traces(tmp_path, conf_text):
+    """Run simulate without and with --trace-dir.  The records must be
+    byte-identical, and each flight CSV must trace its record's flight to
+    the same terminal.  Returns the records."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(conf_text)
+    plain, traced = tmp_path / "plain.jsonl", tmp_path / "traced.jsonl"
+    args = ["simulate", "--config", str(conf), "--output"]
+    assert dispatch(args + [str(plain)]) == 0
+    assert dispatch(args + [str(traced), "--trace-dir", str(tmp_path / "flights")]) == 0
+    assert traced.read_bytes() == plain.read_bytes()
+
+    records = [json.loads(line) for line in plain.read_text().splitlines()]
+    cfg = parse_config(conf_text)
+    r_min = ModelFamily(cfg.params, cfg.model.r_cut, r_min=cfg.model.r_min).r_min
+    r_top = 0.5 * cfg.model.r_cut
+    t_b = records[-1]["t_span"][1]
+    flights = [rec for rec in records if rec["record"] == "flight"]
+    for i, flight in enumerate(flights):
+        columns, rows = _read_csv(tmp_path / "flights" / f"flight_{i:03d}.csv")
+        assert columns == "t,r,theta,phi_unwrapped,x,y,z"
+        assert len(rows) > 2
+        t_last, r_last = rows[-1][0], rows[-1][1]
+        assert abs(t_last - flight["t_end"]) <= 1e-4 * abs(flight["t_end"])
+        kind = flight["terminal"]["kind"]
+        if kind == "absorbed":
+            assert r_last == pytest.approx(r_min, rel=1e-9)
+        elif kind == "left_inner_region":
+            assert r_last == pytest.approx(r_top, rel=1e-9)
+        else:
+            assert kind == "time_exhausted"
+            assert t_last == t_b and r_min < r_last < r_top
+    return records
+
+
 def test_simulate_event_records(tmp_path):
-    conf = tmp_path / "ens.conf"
-    conf.write_text(ENSEMBLE_CONF)
-    out = tmp_path / "path.jsonl"
-    rc = dispatch(
-        [
-            "simulate",
-            "--config", str(conf),
-            "--output", str(out),
-            "--trace-dir", str(tmp_path / "flights"),
-        ]
-    )
-    assert rc == 0
-    records = [json.loads(line) for line in out.read_text().splitlines()]
+    records = _simulate_with_traces(tmp_path, ENSEMBLE_CONF)
     kinds = [rec["record"] for rec in records]
     assert kinds[0] == "header" and kinds[-1] == "end"
     # seed 79 draws a vacuum start, one emission, one open flight
@@ -439,19 +463,42 @@ def test_simulate_event_records(tmp_path):
     assert set(emission) == {"record", "t0", "theta0", "phi0"}
     assert 0.0 <= emission["theta0"] <= math.pi
     flight = next(rec for rec in records if rec["record"] == "flight")
-    # --trace-dir asks for integrator samples
-    assert flight["samples"] > 2 and flight["n_accepted"] > 0
+    # fixed coefficients: the record is the exact closed-form flight
+    assert flight["samples"] == 2 and flight["n_accepted"] == 0
     assert flight["terminal"]["kind"] in (
         "absorbed", "left_inner_region", "time_exhausted"
     )
     end = records[-1]
     assert end["t_span"] == [0.0, 3.0]
     assert end["n_emissions"] == 1 and end["n_absorptions"] == 0
-    # per-flight CSV traces mirror the flight records
-    flight_csv = tmp_path / "flights" / "flight_000.csv"
-    columns, rows = _read_csv(flight_csv)
-    assert columns == "t,r,theta,phi_unwrapped,x,y,z"
-    assert len(rows) == flight["samples"]  # decimation is 1 here
+
+
+INGOING_CONF = """\
+[params]
+q = 0.96
+
+[track]
+kind = balanced
+c_minus = 0.19791161985731318, 0
+c_plus = 0, -0.19791161985731318
+p0_init = 0.3
+t_end = 0.5
+n = 129
+
+[run]
+seed = 3
+tol = 1e-6
+"""
+
+
+def test_simulate_trace_dir_replays_absorbing_path(tmp_path):
+    # sector mass 0.7 flowing into the source; seed 3 starts in flight
+    # and is absorbed inside the window
+    records = _simulate_with_traces(tmp_path, INGOING_CONF)
+    absorption = next(rec for rec in records if rec["record"] == "absorption")
+    flight = next(rec for rec in records if rec["record"] == "flight")
+    assert flight["terminal"] == {"kind": "absorbed", "t0": absorption["t0"]}
+    assert records[-1]["n_absorptions"] == 1
 
 
 def test_ensemble_summary_and_histograms(tmp_path):
@@ -496,7 +543,7 @@ def test_ensemble_summary_and_histograms(tmp_path):
 
 def test_ensemble_snapshot_radii(tmp_path):
     conf = tmp_path / "ens.conf"
-    conf.write_text(ENSEMBLE_CONF + "snapshot_time = 1.5\n")
+    conf.write_text(ENSEMBLE_CONF + "snapshot_time = 1.5\nprobe_radius = 0.2\n")
     rc = dispatch(
         ["ensemble", "--config", str(conf), "--output", str(tmp_path / "out")]
     )
@@ -509,6 +556,7 @@ def test_ensemble_snapshot_radii(tmp_path):
     }
     snapshot = records["snapshot"]
     assert snapshot["time"] == 1.5 and snapshot["count"] > 0
+    assert records["flux"]["r_probe"] == 0.2
     rows = [
         line.split(",")
         for line in hist.read_text().splitlines()

@@ -127,12 +127,12 @@ def test_run_equals_fold_of_single_path_stats(setup):
         probe_radius=probe, snapshot_time=snapshot,
     )
     grid = np.linspace(*span, 11)
-    vac_weight, sampler = make_initial_sampler(fam, track, span[0], 1e-8)
+    vac_weight, sampler = make_initial_sampler(fam, track, span[0])
     folded = EnsembleStats.empty(grid, probe, snapshot)
     for index in range(n):
         path = draw_path(
             fam, track, span, seed, index, vac_weight=vac_weight,
-            sampler=sampler, r_min=1e-8, probe_radii=(probe,),
+            sampler=sampler, probe_radii=(probe,),
         )
         folded = folded.merge(_single_path_stats(path, grid, probe, snapshot))
     assert _stats_equal(stats, folded)
@@ -199,13 +199,14 @@ def test_unnormalized_state_rejected():
     fam = ModelFamily(P96, 1.0)
     track = CoefficientTrack.constant(P96, 1.0, 1j, 1.0, 0.0, 1.0)
     with pytest.raises(NormalizationError):
-        make_initial_sampler(fam, track, 0.0, 1e-8)
+        make_initial_sampler(fam, track, 0.0)
 
 
 def test_sampler_honours_draw_floor():
-    fam, track = _balanced_setup()
+    _, track = _balanced_setup()
     r_min = 1e-6
-    _, sampler = make_initial_sampler(fam, track, 0.0, r_min)
+    fam = ModelFamily(P96, 1.0, r_min=r_min)
+    _, sampler = make_initial_sampler(fam, track, 0.0)
     for u in (0.0, 1e-9, 0.5, 1.0):
         assert sampler.draw_radius(u) >= DRAW_FLOOR_FACTOR * r_min * (1.0 - 1e-9)
     assert sampler.draw_radius(1.0) <= 1.0
@@ -225,12 +226,12 @@ def test_normalized_amplitudes():
 def test_parked_draws_outside_modeled_region():
     # the ingoing state carries mass beyond r_cut/2; such draws park
     fam, track, _, _ = _ingoing_setup()
-    vac_weight, sampler = make_initial_sampler(fam, track, 0.0, 1e-8)
+    vac_weight, sampler = make_initial_sampler(fam, track, 0.0)
     parked = in_flight = 0
     for index in range(60):
         path = draw_path(
             fam, track, (0.0, 0.01), 65, index,
-            vac_weight=vac_weight, sampler=sampler, r_min=1e-8,
+            vac_weight=vac_weight, sampler=sampler,
         )
         if path.entries == () and path.vacuum_spans == ():
             parked += 1
@@ -327,7 +328,7 @@ def test_ingoing_flux_matches_rate(ingoing_run):
     assert report.n_inward > 200
     assert report.n_outward == 0
     assert report.expected < 0.0
-    assert report.passed, f"z = {report.z_score}"
+    assert report.passed is True, f"z = {report.z_score}"
 
 
 def test_ingoing_occupancy_matches_linear_oracle(ingoing_run):
@@ -390,7 +391,7 @@ def test_angle_report_on_synthetic_uniform():
         rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 2.0 * math.pi, n)
     )
     assert report.n_events == n and report.dof == 99
-    assert report.passed
+    assert report.passed is True  # a plain bool: the CLI writes it as JSON
 
 
 def test_angle_report_detects_clustering():
@@ -400,7 +401,7 @@ def test_angle_report_detects_clustering():
         rng.uniform(0.0, 1.0, n),  # only the upper hemisphere
         rng.uniform(0.0, 2.0 * math.pi, n),
     )
-    assert not report.passed
+    assert report.passed is False
     assert report.chi2_p_value < 1e-6
 
 

@@ -284,7 +284,7 @@ def test_simulate_path_deterministic():
     fam, tr = _family(), _balanced()
     paths = [
         simulate_path(
-            fam, tr, Vacuum(), (0.0, 3.0), 1e-8,
+            fam, tr, Vacuum(), (0.0, 3.0),
             np.random.Generator(np.random.Philox(key=np.array([9, 4], dtype=np.uint64))),
             tol=1e-6,
         )
@@ -303,7 +303,7 @@ def test_simulate_path_alternation_and_spans():
         rng = np.random.Generator(
             np.random.Philox(key=np.array([13, seed], dtype=np.uint64))
         )
-        path = simulate_path(fam, tr, Vacuum(), (0.0, 3.0), 1e-8, rng, tol=1e-6)
+        path = simulate_path(fam, tr, Vacuum(), (0.0, 3.0), rng, tol=1e-6)
         kinds = [isinstance(e, VacuumInterval) for e in path.entries]
         assert all(a != b for a, b in zip(kinds, kinds[1:]))
         times = [e.t0 for e in path.events]
@@ -323,11 +323,11 @@ def test_simulate_path_alternation_and_spans():
 
 
 def test_simulate_path_ingoing_absorbs_then_stays_vacuum():
-    fam = _family()
+    fam = ModelFamily(P96, 1.0, r_min=1e-9)
     tr = _constant_track(cp=-1j)  # ingoing: no emissions ever
     pos = (1e-3, 0.0, 1e-4)
     rng = np.random.default_rng(56)
-    path = simulate_path(fam, tr, Particle(pos), (0.0, 3.0), 1e-9, rng, tol=1e-8)
+    path = simulate_path(fam, tr, Particle(pos), (0.0, 3.0), rng, tol=1e-8)
     assert len(path.absorptions) == 1
     assert len(path.emissions) == 0
     t0 = path.absorptions[0].t0
@@ -342,7 +342,7 @@ def test_simulate_path_outgoing_particle_leaves_and_parks():
     fam = _family()
     tr = _constant_track()  # outgoing flux
     rng = np.random.default_rng(57)
-    path = simulate_path(fam, tr, Particle((0.01, 0.0, 0.0)), (0.0, 3.0), None, rng)
+    path = simulate_path(fam, tr, Particle((0.01, 0.0, 0.0)), (0.0, 3.0), rng)
     assert path.events == ()
     assert len(path.segments) == 1
     assert isinstance(path.segments[0].terminal, LeftInnerRegion)
@@ -350,21 +350,22 @@ def test_simulate_path_outgoing_particle_leaves_and_parks():
 
 
 def test_simulate_path_flight_evaluation():
-    # fixed coefficients: closed form unless dense samples are asked for;
-    # a spline track keeps refreshing them, so it stays on the integrator
+    # fixed coefficients (a constant track or a frozen family): closed
+    # form; a spline track keeps refreshing them, so it stays on the
+    # integrator
     fam = _family()
     start = Particle((0.01, 0.0, 0.0))
     varying = CoefficientTrack(
         P96, np.linspace(0.0, 3.0, 9), np.ones(9),
         1j * np.linspace(1.0, 1.5, 9), np.full(9, 0.5),
     )
-    for track, dense, stepped in (
-        (_constant_track(), False, False),
-        (_constant_track(), True, True),
-        (varying, False, True),
+    for family, track, stepped in (
+        (fam, _constant_track(), False),
+        (ModelFamily(P96, 1.0, frozen=True), varying, False),
+        (fam, varying, True),
     ):
         rng = np.random.default_rng(58)
-        path = simulate_path(fam, track, start, (0.0, 3.0), None, rng, dense=dense)
+        path = simulate_path(family, track, start, (0.0, 3.0), rng)
         seg = path.segments[0]
         assert isinstance(seg.terminal, LeftInnerRegion)
         assert (seg.n_accepted > 0) == stepped
@@ -373,7 +374,7 @@ def test_simulate_path_flight_evaluation():
         family = ModelFamily(P96, 1.0, frozen=frozen)
         rng = np.random.default_rng(59)
         path = simulate_path(
-            family, _constant_track(cp=0.5), start, (0.0, 3.0), None, rng
+            family, _constant_track(cp=0.5), start, (0.0, 3.0), rng
         )
         seg = path.segments[0]
         assert isinstance(seg.terminal, TimeExhausted)

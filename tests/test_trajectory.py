@@ -228,11 +228,11 @@ def test_outgoing_integration_matches_closed_forms():
 
 
 def test_ingoing_integration_absorbed_at_closed_form_time():
-    m = _model(cp=-1j)
+    m = _model(cp=-1j, r_min=1e-9)
     p = m.params
     r0 = 1e-3
     start = SphericalState(0.0, r0, 1.2, 0.0)
-    seg = integrate(m, start, t_end=10.0, tol=1e-10, r_min=1e-9)
+    seg = integrate(m, start, t_end=10.0, tol=1e-10)
     assert isinstance(seg.terminal, Absorbed)
     # arrival time: |t(r0)| for the ingoing branch
     want = -time_from_radius(p, m.c_minus, m.c_plus, r0)
@@ -247,6 +247,23 @@ def test_time_exhausted_terminal():
     seg = integrate(m, start, t_end=0.1 * t_half, tol=1e-8)
     assert isinstance(seg.terminal, TimeExhausted)
     assert abs(seg.t[-1] - 0.1 * t_half) < 1e-12
+
+
+def test_first_step_does_not_climb_the_growth_cap():
+    # acceptance criterion 3's first flight; a first step ~tol too small
+    # (h0 = 0.01/d1 without the d0 = |y0/sc| factor) opened it with six
+    # steps that each grew by exactly the 10x cap
+    rng = np.random.default_rng(303)
+    alpha = 2.0 * math.pi * rng.random()
+    beta = 0.5 + 0.5 * rng.random()
+    cm = complex(math.cos(alpha), math.sin(alpha))
+    p = canonical_params(math.sqrt(187.0 / 196.0))
+    m = ModelWavefunction(p, cm, -1j * beta * cm, 1.0, r_min=1e-9)
+    seg = integrate(m, SphericalState(0.0, 1e-4, 1.1, 0.0), math.inf, tol=1e-10)
+    assert isinstance(seg.terminal, Absorbed)
+    growth = np.diff(seg.t)[1:8] / np.diff(seg.t)[:7]
+    capped = np.isclose(growth, 10.0, rtol=1e-12, atol=0.0)
+    assert capped.sum() <= 1 and not capped[1:].any()
 
 
 def test_step_budget_raises_step_failure(monkeypatch):
@@ -372,7 +389,9 @@ def test_integrate_guards():
     with pytest.raises(DomainError):
         integrate(m, SphericalState(0.0, 0.6, 1.0, 0.0), t_end=1.0)
     with pytest.raises(DomainError):
-        integrate(m, SphericalState(0.0, 1e-10, 1.0, 0.0), t_end=1.0, r_min=1e-6)
+        integrate(
+            _model(r_min=1e-6), SphericalState(0.0, 1e-10, 1.0, 0.0), t_end=1.0
+        )
     with pytest.raises(DomainError):
         integrate(m, SphericalState(1.0, 0.01, 1.0, 0.0), t_end=0.5)
     with pytest.raises(DegenerateError):

@@ -258,3 +258,11 @@ def test_model_family_at():
     assert m.subleading_amp == (0.1j, 0.2 + 0j)
     assert m.has_subleading
     assert not fam.at(1.0, 1j).has_subleading or fam.subleading_amp != (0j, 0j)
+    # the absorption radius defaults to 1e-8 r_cut and is passed on
+    assert fam.r_min == m.r_min == 2e-8
+    assert ModelFamily(p, 2.0, r_min=1e-6).at(1.0, 1j).r_min == 1e-6
+    for r_min in (0.0, -1e-9, 0.6):
+        with pytest.raises(DomainError, match="r_min"):
+            ModelFamily(p, r_cut=1.0, r_min=r_min)
+        with pytest.raises(DomainError, match="r_min"):
+            ModelWavefunction(p, 1.0, 1j, r_cut=1.0, r_min=r_min)
