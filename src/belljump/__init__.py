@@ -67,7 +67,6 @@ from .trajectory import (
     emit_trajectory,
     fit_power_law,
     integrate,
-    radius_from_time,
     time_from_radius,
 )
 from .jump_process import (

@@ -374,7 +374,6 @@ def _cmd_simulate(ns) -> int:
     family = _model_family(cfg)
     track = _build_track(cfg)
     t_span = _window(cfg, track)
-    probes = (cfg.run.probe_radius,) if cfg.run.probe_radius else ()
     vac_weight, sampler = make_initial_sampler(family, track, t_span[0])
     path = draw_path(
         family,
@@ -385,7 +384,7 @@ def _cmd_simulate(ns) -> int:
         vac_weight=vac_weight,
         sampler=sampler,
         tol=cfg.run.tol,
-        probe_radii=probes,
+        probe_radius=cfg.run.probe_radius,
     )
     out = _resolve(ns.output if ns.output else cfg.run.output)
     sink = _Sink(out)
@@ -418,7 +417,7 @@ def _cmd_simulate(ns) -> int:
                     seg.initial,
                     t_span[1],
                     cfg.run.tol,
-                    probe_radii=probes,
+                    probe_radius=cfg.run.probe_radius,
                 )
             with open(trace_dir / f"flight_{i:03d}.csv", "w") as fh:
                 for line in _csv_header(cfg, seed):

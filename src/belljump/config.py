@@ -294,6 +294,8 @@ def _validate(model: ModelConfig, track: TrackConfig, run: RunBlock) -> None:
         raise ValidationError(
             f"track.kind must be one of {', '.join(_TRACK_KINDS)}"
         )
+    if track.kind in ("constant", "balanced") and track.n < 1:
+        raise ValidationError("track.n must be at least 1")
     if track.kind == "balanced" and track.p0_init is None:
         raise ValidationError("balanced track needs track.p0_init")
     if track.kind == "file":

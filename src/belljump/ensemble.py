@@ -192,7 +192,7 @@ def draw_path(
     vac_weight: float,
     sampler: _RadialSampler,
     tol: float = 1e-6,
-    probe_radii: tuple[float, ...] = (),
+    probe_radius: float | None = None,
 ) -> ProcessPath:
     """One realization on the per-index Philox stream keyed (seed, index)."""
     t_a, t_b = float(t_span[0]), float(t_span[1])
@@ -216,7 +216,7 @@ def draw_path(
         (t_a, t_b),
         rng,
         tol=tol,
-        probe_radii=probe_radii,
+        probe_radius=probe_radius,
     )
 
 
@@ -242,7 +242,6 @@ def run_ensemble(
         return EnsembleStats.empty(grid, probe_radius, snapshot_time)
 
     vac_weight, sampler = make_initial_sampler(model_family, track, t_a)
-    probes = (probe_radius,) if probe_radius is not None else ()
     # per-path values are collected in lists and turned into arrays once
     vacuum_counts = np.zeros(len(grid), dtype=np.int64)
     emissions, absorptions, inward, outward, snapshots = [], [], [], [], []
@@ -256,7 +255,7 @@ def run_ensemble(
             vac_weight=vac_weight,
             sampler=sampler,
             tol=tol,
-            probe_radii=probes,
+            probe_radius=probe_radius,
         )
         vacuum_counts += path.occupancy(grid)
         emissions.extend(path.emissions)
@@ -505,13 +504,13 @@ def angle_arrays_report(
 ) -> AngleUniformityReport:
     """Chi-square over bins x bins cells of (cos theta0, phi0 mod 2 pi)
     plus a KS test of cos theta0 against uniform on [-1, 1]."""
-    from scipy import stats as sps
-
     cos_theta = np.asarray(cos_theta, dtype=float)
     phi = np.mod(np.asarray(phi, dtype=float), 2.0 * math.pi)
     n = len(cos_theta)
     if n < 1000:
         raise InsufficientEvents(f"need at least 1000 emissions, got {n}")
+    from scipy import stats as sps
+
     hist, _, _ = np.histogram2d(
         cos_theta,
         phi,
@@ -541,62 +540,4 @@ def angle_uniformity_test(
     """Uniformity of the recorded emission labels over the sphere."""
     return angle_arrays_report(
         stats.emission_cos_theta, stats.emission_phi, bins, significance
-    )
-
-
-# =====================================================================
-# stationary-window density check
-# =====================================================================
-
-@dataclass(frozen=True)
-class RadialKsReport:
-    n_samples: int
-    ks_statistic: float
-    p_value: float
-    r_max: float
-    passed: bool
-
-
-def radial_snapshot_ks(
-    stats: EnsembleStats,
-    model_family: ModelFamily,
-    track: CoefficientTrack,
-    r_max: float,
-    significance: float = 0.01,
-) -> RadialKsReport:
-    """KS test of the in-flight radii recorded at the snapshot time
-    against the sector-1 radial law below r_max.
-
-    Valid on stationary-coefficient windows short enough that the region
-    below r_max is still fed from inside the simulated ball (constant
-    coefficients keep the radial density shape invariant there)."""
-    if stats.snapshot_time is None:
-        raise DomainError("ensemble was run without a snapshot time")
-    if track.constant_coefficients is None:
-        raise DomainError("density check needs a constant-coefficient track")
-    from scipy import stats as sps
-
-    cm, cp = track.constant_coefficients
-    model = model_family.at(cm, cp)
-    radii = stats.snapshot_radii[stats.snapshot_radii < r_max]
-    if len(radii) < 100:
-        raise InsufficientEvents(
-            f"need at least 100 snapshot radii below r_max, got {len(radii)}"
-        )
-    s_grid, cum = radial_mass_profile(model)
-    one = 1.0 - 2.0 * model.params.B
-    s_max = r_max**one
-    cum_max = float(np.interp(s_max, s_grid, cum))
-
-    def cdf(r):
-        s = np.asarray(r, dtype=float) ** one
-        return np.interp(s, s_grid, cum) / cum_max
-
-    ks = sps.kstest(radii, cdf)
-    return RadialKsReport(
-        n_samples=len(radii),
-        ks_statistic=float(ks.statistic),
-        p_value=float(ks.pvalue),
-        r_max=r_max,
-        passed=ks.pvalue > significance,
     )

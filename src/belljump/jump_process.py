@@ -76,7 +76,8 @@ BALANCE_TOL = 1e-6
 class CoefficientTrack:
     """Time-dependent data of the process: c_minus(t), c_plus(t) and the
     vacuum amplitude psi0(t) on a strictly increasing grid, interpolated
-    piecewise-cubically in each real/imaginary part."""
+    piecewise-cubically in each real/imaginary part by one spline over
+    the stacked columns (c_minus, c_plus, psi0)."""
 
     def __init__(self, params: PhysParams, times, c_minus, c_plus, psi0):
         self.params = params
@@ -99,19 +100,15 @@ class CoefficientTrack:
         self._const_pair = None
         if np.all(cm == cm[0]) and np.all(cp == cp[0]):
             self._const_pair = (complex(cm[0]), complex(cp[0]))
-        self._cm = self._interpolant(t, cm)
-        self._cp = self._interpolant(t, cp)
-        self._p0 = self._interpolant(t, p0)
-
-    @staticmethod
-    def _interpolant(t, y):
+        # (c_minus, c_plus, psi0) at times s, shape s.shape + (3,)
+        stacked = np.stack([cm, cp, p0], axis=-1)
         if len(t) == 1:
-            value = complex(y[0])
-            return lambda s: np.full(np.shape(s), value)
-        from scipy.interpolate import CubicSpline
+            self._values = lambda s: np.full(np.shape(s) + (3,), stacked[0])
+        else:
+            from scipy.interpolate import CubicSpline
 
-        kind = "not-a-knot" if len(t) >= 4 else "natural"
-        return CubicSpline(t, y, bc_type=kind)
+            kind = "not-a-knot" if len(t) >= 4 else "natural"
+            self._values = CubicSpline(t, stacked, bc_type=kind)
 
     @property
     def t_start(self) -> float:
@@ -132,11 +129,11 @@ class CoefficientTrack:
     def coefficients(self, t: float) -> tuple[complex, complex]:
         if self._const_pair is not None:
             return self._const_pair
-        t = self._clamp(t)
-        return complex(self._cm(t)), complex(self._cp(t))
+        cm, cp, _ = self._values(self._clamp(t))
+        return complex(cm), complex(cp)
 
     def psi0(self, t: float) -> complex:
-        return complex(self._p0(self._clamp(t)))
+        return complex(self._values(self._clamp(t))[2])
 
     def vacuum_weight(self, t: float) -> float:
         return abs(self.psi0(t)) ** 2
@@ -149,10 +146,10 @@ class CoefficientTrack:
         """The emission rate law Gamma at a time or an array of times
         (clamped to the grid): 8 (1+q) B max{0, Im[conj(c_minus) c_plus]}
         / |psi0|^2, and inf where psi0 vanishes under positive flux."""
-        t = np.clip(times, self.t_start, self.t_end)
-        cm, cp = self._const_pair or (self._cm(t), self._cp(t))
+        values = self._values(np.clip(times, self.t_start, self.t_end))
+        cm, cp = self._const_pair or (values[..., 0], values[..., 1])
         im = (cm.conjugate() * cp).imag
-        weight = np.abs(self._p0(t)) ** 2
+        weight = np.abs(values[..., 2]) ** 2
         p = self.params
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(im > 0.0, 8.0 * (1.0 + p.q) * p.B * im / weight, 0.0)
@@ -386,7 +383,7 @@ def simulate_path(
     rng: np.random.Generator | None = None,
     *,
     tol: float = 1e-8,
-    probe_radii: tuple[float, ...] = (),
+    probe_radius: float | None = None,
 ) -> ProcessPath:
     """One realization of the process on t_span.
 
@@ -395,8 +392,9 @@ def simulate_path(
     change over a flight: the family is frozen (each segment keeps the
     coefficients of its start time) or the track holds them constant.
     Such flights of a subleading-free model are evaluated in closed form;
-    the others step DP5.  Flights end at model_family.r_min.  Identical
-    (inputs, rng state) give identical paths.
+    the others step DP5.  Flights end at model_family.r_min and record
+    their crossings of probe_radius, if given.  Identical (inputs, rng
+    state) give identical paths.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -451,7 +449,7 @@ def simulate_path(
                 r_seed,
                 tol,
                 t_end=t_b,
-                probe_radii=probe_radii,
+                probe_radius=probe_radius,
                 refresh=refresh_for(cm, cp),
                 dense=False,
             )
@@ -464,7 +462,7 @@ def simulate_path(
                 SphericalState(t, r0, th0, ph0),
                 t_b,
                 tol,
-                probe_radii=probe_radii,
+                probe_radius=probe_radius,
                 refresh=refresh_for(cm, cp),
                 dense=False,
             )

@@ -25,11 +25,13 @@ Both are exact for the subleading-free model, not asymptotic, and r is
 monotone along such a flight.  So a flight with fixed coefficients and
 no subleading amplitudes is evaluated directly from them when the caller
 does not ask for dense samples (`dense=False`; the path sampler always
-does this): terminal event, probe crossings and end point cost a few
-evaluations and at most one root-find of t(r).  The DP5 integrator
-serves dense traces (`trace`, the `simulate --trace-dir` CSVs),
-subleading models and time-varying coefficients, and is tested against
-the closed forms; emission trajectories are seeded from them.
+does this): the overlap (|c-|^2, |c+|^2, Re, Im) is formed once, and
+terminal event, probe crossing and end point cost a few evaluations and
+at most one root-find of t(r).  The DP5 integrator serves dense traces
+(`trace`, the `simulate --trace-dir` CSVs), subleading models and
+time-varying coefficients, and is tested against the closed forms;
+emission trajectories are seeded from them.  Either way a flight
+records the crossings of at most one probe radius.
 
 Flights end at the model's r_min (ModelWavefunction.r_min), the
 numerical stand-in for the source.
@@ -48,7 +50,6 @@ from .errors import (
     DomainError,
     FitError,
     OriginError,
-    SignError,
     StepFailure,
 )
 from .params import PhysParams
@@ -101,9 +102,13 @@ class ProbeCrossing:
 class TrajectorySegment:
     """One deterministic flight.  Integrated flights sample every accepted
     step plus the terminal point; closed-form flights (n_accepted = 0)
-    sample the start, each probe crossing and the terminal point.  `model`
-    is the model the flight was computed from (for a refreshed flight,
-    the one at its start)."""
+    sample the start, the probe crossing if any and the terminal point.
+    `model` is the model the flight was computed from (for a refreshed
+    flight, the one at its start).
+
+    The segment keeps the float arrays its producer built: of equal
+    length, t strictly increasing and r > 0, which integrate and
+    _closed_form_flight guarantee by construction."""
 
     t: np.ndarray
     r: np.ndarray
@@ -114,18 +119,6 @@ class TrajectorySegment:
     n_accepted: int = 0
     n_rejected: int = 0
     model: ModelWavefunction | None = None
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.r = np.asarray(self.r, dtype=float)
-        self.theta = np.asarray(self.theta, dtype=float)
-        self.phi = np.asarray(self.phi, dtype=float)
-        if not (len(self.t) == len(self.r) == len(self.theta) == len(self.phi)):
-            raise ValueError("sample arrays must have equal length")
-        if len(self.t) and np.any(np.diff(self.t) <= 0.0):
-            raise ValueError("samples must be strictly time-ordered")
-        if len(self.r) and np.any(self.r <= 0.0):
-            raise ValueError("samples must stay off the source")
 
     @property
     def samples(self) -> tuple[SphericalState, ...]:
@@ -155,11 +148,12 @@ class TrajectorySegment:
             return None
         if self.model is None:
             raise DomainError("segment carries no model to evaluate radii with")
-        p, cm, cp = self.model.params, self.model.c_minus, self.model.c_plus
+        p = self.model.params
         if self.n_accepted == 0:
-            t_src = self.t[0] - time_from_radius(p, cm, cp, self.r[0])
+            parts = _overlap_parts(self.model.c_minus, self.model.c_plus)
+            t_src = self.t[0] - _elapsed(p, parts, self.r[0])
             lo, hi = sorted((float(self.r[0]), float(self.r[-1])))
-            return _invert_time(p, cm, cp, t - t_src, lo, hi)
+            return _invert_time(p, parts, t - t_src, lo, hi)
         from scipy.interpolate import CubicSpline
 
         one = 1.0 - 2.0 * p.B
@@ -170,12 +164,39 @@ class TrajectorySegment:
 # closed forms
 # =====================================================================
 
-def _overlap_parts(c_minus: complex, c_plus: complex) -> tuple[float, float, float, float]:
+#: (|c-|^2, |c+|^2, Re, Im) of conj(c_minus) c_plus, as _overlap_parts forms it.
+_Parts = tuple[float, float, float, float]
+
+
+def _overlap_parts(c_minus: complex, c_plus: complex) -> _Parts:
     """(|c-|^2, |c+|^2, Re, Im) of conj(c-) c+; DegenerateError if Im = 0."""
     x = complex(c_minus).conjugate() * complex(c_plus)
     if x.imag == 0.0:
         raise DegenerateError("no radial motion for Im[conj(c_minus) c_plus] = 0")
     return abs(c_minus) ** 2, abs(c_plus) ** 2, x.real, x.imag
+
+
+def _elapsed(params: PhysParams, parts: _Parts, r: float) -> float:
+    """t(r) - t0 from the overlap parts of the coefficients."""
+    m2, p2, re, im = parts
+    q, B = params.q, params.B
+    one = 1.0 - 2.0 * B
+    return (
+        m2 * r**one / one + 2.0 * q * re * r + p2 * r ** (1.0 + 2.0 * B) / (1.0 + 2.0 * B)
+    ) / (2.0 * B * im)
+
+
+def _azimuth(params: PhysParams, parts: _Parts, r: float) -> float:
+    """phi(r) - phi0 from the overlap parts of the coefficients."""
+    m2, p2, re, im = parts
+    q, B = params.q, params.B
+    sgn = params.sign_mk
+    return (
+        q * sgn * m2 / (4.0 * B * B * im) * r ** (-2.0 * B)
+        - sgn * re / (B * im) * math.log(r)
+        - q * sgn * p2 / (4.0 * B * B * im) * r ** (2.0 * B)
+    )
+
 
 def time_from_radius(
     params: PhysParams, c_minus: complex, c_plus: complex, r: float
@@ -187,12 +208,7 @@ def time_from_radius(
     """
     if r <= 0.0:
         raise OriginError("radius must be positive")
-    m2, p2, re, im = _overlap_parts(c_minus, c_plus)
-    q, B = params.q, params.B
-    one = 1.0 - 2.0 * B
-    return (
-        m2 * r**one / one + 2.0 * q * re * r + p2 * r ** (1.0 + 2.0 * B) / (1.0 + 2.0 * B)
-    ) / (2.0 * B * im)
+    return _elapsed(params, _overlap_parts(c_minus, c_plus), r)
 
 
 def azimuth_from_radius(
@@ -202,47 +218,18 @@ def azimuth_from_radius(
     by subtracting the divergent r^(-2B) and log parts as r -> 0."""
     if r <= 0.0:
         raise OriginError("radius must be positive")
-    m2, p2, re, im = _overlap_parts(c_minus, c_plus)
-    q, B = params.q, params.B
-    sgn = params.sign_mk
-    return (
-        q * sgn * m2 / (4.0 * B * B * im) * r ** (-2.0 * B)
-        - sgn * re / (B * im) * math.log(r)
-        - q * sgn * p2 / (4.0 * B * B * im) * r ** (2.0 * B)
-    )
-
-
-def radius_from_time(
-    params: PhysParams, c_minus: complex, c_plus: complex, dt: float, r_max: float
-) -> float:
-    """Invert time_from_radius: the radius reached dt after (Im > 0) or
-    before (Im < 0, dt < 0) the visit to the source.  dt must carry the
-    sign of Im and satisfy |dt| <= |t(r_max) - t0|."""
-    _, _, _, im = _overlap_parts(c_minus, c_plus)
-    if dt == 0.0:
-        return 0.0
-    if math.copysign(1.0, dt) != math.copysign(1.0, im):
-        raise SignError(f"dt = {dt!r} has the wrong sign for Im = {im!r}")
-    t_max = time_from_radius(params, c_minus, c_plus, r_max)
-    if abs(dt) > abs(t_max):
-        raise DomainError(f"|dt| = {abs(dt)!r} beyond reach r_max = {r_max!r}")
-    return _invert_time(params, c_minus, c_plus, dt, 1e-300, r_max)
+    return _azimuth(params, _overlap_parts(c_minus, c_plus), r)
 
 
 def _invert_time(
-    params: PhysParams,
-    c_minus: complex,
-    c_plus: complex,
-    dt: float,
-    r_lo: float,
-    r_hi: float,
+    params: PhysParams, parts: _Parts, dt: float, r_lo: float, r_hi: float
 ) -> float:
     """The radius in [r_lo, r_hi] at which t(r) - t0 = dt.  t(r) is
     monotone; when rounding puts dt just outside the bracket's image,
     the nearer end is returned."""
     from scipy.optimize import brentq
 
-    f = lambda r: time_from_radius(params, c_minus, c_plus, r) - dt
+    f = lambda r: _elapsed(params, parts, r) - dt
     f_lo, f_hi = f(r_lo), f(r_hi)
     if f_lo * f_hi > 0.0:
         return r_lo if abs(f_lo) < abs(f_hi) else r_hi
@@ -251,54 +238,53 @@ def _invert_time(
 
 def _closed_form_flight(
     model: ModelWavefunction,
+    parts: _Parts,
     initial: SphericalState,
     t_end: float,
-    probe_radii: tuple[float, ...],
+    probe_radius: float | None,
 ) -> TrajectorySegment:
     """The flight integrate would step, evaluated from the exact relations
-    of the pure frozen-coefficient model.
+    of the pure frozen-coefficient model with overlap parts `parts`.
 
     r is monotone, so the flight ends at the source side (r_min, ingoing)
-    or at r_cut/2 (outgoing) unless t_end comes first; probe radii
-    between the start and that end are crossed once each.  Samples: the
-    start, each crossing and the terminal point.
+    or at r_cut/2 (outgoing) unless t_end comes first; a probe radius
+    between the start and that end is crossed once.  Samples: the start,
+    the crossing and the terminal point, strictly time-ordered by
+    construction (t_i < t_c < t_last).
     """
-    p, cm, cp = model.params, model.c_minus, model.c_plus
-    t_i, r_i = float(initial.t), float(initial.r)
-    phi_i = float(initial.phi)
-    t_src = t_i - time_from_radius(p, cm, cp, r_i)  # visit to the source
-    phi_label = phi_i - azimuth_from_radius(p, cm, cp, r_i)
-    inward = (cm.conjugate() * cp).imag < 0.0
+    p = model.params
+    t_i, r_i, phi_i = float(initial.t), float(initial.r), float(initial.phi)
+    t_src = t_i - _elapsed(p, parts, r_i)  # visit to the source
+    phi_label = phi_i - _azimuth(p, parts, r_i)
+    inward = parts[3] < 0.0
     r_term = model.r_min if inward else 0.5 * model.r_cut
     lo, hi = sorted((r_i, r_term))
-    t_last = t_src + time_from_radius(p, cm, cp, r_term)
+    t_last = t_src + _elapsed(p, parts, r_term)
     r_last = r_term
     if t_last <= t_end:
         terminal = Absorbed(t0=t_src) if inward else LeftInnerRegion()
+        # a start within rounding of r_term still ends after it starts
+        t_last = max(t_last, math.nextafter(t_i, math.inf))
     else:
         terminal = TimeExhausted()
         t_last = t_end
-        r_last = _invert_time(p, cm, cp, t_end - t_src, lo, hi)
+        r_last = _invert_time(p, parts, t_end - t_src, lo, hi)
 
-    crossings = []
-    for rp in probe_radii:
-        if lo < rp < hi:
-            tc = t_src + time_from_radius(p, cm, cp, rp)
-            if t_i < tc < t_last:
-                crossings.append(
-                    ProbeCrossing(t=tc, r=float(rp), direction=-1 if inward else 1)
-                )
-    crossings.sort(key=lambda pc: pc.t)
+    crossings = ()
+    if probe_radius is not None and lo < probe_radius < hi:
+        rp = float(probe_radius)
+        tc = t_src + _elapsed(p, parts, rp)
+        if t_i < tc < t_last:
+            crossings = (ProbeCrossing(t=tc, r=rp, direction=-1 if inward else 1),)
 
     radii = [r_i, *(pc.r for pc in crossings), r_last]
     return TrajectorySegment(
-        t=[t_i, *(pc.t for pc in crossings), t_last],
-        r=radii,
+        t=np.array([t_i, *(pc.t for pc in crossings), t_last]),
+        r=np.array(radii),
         theta=np.full(len(radii), float(initial.theta)),
-        phi=[phi_i]
-        + [phi_label + azimuth_from_radius(p, cm, cp, r) for r in radii[1:]],
+        phi=np.array([phi_i] + [phi_label + _azimuth(p, parts, r) for r in radii[1:]]),
         terminal=terminal,
-        probe_crossings=tuple(crossings),
+        probe_crossings=crossings,
         model=model,
     )
 
@@ -381,7 +367,7 @@ def integrate(
     t_end: float,
     tol: float = 1e-8,
     *,
-    probe_radii: tuple[float, ...] = (),
+    probe_radius: float | None = None,
     refresh: Callable[[float], tuple[complex, complex]] | None = None,
     dense: bool = True,
 ) -> TrajectorySegment:
@@ -390,12 +376,12 @@ def integrate(
     Stops early with Absorbed (r crossed model.r_min, t0 extrapolated) or
     LeftInnerRegion (r crossed r_cut/2).  `refresh`, when given, supplies
     (c_minus(t), c_plus(t)) at the start of every accepted step; within a
-    step the field stays frozen (quasi-static update).  Probe radii
-    record non-terminal crossings in either direction.
+    step the field stays frozen (quasi-static update).  Crossings of
+    `probe_radius`, when given, are recorded in either direction.
 
     With dense=False, no refresh and no subleading amplitudes the flight
     is evaluated in closed form instead (exact; Absorbed then carries the
-    exact arrival time at the source, and only the start, the crossings
+    exact arrival time at the source, and only the start, the crossing
     and the terminal point are sampled).
     """
     p = model.params
@@ -408,21 +394,20 @@ def integrate(
     if not t_end > initial.t:
         raise DomainError("t_end must exceed the initial time")
     if refresh is None and not model.has_subleading:
-        _overlap_parts(model.c_minus, model.c_plus)  # Im = 0 guard
+        parts = _overlap_parts(model.c_minus, model.c_plus)  # Im = 0 guard
         if not dense:
-            return _closed_form_flight(model, initial, t_end, probe_radii)
+            return _closed_form_flight(model, parts, initial, t_end, probe_radius)
 
     one = 1.0 - 2.0 * p.B
     inv_one = 1.0 / one
     s_min = r_min**one
     s_top = r_top**one
-    probes = tuple(float(rp) ** one for rp in probe_radii)
+    levels = [(s_min, True), (s_top, True)]  # (s level, is terminal)
+    if probe_radius is not None:
+        levels.append((float(probe_radius) ** one, False))
     rhs = _make_rhs(p, model.subleading_amp)
 
-    def coeffs(t: float) -> tuple[complex, complex]:
-        if refresh is None:
-            return model.c_minus, model.c_plus
-        return refresh(t)
+    coeffs = refresh or (lambda _t: (model.c_minus, model.c_plus))
 
     t = float(initial.t)
     s = float(initial.r) ** one
@@ -507,11 +492,7 @@ def integrate(
             return _hermite(phi, phi_new, f0_phi, f_new[1], h_used, tau)
 
         hits: list[tuple[float, float, int, bool]] = []  # (tau, s_level, dir, is_terminal)
-        for level, is_term in (
-            (s_min, True),
-            (s_top, True),
-            *(((sp, False) for sp in probes)),
-        ):
+        for level, is_term in levels:
             g0, g1 = s - level, s_new - level
             if g0 == 0.0 or (g0 < 0.0) == (g1 < 0.0):
                 continue
@@ -581,7 +562,7 @@ def emit_trajectory(
     tol: float = 1e-8,
     *,
     t_end: float = math.inf,
-    probe_radii: tuple[float, ...] = (),
+    probe_radius: float | None = None,
     refresh: Callable[[float], tuple[complex, complex]] | None = None,
     dense: bool = True,
 ) -> TrajectorySegment:
@@ -594,28 +575,27 @@ def emit_trajectory(
     p = model.params
     if r_seed is None:
         r_seed = R_SEED_FACTOR * model.r_min
-    x = model.c_minus.conjugate() * model.c_plus
-    if x.imag <= 0.0:
+    parts = _overlap_parts(model.c_minus, model.c_plus)
+    if parts[3] < 0.0:
         raise DegenerateError(
-            f"no outgoing trajectory for Im[conj(c_minus) c_plus] = {x.imag!r}"
+            f"no outgoing trajectory for Im[conj(c_minus) c_plus] = {parts[3]!r}"
         )
-    t_seed = t0 + time_from_radius(p, model.c_minus, model.c_plus, r_seed)
-    phi_seed = phi0 + azimuth_from_radius(p, model.c_minus, model.c_plus, r_seed)
+    if r_seed <= 0.0:
+        raise OriginError("radius must be positive")
+    t_seed = t0 + _elapsed(p, parts, r_seed)
+    phi_seed = phi0 + _azimuth(p, parts, r_seed)
     start = SphericalState(t=t_seed, r=r_seed, theta=theta0, phi=phi_seed)
     if not t_end > t_seed:
         raise DomainError("t_end precedes the seed time")
-    end = t_end
-    if math.isinf(end):
+    if math.isinf(t_end):
         # generous bound: exact exit time for frozen coefficients, doubled
-        end = t_seed + 2.0 * abs(
-            time_from_radius(p, model.c_minus, model.c_plus, 0.5 * model.r_cut)
-        ) + 1.0
+        t_end = t_seed + 2.0 * abs(_elapsed(p, parts, 0.5 * model.r_cut)) + 1.0
     return integrate(
         model,
         start,
-        end,
+        t_end,
         tol,
-        probe_radii=probe_radii,
+        probe_radius=probe_radius,
         refresh=refresh,
         dense=dense,
     )

@@ -3,14 +3,26 @@
 Each one is derived on its own from the paper's expressions and is not
 called by the package: the pure-model guiding equation in (r, theta,
 phi), the series coefficient of its azimuthal rate, the leading
-small-|t| flight, and vacuum membership read off a path's entries.
+small-|t| flight, the inverse of the exact t(r) by bisection, vacuum
+membership read off a path's entries, and a KS test of snapshot radii
+against the sector-1 radial law.
 """
 
 import math
+from dataclasses import dataclass
 
-from belljump import DegenerateError, OriginError, SignError
+import numpy as np
+
+from belljump import (
+    DegenerateError,
+    DomainError,
+    InsufficientEvents,
+    OriginError,
+    SignError,
+)
 from belljump.jump_process import VacuumInterval
-from belljump.trajectory import SphericalState
+from belljump.trajectory import SphericalState, time_from_radius
+from belljump.wavefunction import radial_mass_profile
 
 #: Below this sin(theta) a nonzero azimuthal rate is reported as a pole.
 SIN_POLE = 1e-12
@@ -98,4 +110,75 @@ def in_vacuum(path, t):
         e.t_start <= t <= e.t_end
         for e in path.entries
         if isinstance(e, VacuumInterval)
+    )
+
+
+def radius_from_time(params, c_minus, c_plus, dt, r_max):
+    """The radius reached dt after (Im > 0) or before (Im < 0, dt < 0) the
+    visit to the source.  dt must carry the sign of Im and satisfy
+    |dt| <= |t(r_max) - t0|.  |t(r)| grows with r, so the root is found
+    by bisection in ln r on [ln 1e-300, ln r_max], down to adjacent
+    floats."""
+    im = (complex(c_minus).conjugate() * complex(c_plus)).imag
+    if im == 0.0:
+        raise DegenerateError("no radial motion for Im[conj(c_minus) c_plus] = 0")
+    if dt == 0.0:
+        return 0.0
+    if math.copysign(1.0, dt) != math.copysign(1.0, im):
+        raise SignError(f"dt = {dt!r} has the wrong sign for Im = {im!r}")
+    if abs(dt) > abs(time_from_radius(params, c_minus, c_plus, r_max)):
+        raise DomainError(f"|dt| = {abs(dt)!r} beyond reach r_max = {r_max!r}")
+    lo, hi = math.log(1e-300), math.log(r_max)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if abs(time_from_radius(params, c_minus, c_plus, math.exp(mid))) < abs(dt):
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(mid)
+
+
+@dataclass(frozen=True)
+class RadialKsReport:
+    n_samples: int
+    ks_statistic: float
+    p_value: float
+    r_max: float
+    passed: bool
+
+
+def radial_snapshot_ks(stats, model_family, track, r_max, significance=0.01):
+    """KS test of the in-flight radii recorded at the snapshot time
+    against the sector-1 radial law below r_max.
+
+    Valid on stationary-coefficient windows short enough that the region
+    below r_max is still fed from inside the simulated ball (constant
+    coefficients keep the radial density shape invariant there)."""
+    if stats.snapshot_time is None:
+        raise DomainError("ensemble was run without a snapshot time")
+    if track.constant_coefficients is None:
+        raise DomainError("density check needs a constant-coefficient track")
+    from scipy import stats as sps
+
+    cm, cp = track.constant_coefficients
+    model = model_family.at(cm, cp)
+    radii = stats.snapshot_radii[stats.snapshot_radii < r_max]
+    if len(radii) < 100:
+        raise InsufficientEvents(
+            f"need at least 100 snapshot radii below r_max, got {len(radii)}"
+        )
+    s_grid, cum = radial_mass_profile(model)
+    one = 1.0 - 2.0 * model.params.B
+    cum_max = float(np.interp(r_max**one, s_grid, cum))
+
+    def cdf(r):
+        s = np.asarray(r, dtype=float) ** one
+        return np.interp(s, s_grid, cum) / cum_max
+
+    ks = sps.kstest(radii, cdf)
+    return RadialKsReport(
+        n_samples=len(radii),
+        ks_statistic=float(ks.statistic),
+        p_value=float(ks.pvalue),
+        r_max=r_max,
+        passed=ks.pvalue > significance,
     )

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +139,7 @@ def test_block_range_validation():
         ("[run]\ntime_grid_n = 1\n", "time_grid_n"),
         ("[run]\nprobe_radius = -0.1\n", "probe_radius"),
         ("[track]\nt_end = 0.0\n", "t_end"),
+        ("[track]\nn = -1\n", "track.n"),
     ]
     for block, name in bad:
         with pytest.raises(ValidationError, match=name):
@@ -539,6 +544,34 @@ def test_ensemble_summary_and_histograms(tmp_path):
     assert sum(tables["emission_time"]) == totals["n_emissions"]
     assert sum(tables["emission_cos_theta"]) == totals["n_emissions"]
     assert "snapshot" not in records
+
+
+def test_ensemble_without_angle_report_skips_scipy_stats(tmp_path):
+    # fewer than the 1000 emissions the angle report needs: the run must
+    # not pay the scipy.stats import only to skip that report
+    conf = tmp_path / "ens.conf"
+    conf.write_text(ENSEMBLE_CONF.replace("n_paths = 300", "n_paths = 40"))
+    out = tmp_path / "out"
+    script = (
+        "import sys\n"
+        "from belljump.cli import dispatch\n"
+        f"rc = dispatch(['ensemble', '--config', {str(conf)!r}, '--output', {str(out)!r}])\n"
+        "print(rc, 'scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False"
+    records = [
+        json.loads(line)
+        for line in (out / "ensemble_summary.json").read_text().splitlines()
+    ]
+    angles = next(rec for rec in records if rec["record"] == "emission_angles")
+    assert "skipped" in angles
 
 
 def test_ensemble_snapshot_radii(tmp_path):

@@ -23,13 +23,12 @@ from belljump.ensemble import (
     make_initial_sampler,
     master_equation_occupancy,
     normalized_amplitudes,
-    radial_snapshot_ks,
     run_ensemble,
     sector0_comparison,
 )
 from belljump.jump_process import CoefficientTrack
 from belljump.wavefunction import ModelFamily, ModelWavefunction, particle_sector_mass
-from oracles import in_vacuum
+from oracles import in_vacuum, radial_snapshot_ks
 
 P96 = canonical_params(0.96)
 
@@ -132,7 +131,7 @@ def test_run_equals_fold_of_single_path_stats(setup):
     for index in range(n):
         path = draw_path(
             fam, track, span, seed, index, vac_weight=vac_weight,
-            sampler=sampler, probe_radii=(probe,),
+            sampler=sampler, probe_radius=probe,
         )
         folded = folded.merge(_single_path_stats(path, grid, probe, snapshot))
     assert _stats_equal(stats, folded)

@@ -229,6 +229,39 @@ def test_varying_track_interpolates():
     assert abs(cm - 1.5) < 1e-10 and abs(cp - 1.5j) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 3, 4, 9, 257])
+def test_track_values_match_separate_splines(n):
+    # the track's one interpolant over (c_minus, c_plus, psi0) against
+    # three independent scipy splines with the same end conditions
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(n)
+    t = np.cumsum(rng.uniform(0.1, 1.0, n))
+    cm, cp, p0 = (
+        (0.5 + rng.normal(size=n)) + 1j * rng.normal(size=n),
+        rng.normal(size=n) + 1j * (0.5 + rng.normal(size=n)),
+        (0.6 + 0.1 * rng.normal(size=n)) + 0.2j * rng.normal(size=n),
+    )
+    tr = CoefficientTrack(P96, t, cm, cp, p0)
+    if n == 1:
+        splines = [lambda s, v=complex(y[0]): np.full(np.shape(s), v) for y in (cm, cp, p0)]
+    else:
+        kind = "not-a-knot" if n >= 4 else "natural"
+        splines = [CubicSpline(t, y, bc_type=kind) for y in (cm, cp, p0)]
+    sm, sp, s0 = splines
+    times = np.concatenate([np.linspace(t[0] - 0.5, t[-1] + 0.5, 301), t])
+    clamped = np.clip(times, t[0], t[-1])
+    for tq, tc in zip(times.tolist(), clamped.tolist()):
+        assert tr.coefficients(tq) == (complex(sm(tc)), complex(sp(tc)))
+        assert tr.psi0(tq) == complex(s0(tc))
+    im = (np.conj(sm(clamped)) * sp(clamped)).imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.where(
+            im > 0.0, 8.0 * (1.0 + P96.q) * P96.B * im / np.abs(s0(clamped)) ** 2, 0.0
+        )
+    np.testing.assert_array_equal(tr.rate_profile(times), want)
+
+
 def test_balanced_constant_flux_track():
     tr = CoefficientTrack.balanced_constant_flux(P96, 0.1, 0.1j, 0.7, 0.0, 1.0)
     c_r = current_coeffs(P96, 0.1, 0.1j).C_r

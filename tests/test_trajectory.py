@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from belljump import (
     DegenerateError,
@@ -29,11 +31,16 @@ from belljump.trajectory import (
     emit_trajectory,
     fit_power_law,
     integrate,
-    radius_from_time,
     time_from_radius,
 )
 from belljump.wavefunction import ModelWavefunction, velocity_field
-from oracles import PoleError, asymptotic_solution, ode_rhs, phi_rate_correction
+from oracles import (
+    PoleError,
+    asymptotic_solution,
+    ode_rhs,
+    phi_rate_correction,
+    radius_from_time,
+)
 
 
 # ---------------------------------------------------------------------
@@ -284,7 +291,7 @@ def test_probe_crossings_recorded():
         SphericalState(t_start, start_r, 1.0, 0.0),
         t_end=1e9,
         tol=1e-9,
-        probe_radii=(0.2,),
+        probe_radius=0.2,
     )
     assert isinstance(seg.terminal, LeftInnerRegion)
     assert len(seg.probe_crossings) == 1
@@ -307,7 +314,7 @@ def test_quasi_static_refresh_reduces_to_frozen_for_constant_coeffs():
 
 
 def _flight_cases():
-    # (model, start, t_end, probes): ingoing with a probe; ingoing cut off
+    # (model, start, t_end, probe): ingoing with a probe; ingoing cut off
     # by t_end before and after the probe; outgoing leaving the inner
     # region past a probe; outgoing cut off by t_end
     p = canonical_params(0.96)
@@ -318,21 +325,21 @@ def _flight_cases():
     t_probe_out = t_src_out + time_from_radius(p, 1.0, 1j, 0.2)
     start = SphericalState(0.0, r0, 1.0, 0.3)
     return {
-        "ingoing_probe": (_model(cp=-1j), start, 10.0, (1e-4,)),
-        "ingoing_cut_before_probe": (_model(cp=-1j), start, 0.5 * t_probe_in, (1e-4,)),
+        "ingoing_probe": (_model(cp=-1j), start, 10.0, 1e-4),
+        "ingoing_cut_before_probe": (_model(cp=-1j), start, 0.5 * t_probe_in, 1e-4),
         "ingoing_cut_after_probe": (
-            _model(cp=-1j), start, 0.5 * (t_probe_in + t_abs), (1e-4,)
+            _model(cp=-1j), start, 0.5 * (t_probe_in + t_abs), 1e-4
         ),
-        "outgoing_leaves": (_model(), start, 100.0, (0.2,)),
-        "outgoing_time_exhausted": (_model(), start, 0.5 * t_probe_out, (0.2,)),
+        "outgoing_leaves": (_model(), start, 100.0, 0.2),
+        "outgoing_time_exhausted": (_model(), start, 0.5 * t_probe_out, 0.2),
     }
 
 
 @pytest.mark.parametrize("case", sorted(_flight_cases()))
 def test_closed_form_flight_agrees_with_integrator(case):
-    m, start, t_end, probes = _flight_cases()[case]
-    exact = integrate(m, start, t_end, probe_radii=probes, dense=False)
-    stepped = integrate(m, start, t_end, tol=1e-9, probe_radii=probes, dense=True)
+    m, start, t_end, probe = _flight_cases()[case]
+    exact = integrate(m, start, t_end, probe_radius=probe, dense=False)
+    stepped = integrate(m, start, t_end, tol=1e-9, probe_radius=probe, dense=True)
     assert exact.n_accepted == exact.n_rejected == 0
     assert stepped.n_accepted > 0
     assert type(exact.terminal) is type(stepped.terminal)
@@ -350,9 +357,9 @@ def test_closed_form_flight_agrees_with_integrator(case):
 
 
 def test_closed_form_radius_at_matches_integrator():
-    m, start, t_end, probes = _flight_cases()["ingoing_probe"]
-    exact = integrate(m, start, t_end, probe_radii=probes, dense=False)
-    stepped = integrate(m, start, t_end, tol=1e-9, probe_radii=probes, dense=True)
+    m, start, t_end, probe = _flight_cases()["ingoing_probe"]
+    exact = integrate(m, start, t_end, probe_radius=probe, dense=False)
+    stepped = integrate(m, start, t_end, tol=1e-9, probe_radius=probe, dense=True)
     for frac in (0.0, 0.1, 0.5, 0.9, 0.999):
         t = exact.t[0] + frac * (exact.t[-1] - exact.t[0])
         r_exact = exact.radius_at(t)
@@ -400,22 +407,63 @@ def test_integrate_guards():
         emit_trajectory(_model(cp=-1j), 0.0, 1.0, 0.0)
 
 
+_PARAMS = (
+    canonical_params(0.96),
+    canonical_params(0.95, 0.5, -1),
+    canonical_params(-0.93, -0.5, 1),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    params=st.sampled_from(_PARAMS),
+    inward=st.booleans(),
+    phase=st.floats(0.15, math.pi - 0.15),
+    beta=st.floats(0.2, 3.0),
+    log_r0=st.floats(-7.5, math.log10(0.49)),
+    frac=st.floats(0.02, 2.0),
+    log_probe=st.none() | st.floats(-7.9, math.log10(0.499)),
+    dense=st.booleans(),
+)
+@example(  # ingoing start one float above r_min: t(r_min) - t(r0) rounds to 0
+    params=_PARAMS[0], inward=True, phase=math.pi / 2, beta=1.0,
+    log_r0=math.log10(math.nextafter(1e-8, 1.0)), frac=2.0, log_probe=None,
+    dense=False,
+)
+@example(  # outgoing start one float below r_cut/2
+    params=_PARAMS[0], inward=False, phase=math.pi / 2, beta=1.0,
+    log_r0=math.log10(math.nextafter(0.5, 0.0)), frac=2.0, log_probe=None,
+    dense=False,
+)
+def test_flights_produce_ordered_positive_samples(
+    params, inward, phase, beta, log_r0, frac, log_probe, dense
+):
+    # closed-form (dense=False) and DP5 flights, in and out, ended by
+    # their terminal radius or by t_end, with and without a probe
+    cp = beta * complex(math.cos(phase), -math.sin(phase) if inward else math.sin(phase))
+    m = ModelWavefunction(params, 1.0, cp, 1.0)
+    r0 = min(max(10.0**log_r0, math.nextafter(m.r_min, 1.0)), math.nextafter(0.5, 0.0))
+    r_term = m.r_min if inward else 0.5
+    span = abs(
+        time_from_radius(params, 1.0, cp, r_term) - time_from_radius(params, 1.0, cp, r0)
+    )
+    t0 = 0.25
+    t_end = max(t0 + frac * span, math.nextafter(t0, math.inf))
+    probe = None if log_probe is None else 10.0**log_probe
+    seg = integrate(
+        m, SphericalState(t0, r0, 1.0, 0.3), t_end, tol=1e-6,
+        probe_radius=probe, dense=dense,
+    )
+    arrays = (seg.t, seg.r, seg.theta, seg.phi)
+    assert all(a.dtype == np.float64 and a.shape == seg.t.shape for a in arrays)
+    assert len(seg.t) >= 2
+    assert np.all(np.diff(seg.t) > 0.0)
+    assert np.all(seg.r > 0.0)
+    assert (seg.n_accepted == 0) == (not dense)
+    assert len(seg.probe_crossings) <= (probe is not None)  # r is monotone
+
+
 def test_segment_invariants():
-    with pytest.raises(ValueError):
-        TrajectorySegment(
-            t=[0.0, 1.0], r=[0.1], theta=[1.0, 1.0], phi=[0.0, 0.0],
-            terminal=TimeExhausted(),
-        )
-    with pytest.raises(ValueError):
-        TrajectorySegment(
-            t=[0.0, 0.0], r=[0.1, 0.1], theta=[1.0, 1.0], phi=[0.0, 0.0],
-            terminal=TimeExhausted(),
-        )
-    with pytest.raises(ValueError):
-        TrajectorySegment(
-            t=[0.0, 1.0], r=[0.1, -0.1], theta=[1.0, 1.0], phi=[0.0, 0.0],
-            terminal=TimeExhausted(),
-        )
     seg = TrajectorySegment(
         t=[0.0, 1.0], r=[0.1, 0.2], theta=[1.0, 1.0], phi=[0.0, 0.5],
         terminal=TimeExhausted(),
