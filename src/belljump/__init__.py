@@ -7,7 +7,6 @@ Monte Carlo checks that the sampled process stays |psi|^2-distributed.
 __version__ = "0.1.0"
 
 from .errors import (
-    BalanceViolation,
     BelljumpError,
     ConstraintError,
     DegenerateError,
@@ -20,12 +19,10 @@ from .errors import (
     ParseError,
     RangeError,
     SetError,
-    SignError,
     StepFailure,
     VacuumEmpty,
     ValidationError,
     ZeroCoupling,
-    ZeroDensity,
 )
 from .params import (
     ADMISSIBLE_LABELS,
@@ -50,11 +47,9 @@ from .wavefunction import (
     ModelWavefunction,
     current_coeffs,
     current_exact,
-    density_exact,
     eval_psi1,
     particle_sector_mass,
     radial_mass_profile,
-    velocity_field,
 )
 from .trajectory import (
     Absorbed,
@@ -82,7 +77,6 @@ from .jump_process import (
     sample_waiting_time,
     simulate_path,
     total_jump_rate,
-    validate_balance,
 )
 from .ensemble import (
     EnsembleStats,

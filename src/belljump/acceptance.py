@@ -508,10 +508,10 @@ def _balanced_setup():
     return params, family, (cm, cp), span, track
 
 
-def criterion_8(n_paths: int = 10_000) -> AcceptanceResult:
+def criterion_8() -> AcceptanceResult:
     t0 = time.perf_counter()
     params, family, (cm, cp), span, track = _balanced_setup()
-    stats = run_ensemble(family, track, n_paths, span, seed=808, tol=1e-6)
+    stats = run_ensemble(family, track, 10_000, span, seed=808, tol=1e-6)
     _, oracle = master_equation_occupancy(track, family, span, 101)
     vs_oracle = sector0_comparison(stats, track, expected=oracle)
     vs_weight = sector0_comparison(stats, track)
@@ -519,9 +519,7 @@ def criterion_8(n_paths: int = 10_000) -> AcceptanceResult:
     bad_track = CoefficientTrack.constant(
         params, cm, cp, psi0=math.sqrt(0.7), t_start=span[0], t_end=span[1]
     )
-    bad_stats = run_ensemble(
-        family, bad_track, max(2000, n_paths // 5), span, seed=809, tol=1e-6
-    )
+    bad_stats = run_ensemble(family, bad_track, 2000, span, seed=809, tol=1e-6)
     control = sector0_comparison(bad_stats, bad_track)
     passed = vs_oracle.passed and vs_weight.passed and not control.passed
     return _result(
@@ -541,7 +539,7 @@ def criterion_8(n_paths: int = 10_000) -> AcceptanceResult:
 # 9. flux balance at a probe sphere
 # =====================================================================
 
-def criterion_9(n_paths: int = 10_000) -> AcceptanceResult:
+def criterion_9() -> AcceptanceResult:
     t0 = time.perf_counter()
     params = canonical_params(0.96)
     family = ModelFamily(params, r_cut=1.0)
@@ -556,7 +554,7 @@ def criterion_9(n_paths: int = 10_000) -> AcceptanceResult:
     T = min(0.8 * (t_half - t_probe), 0.6 / abs(4.0 * math.pi * cc.C_r))
     track = CoefficientTrack.balanced_constant_flux(params, cm, cp, 0.3, 0.0, T)
     stats = run_ensemble(
-        family, track, n_paths, (0.0, T), seed=909, tol=1e-6, probe_radius=r_probe
+        family, track, 10_000, (0.0, T), seed=909, tol=1e-6, probe_radius=r_probe
     )
     rep = flux_report(stats, track)
     return _result(

@@ -307,7 +307,6 @@ def _cmd_trace(ns) -> int:
             run.t0,
             run.theta0,
             run.phi0,
-            r_seed=run.r_seed,
             tol=run.tol,
             t_end=t_end,
         )

@@ -12,6 +12,8 @@ positions; range and consistency violations are ValidationErrors.
 from __future__ import annotations
 
 import math
+import types
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -55,7 +57,6 @@ class RunBlock:
     theta0: float = math.pi / 2
     phi0: float = 0.0
     r0: float | None = None
-    r_seed: float | None = None
     t_end: float | None = None
     decimation: int = 1
     probe_radius: float | None = None
@@ -78,9 +79,12 @@ class RunConfig:
 
 def _float(raw, line, col):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ParseError(f"expected a number, got {raw!r}", line, col) from None
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got {raw!r}", line, col)
+    return value
 
 
 def _int(raw, line, col):
@@ -137,7 +141,7 @@ def _str(raw, line, col):
     return raw.strip()
 
 
-# (section, key) -> parser; params keys are collected separately because
+# [params] key -> parser; collected apart from the blocks because
 # PhysParams is assembled through make_params
 _PARAMS_KEYS = {
     "q": _float,
@@ -150,40 +154,33 @@ _PARAMS_KEYS = {
     "kappa_tilde": _float,
 }
 
-_SCHEMA = {
-    ("model", "r_cut"): _float,
-    ("model", "r_min"): _float,
-    ("model", "subleading"): _bool,
-    ("model", "s_minus"): _complex,
-    ("model", "s_plus"): _complex,
-    ("model", "frozen"): _bool,
-    ("track", "kind"): _str,
-    ("track", "c_minus"): _complex,
-    ("track", "c_plus"): _complex,
-    ("track", "psi0"): _complex,
-    ("track", "p0_init"): _float,
-    ("track", "t_start"): _float,
-    ("track", "t_end"): _float,
-    ("track", "n"): _int,
-    ("track", "file"): _str,
-    ("track", "times"): _float_list,
-    ("track", "c_minus_grid"): _complex_list,
-    ("track", "c_plus_grid"): _complex_list,
-    ("track", "psi0_grid"): _complex_list,
-    ("run", "seed"): _int,
-    ("run", "tol"): _float,
-    ("run", "n_paths"): _int,
-    ("run", "t0"): _float,
-    ("run", "theta0"): _float,
-    ("run", "phi0"): _float,
-    ("run", "r0"): _float,
-    ("run", "r_seed"): _float,
-    ("run", "t_end"): _float,
-    ("run", "decimation"): _int,
-    ("run", "probe_radius"): _float,
-    ("run", "time_grid_n"): _int,
-    ("run", "snapshot_time"): _float,
-    ("run", "output"): _str,
+# the config sections after [params], each parsed into its dataclass
+_BLOCKS = {"model": ModelConfig, "track": TrackConfig, "run": RunBlock}
+
+# value parser by field annotation
+_PARSERS = {
+    float: _float,
+    int: _int,
+    bool: _bool,
+    complex: _complex,
+    str: _str,
+    tuple[float, ...]: _float_list,
+    tuple[complex, ...]: _complex_list,
+}
+
+
+def _parser(hint):
+    """The parser of a field annotated `hint`; `X | None` parses as X."""
+    if isinstance(hint, types.UnionType):
+        (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    return _PARSERS[hint]
+
+
+# (section, key) -> parser, one per field of the section's dataclass
+_KEYS = {
+    (section, name): _parser(hint)
+    for section, block in _BLOCKS.items()
+    for name, hint in typing.get_type_hints(block).items()
 }
 
 # nested spellings accepted by the grammar, normalized to flat fields
@@ -237,7 +234,7 @@ def _scan(text: str):
 
 def parse_config(text: str) -> RunConfig:
     params_raw: dict[str, float] = {}
-    blocks: dict[str, dict[str, object]] = {"model": {}, "track": {}, "run": {}}
+    blocks: dict[str, dict[str, object]] = {section: {} for section in _BLOCKS}
     seen: set[tuple[str, str]] = set()
 
     for section, key, value, lineno, col in _scan(text):
@@ -250,8 +247,8 @@ def parse_config(text: str) -> RunConfig:
             if key not in _PARAMS_KEYS:
                 raise ParseError(f"unknown key params.{key}", lineno, col)
             params_raw[key] = _PARAMS_KEYS[key](value, lineno, col)
-        elif (section, key) in _SCHEMA:
-            blocks[section][key] = _SCHEMA[(section, key)](value, lineno, col)
+        elif (section, key) in _KEYS:
+            blocks[section][key] = _KEYS[(section, key)](value, lineno, col)
         else:
             raise ParseError(f"unknown key {section}.{key}", lineno, col)
 
@@ -276,11 +273,9 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ValidationError(f"bad [params] block: {exc}") from exc
 
-    model = ModelConfig(**blocks["model"])
-    track = TrackConfig(**blocks["track"])
-    run = RunBlock(**blocks["run"])
-    _validate(model, track, run)
-    return RunConfig(params=params, model=model, track=track, run=run)
+    built = {section: _BLOCKS[section](**values) for section, values in blocks.items()}
+    _validate(**built)
+    return RunConfig(params=params, **built)
 
 
 def _validate(model: ModelConfig, track: TrackConfig, run: RunBlock) -> None:
@@ -365,11 +360,8 @@ def serialize(config: RunConfig) -> str:
         f"m_tilde = {p.m_tilde!r}",
         f"kappa_tilde = {p.kappa_tilde!r}",
     ]
-    for name, block in (
-        ("model", config.model),
-        ("track", config.track),
-        ("run", config.run),
-    ):
+    for name in _BLOCKS:
+        block = getattr(config, name)
         lines.append("")
         lines.append(f"[{name}]")
         for f in fields(block):

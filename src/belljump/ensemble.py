@@ -233,8 +233,9 @@ def run_ensemble(
     snapshot_time: float | None = None,
 ) -> EnsembleStats:
     """n_paths independent realizations with |psi_tau|^2-distributed
-    initial configurations; per-path counter-based RNG streams keyed by
-    (seed, path index), so any subset of indices reproduces bitwise.
+    initial configurations, indices 0..n_paths-1.  Path i draws from its
+    own Philox stream keyed by (seed, i), so draw_path(..., index=i)
+    replays it alone, bitwise.
     """
     t_a, t_b = float(t_span[0]), float(t_span[1])
     grid = np.linspace(t_a, t_b, time_grid_n)
@@ -293,14 +294,13 @@ def normalized_amplitudes(
     c_plus: complex,
     r_cut: float,
     target_mass: float,
-    subleading_amp: tuple[complex, complex] = (0j, 0j),
 ) -> tuple[complex, complex]:
-    """Scale (c_minus, c_plus) jointly so the sector-1 mass over the
-    cutoff ball equals target_mass (the mass is quadratic in the overall
-    scale; subleading amplitudes are scaled along)."""
+    """Scale (c_minus, c_plus) jointly so the sector-1 mass of the pure
+    model over the cutoff ball equals target_mass (the mass is quadratic
+    in the overall scale)."""
     if target_mass <= 0.0:
         raise DomainError("target mass must be positive")
-    base = ModelWavefunction(params, c_minus, c_plus, r_cut, subleading_amp)
+    base = ModelWavefunction(params, c_minus, c_plus, r_cut)
     mass = particle_sector_mass(base)
     if mass <= 0.0:
         raise DomainError("reference amplitudes carry no mass")
@@ -317,10 +317,9 @@ def master_equation_occupancy(
     model_family: ModelFamily,
     t_span: tuple[float, float],
     time_grid_n: int = 101,
-    p0_init: float | None = None,
-    rtol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve dp0/dt = -Gamma(t) p0 + A(t) on t_span.
+    """Solve dp0/dt = -Gamma(t) p0 + A(t) on t_span from the track's
+    vacuum weight at its start.
 
     Supported regimes (both exercised by the acceptance suite):
     emission-only tracks (Im >= 0 everywhere: A = 0, arbitrary time
@@ -331,8 +330,7 @@ def master_equation_occupancy(
 
     t_a, t_b = float(t_span[0]), float(t_span[1])
     times = np.linspace(t_a, t_b, time_grid_n)
-    if p0_init is None:
-        p0_init = track.vacuum_weight(t_a)
+    p0_init = track.vacuum_weight(t_a)
 
     ims = np.array([track.im_cross(t) for t in times])
     if np.all(ims >= 0.0):
@@ -344,7 +342,7 @@ def master_equation_occupancy(
             (t_a, t_b),
             [p0_init],
             t_eval=times,
-            rtol=rtol,
+            rtol=1e-10,
             atol=1e-13,
             dense_output=False,
             method="RK45",
@@ -393,12 +391,10 @@ def sector0_comparison(
     track: CoefficientTrack,
     expected: np.ndarray | None = None,
     z_limit: float = 3.0,
-    max_fraction: float = 0.01,
 ) -> SectorComparison:
     """Pointwise z-scores of the empirical vacuum occupancy against
     |psi0(t)|^2 (or a supplied expectation, e.g. the master-equation
-    oracle); passes iff at most max_fraction of grid times exceed
-    |z| = z_limit."""
+    oracle); passes iff at most 1% of grid times exceed |z| = z_limit."""
     times = stats.time_grid
     if expected is None:
         expected = np.array([track.vacuum_weight(t) for t in times])
@@ -420,7 +416,7 @@ def sector0_comparison(
         expected=expected,
         z_scores=z,
         fraction_exceeding=frac,
-        passed=frac <= max_fraction,
+        passed=frac <= 0.01,
     )
 
 
@@ -451,11 +447,10 @@ def flux_estimate(stats: EnsembleStats, r_probe: float) -> float:
     return net / (stats.n_paths * window)
 
 
-def flux_report(
-    stats: EnsembleStats, track: CoefficientTrack, z_limit: float = 3.0
-) -> FluxReport:
+def flux_report(stats: EnsembleStats, track: CoefficientTrack) -> FluxReport:
     """Compare the empirical signed flux at the probe radius with
-    4 pi C_r of the track coefficients (constant-coefficient tracks)."""
+    4 pi C_r of the track coefficients (constant-coefficient tracks);
+    passes iff |z| <= 3."""
     if track.constant_coefficients is None:
         raise DomainError("flux comparison needs a constant-coefficient track")
     cm, cp = track.constant_coefficients
@@ -481,7 +476,7 @@ def flux_report(
         z_score=z,
         n_inward=n_in,
         n_outward=n_out,
-        passed=bool(abs(z) <= z_limit),
+        passed=bool(abs(z) <= 3.0),
     )
 
 
@@ -497,13 +492,11 @@ class AngleUniformityReport:
 
 
 def angle_arrays_report(
-    cos_theta: np.ndarray,
-    phi: np.ndarray,
-    bins: int = 10,
-    significance: float = 0.01,
+    cos_theta: np.ndarray, phi: np.ndarray
 ) -> AngleUniformityReport:
-    """Chi-square over bins x bins cells of (cos theta0, phi0 mod 2 pi)
-    plus a KS test of cos theta0 against uniform on [-1, 1]."""
+    """Chi-square over 10 x 10 cells of (cos theta0, phi0 mod 2 pi) plus a
+    KS test of cos theta0 against uniform on [-1, 1]; passes iff both
+    p-values exceed 0.01."""
     cos_theta = np.asarray(cos_theta, dtype=float)
     phi = np.mod(np.asarray(phi, dtype=float), 2.0 * math.pi)
     n = len(cos_theta)
@@ -511,6 +504,7 @@ def angle_arrays_report(
         raise InsufficientEvents(f"need at least 1000 emissions, got {n}")
     from scipy import stats as sps
 
+    bins = 10
     hist, _, _ = np.histogram2d(
         cos_theta,
         phi,
@@ -522,7 +516,7 @@ def angle_arrays_report(
     dof = bins * bins - 1
     chi2_p = float(sps.chi2.sf(chi2, dof))
     ks = sps.kstest(cos_theta, sps.uniform(loc=-1.0, scale=2.0).cdf)
-    passed = bool(chi2_p > significance and ks.pvalue > significance)
+    passed = bool(chi2_p > 0.01 and ks.pvalue > 0.01)
     return AngleUniformityReport(
         n_events=n,
         chi2=chi2,
@@ -534,10 +528,6 @@ def angle_arrays_report(
     )
 
 
-def angle_uniformity_test(
-    stats: EnsembleStats, bins: int = 10, significance: float = 0.01
-) -> AngleUniformityReport:
+def angle_uniformity_test(stats: EnsembleStats) -> AngleUniformityReport:
     """Uniformity of the recorded emission labels over the sphere."""
-    return angle_arrays_report(
-        stats.emission_cos_theta, stats.emission_phi, bins, significance
-    )
+    return angle_arrays_report(stats.emission_cos_theta, stats.emission_phi)

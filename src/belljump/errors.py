@@ -40,10 +40,6 @@ class OriginError(BelljumpError, ValueError):
     """Wave-function evaluation requested at the source point x = 0."""
 
 
-class SignError(BelljumpError, ValueError):
-    """Time argument on the wrong side of the emission/absorption instant."""
-
-
 class FitError(BelljumpError, ValueError):
     """Degenerate input to the power-law fitter."""
 
@@ -56,10 +52,6 @@ class DegenerateError(BelljumpError, ValueError):
 # ------------------------------------------------------------------- runtime
 
 
-class ZeroDensity(BelljumpError, RuntimeError):
-    """|psi|^2 vanished where a velocity was needed."""
-
-
 class StepFailure(BelljumpError, RuntimeError):
     """Adaptive step control could not meet the error tolerance."""
 
@@ -70,17 +62,6 @@ class VacuumEmpty(BelljumpError, RuntimeError):
 
 class MajorantError(BelljumpError, RuntimeError):
     """No trustworthy finite rate majorant on a track interval."""
-
-
-class BalanceViolation(BelljumpError, RuntimeError):
-    """Sector probability balance fails on a coefficient track.
-
-    The offending BalanceReport is attached as the ``report`` attribute.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class NormalizationError(BelljumpError, RuntimeError):

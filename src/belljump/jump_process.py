@@ -27,7 +27,8 @@ draws it.
 The emission intensity is exactly 4 pi C_r / |psi0|^2 when C_r > 0, the
 flux of |psi|^2 out of the source; a track is "balanced" when
 d|psi0|^2/dt = -4 pi C_r(t), which is the bookkeeping under which the
-two-sector probability flow closes (validate_balance checks it).
+two-sector probability flow closes (balanced_constant_flux builds such a
+track).
 """
 
 from __future__ import annotations
@@ -41,12 +42,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (
-    BalanceViolation,
-    DomainError,
-    MajorantError,
-    VacuumEmpty,
-)
+from .errors import DomainError, MajorantError, VacuumEmpty
 from .params import PhysParams
 from .trajectory import (
     Absorbed,
@@ -65,8 +61,6 @@ MAJORANT_MARGIN = 1.1
 _MAJORANT_PROBES = 17
 #: A sampled majorant above this is treated as an unbounded rate.
 _MAJORANT_CAP = 1e12
-
-BALANCE_TOL = 1e-6
 
 
 # =====================================================================
@@ -91,12 +85,15 @@ class CoefficientTrack:
         p0 = np.asarray(psi0, dtype=complex)
         if not (cm.shape == cp.shape == p0.shape == t.shape):
             raise DomainError("track arrays must share the grid shape")
+        if not all(np.isfinite(a).all() for a in (t, cm, cp, p0)):
+            raise DomainError("track times and values must be finite")
         self.times = t
         self.c_minus_values = cm
         self.c_plus_values = cp
         self.psi0_values = p0
-        # constant-coefficient tracks are common and hot (every accepted
-        # integrator step refreshes); skip the spline for them
+        # fixed coefficients: flights under them are evaluated in closed
+        # form, flux_report and the master-equation oracle read the pair,
+        # and coefficients() returns it without the spline
         self._const_pair = None
         if np.all(cm == cm[0]) and np.all(cp == cp[0]):
             self._const_pair = (complex(cm[0]), complex(cp[0]))
@@ -380,7 +377,7 @@ def simulate_path(
     track: CoefficientTrack,
     q_init: Vacuum | Particle,
     t_span: tuple[float, float],
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
     tol: float = 1e-8,
     probe_radius: float | None = None,
@@ -396,14 +393,12 @@ def simulate_path(
     their crossings of probe_radius, if given.  Identical (inputs, rng
     state) give identical paths.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     t_a, t_b = float(t_span[0]), float(t_span[1])
     if not (track.t_start <= t_a and t_b <= track.t_end):
         raise DomainError("track does not cover the requested time span")
     if not t_b > t_a:
         raise DomainError("empty time span")
-    r_seed = R_SEED_FACTOR * model_family.r_min
+    seed_radius = R_SEED_FACTOR * model_family.r_min
 
     entries: list = []
     events: list = []
@@ -435,7 +430,7 @@ def simulate_path(
             events.append(EmissionEvent(t_jump, theta0, phi0))
             cm, cp = track.coefficients(t_jump)
             model = model_family.at(cm, cp)
-            t_seed = t_jump + time_from_radius(track.params, cm, cp, r_seed)
+            t_seed = t_jump + time_from_radius(track.params, cm, cp, seed_radius)
             if t_seed >= t_b:
                 # emitted just before the window closes: the particle is
                 # still inside the seed radius at t_b, no flight recorded
@@ -446,7 +441,6 @@ def simulate_path(
                 t_jump,
                 theta0,
                 phi0,
-                r_seed,
                 tol,
                 t_end=t_b,
                 probe_radius=probe_radius,
@@ -484,56 +478,3 @@ def simulate_path(
         entries=tuple(entries),
         events=tuple(events),
     )
-
-
-# =====================================================================
-# balance validation
-# =====================================================================
-
-@dataclass(frozen=True)
-class BalanceReport:
-    max_residual: float
-    scale: float
-    tol: float
-    worst_times: tuple[float, ...]
-    passed: bool
-
-    @property
-    def relative_residual(self) -> float:
-        return self.max_residual / self.scale
-
-
-def validate_balance(
-    track: CoefficientTrack, balance_tol: float = BALANCE_TOL
-) -> BalanceReport:
-    """Check d|psi0|^2/dt = -4 pi C_r(t) on the track grid (second-order
-    finite differences).  Returns the report on success; raises
-    BalanceViolation carrying the report otherwise."""
-    t = track.times
-    if len(t) < 3:
-        raise DomainError("balance check needs at least 3 grid times")
-    weight = np.abs(track.psi0_values) ** 2
-    lhs = np.gradient(weight, t, edge_order=2)
-    rhs = np.array(
-        [
-            -4.0 * math.pi * current_coeffs(track.params, cm, cp).C_r
-            for cm, cp in zip(track.c_minus_values, track.c_plus_values)
-        ]
-    )
-    resid = np.abs(lhs - rhs)
-    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
-    worst = tuple(float(t[i]) for i in np.argsort(resid)[::-1][:3])
-    report = BalanceReport(
-        max_residual=float(np.max(resid)),
-        scale=scale,
-        tol=balance_tol,
-        worst_times=worst,
-        passed=bool(np.max(resid) <= balance_tol * scale),
-    )
-    if not report.passed:
-        raise BalanceViolation(
-            f"balance residual {report.relative_residual:.3e} exceeds "
-            f"{balance_tol:.1e}; worst at t = {worst}",
-            report=report,
-        )
-    return report

@@ -55,7 +55,7 @@ from .errors import (
 from .params import PhysParams
 from .wavefunction import ModelWavefunction, reduced_amplitudes, span_currents
 
-#: Default emission seed radius as a multiple of r_min.
+#: Emission seed radius as a multiple of r_min.
 R_SEED_FACTOR = 10.0
 #: Integrator steps (accepted plus rejected) one flight may take.
 MAX_STEPS = 500_000
@@ -293,7 +293,8 @@ def _closed_form_flight(
 # adaptive integrator (Dormand-Prince 5(4), FSAL, PI step control)
 # =====================================================================
 
-_DP_C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
+# the guiding field takes no t within a step, so the stage nodes c_i
+# are not needed
 _DP_A = (
     (),
     (0.2,),
@@ -321,9 +322,9 @@ def _hermite(y0, y1, f0, f1, h, tau):
     return (1.0 - a) * y0 + a * y1 + h * b * ((tau - 1.0) * f0 + tau * f1)
 
 
-def _bracket_root(g, lo, hi, g_lo, g_hi, iters=80):
+def _bracket_root(g, lo, hi, g_lo, g_hi):
     """Bisection for g's sign change on [lo, hi]; returns the root."""
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -558,7 +559,6 @@ def emit_trajectory(
     t0: float,
     theta0: float,
     phi0: float,
-    r_seed: float | None = None,
     tol: float = 1e-8,
     *,
     t_end: float = math.inf,
@@ -567,24 +567,20 @@ def emit_trajectory(
     dense: bool = True,
 ) -> TrajectorySegment:
     """Outgoing trajectory emanating from the source at t0 with labels
-    (theta0, phi0): seed (t, phi) at r_seed from the exact closed forms,
-    then integrate forward until leaving the inner region (or t_end);
-    r_seed defaults to R_SEED_FACTOR * model.r_min, `dense` as in
-    integrate.
+    (theta0, phi0): seed (t, phi) at R_SEED_FACTOR * model.r_min from the
+    exact closed forms, then integrate forward until leaving the inner
+    region (or t_end); `dense` as in integrate.
     """
     p = model.params
-    if r_seed is None:
-        r_seed = R_SEED_FACTOR * model.r_min
+    seed_radius = R_SEED_FACTOR * model.r_min
     parts = _overlap_parts(model.c_minus, model.c_plus)
     if parts[3] < 0.0:
         raise DegenerateError(
             f"no outgoing trajectory for Im[conj(c_minus) c_plus] = {parts[3]!r}"
         )
-    if r_seed <= 0.0:
-        raise OriginError("radius must be positive")
-    t_seed = t0 + _elapsed(p, parts, r_seed)
-    phi_seed = phi0 + _azimuth(p, parts, r_seed)
-    start = SphericalState(t=t_seed, r=r_seed, theta=theta0, phi=phi_seed)
+    t_seed = t0 + _elapsed(p, parts, seed_radius)
+    phi_seed = phi0 + _azimuth(p, parts, seed_radius)
+    start = SphericalState(t=t_seed, r=seed_radius, theta=theta0, phi=phi_seed)
     if not t_end > t_seed:
         raise DomainError("t_end precedes the seed time")
     if math.isinf(t_end):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OriginError, ZeroDensity
+from .errors import DomainError, OriginError
 from .params import PhysParams
 from .spinor_basis import SpherePoint, f_boundary, to_spherical
 
@@ -234,33 +234,6 @@ def current_exact(model: ModelWavefunction, x) -> np.ndarray:
             for k in ("r", "theta", "phi")
         ]
     )
-
-
-def density_exact(model: ModelWavefunction, x) -> float:
-    """Probability density |psi(x)|^2."""
-    psi = eval_psi1(model, x)
-    return float(np.vdot(psi, psi).real)
-
-
-def velocity_field(model: ModelWavefunction, x) -> np.ndarray:
-    """Raw guiding field (j_r/rho, j_theta/rho, j_phi/rho) at x.
-
-    Defined on the inner region r < r_cut/2 where the short-distance
-    model is trusted.  The trajectory module divides by (1, r, r sin
-    theta) to get coordinate velocities.
-    """
-    r, _, _ = to_spherical(x)
-    if r == 0.0:
-        raise OriginError("velocity undefined at the source")
-    if r >= 0.5 * model.r_cut:
-        raise DomainError(
-            f"velocity_field is defined on the inner region r < r_cut/2, got r = {r!r}"
-        )
-    j = current_exact(model, x)
-    rho = density_exact(model, x)
-    if not rho > 0.0:
-        raise ZeroDensity(f"rho = {rho!r} at x = {x!r}")
-    return j / rho
 
 
 # =====================================================================

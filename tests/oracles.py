@@ -3,9 +3,11 @@
 Each one is derived on its own from the paper's expressions and is not
 called by the package: the pure-model guiding equation in (r, theta,
 phi), the series coefficient of its azimuthal rate, the leading
-small-|t| flight, the inverse of the exact t(r) by bisection, vacuum
-membership read off a path's entries, and a KS test of snapshot radii
-against the sector-1 radial law.
+small-|t| flight, the inverse of the exact t(r) by bisection, the
+guiding field j/rho and the density |psi|^2 by spinor contraction, the
+flux balance d|psi0|^2/dt = -4 pi C_r of a track, vacuum membership
+read off a path's entries, and a KS test of snapshot radii against the
+sector-1 radial law.
 """
 
 import math
@@ -18,18 +20,42 @@ from belljump import (
     DomainError,
     InsufficientEvents,
     OriginError,
-    SignError,
 )
 from belljump.jump_process import VacuumInterval
+from belljump.spinor_basis import to_spherical
 from belljump.trajectory import SphericalState, time_from_radius
-from belljump.wavefunction import radial_mass_profile
+from belljump.wavefunction import (
+    current_coeffs,
+    current_exact,
+    eval_psi1,
+    radial_mass_profile,
+)
 
 #: Below this sin(theta) a nonzero azimuthal rate is reported as a pole.
 SIN_POLE = 1e-12
+#: Relative tolerance of the flux-balance check.
+BALANCE_TOL = 1e-6
 
 
 class PoleError(RuntimeError):
     """Azimuthal velocity requested on the polar axis."""
+
+
+class SignError(ValueError):
+    """Time argument on the wrong side of the visit to the source."""
+
+
+class ZeroDensity(RuntimeError):
+    """|psi|^2 vanished where a velocity was needed."""
+
+
+class BalanceViolation(RuntimeError):
+    """Sector probability balance fails on a coefficient track; the
+    offending BalanceReport is the ``report`` attribute."""
+
+    def __init__(self, message, report):
+        super().__init__(message)
+        self.report = report
 
 
 def ode_rhs(params, c_minus, c_plus, state):
@@ -101,6 +127,70 @@ def asymptotic_solution(params, c_minus, c_plus, theta0, phi0, t):
         - sgn * re / (B * im * one) * math.log(abs(t))
     )
     return SphericalState(t, r, theta0, phi)
+
+
+def density_exact(model, x):
+    """Probability density |psi(x)|^2."""
+    psi = eval_psi1(model, x)
+    return float(np.vdot(psi, psi).real)
+
+
+def velocity_field(model, x):
+    """Guiding field (j_r/rho, j_theta/rho, j_phi/rho) at x from the spinor
+    contraction, on the inner region r < r_cut/2."""
+    r, _, _ = to_spherical(x)
+    if r == 0.0:
+        raise OriginError("velocity undefined at the source")
+    if r >= 0.5 * model.r_cut:
+        raise DomainError(f"velocity field needs r < r_cut/2, got r = {r!r}")
+    rho = density_exact(model, x)
+    if not rho > 0.0:
+        raise ZeroDensity(f"rho = {rho!r} at x = {x!r}")
+    return current_exact(model, x) / rho
+
+
+@dataclass(frozen=True)
+class BalanceReport:
+    max_residual: float
+    scale: float
+    worst_times: tuple[float, ...]
+    passed: bool
+
+    @property
+    def relative_residual(self):
+        return self.max_residual / self.scale
+
+
+def validate_balance(track, balance_tol=BALANCE_TOL):
+    """Check d|psi0|^2/dt = -4 pi C_r(t) on the track grid (second-order
+    finite differences of the grid values).  Returns the report on
+    success; raises BalanceViolation carrying the report otherwise."""
+    t = track.times
+    if len(t) < 3:
+        raise DomainError("balance check needs at least 3 grid times")
+    lhs = np.gradient(np.abs(track.psi0_values) ** 2, t, edge_order=2)
+    rhs = np.array(
+        [
+            -4.0 * math.pi * current_coeffs(track.params, cm, cp).C_r
+            for cm, cp in zip(track.c_minus_values, track.c_plus_values)
+        ]
+    )
+    resid = np.abs(lhs - rhs)
+    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
+    worst = tuple(float(t[i]) for i in np.argsort(resid)[::-1][:3])
+    report = BalanceReport(
+        max_residual=float(np.max(resid)),
+        scale=scale,
+        worst_times=worst,
+        passed=bool(np.max(resid) <= balance_tol * scale),
+    )
+    if not report.passed:
+        raise BalanceViolation(
+            f"balance residual {report.relative_residual:.3e} exceeds "
+            f"{balance_tol:.1e}; worst at t = {worst}",
+            report,
+        )
+    return report
 
 
 def in_vacuum(path, t):

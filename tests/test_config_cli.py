@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from belljump import ParseError, ValidationError, canonical_params
+from belljump import config
 from belljump.cli import dispatch
 from belljump.config import parse_config, serialize
 from belljump.trajectory import fit_power_law, time_from_radius
@@ -100,6 +101,15 @@ def test_malformed_values_report_line_and_column():
         parse_config(MINIMAL + "[track]\nc_minus = 1\n")
     with pytest.raises(ParseError, match="even count"):
         parse_config(MINIMAL + "[track]\nkind = grid\ntimes = 0, 1\npsi0_grid = 1, 0, 2\n")
+    # non-finite numbers, also inside complex values and lists
+    for block, column in (
+        ("[run]\nsnapshot_time = nan\n", 16),
+        ("[track]\nc_plus = 0, inf\n", 9),
+        ("[track]\ntimes = 0, -inf\n", 8),
+    ):
+        with pytest.raises(ParseError, match="expected a finite number") as err:
+            parse_config(MINIMAL + block)
+        assert err.value.line == 4 and err.value.column == column
 
 
 def test_structural_errors():
@@ -167,8 +177,85 @@ def test_track_kind_validation(tmp_path):
 
 
 # ---------------------------------------------------------------------
-# serialization round trip
+# the schema and the serialization round trip
 # ---------------------------------------------------------------------
+
+#: Every [model], [track] and [run] key, with the value ALL_KEYS_CONFIG
+#: sets, none of them the default.
+ALL_KEYS = {
+    ("model", "r_cut"): 2.0,
+    ("model", "r_min"): 1e-6,
+    ("model", "subleading"): True,
+    ("model", "s_minus"): 0.1 - 0.2j,
+    ("model", "s_plus"): 0.25 - 0.125j,
+    ("model", "frozen"): True,
+    ("track", "kind"): "grid",
+    ("track", "c_minus"): 0.5 + 0.1j,
+    ("track", "c_plus"): 0.2 + 0.6j,
+    ("track", "psi0"): 0.8 + 0.1j,
+    ("track", "p0_init"): 0.6,
+    ("track", "t_start"): 0.5,
+    ("track", "t_end"): 2.5,
+    ("track", "n"): 17,
+    ("track", "file"): "unused.csv",
+    ("track", "times"): (0.5, 1.5, 2.5),
+    ("track", "c_minus_grid"): (1 + 0j, 0.9 + 0.1j, 0.8 + 0.2j),
+    ("track", "c_plus_grid"): (1j, 1j, 1j),
+    ("track", "psi0_grid"): (0.5 + 0j, 0.5 + 0j, 0.5 + 0j),
+    ("run", "seed"): 12,
+    ("run", "tol"): 1e-6,
+    ("run", "n_paths"): 40,
+    ("run", "t0"): 0.75,
+    ("run", "theta0"): 1.1,
+    ("run", "phi0"): 0.3,
+    ("run", "r0"): 1e-4,
+    ("run", "t_end"): 2.0,
+    ("run", "decimation"): 3,
+    ("run", "probe_radius"): 0.5,
+    ("run", "time_grid_n"): 11,
+    ("run", "snapshot_time"): 1.25,
+    ("run", "output"): "out.jsonl",
+}
+
+ALL_KEYS_CONFIG = MINIMAL + textwrap.dedent("""\
+    [model]
+    r_cut = 2.0
+    r_min = 1e-6
+    subleading = true
+    s_minus = 0.1, -0.2
+    s_plus = 0.25, -0.125
+    frozen = true
+
+    [track]
+    kind = grid
+    c_minus = 0.5, 0.1
+    c_plus = 0.2, 0.6
+    psi0 = 0.8, 0.1
+    p0_init = 0.6
+    t_start = 0.5
+    t_end = 2.5
+    n = 17
+    file = unused.csv
+    times = 0.5, 1.5, 2.5
+    c_minus_grid = 1, 0, 0.9, 0.1, 0.8, 0.2
+    c_plus_grid = 0, 1, 0, 1, 0, 1
+    psi0_grid = 0.5, 0, 0.5, 0, 0.5, 0
+
+    [run]
+    seed = 12
+    tol = 1e-6
+    n_paths = 40
+    t0 = 0.75
+    theta0 = 1.1
+    phi0 = 0.3
+    r0 = 1e-4
+    t_end = 2.0
+    decimation = 3
+    probe_radius = 0.5
+    time_grid_n = 11
+    snapshot_time = 1.25
+    output = out.jsonl
+    """)
 
 ROUND_TRIP_CONFIGS = [
     MINIMAL,
@@ -200,7 +287,21 @@ ROUND_TRIP_CONFIGS = [
         c_plus_grid = 0, 1, 0, 1, 0, 1
         psi0_grid = 0.5, 0, 0.5, 0, 0.5, 0
         """),
+    ALL_KEYS_CONFIG,
 ]
+
+
+def test_config_keys_are_pinned():
+    # the accepted keys are exactly ALL_KEYS, each parsed to its type
+    assert set(config._KEYS) == set(ALL_KEYS)
+    cfg = parse_config(ALL_KEYS_CONFIG)
+    for (section, key), want in ALL_KEYS.items():
+        block = getattr(cfg, section)
+        got = getattr(block, key)
+        assert repr(got) == repr(want), f"{section}.{key}"
+        assert got != getattr(type(block)(), key), f"{section}.{key} is its default"
+    with pytest.raises(ParseError, match="unknown key run.r_seed"):
+        parse_config(MINIMAL + "[run]\nr_seed = 1e-6\n")
 
 
 @pytest.mark.parametrize("text", ROUND_TRIP_CONFIGS)
@@ -241,9 +342,19 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     assert dispatch(["simulate", "--config", str(no_seed)]) == 1
     assert dispatch(["selftest", "--only", "99"]) == 1
     assert dispatch(["selftest", "--only", "x"]) == 1
+    # a file track with a non-finite time
+    track_csv = tmp_path / "nan.csv"
+    track_csv.write_text(
+        "0.0, 1.0, 0.0, 0.0, 1.0, 0.5, 0.0\n"
+        "nan, 1.0, 0.0, 0.0, 1.0, 0.5, 0.0\n"
+    )
+    nan_track = tmp_path / "nan.conf"
+    nan_track.write_text(MINIMAL + f"[track]\nkind = file\nfile = {track_csv}\n")
+    assert dispatch(["coeffs", "--config", str(nan_track)]) == 1
     err = capsys.readouterr().err
     assert "validation error" in err
     assert "seed" in err
+    assert "finite" in err
 
 
 def test_internal_value_error_exits_2(monkeypatch, capsys):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from belljump import (
-    BalanceViolation,
     DomainError,
     MajorantError,
     VacuumEmpty,
@@ -25,11 +24,10 @@ from belljump.jump_process import (
     sample_waiting_time,
     simulate_path,
     total_jump_rate,
-    validate_balance,
 )
 from belljump.trajectory import Absorbed, LeftInnerRegion, TimeExhausted
 from belljump.wavefunction import ModelFamily, current_coeffs
-from oracles import in_vacuum
+from oracles import BalanceViolation, in_vacuum, validate_balance
 
 P96 = canonical_params(0.96)
 
@@ -208,6 +206,8 @@ def test_track_validation():
         CoefficientTrack(P96, [0.0, 1.0], np.ones(3), np.ones(3), np.ones(3))
     with pytest.raises(DomainError):
         CoefficientTrack(P96, [], [], [], [])
+    with pytest.raises(DomainError, match="finite"):
+        CoefficientTrack(P96, [0.0, math.nan, 1.0], np.ones(3), np.ones(3), np.ones(3))
 
 
 def test_constant_track_fast_path():
@@ -415,13 +415,13 @@ def test_simulate_path_flight_evaluation():
 
 
 def test_simulate_path_guards():
-    fam, tr = _family(), _balanced()
+    fam, tr, rng = _family(), _balanced(), np.random.default_rng(60)
     with pytest.raises(DomainError):
-        simulate_path(fam, tr, Vacuum(), (0.0, 5.0))  # beyond the track
+        simulate_path(fam, tr, Vacuum(), (0.0, 5.0), rng)  # beyond the track
     with pytest.raises(DomainError):
-        simulate_path(fam, tr, Vacuum(), (1.0, 1.0))
+        simulate_path(fam, tr, Vacuum(), (1.0, 1.0), rng)
     with pytest.raises(DomainError):
-        simulate_path(fam, tr, Particle((0.9, 0.0, 0.0)), (0.0, 1.0))
+        simulate_path(fam, tr, Particle((0.9, 0.0, 0.0)), (0.0, 1.0), rng)
     with pytest.raises(DomainError):
         Particle((0.0, 0.0, 0.0))
 

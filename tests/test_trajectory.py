@@ -13,7 +13,6 @@ from belljump import (
     DomainError,
     FitError,
     OriginError,
-    SignError,
     StepFailure,
     canonical_params,
     circling_sign,
@@ -33,13 +32,15 @@ from belljump.trajectory import (
     integrate,
     time_from_radius,
 )
-from belljump.wavefunction import ModelWavefunction, velocity_field
+from belljump.wavefunction import ModelWavefunction
 from oracles import (
     PoleError,
+    SignError,
     asymptotic_solution,
     ode_rhs,
     phi_rate_correction,
     radius_from_time,
+    velocity_field,
 )
 
 

@@ -1,8 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports or binds privately is used there.
 
 No linter is a dependency of the project, so this parses each module of
-src/belljump (except __init__.py, whose imports are its public surface)
-and lists the imported names that no expression references.
+src/belljump and lists the imported names that no expression references
+(except in __init__.py, whose imports are its public surface) and the
+module-level `_name` bindings that the module never reads.
 """
 
 import ast
@@ -27,6 +28,34 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return [(line, name) for line, name in imported if name not in used]
 
 
+def unread_private_names(source: str) -> list[tuple[int, str]]:
+    """Module-level `_name` functions, classes and assignments (dunders
+    aside) that no expression of the module reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [
+                (name.lineno, name.id)
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        (line, name)
+        for line, name in bound
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
 def test_detector_flags_only_unused_names():
     source = (
         "from __future__ import annotations\n"
@@ -40,11 +69,39 @@ def test_detector_flags_only_unused_names():
     assert unused_imports(source) == [(2, "os"), (4, "pi")]
 
 
+def test_detector_flags_only_unread_private_names():
+    source = (
+        "__version__ = '1'\n"
+        "_READ = 1\n"
+        "_UNREAD = 2\n"
+        "_pair, _spare = 3, 4\n"
+        "_typed: int = 5\n"
+        "def _helper() -> _Kind:\n"
+        "    _local = _READ + _pair\n"
+        "    return _local\n"
+        "class _Kind: pass\n"
+        "class _Dead: pass\n"
+        "def public(): return _helper()\n"
+    )
+    assert unread_private_names(source) == [
+        (3, "_UNREAD"), (4, "_spare"), (5, "_typed"), (10, "_Dead")
+    ]
+
+
 def test_package_modules_use_every_import():
     found = [
         f"{path.name}:{line} {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_package_modules_read_every_private_name():
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in unread_private_names(path.read_text(encoding="utf-8"))
     ]
     assert found == []

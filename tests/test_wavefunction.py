@@ -20,15 +20,14 @@ from belljump.wavefunction import (
     current_coeffs,
     current_exact,
     cutoff,
-    density_exact,
     eval_psi1,
     particle_sector_mass,
     radial_amplitudes,
     radial_mass_profile,
     reduced_amplitudes,
     span_currents,
-    velocity_field,
 )
+from oracles import density_exact, velocity_field
 
 LABELS = ((-0.5, -1), (-0.5, 1), (0.5, -1), (0.5, 1))
 
