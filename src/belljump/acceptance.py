@@ -4,16 +4,19 @@ asymptotic trajectory laws (radial power, azimuthal winding, cone), the
 emission-rate law, the uniformity of emission angles, equivariance of
 the sampled process, and flux balance at a probe sphere.
 
-Each check is a function returning an AcceptanceResult with a pinned
-tolerance and a wall-clock budget; run_all() executes them in order.
+Each check returns (passed, detail) against pinned tolerances; the
+_criterion decorator gives it its number, name and wall-clock budget and
+turns it into a timed AcceptanceResult.  run_all() executes them in order.
 Seeds are fixed so every run is bit-reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -75,16 +78,28 @@ class AcceptanceResult:
         return self.elapsed < self.budget
 
 
-def _result(number, name, budget, t0, passed, detail) -> AcceptanceResult:
-    elapsed = time.perf_counter() - t0
-    return AcceptanceResult(
-        number=number,
-        name=name,
-        passed=bool(passed),
-        detail=detail,
-        elapsed=elapsed,
-        budget=budget,
-    )
+#: Criterion number -> check returning an AcceptanceResult, filled by
+#: the _criterion decorator in definition order.
+_CRITERIA: dict[int, Callable[[], AcceptanceResult]] = {}
+
+
+def _criterion(number: int, name: str, budget: float):
+    """Register a check returning (passed, detail) as criterion `number`
+    with a wall-clock budget in seconds; the registered function times
+    the check and returns its AcceptanceResult."""
+
+    def register(check):
+        @functools.wraps(check)
+        def run() -> AcceptanceResult:
+            t0 = time.perf_counter()
+            passed, detail = check()
+            elapsed = time.perf_counter() - t0
+            return AcceptanceResult(number, name, bool(passed), detail, elapsed, budget)
+
+        _CRITERIA[number] = run
+        return run
+
+    return register
 
 
 # =====================================================================
@@ -225,14 +240,10 @@ def lemma_residual_rows(
     return rows, worst
 
 
-def criterion_1() -> AcceptanceResult:
-    t0 = time.perf_counter()
+@_criterion(1, "boundary-spinor identities", 5.0)
+def criterion_1():
     _, worst = lemma_residual_rows(seed=101, n_points=100, n_q=5, order=0)
-    return _result(
-        1,
-        "boundary-spinor identities",
-        5.0,
-        t0,
+    return (
         worst < 1e-10,
         f"max pointwise residual {worst:.2e} (tol 1e-10)",
     )
@@ -242,8 +253,8 @@ def criterion_1() -> AcceptanceResult:
 # 2. near-source current expansion
 # =====================================================================
 
-def criterion_2() -> AcceptanceResult:
-    t0 = time.perf_counter()
+@_criterion(2, "near-source current expansion", 5.0)
+def criterion_2():
     rng = np.random.default_rng(202)
     worst_r = worst_phi = worst_theta = 0.0
     radii = np.geomspace(1e-6, 1e-3, 16)
@@ -274,11 +285,7 @@ def criterion_2() -> AcceptanceResult:
                     scale = max(abs(j_r), abs(j_ph))
                     worst_theta = max(worst_theta, abs(j_th) / scale)
     passed = worst_r < 1e-9 and worst_phi < 1e-8 and worst_theta < 5e-14
-    return _result(
-        2,
-        "near-source current expansion",
-        5.0,
-        t0,
+    return (
         passed,
         f"r^2 j_r rel {worst_r:.2e} (tol 1e-9), "
         f"j_phi poly rel {worst_phi:.2e} (tol 1e-8), "
@@ -290,8 +297,8 @@ def criterion_2() -> AcceptanceResult:
 # 3. radial absorption exponent
 # =====================================================================
 
-def criterion_3() -> AcceptanceResult:
-    t0 = time.perf_counter()
+@_criterion(3, "radial absorption exponent", 30.0)
+def criterion_3():
     q = math.sqrt(187.0 / 196.0)
     params = canonical_params(q)
     B = params.B
@@ -313,10 +320,7 @@ def criterion_3() -> AcceptanceResult:
             tol=1e-10,
         )
         if not isinstance(seg.terminal, Absorbed):
-            return _result(
-                3, "radial absorption exponent", 30.0, t0, False,
-                f"run ended {type(seg.terminal).__name__}, not absorbed",
-            )
+            return False, f"run ended {type(seg.terminal).__name__}, not absorbed"
         t_abs = seg.terminal.t0
         mask = (seg.r >= 1e-7) & (seg.r <= 1e-5)
         samples = np.column_stack([t_abs - seg.t[mask], seg.r[mask]])
@@ -328,11 +332,7 @@ def criterion_3() -> AcceptanceResult:
         worst_exp = max(worst_exp, abs(exponent - expected_exp))
         worst_pref = max(worst_pref, abs(prefactor - d_expected) / d_expected)
     passed = worst_exp < 0.018 and worst_pref < 0.02
-    return _result(
-        3,
-        "radial absorption exponent",
-        30.0,
-        t0,
+    return (
         passed,
         f"exponent 7/4 max dev {worst_exp:.2e} (tol 0.018), "
         f"prefactor max rel dev {worst_pref:.2e} (tol 0.02)",
@@ -343,8 +343,8 @@ def criterion_3() -> AcceptanceResult:
 # 4. azimuthal winding law
 # =====================================================================
 
-def criterion_4() -> AcceptanceResult:
-    t0 = time.perf_counter()
+@_criterion(4, "azimuthal winding law", 30.0)
+def criterion_4():
     rng = np.random.default_rng(404)
     worst_rel = 0.0
     min_winding = math.inf
@@ -374,10 +374,7 @@ def criterion_4() -> AcceptanceResult:
             tol=1e-10,
         )
         if not isinstance(seg.terminal, Absorbed):
-            return _result(
-                4, "azimuthal winding law", 30.0, t0, False,
-                f"run ended {type(seg.terminal).__name__}, not absorbed",
-            )
+            return False, f"run ended {type(seg.terminal).__name__}, not absorbed"
         mask = (seg.r >= 1e-7) & (seg.r <= 1e-5)
         samples = np.column_stack([seg.r[mask], np.abs(seg.phi[mask])])
         exponent, _, _ = fit_power_law(samples)
@@ -387,11 +384,7 @@ def criterion_4() -> AcceptanceResult:
         if not np.all(direction * np.diff(seg.phi) > 0.0):
             signs_ok = False
     passed = worst_rel < 0.01 and min_winding > 20.0 * math.pi and signs_ok
-    return _result(
-        4,
-        "azimuthal winding law",
-        30.0,
-        t0,
+    return (
         passed,
         f"exponent -2B max rel dev {worst_rel:.2e} (tol 0.01), "
         f"min |dphi| {min_winding / math.pi:.0f} pi (need > 20 pi), "
@@ -403,8 +396,8 @@ def criterion_4() -> AcceptanceResult:
 # 5. cone law
 # =====================================================================
 
-def criterion_5() -> AcceptanceResult:
-    t0 = time.perf_counter()
+@_criterion(5, "cone law", 10.0)
+def criterion_5():
     params = canonical_params(0.94)
     cm, cp = 0.8 + 0.1j, -0.6j
     theta0 = 0.77
@@ -424,11 +417,7 @@ def criterion_5() -> AcceptanceResult:
         mask = seg.r <= 1e-8
         devs.append(float(np.max(np.abs(seg.theta[mask] - theta0))))
     passed = devs[0] < 1e-8 and devs[1] < 1e-2
-    return _result(
-        5,
-        "cone law",
-        10.0,
-        t0,
+    return (
         passed,
         f"max |theta - theta0|: pure {devs[0]:.2e} (tol 1e-8), "
         f"perturbed {devs[1]:.2e} (tol 1e-2)",
@@ -439,8 +428,8 @@ def criterion_5() -> AcceptanceResult:
 # 6. emission-rate law
 # =====================================================================
 
-def criterion_6() -> AcceptanceResult:
-    t0 = time.perf_counter()
+@_criterion(6, "emission-rate law", 1.0)
+def criterion_6():
     params = canonical_params(0.96)
     track = CoefficientTrack.constant(
         params, 1.0, 1.0j, psi0=1.0, t_start=0.0, t_end=1.0
@@ -457,11 +446,7 @@ def criterion_6() -> AcceptanceResult:
     dev_value = abs(total - 4.3904)
     dev_flux = abs(total - flux)
     passed = dev_quad < 1e-10 and dev_value < 1e-12 and dev_flux < 1e-12
-    return _result(
-        6,
-        "emission-rate law",
-        1.0,
-        t0,
+    return (
         passed,
         f"quadrature dev {dev_quad:.2e} (tol 1e-10), "
         f"total-4.3904 dev {dev_value:.2e}, "
@@ -473,8 +458,8 @@ def criterion_6() -> AcceptanceResult:
 # 7. emission-angle distribution
 # =====================================================================
 
-def criterion_7() -> AcceptanceResult:
-    t0 = time.perf_counter()
+@_criterion(7, "emission-angle distribution", 10.0)
+def criterion_7():
     rng = np.random.Generator(np.random.Philox(key=np.array([42, 0], dtype=np.uint64)))
     n = 100_000
     cos_th = np.empty(n)
@@ -484,11 +469,7 @@ def criterion_7() -> AcceptanceResult:
         cos_th[i] = math.cos(th)
         phi[i] = ph
     rep = angle_arrays_report(cos_th, phi)
-    return _result(
-        7,
-        "emission-angle distribution",
-        10.0,
-        t0,
+    return (
         rep.passed,
         f"chi2 {rep.chi2:.1f}/dof {rep.dof} p {rep.chi2_p_value:.3f}, "
         f"KS p {rep.ks_p_value:.3f} (both need > 0.01)",
@@ -508,8 +489,8 @@ def _balanced_setup():
     return params, family, (cm, cp), span, track
 
 
-def criterion_8() -> AcceptanceResult:
-    t0 = time.perf_counter()
+@_criterion(8, "equivariance at desk scale", 180.0)
+def criterion_8():
     params, family, (cm, cp), span, track = _balanced_setup()
     stats = run_ensemble(family, track, 10_000, span, seed=808, tol=1e-6)
     _, oracle = master_equation_occupancy(track, family, span, 101)
@@ -522,11 +503,7 @@ def criterion_8() -> AcceptanceResult:
     bad_stats = run_ensemble(family, bad_track, 2000, span, seed=809, tol=1e-6)
     control = sector0_comparison(bad_stats, bad_track)
     passed = vs_oracle.passed and vs_weight.passed and not control.passed
-    return _result(
-        8,
-        "equivariance at desk scale",
-        180.0,
-        t0,
+    return (
         passed,
         f"vs oracle {100 * vs_oracle.fraction_exceeding:.1f}% beyond 3 sigma, "
         f"vs |psi0|^2 {100 * vs_weight.fraction_exceeding:.1f}% (allow 1%), "
@@ -539,8 +516,8 @@ def criterion_8() -> AcceptanceResult:
 # 9. flux balance at a probe sphere
 # =====================================================================
 
-def criterion_9() -> AcceptanceResult:
-    t0 = time.perf_counter()
+@_criterion(9, "flux balance at probe sphere", 120.0)
+def criterion_9():
     params = canonical_params(0.96)
     family = ModelFamily(params, r_cut=1.0)
     cm, cp = normalized_amplitudes(params, 1.0, -1.0j, 1.0, 0.7)
@@ -557,29 +534,12 @@ def criterion_9() -> AcceptanceResult:
         family, track, 10_000, (0.0, T), seed=909, tol=1e-6, probe_radius=r_probe
     )
     rep = flux_report(stats, track)
-    return _result(
-        9,
-        "flux balance at probe sphere",
-        120.0,
-        t0,
+    return (
         rep.passed,
         f"estimate {rep.estimate:.5f} vs 4 pi C_r {rep.expected:.5f}, "
         f"z = {rep.z_score:.2f} (|z| <= 3), "
         f"{rep.n_inward} inward / {rep.n_outward} outward crossings",
     )
-
-
-_CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-}
 
 
 def run_all(only=None) -> list[AcceptanceResult]:

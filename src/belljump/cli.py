@@ -16,6 +16,8 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -121,34 +123,31 @@ def _load_config(path_str: str) -> RunConfig:
     return parse_config(path.read_text(encoding="utf-8"))
 
 
-def _csv_header(cfg: RunConfig | None, seed) -> list[str]:
-    lines = [f"# belljump {__version__}", f"# seed = {seed}"]
+def _write_lines(path: Path | None, lines) -> None:
+    """Write each line, newline-terminated, to path, or to stdout when
+    path is None.  Every command output goes through here."""
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _csv_lines(cfg: RunConfig | None, seed, columns: str, rows):
+    """Header comments (version, seed, config), the column names, rows."""
+    yield f"# belljump {__version__}"
+    yield f"# seed = {seed}"
     if cfg is not None:
-        lines.append("# config:")
-        lines.extend("#   " + line for line in serialize(cfg).splitlines())
-    return lines
+        yield "# config:"
+        yield from ("#   " + line for line in serialize(cfg).splitlines())
+    yield columns
+    yield from rows
 
 
-def _json_header(cfg: RunConfig | None, seed) -> str:
-    record = {"record": "header", "version": __version__, "seed": seed}
+def _jsonl_lines(cfg: RunConfig | None, seed, records):
+    """The header record (version, seed, config), then the records."""
+    header = {"record": "header", "version": __version__, "seed": seed}
     if cfg is not None:
-        record["config"] = serialize(cfg)
-    return json.dumps(record)
-
-
-class _Sink:
-    """stdout or a file, with a uniform line writer."""
-
-    def __init__(self, path: Path | None):
-        self.path = path
-        self._fh = open(path, "w", encoding="utf-8") if path else sys.stdout
-
-    def line(self, text: str) -> None:
-        self._fh.write(text + "\n")
-
-    def close(self) -> None:
-        if self.path:
-            self._fh.close()
+        header["config"] = serialize(cfg)
+    yield json.dumps(header)
+    yield from map(json.dumps, records)
 
 
 def _require_seed(cfg: RunConfig) -> int:
@@ -219,19 +218,20 @@ def _cmd_validate_basis(ns) -> int:
     rows, max_resid = lemma_residual_rows(
         seed=ns.seed, n_points=ns.points, n_q=ns.qs, order=ns.order
     )
-    sink = _Sink(_resolve(ns.output))
-    try:
-        for line in _csv_header(None, ns.seed):
-            sink.line(line)
-        sink.line("q,m_tilde,kappa_tilde,family,quantity,sign_a,sign_b,check,residual")
-        for r in rows:
-            sink.line(
+    _write_lines(
+        _resolve(ns.output),
+        _csv_lines(
+            None,
+            ns.seed,
+            "q,m_tilde,kappa_tilde,family,quantity,sign_a,sign_b,check,residual",
+            (
                 f"{r['q']!r},{r['m_tilde']!r},{r['kappa_tilde']},{r['family']},"
                 f"{r['quantity']},{r['sign_a']},{r['sign_b']},{r['check']},"
                 f"{r['residual']:.3e}"
-            )
-    finally:
-        sink.close()
+                for r in rows
+            ),
+        ),
+    )
     print(f"max |residual| = {max_resid:.3e} over {len(rows)} rows")
     return 0 if max_resid < 1e-10 else 1
 
@@ -242,49 +242,37 @@ def _cmd_coeffs(ns) -> int:
         params = cfg.params
         track = _build_track(cfg)
         cm, cp = track.coefficients(track.t_start)
-        header_cfg = cfg
     else:
         if ns.q is None:
             raise _UsageError("coeffs needs --config or --q")
+        cfg = None
         params = canonical_params(ns.q)
         cm, cp = ns.c_minus, ns.c_plus
-        header_cfg = None
-    cc = current_coeffs(params, cm, cp)
-    sink = _Sink(_resolve(ns.output))
-    try:
-        sink.line(_json_header(header_cfg, None))
-        sink.line(
-            json.dumps(
-                {
-                    "record": "coeffs",
-                    "q": params.q,
-                    "B": params.B,
-                    "c_minus": [cm.real, cm.imag],
-                    "c_plus": [cp.real, cp.imag],
-                    "C_r": cc.C_r,
-                    "Cphi_leading": cc.Cphi_leading,
-                    "Cphi_mid": cc.Cphi_mid,
-                    "Cphi_sub": cc.Cphi_sub,
-                    "rho_leading": cc.rho_leading,
-                    "rho_mid": cc.rho_mid,
-                }
-            )
-        )
-    finally:
-        sink.close()
+    record = {
+        "record": "coeffs",
+        "q": params.q,
+        "B": params.B,
+        "c_minus": [cm.real, cm.imag],
+        "c_plus": [cp.real, cp.imag],
+        **asdict(current_coeffs(params, cm, cp)),
+    }
+    _write_lines(_resolve(ns.output), _jsonl_lines(cfg, None, [record]))
     return 0
 
 
-def _trace_rows(segment, decimation: int):
+def _trace_lines(cfg: RunConfig, segment):
+    """The CSV of one flight: every run.decimation-th sample and the last."""
     n = len(segment.t)
-    keep = sorted(set(range(0, n, decimation)) | {n - 1})
+    keep = sorted(set(range(0, n, cfg.run.decimation)) | {n - 1})
+    rows = []
     for i in keep:
         t = float(segment.t[i])
         r = float(segment.r[i])
         th = float(segment.theta[i])
         ph = float(segment.phi[i])
         x, y, z = (float(v) for v in from_spherical(r, th, ph % (2.0 * math.pi)))
-        yield f"{t!r},{r!r},{th!r},{ph!r},{x!r},{y!r},{z!r}"
+        rows.append(f"{t!r},{r!r},{th!r},{ph!r},{x!r},{y!r},{z!r}")
+    return _csv_lines(cfg, cfg.run.seed, "t,r,theta,phi_unwrapped,x,y,z", rows)
 
 
 def _cmd_trace(ns) -> int:
@@ -311,15 +299,7 @@ def _cmd_trace(ns) -> int:
             t_end=t_end,
         )
     out = _resolve(ns.output if ns.output else run.output)
-    sink = _Sink(out)
-    try:
-        for line in _csv_header(cfg, run.seed):
-            sink.line(line)
-        sink.line("t,r,theta,phi_unwrapped,x,y,z")
-        for row in _trace_rows(segment, run.decimation):
-            sink.line(row)
-    finally:
-        sink.close()
+    _write_lines(out, _trace_lines(cfg, segment))
     terminal = type(segment.terminal).__name__
     where = out if out else "stdout"
     print(
@@ -329,7 +309,9 @@ def _cmd_trace(ns) -> int:
     return 0
 
 
-def _event_records(path):
+def _path_records(path):
+    if not path.entries:
+        yield {"record": "parked"}
     for span in path.vacuum_spans:
         yield {"record": "vacuum_span", "t_start": span[0], "t_end": span[1]}
     for event in path.events:
@@ -363,6 +345,12 @@ def _event_records(path):
                 for pc in seg.probe_crossings
             ],
         }
+    yield {
+        "record": "end",
+        "t_span": list(path.t_span),
+        "n_emissions": len(path.emissions),
+        "n_absorptions": len(path.absorptions),
+    }
 
 
 def _cmd_simulate(ns) -> int:
@@ -386,25 +374,7 @@ def _cmd_simulate(ns) -> int:
         probe_radius=cfg.run.probe_radius,
     )
     out = _resolve(ns.output if ns.output else cfg.run.output)
-    sink = _Sink(out)
-    try:
-        sink.line(_json_header(cfg, seed))
-        if not path.entries:
-            sink.line(json.dumps({"record": "parked"}))
-        for record in _event_records(path):
-            sink.line(json.dumps(record))
-        sink.line(
-            json.dumps(
-                {
-                    "record": "end",
-                    "t_span": list(path.t_span),
-                    "n_emissions": len(path.emissions),
-                    "n_absorptions": len(path.absorptions),
-                }
-            )
-        )
-    finally:
-        sink.close()
+    _write_lines(out, _jsonl_lines(cfg, seed, _path_records(path)))
     if ns.trace_dir:
         trace_dir = _resolve(str(Path(ns.trace_dir) / "x")).parent
         for i, seg in enumerate(path.segments):
@@ -418,21 +388,17 @@ def _cmd_simulate(ns) -> int:
                     cfg.run.tol,
                     probe_radius=cfg.run.probe_radius,
                 )
-            with open(trace_dir / f"flight_{i:03d}.csv", "w") as fh:
-                for line in _csv_header(cfg, seed):
-                    fh.write(line + "\n")
-                fh.write("t,r,theta,phi_unwrapped,x,y,z\n")
-                for row in _trace_rows(seg, cfg.run.decimation):
-                    fh.write(row + "\n")
+            _write_lines(trace_dir / f"flight_{i:03d}.csv", _trace_lines(cfg, seg))
     return 0
 
 
-def _hist_lines(name, values, lo, hi, bins):
-    counts, edges = np.histogram(np.asarray(values), bins=bins, range=(lo, hi))
-    for k in range(bins):
-        yield (
-            f"{name},{float(edges[k])!r},{float(edges[k + 1])!r},{int(counts[k])}"
-        )
+def _hist_rows(tables):
+    for name, values, lo, hi, bins in tables:
+        counts, edges = np.histogram(np.asarray(values), bins=bins, range=(lo, hi))
+        for k in range(bins):
+            yield (
+                f"{name},{float(edges[k])!r},{float(edges[k + 1])!r},{int(counts[k])}"
+            )
 
 
 def _cmd_ensemble(ns) -> int:
@@ -463,24 +429,21 @@ def _cmd_ensemble(ns) -> int:
     summary_path = _resolve(str(Path(outdir) / "ensemble_summary.json"))
     hist_path = _resolve(str(Path(outdir) / "ensemble_hist.csv"))
 
-    records = []
     comparison = sector0_comparison(stats, track)
-    records.append(
+    records = [
         {
             "record": "occupancy",
             "times": stats.time_grid.tolist(),
             "p0_hat": stats.p0_hat.tolist(),
             "expected": comparison.expected.tolist(),
             "z_scores": comparison.z_scores.tolist(),
-        }
-    )
-    records.append(
+        },
         {
             "record": "sector0",
             "fraction_exceeding": comparison.fraction_exceeding,
             "passed": comparison.passed,
-        }
-    )
+        },
+    ]
     if stats.probe_radius is not None and track.constant_coefficients:
         fr = flux_report(stats, track)
         records.append(
@@ -539,17 +502,10 @@ def _cmd_ensemble(ns) -> int:
             ("snapshot_radius", stats.snapshot_radii, 0.0, 0.5 * family.r_cut, 20)
         )
 
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(_json_header(cfg, seed) + "\n")
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
-    with open(hist_path, "w", encoding="utf-8") as fh:
-        for line in _csv_header(cfg, seed):
-            fh.write(line + "\n")
-        fh.write("table,lo,hi,count\n")
-        for table in tables:
-            for line in _hist_lines(*table):
-                fh.write(line + "\n")
+    _write_lines(summary_path, _jsonl_lines(cfg, seed, records))
+    _write_lines(
+        hist_path, _csv_lines(cfg, seed, "table,lo,hi,count", _hist_rows(tables))
+    )
     print(
         f"ensemble: {stats.n_paths} paths, {len(stats.emission_times)} emissions, "
         f"{len(stats.absorption_times)} absorptions -> {summary_path}, {hist_path}"

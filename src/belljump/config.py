@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import ParseError, ValidationError
 from .params import PhysParams, canonical_a, make_params
+from .wavefunction import R_SEED_FACTOR
 
 
 @dataclass(frozen=True)
@@ -281,8 +282,12 @@ def parse_config(text: str) -> RunConfig:
 def _validate(model: ModelConfig, track: TrackConfig, run: RunBlock) -> None:
     if model.r_cut <= 0.0:
         raise ValidationError("model.r_cut must be positive")
-    if model.r_min is not None and not 0.0 < model.r_min < 0.5 * model.r_cut:
-        raise ValidationError("model.r_min must lie in (0, r_cut/2)")
+    # emissions seed at R_SEED_FACTOR * r_min, which must lie below r_cut/2
+    r_min_top = 0.5 * model.r_cut / R_SEED_FACTOR
+    if model.r_min is not None and not 0.0 < model.r_min < r_min_top:
+        raise ValidationError(
+            f"model.r_min must lie in (0, r_cut/{2 * R_SEED_FACTOR:g})"
+        )
     if run.probe_radius is not None and not 0.0 < run.probe_radius < 0.5 * model.r_cut:
         raise ValidationError("run.probe_radius must lie in (0, r_cut/2)")
     if track.kind not in _TRACK_KINDS:

@@ -60,6 +60,23 @@ DRAW_FLOOR_FACTOR = 1.5
 # statistics container (mergeable)
 # =====================================================================
 
+#: The EnsembleStats fields that hold one value per event, merged by
+#: concatenation.
+_EVENT_ARRAYS = (
+    "emission_times",
+    "absorption_times",
+    "emission_cos_theta",
+    "emission_phi",
+    "inward_crossing_times",
+    "outward_crossing_times",
+    "snapshot_radii",
+)
+
+
+def _no_events():
+    return field(default_factory=lambda: np.empty(0))
+
+
 @dataclass(frozen=True)
 class EnsembleStats:
     """Accumulated ensemble records; merge is associative with empty()
@@ -68,15 +85,15 @@ class EnsembleStats:
     n_paths: int
     time_grid: np.ndarray
     vacuum_counts: np.ndarray
-    emission_times: np.ndarray
-    absorption_times: np.ndarray
-    emission_cos_theta: np.ndarray
-    emission_phi: np.ndarray
+    emission_times: np.ndarray = _no_events()
+    absorption_times: np.ndarray = _no_events()
+    emission_cos_theta: np.ndarray = _no_events()
+    emission_phi: np.ndarray = _no_events()
     probe_radius: float | None = None
-    inward_crossing_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    outward_crossing_times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    inward_crossing_times: np.ndarray = _no_events()
+    outward_crossing_times: np.ndarray = _no_events()
     snapshot_time: float | None = None
-    snapshot_radii: np.ndarray = field(default_factory=lambda: np.empty(0))
+    snapshot_radii: np.ndarray = _no_events()
 
     def __post_init__(self):
         if self.n_paths and len(self.vacuum_counts):
@@ -97,10 +114,6 @@ class EnsembleStats:
             n_paths=0,
             time_grid=grid,
             vacuum_counts=np.zeros(len(grid), dtype=np.int64),
-            emission_times=np.empty(0),
-            absorption_times=np.empty(0),
-            emission_cos_theta=np.empty(0),
-            emission_phi=np.empty(0),
             probe_radius=probe_radius,
             snapshot_time=snapshot_time,
         )
@@ -118,24 +131,14 @@ class EnsembleStats:
             raise DomainError("cannot merge stats with different probe radii")
         if self.snapshot_time != other.snapshot_time:
             raise DomainError("cannot merge stats with different snapshots")
-        cat = np.concatenate
         return replace(
             self,
             n_paths=self.n_paths + other.n_paths,
             vacuum_counts=self.vacuum_counts + other.vacuum_counts,
-            emission_times=cat([self.emission_times, other.emission_times]),
-            absorption_times=cat([self.absorption_times, other.absorption_times]),
-            emission_cos_theta=cat(
-                [self.emission_cos_theta, other.emission_cos_theta]
-            ),
-            emission_phi=cat([self.emission_phi, other.emission_phi]),
-            inward_crossing_times=cat(
-                [self.inward_crossing_times, other.inward_crossing_times]
-            ),
-            outward_crossing_times=cat(
-                [self.outward_crossing_times, other.outward_crossing_times]
-            ),
-            snapshot_radii=cat([self.snapshot_radii, other.snapshot_radii]),
+            **{
+                name: np.concatenate([getattr(self, name), getattr(other, name)])
+                for name in _EVENT_ARRAYS
+            },
         )
 
 
@@ -235,9 +238,15 @@ def run_ensemble(
     """n_paths independent realizations with |psi_tau|^2-distributed
     initial configurations, indices 0..n_paths-1.  Path i draws from its
     own Philox stream keyed by (seed, i), so draw_path(..., index=i)
-    replays it alone, bitwise.
+    replays it alone, bitwise.  snapshot_time, when given, must lie in
+    t_span.
     """
     t_a, t_b = float(t_span[0]), float(t_span[1])
+    if snapshot_time is not None and not t_a <= snapshot_time <= t_b:
+        raise DomainError(
+            f"snapshot_time = {snapshot_time!r} outside the run window "
+            f"[{t_a!r}, {t_b!r}]"
+        )
     grid = np.linspace(t_a, t_b, time_grid_n)
     if n_paths == 0:
         return EnsembleStats.empty(grid, probe_radius, snapshot_time)

@@ -46,14 +46,13 @@ from .errors import DomainError, MajorantError, VacuumEmpty
 from .params import PhysParams
 from .trajectory import (
     Absorbed,
-    R_SEED_FACTOR,
     SphericalState,
     TrajectorySegment,
     emit_trajectory,
     integrate,
     time_from_radius,
 )
-from .wavefunction import ModelFamily, current_coeffs
+from .wavefunction import R_SEED_FACTOR, ModelFamily, current_coeffs
 
 #: Safety factor on the per-interval rate majorant used in thinning.
 MAJORANT_MARGIN = 1.1

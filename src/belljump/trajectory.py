@@ -53,10 +53,13 @@ from .errors import (
     StepFailure,
 )
 from .params import PhysParams
-from .wavefunction import ModelWavefunction, reduced_amplitudes, span_currents
+from .wavefunction import (
+    R_SEED_FACTOR,
+    ModelWavefunction,
+    reduced_amplitudes,
+    span_currents,
+)
 
-#: Emission seed radius as a multiple of r_min.
-R_SEED_FACTOR = 10.0
 #: Integrator steps (accepted plus rejected) one flight may take.
 MAX_STEPS = 500_000
 

@@ -43,15 +43,21 @@ from .spinor_basis import SpherePoint, f_boundary, to_spherical
 SUBLEADING_DELTA = 0.1
 #: Default absorption radius as a fraction of r_cut.
 R_MIN_FRACTION = 1e-8
+#: Emission seed radius as a multiple of r_min.
+R_SEED_FACTOR = 10.0
 
 
 def _absorption_radius(r_cut: float, r_min: float | None) -> float:
     """r_min, or its default R_MIN_FRACTION * r_cut; DomainError unless
-    0 < r_min < r_cut/2."""
+    0 < r_min < r_cut / (2 R_SEED_FACTOR), so that emissions seed inside
+    the inner region r < r_cut/2."""
     if r_min is None:
         r_min = R_MIN_FRACTION * r_cut
-    if not 0.0 < r_min < 0.5 * r_cut:
-        raise DomainError(f"r_min = {r_min!r} outside (0, r_cut/2 = {0.5 * r_cut!r})")
+    top = 0.5 * r_cut / R_SEED_FACTOR
+    if not 0.0 < r_min < top:
+        raise DomainError(
+            f"r_min = {r_min!r} outside (0, r_cut/{2 * R_SEED_FACTOR:g} = {top!r})"
+        )
     return float(r_min)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from belljump import ParseError, ValidationError, canonical_params
+from belljump import ParseError, ValidationError, __version__, canonical_params
 from belljump import config
 from belljump.cli import dispatch
 from belljump.config import parse_config, serialize
@@ -143,6 +143,7 @@ def test_block_range_validation():
     bad = [
         ("[model]\nr_cut = 0.0\n", "r_cut"),
         ("[model]\nr_min = 0.6\n", "r_min"),
+        ("[model]\nr_min = 0.06\n", "r_min"),
         ("[run]\ntol = -1e-8\n", "tol"),
         ("[run]\nn_paths = -3\n", "n_paths"),
         ("[run]\ndecimation = 0\n", "decimation"),
@@ -351,6 +352,10 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     nan_track = tmp_path / "nan.conf"
     nan_track.write_text(MINIMAL + f"[track]\nkind = file\nfile = {track_csv}\n")
     assert dispatch(["coeffs", "--config", str(nan_track)]) == 1
+    # a snapshot after the end of the [0, 3] run window
+    late = tmp_path / "late.conf"
+    late.write_text(ENSEMBLE_CONF + "snapshot_time = 99.0\n")
+    assert dispatch(["ensemble", "--config", str(late), "--output", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "validation error" in err
     assert "seed" in err
@@ -709,6 +714,53 @@ def test_ensemble_snapshot_radii(tmp_path):
     assert len(rows) == 20
     assert float(rows[0][1]) == 0.0 and float(rows[-1][2]) == 0.5  # r_cut = 1
     assert sum(int(row[3]) for row in rows) == snapshot["count"]
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (
+            ["ensemble", "--config", "{ens}", "--output", "{tmp}/out"],
+            "out/ensemble_hist.csv",
+        ),
+        (
+            ["simulate", "--config", "{ens}", "--output", "{tmp}/p.jsonl",
+             "--trace-dir", "{tmp}/flights"],
+            "flights/flight_*.csv",
+        ),
+        (["validate-basis", "--order", "8", "--points", "5", "--qs", "2",
+          "--output", "{tmp}/vb.csv"], "vb.csv"),
+        (["coeffs", "--q", "0.9"], None),
+        (["trace", "--config", "{trace}"], None),
+        (["simulate", "--config", "{ens}"], None),
+        (["validate-basis", "--order", "8", "--points", "5", "--qs", "2"], None),
+    ],
+    ids=[
+        "ensemble_hist", "trace_dir", "validate_basis_csv", "coeffs_stdout",
+        "trace_stdout", "simulate_stdout", "validate_basis_stdout",
+    ],
+)
+def test_every_output_starts_with_header(tmp_path, capsys, argv, outputs):
+    ens, trace = tmp_path / "ens.conf", tmp_path / "trace.conf"
+    ens.write_text(ENSEMBLE_CONF.replace("n_paths = 300", "n_paths = 40"))
+    trace.write_text(TRACE_CONF.replace("tol = 1e-10", "tol = 1e-6"))
+    argv = [arg.format(tmp=tmp_path, ens=ens, trace=trace) for arg in argv]
+    assert dispatch(argv) == 0
+    if outputs is None:
+        texts = [capsys.readouterr().out]
+    else:
+        paths = sorted(tmp_path.glob(outputs))
+        assert paths
+        texts = [path.read_text() for path in paths]
+    for text in texts:
+        lines = text.splitlines()
+        if lines[0].startswith("{"):
+            header = json.loads(lines[0])
+            assert header["record"] == "header"
+            assert header["version"] == __version__
+        else:
+            assert lines[0] == f"# belljump {__version__}"
+            assert lines[1].startswith("# seed = ")
 
 
 # ---------------------------------------------------------------------

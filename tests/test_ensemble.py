@@ -194,6 +194,12 @@ def test_run_zero_paths():
     assert stats.n_paths == 0
 
 
+def test_snapshot_outside_window_rejected():
+    fam, track = _balanced_setup()
+    with pytest.raises(DomainError, match="snapshot_time"):
+        run_ensemble(fam, track, 10, (0.0, 3.0), seed=1, snapshot_time=99.0)
+
+
 def test_unnormalized_state_rejected():
     fam = ModelFamily(P96, 1.0)
     track = CoefficientTrack.constant(P96, 1.0, 1j, 1.0, 0.0, 1.0)
