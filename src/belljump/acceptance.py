@@ -190,7 +190,7 @@ def lemma_residual_rows(
         for q in q_values:
             params = canonical_params(q, m_tilde=m_t, kappa_tilde=k_t)
             f_vecs = {
-                (s, i): f_boundary(s, m_t, k_t, pt, params)
+                (s, i): f_boundary(s, pt, params)
                 for s in (-1, 1)
                 for i, pt in enumerate(points)
             }
@@ -219,7 +219,7 @@ def lemma_residual_rows(
             def vec(s, pt):
                 if family == "basis":
                     return phi_basis(s, m_t, k_t, pt)
-                return f_boundary(s, m_t, k_t, pt, params)
+                return f_boundary(s, pt, params)
 
             for quantity in _QUANTITIES:
                 for sa, sb in _PAIRS:

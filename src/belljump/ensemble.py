@@ -173,6 +173,8 @@ def make_initial_sampler(
 ) -> tuple[float, _RadialSampler]:
     """Vacuum weight and radial sampler at time t, with the two-sector
     normalization checked."""
+    if track.params != model_family.params:
+        raise DomainError("track and model family carry different params")
     vac_weight = track.vacuum_weight(t)
     cm, cp = track.coefficients(t)
     sampler = _RadialSampler(model_family.at(cm, cp))
@@ -239,13 +241,18 @@ def run_ensemble(
     initial configurations, indices 0..n_paths-1.  Path i draws from its
     own Philox stream keyed by (seed, i), so draw_path(..., index=i)
     replays it alone, bitwise.  snapshot_time, when given, must lie in
-    t_span.
+    t_span, and probe_radius in (0, r_cut/2).
     """
     t_a, t_b = float(t_span[0]), float(t_span[1])
     if snapshot_time is not None and not t_a <= snapshot_time <= t_b:
         raise DomainError(
             f"snapshot_time = {snapshot_time!r} outside the run window "
             f"[{t_a!r}, {t_b!r}]"
+        )
+    r_top = 0.5 * model_family.r_cut
+    if probe_radius is not None and not 0.0 < probe_radius < r_top:
+        raise DomainError(
+            f"probe_radius = {probe_radius!r} outside (0, {r_top!r})"
         )
     grid = np.linspace(t_a, t_b, time_grid_n)
     if n_paths == 0:

@@ -390,8 +390,11 @@ def simulate_path(
     Such flights of a subleading-free model are evaluated in closed form;
     the others step DP5.  Flights end at model_family.r_min and record
     their crossings of probe_radius, if given.  Identical (inputs, rng
-    state) give identical paths.
+    state) give identical paths.  The track and the family must share
+    one PhysParams.
     """
+    if track.params != model_family.params:
+        raise DomainError("track and model family carry different params")
     t_a, t_b = float(t_span[0]), float(t_span[1])
     if not (track.t_start <= t_a and t_b <= track.t_end):
         raise DomainError("track does not cover the requested time span")

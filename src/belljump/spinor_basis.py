@@ -1,30 +1,20 @@
-"""Angular building blocks on the unit sphere.
+"""Angular building blocks of the j = 1/2 sector on the unit sphere.
 
-Associated Legendre functions, spherical harmonics, the two-spinor
-harmonics Psi, the four-spinor angular basis Phi+/-, the boundary spinors
-f+/-, the Dirac alpha matrices in the spherical frame, and a product
-Gauss-Legendre quadrature used as an independent oracle by the tests.
+The four-spinor basis Phi+/-, the boundary spinors f+/-, the Dirac alpha
+matrices in the spherical frame, their closed-form overlaps, and a
+product Gauss-Legendre quadrature used as an independent oracle.
 
 Conventions
 -----------
-* Condon-Shortley phase included:
-  P_l^m(x) = (-1)^m / (2^l l!) (1-x^2)^(m/2) d^(l+m)/dx^(l+m) (x^2-1)^l.
-* Y_l^m(theta, phi) = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) P_l^m(cos theta)
-  e^(i m phi), valid for -l <= m <= l.
-* Two-spinor harmonics for total angular momentum j, orbital label l:
+* chi_m is the unit two-spinor for m_j = +1/2 (upper) or -1/2 (lower),
+  divided by sqrt(4 pi), and s_m = (sigma . e_r) chi_m.  These are the
+  two-spinor harmonics with l = 0 and l = 1 in the Condon-Shortley
+  convention.
+* Four-spinor basis in the standard Dirac representation:
 
-    l = j - 1/2:  (1/sqrt(2j))   ( sqrt(j+m_j)   Y_l^(m_j-1/2),
-                                   sqrt(j-m_j)   Y_l^(m_j+1/2) )
-    l = j + 1/2:  (1/sqrt(2j+2)) ( sqrt(j+1-m_j) Y_l^(m_j-1/2),
-                                  -sqrt(j+1+m_j) Y_l^(m_j+1/2) )
+    kappa_j = -1:  Phi^+ = (i chi_m, 0),  Phi^- = (0, s_m),
+    kappa_j = +1:  Phi^+ = (i s_m, 0),    Phi^- = (0, chi_m).
 
-* Four-spinor basis in the standard Dirac representation, with the
-  spin-orbit label kappa_j = -(j+1/2) or +(j+1/2):
-
-    Phi^+ = (i Psi_upper, 0),  Phi^- = (0, Psi_lower),
-
-  where for kappa_j < 0 the upper block carries l = j-1/2 and the lower
-  block l = j+1/2, and for kappa_j > 0 the roles of the two l's swap.
 * Boundary spinors:  f^+ = (1+q+B) Phi^+ - (1+q-B) Phi^-,
                      f^- = (1+q-B) Phi^+ - (1+q+B) Phi^-.
   The weight assignment is fixed by requiring <f^-, alpha_r f^+> =
@@ -33,9 +23,6 @@ Conventions
 * Spherical frame: e_r = (sin t cos p, sin t sin p, cos t),
   e_theta = (cos t cos p, cos t sin p, -sin t), e_phi = (-sin p, cos p, 0);
   at the poles the frame is the continuous extension at fixed phi.
-
-All closed-form overlap functions below are specific to the j = 1/2
-sectors (kappa_j in {-1, +1}) used by the model.
 """
 
 from __future__ import annotations
@@ -46,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .params import PhysParams
+from .params import ADMISSIBLE_LABELS, PhysParams
 
 
 class SpherePoint(NamedTuple):
@@ -70,137 +57,44 @@ ALPHA = tuple(
 
 
 # =====================================================================
-# scalar special functions
+# the j = 1/2 basis
 # =====================================================================
 
-def assoc_legendre(l: int, m: int, x: float) -> float:
-    """P_l^m(x) with the Condon-Shortley phase.
-
-    Negative m handled via P_l^(-m) = (-1)^m (l-m)!/(l+m)! P_l^m, which
-    is what the Rodrigues-type formula gives when the derivative order
-    l+m drops below 2l.
-    """
-    if l < 0 or abs(m) > l:
-        raise DomainError(f"invalid degree/order (l, m) = ({l}, {m})")
-    if abs(x) > 1.0 + 1e-12:
-        raise DomainError(f"argument x = {x!r} outside [-1, 1]")
-    x = min(1.0, max(-1.0, float(x)))
-
-    if m < 0:
-        mm = -m
-        ratio = math.factorial(l - mm) / math.factorial(l + mm)
-        return (-1.0) ** mm * ratio * assoc_legendre(l, mm, x)
-
-    # P_m^m by the closed form, then upward recurrence in l.
-    pmm = 1.0
-    if m > 0:
-        somx2 = math.sqrt((1.0 - x) * (1.0 + x))
-        fact = 1.0
-        for _ in range(m):
-            pmm *= -fact * somx2  # Condon-Shortley sign enters here
-            fact += 2.0
-    if l == m:
-        return pmm
-    pmmp1 = x * (2.0 * m + 1.0) * pmm
-    if l == m + 1:
-        return pmmp1
-    pll = 0.0
-    for ll in range(m + 2, l + 1):
-        pll = (x * (2.0 * ll - 1.0) * pmmp1 - (ll + m - 1.0) * pmm) / (ll - m)
-        pmm, pmmp1 = pmmp1, pll
-    return pll
+def _sector_sign(m_j: float, kappa_j: int) -> int:
+    """sgn(m_j kappa_j) for an admissible j = 1/2 label pair."""
+    if (m_j, kappa_j) not in ADMISSIBLE_LABELS:
+        raise DomainError(
+            f"(m_j, kappa_j) = {(m_j, kappa_j)!r} not in {ADMISSIBLE_LABELS!r}"
+        )
+    return 1 if m_j * kappa_j > 0 else -1
 
 
-def sph_harmonic(l: int, m: int, point) -> complex:
-    """Y_l^m(theta, phi) with the normalization stated in the module docstring."""
-    theta, phi = point
-    norm = math.sqrt(
-        (2 * l + 1) / (4.0 * math.pi)
-        * math.factorial(l - m) / math.factorial(l + m)
-    )
-    return norm * assoc_legendre(l, m, math.cos(theta)) * complex(
-        math.cos(m * phi), math.sin(m * phi)
-    )
-
-
-# =====================================================================
-# spinor harmonics
-# =====================================================================
-
-def _check_half_integer(name: str, value: float) -> int:
-    doubled = round(2.0 * value)
-    if abs(2.0 * value - doubled) > 1e-9:
-        raise DomainError(f"{name} = {value!r} is not a half-integer")
-    return int(doubled)
-
-
-def psi_two_spinor(j: float, l: int, m_j: float, point) -> np.ndarray:
-    """Two-spinor harmonic Psi^(m_j)_l for total angular momentum j.
-
-    The orbital label l must be j - 1/2 or j + 1/2.  Components whose
-    Clebsch-Gordan weight vanishes are exactly zero even when the
-    corresponding Y index would be out of range.
-    """
-    tj = _check_half_integer("j", j)
-    if tj < 1 or tj % 2 == 0:
-        raise DomainError(f"j = {j!r} must be a positive half-odd-integer")
-    tm = _check_half_integer("m_j", m_j)
-    if tm % 2 == 0 or abs(tm) > tj:
-        raise DomainError(f"m_j = {m_j!r} invalid for j = {j!r}")
-    if l not in (int((tj - 1) // 2), int((tj + 1) // 2)):
-        raise DomainError(f"l = {l!r} must be j -/+ 1/2 for j = {j!r}")
-
-    m_lo = (tm - 1) // 2  # m_j - 1/2 as an integer
-    m_hi = (tm + 1) // 2  # m_j + 1/2
-    out = np.zeros(2, dtype=complex)
-    if 2 * l == tj - 1:
-        w_up = (tj + tm) / 2.0  # j + m_j
-        w_dn = (tj - tm) / 2.0  # j - m_j
-        norm = 1.0 / math.sqrt(tj)  # 1/sqrt(2j)
-        if w_up > 0:
-            out[0] = norm * math.sqrt(w_up) * sph_harmonic(l, m_lo, point)
-        if w_dn > 0:
-            out[1] = norm * math.sqrt(w_dn) * sph_harmonic(l, m_hi, point)
-    else:
-        w_up = (tj + 2 - tm) / 2.0  # j + 1 - m_j
-        w_dn = (tj + 2 + tm) / 2.0  # j + 1 + m_j
-        norm = 1.0 / math.sqrt(tj + 2)  # 1/sqrt(2j+2)
-        out[0] = norm * math.sqrt(w_up) * sph_harmonic(l, m_lo, point)
-        out[1] = -norm * math.sqrt(w_dn) * sph_harmonic(l, m_hi, point)
-    return out
-
-
-def _check_labels(m_j: float, kappa_j: int) -> tuple[float, int, float]:
-    """Validate (m_j, kappa_j); return (j, kappa_j, m_j)."""
-    if kappa_j == 0 or kappa_j != int(kappa_j):
-        raise DomainError(f"kappa_j = {kappa_j!r} must be a nonzero integer")
-    kappa_j = int(kappa_j)
-    j = abs(kappa_j) - 0.5
-    tm = _check_half_integer("m_j", m_j)
-    if tm % 2 == 0 or abs(tm) > 2 * j:
-        raise DomainError(f"m_j = {m_j!r} invalid for j = {j!r}")
-    return j, kappa_j, tm / 2.0
+_INV_SQRT_4PI = 1.0 / math.sqrt(4.0 * math.pi)
 
 
 def phi_basis(sign: int, m_j: float, kappa_j: int, point) -> np.ndarray:
     """Four-spinor basis function Phi^sign_(m_j, kappa_j)(omega)."""
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    j, kappa_j, m_j = _check_labels(m_j, kappa_j)
-    l_minus = int(j - 0.5)
-    l_plus = int(j + 0.5)
-    # kappa_j < 0: upper block l = j-1/2, lower block l = j+1/2; else swapped.
-    l_up, l_lo = (l_minus, l_plus) if kappa_j < 0 else (l_plus, l_minus)
-    out = np.zeros(4, dtype=complex)
-    if sign > 0:
-        out[:2] = 1j * psi_two_spinor(j, l_up, m_j, point)
+    _sector_sign(m_j, kappa_j)
+    theta, phi = point
+    # chi_m and s_m = (sigma . e_r) chi_m, both divided by sqrt(4 pi)
+    c = _INV_SQRT_4PI * math.cos(theta)
+    w = _INV_SQRT_4PI * math.sin(theta) * complex(math.cos(phi), math.sin(phi))
+    if m_j > 0:
+        chi, s = (_INV_SQRT_4PI, 0.0), (c, w)
     else:
-        out[2:] = psi_two_spinor(j, l_lo, m_j, point)
-    return out
+        chi, s = (0.0, _INV_SQRT_4PI), (w.conjugate(), -c)
+    # kappa_j = -1: upper block l = 0, lower block l = 1; kappa_j = +1 swapped
+    upper, lower = (chi, s) if kappa_j < 0 else (s, chi)
+    if sign > 0:
+        return np.array([1j * upper[0], 1j * upper[1], 0.0, 0.0], dtype=complex)
+    return np.array([0.0, 0.0, lower[0], lower[1]], dtype=complex)
 
 
-def f_boundary(sign: int, m_j: float, kappa_j: int, point, params: PhysParams) -> np.ndarray:
-    """Boundary spinor f^sign(omega), the angular profile of the singular modes.
+def f_boundary(sign: int, point, params: PhysParams) -> np.ndarray:
+    """Boundary spinor f^sign(omega) in the sector of params, the angular
+    profile of the singular modes.
 
     f^- profiles the r^(-1-B) mode, f^+ the r^(-1+B) mode.  The weights
     are oriented so that <f^-, alpha_r f^+> = -i(1+q)B/pi pointwise; see
@@ -208,8 +102,8 @@ def f_boundary(sign: int, m_j: float, kappa_j: int, point, params: PhysParams) -
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    plus = phi_basis(+1, m_j, kappa_j, point)
-    minus = phi_basis(-1, m_j, kappa_j, point)
+    plus = phi_basis(+1, params.m_tilde, params.kappa_tilde, point)
+    minus = phi_basis(-1, params.m_tilde, params.kappa_tilde, point)
     w = 1.0 + params.q
     if sign > 0:
         return (w + params.B) * plus - (w - params.B) * minus
@@ -291,25 +185,12 @@ def sphere_quadrature(f: Callable[[SpherePoint], complex], order: int = 32) -> c
 
 
 # =====================================================================
-# closed-form overlaps (j = 1/2 sectors)
+# closed-form overlaps
 # =====================================================================
-
-def _sign_mk(m_j: float, kappa_j: int) -> int:
-    return 1 if m_j * kappa_j > 0 else -1
-
-
-def _check_half_sector(m_j: float, kappa_j: int) -> int:
-    j, kappa_j, m_j = _check_labels(m_j, kappa_j)
-    if abs(kappa_j) != 1:
-        raise DomainError(
-            f"closed forms cover only the j = 1/2 sectors, got kappa_j = {kappa_j!r}"
-        )
-    return _sign_mk(m_j, kappa_j)
-
 
 def basis_overlap_closed(sign_a: int, sign_b: int, m_j: float, kappa_j: int) -> complex:
     """Pointwise <Phi^a, Phi^b>: 1/(4 pi) when a = b, else 0."""
-    _check_half_sector(m_j, kappa_j)
+    _sector_sign(m_j, kappa_j)
     return 1.0 / (4.0 * math.pi) if sign_a == sign_b else 0.0j
 
 
@@ -322,7 +203,7 @@ def basis_alpha_overlap_closed(
     -i/(4 pi) (radial, a=+, b=-), 0 (polar), and
     sgn(m_j kappa_j) sin(theta)/(4 pi) (azimuthal).
     """
-    sgn = _check_half_sector(m_j, kappa_j)
+    sgn = _sector_sign(m_j, kappa_j)
     if k not in _FRAME_INDEX:
         raise DomainError(f"k must be one of 'r', 'theta', 'phi', got {k!r}")
     theta, _ = point

@@ -381,7 +381,8 @@ def integrate(
     LeftInnerRegion (r crossed r_cut/2).  `refresh`, when given, supplies
     (c_minus(t), c_plus(t)) at the start of every accepted step; within a
     step the field stays frozen (quasi-static update).  Crossings of
-    `probe_radius`, when given, are recorded in either direction.
+    `probe_radius`, when given, must lie in (0, r_cut/2) and are recorded
+    in either direction.
 
     With dense=False, no refresh and no subleading amplitudes the flight
     is evaluated in closed form instead (exact; Absorbed then carries the
@@ -397,6 +398,10 @@ def integrate(
         )
     if not t_end > initial.t:
         raise DomainError("t_end must exceed the initial time")
+    if probe_radius is not None and not 0.0 < probe_radius < r_top:
+        raise DomainError(
+            f"probe_radius = {probe_radius!r} outside (0, {r_top!r})"
+        )
     if refresh is None and not model.has_subleading:
         parts = _overlap_parts(model.c_minus, model.c_plus)  # Im = 0 guard
         if not dense:

@@ -198,9 +198,8 @@ def eval_psi1(model: ModelWavefunction, x) -> np.ndarray:
         raise OriginError("psi is evaluated on the punctured ball, not at x = 0")
     a, c = radial_amplitudes(model, r)
     point = SpherePoint(theta, phi)
-    p = model.params
-    return a * f_boundary(-1, p.m_tilde, p.kappa_tilde, point, p) + c * f_boundary(
-        +1, p.m_tilde, p.kappa_tilde, point, p
+    return a * f_boundary(-1, point, model.params) + c * f_boundary(
+        +1, point, model.params
     )
 
 

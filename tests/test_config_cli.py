@@ -782,8 +782,28 @@ def test_validate_basis_residual_table(tmp_path, capsys):
     assert rc == 0
     assert "max |residual|" in capsys.readouterr().out
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0].startswith("q,m_tilde,kappa_tilde,family,")
-    assert len(lines) > 10
+    assert lines[0] == "q,m_tilde,kappa_tilde,family,quantity,sign_a,sign_b,check,residual"
+    keys = [tuple(line.rsplit(",", 1)[0].split(",")) for line in lines[1:]]
+    # per label: 16 basis rows and 16 boundary rows per q, then 32
+    # quadrature rows at the first label and the first q
+    q_first, q_second = "0.9184400426342396", "0.9352554610994912"
+    pairs = [(a, b) for a in ("-1", "1") for b in ("-1", "1")]
+    quantities = ("overlap", "alpha_r", "alpha_theta", "alpha_phi")
+    labels = (("-0.5", "-1"), ("-0.5", "1"), ("0.5", "-1"), ("0.5", "1"))
+    want = {
+        (q, m, k, family, quantity, a, b, "pointwise")
+        for m, k in labels
+        for q, family in (("nan", "basis"), (q_first, "boundary"), (q_second, "boundary"))
+        for quantity in quantities
+        for a, b in pairs
+    } | {
+        (q_first, "-0.5", "-1", family, quantity, a, b, "quadrature")
+        for family in ("basis", "boundary")
+        for quantity in quantities
+        for a, b in pairs
+    }
+    assert len(keys) == len(want) == 224
+    assert set(keys) == want
     residuals = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
     assert max(residuals) < 1e-10
 

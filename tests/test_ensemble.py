@@ -200,6 +200,19 @@ def test_snapshot_outside_window_rejected():
         run_ensemble(fam, track, 10, (0.0, 3.0), seed=1, snapshot_time=99.0)
 
 
+def test_probe_radius_outside_ball_rejected():
+    fam, track = _balanced_setup()
+    for n_paths in (0, 10):
+        with pytest.raises(DomainError, match="probe_radius"):
+            run_ensemble(fam, track, n_paths, (0.0, 3.0), seed=1, probe_radius=-1e-4)
+
+
+def test_mismatched_track_params_rejected():
+    _, track = _balanced_setup()
+    with pytest.raises(DomainError, match="params"):
+        make_initial_sampler(ModelFamily(canonical_params(-0.93), 1.0), track, 0.0)
+
+
 def test_unnormalized_state_rejected():
     fam = ModelFamily(P96, 1.0)
     track = CoefficientTrack.constant(P96, 1.0, 1j, 1.0, 0.0, 1.0)

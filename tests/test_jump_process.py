@@ -424,6 +424,10 @@ def test_simulate_path_guards():
         simulate_path(fam, tr, Particle((0.9, 0.0, 0.0)), (0.0, 1.0), rng)
     with pytest.raises(DomainError):
         Particle((0.0, 0.0, 0.0))
+    # the family must fly with the params the track's rate law uses
+    other = ModelFamily(canonical_params(-0.93), 1.0)
+    with pytest.raises(DomainError, match="params"):
+        simulate_path(other, tr, Vacuum(), (0.0, 1.0), rng)
 
 
 def test_process_path_validation():

@@ -1,8 +1,9 @@
-"""Spinor harmonics, boundary spinors and their closed-form overlaps.
+"""Basis spinors, boundary spinors and their closed-form overlaps.
 
-The scalar harmonics are checked against sympy (independent oracle);
-everything built on top is checked by quadrature and by randomized
-pointwise grids against the closed forms.
+The j = 1/2 basis spinors are checked against spinor harmonics built
+from sympy's spherical harmonics and Clebsch-Gordan coefficients
+(independent oracle); everything built on top is checked by quadrature
+and by randomized pointwise grids against the closed forms.
 """
 
 import math
@@ -14,7 +15,6 @@ from belljump import DomainError, canonical_params
 from belljump.spinor_basis import (
     SpherePoint,
     alpha_component,
-    assoc_legendre,
     basis_alpha_overlap_closed,
     basis_overlap_closed,
     boundary_alpha_overlap_closed,
@@ -23,8 +23,6 @@ from belljump.spinor_basis import (
     frame_vectors,
     from_spherical,
     phi_basis,
-    psi_two_spinor,
-    sph_harmonic,
     sphere_quadrature,
     to_spherical,
 )
@@ -39,50 +37,55 @@ def _points(rng, n):
     ]
 
 
-# ---------------------------------------------------------------------
-# scalar special functions
-# ---------------------------------------------------------------------
-
-def test_sph_harmonic_matches_sympy():
+def _sympy_ynm(l, m):
+    """Y_l^m(theta, phi) from sympy.Ynm, lambdified to a complex function."""
     import sympy
 
+    theta, phi = sympy.symbols("theta phi", real=True)
+    expr = sympy.Ynm(l, m, theta, phi).expand(func=True)
+    f = sympy.lambdify((theta, phi), expr, "cmath")
+    return lambda pt: complex(f(pt.theta, pt.phi))
+
+
+def _sympy_spinor_harmonic(l, m_j):
+    """j = 1/2 two-spinor harmonic with orbital label l, coupled spin
+    first: sum over m_s of <1/2 m_s; l m_j-m_s | 1/2 m_j> Y_l^(m_j-m_s)."""
+    import sympy
+    from sympy.physics.quantum.cg import CG
+
+    half = sympy.Rational(1, 2)
+    m = sympy.Rational(int(2 * m_j), 2)
+    comps = []
+    for m_s in (half, -half):
+        m_l = m - m_s
+        if abs(m_l) > l:
+            comps.append(lambda pt: 0.0j)
+            continue
+        weight = complex(CG(half, m_s, l, m_l, half, m).doit())
+        comps.append(lambda pt, y=_sympy_ynm(l, int(m_l)), w=weight: w * y(pt))
+    return lambda pt: np.array([c(pt) for c in comps])
+
+
+# ---------------------------------------------------------------------
+# the basis against sympy
+# ---------------------------------------------------------------------
+
+def test_phi_basis_matches_sympy_spinor_harmonics():
+    # kappa_j = -1: upper block l = 0, lower block l = 1; kappa_j = +1 swapped
     rng = np.random.default_rng(21)
-    for l in range(4):
-        for m in range(-l, l + 1):
-            for point in _points(rng, 3):
-                ours = sph_harmonic(l, m, point)
-                ref = complex(
-                    sympy.Ynm(l, m, point.theta, point.phi).evalf(20)
-                )
-                assert abs(ours - ref) < 1e-13, (l, m, point)
-
-
-def test_assoc_legendre_spot_values():
-    # P_2^1(x) = -3 x sqrt(1 - x^2) in the Condon-Shortley convention
-    for x in (-0.7, 0.0, 0.3, 0.99):
-        assert abs(assoc_legendre(2, 1, x) + 3.0 * x * math.sqrt(1 - x * x)) < 1e-14
-    assert assoc_legendre(0, 0, 0.5) == 1.0
-
-
-def test_assoc_legendre_negative_order_identity():
-    rng = np.random.default_rng(22)
-    for _ in range(20):
-        l = int(rng.integers(1, 5))
-        m = int(rng.integers(1, l + 1))
-        x = rng.uniform(-1.0, 1.0)
-        lhs = assoc_legendre(l, -m, x)
-        ratio = math.factorial(l - m) / math.factorial(l + m)
-        rhs = (-1.0) ** m * ratio * assoc_legendre(l, m, x)
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
-
-
-def test_assoc_legendre_domain_errors():
-    with pytest.raises(DomainError):
-        assoc_legendre(-1, 0, 0.5)
-    with pytest.raises(DomainError):
-        assoc_legendre(1, 2, 0.5)
-    with pytest.raises(DomainError):
-        assoc_legendre(2, 1, 1.5)
+    points = _points(rng, 6) + [SpherePoint(0.0, 0.4), SpherePoint(math.pi, 2.0)]
+    zero = np.zeros(2)
+    for m_j, kappa_j in LABELS:
+        l_up, l_lo = (0, 1) if kappa_j < 0 else (1, 0)
+        upper = _sympy_spinor_harmonic(l_up, m_j)
+        lower = _sympy_spinor_harmonic(l_lo, m_j)
+        for pt in points:
+            want_plus = np.concatenate((1j * upper(pt), zero))
+            want_minus = np.concatenate((zero, lower(pt)))
+            got_plus = phi_basis(1, m_j, kappa_j, pt)
+            got_minus = phi_basis(-1, m_j, kappa_j, pt)
+            assert np.max(np.abs(got_plus - want_plus)) < 1e-14, (m_j, kappa_j, pt)
+            assert np.max(np.abs(got_minus - want_minus)) < 1e-14, (m_j, kappa_j, pt)
 
 
 # ---------------------------------------------------------------------
@@ -94,21 +97,20 @@ def test_sphere_quadrature_exact_on_harmonics():
     assert abs(one - 4.0 * math.pi) < 1e-13
     # harmonics integrate to zero, their squares to one
     for l, m in ((1, 0), (2, 1), (3, -2)):
-        mean = sphere_quadrature(lambda pt: sph_harmonic(l, m, pt), order=8)
-        norm = sphere_quadrature(
-            lambda pt: abs(sph_harmonic(l, m, pt)) ** 2, order=8
-        )
+        y = _sympy_ynm(l, m)
+        mean = sphere_quadrature(y, order=8)
+        norm = sphere_quadrature(lambda pt: abs(y(pt)) ** 2, order=8)
         assert abs(mean) < 1e-14
         assert abs(norm - 1.0) < 1e-13
 
 
 def test_spinor_harmonics_orthonormal():
-    # the four j = 1/2 spinor harmonics: (j, l, m_j) with l = j -/+ 1/2
-    labels = [(0.5, 0, -0.5), (0.5, 0, 0.5), (0.5, 1, -0.5), (0.5, 1, 0.5)]
+    # the eight basis spinors Phi^(+/-)_(m_j, kappa_j) of the j = 1/2 sector
+    labels = [(s, m_j, kappa_j) for m_j, kappa_j in LABELS for s in (-1, 1)]
     for i, la in enumerate(labels):
         for lb in labels[i:]:
             val = sphere_quadrature(
-                lambda pt: np.vdot(psi_two_spinor(*la, pt), psi_two_spinor(*lb, pt)),
+                lambda pt: np.vdot(phi_basis(*la, pt), phi_basis(*lb, pt)),
                 order=12,
             )
             want = 1.0 if la == lb else 0.0
@@ -148,7 +150,7 @@ def test_boundary_overlaps_match_closed_forms():
         for m_j, kappa_j in LABELS:
             p = canonical_params(q, m_j, kappa_j)
             for pt in points:
-                vecs = {s: f_boundary(s, m_j, kappa_j, pt, p) for s in (-1, 1)}
+                vecs = {s: f_boundary(s, pt, p) for s in (-1, 1)}
                 for sa in (-1, 1):
                     for sb in (-1, 1):
                         brute = np.vdot(vecs[sa], vecs[sb])
@@ -176,15 +178,15 @@ def test_boundary_spinors_are_basis_combinations():
             minus = phi_basis(-1, m_j, kappa_j, pt)
             f_plus = (1 + p.q + p.B) * plus - (1 + p.q - p.B) * minus
             f_minus = (1 + p.q - p.B) * plus - (1 + p.q + p.B) * minus
-            assert np.max(np.abs(f_boundary(1, m_j, kappa_j, pt, p) - f_plus)) < 1e-13
-            assert np.max(np.abs(f_boundary(-1, m_j, kappa_j, pt, p) - f_minus)) < 1e-13
+            assert np.max(np.abs(f_boundary(1, pt, p) - f_plus)) < 1e-13
+            assert np.max(np.abs(f_boundary(-1, pt, p) - f_minus)) < 1e-13
 
 
 def test_closed_forms_reject_higher_sectors():
     with pytest.raises(DomainError):
         basis_overlap_closed(1, 1, 1.5, 2)
-    # the general basis covers them; only bad labels are rejected
-    phi_basis(1, 0.5, 3, SpherePoint(1.0, 0.0))
+    with pytest.raises(DomainError):
+        phi_basis(1, 0.5, 3, SpherePoint(1.0, 0.0))  # j = 5/2
     with pytest.raises(DomainError):
         phi_basis(1, 1.5, 1, SpherePoint(1.0, 0.0))  # |m_j| > j
     with pytest.raises(DomainError):

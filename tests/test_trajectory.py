@@ -402,6 +402,12 @@ def test_integrate_guards():
         )
     with pytest.raises(DomainError):
         integrate(m, SphericalState(1.0, 0.01, 1.0, 0.0), t_end=0.5)
+    for dense in (True, False):
+        with pytest.raises(DomainError, match="probe_radius"):
+            integrate(
+                m, SphericalState(0.0, 0.01, 1.0, 0.0), t_end=1.0,
+                probe_radius=-1e-4, dense=dense,
+            )
     with pytest.raises(DegenerateError):
         integrate(_model(cp=2.0), SphericalState(0.0, 0.01, 1.0, 0.0), t_end=1.0)
     with pytest.raises(DegenerateError):
