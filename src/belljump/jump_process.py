@@ -11,14 +11,17 @@ uniform over the sphere; the per-solid-angle form is
 
     sigma(theta0) = (2(1+q)B/pi) max{0, Im[...]} sin(theta0) / |psi0|^2,
 
-independent of phi0.  The law is coded once, in
-CoefficientTrack.rate_profile; total_jump_rate, jump_rate_density and
-the thinning majorants (CoefficientTrack.majorant_table) all evaluate it
-there.  A particle follows the guiding field until its radius falls
-below the model's r_min (absorption: the configuration becomes the
-vacuum at the arrival time t0) or until it leaves the inner region
-r < r_cut/2, after which the near-source model no longer applies and the
-path is parked as a particle for the rest of the window.  The flight
+independent of phi0.  The law is coded once, in CoefficientTrack._rate,
+which CoefficientTrack.rate_profile applies at one time or an array of
+times; total_jump_rate and jump_rate_density evaluate it there, and the
+thinning majorants
+(CoefficientTrack.majorant_table) bound it exactly on each grid interval
+from the same coefficient table.  A particle follows the guiding field
+until its radius falls below the model's r_min (absorption: the
+configuration becomes the vacuum at the arrival time t0) or until it
+leaves the inner region r < r_cut/2, after which the near-source model
+no longer applies and the path is parked as a particle for the rest of
+the window.  The flight
 itself decides how it is computed: fixed coefficients and no subleading
 amplitudes give the exact closed-form flight, anything else steps DP5;
 no caller switch selects between them, so a path is the same whoever
@@ -35,13 +38,19 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
+from .cubic import (
+    cubic_table,
+    cubic_values,
+    poly_product,
+    poly_range,
+    unit_pieces,
+)
 from .errors import DomainError, MajorantError, VacuumEmpty
 from .params import PhysParams
 from .trajectory import (
@@ -56,10 +65,26 @@ from .wavefunction import R_SEED_FACTOR, ModelFamily, current_coeffs
 
 #: Safety factor on the per-interval rate majorant used in thinning.
 MAJORANT_MARGIN = 1.1
-#: Number of probe points per grid interval when bounding the rate.
-_MAJORANT_PROBES = 17
-#: A sampled majorant above this is treated as an unbounded rate.
+#: A rate bound above this is treated as an unbounded rate.
 _MAJORANT_CAP = 1e12
+#: Relative rounding allowed for the evaluated Im and |psi0|^2 (64 ulp).
+_ROUNDING = 64.0 * 2.0**-52
+
+
+class MajorantTable(NamedTuple):
+    """Thinning pieces in time order: the grid intervals whose rate bound
+    is positive, each with its majorant (inf where no bound can be
+    trusted).  hazard holds the cumulative majorant integral H at the
+    piece boundaries, hazard[k] at the start of piece k and hazard[k+1]
+    at its end (an untrusted piece adds 0), and untrusted[k] the index of
+    the first untrusted piece at or after piece k (the piece count if
+    none)."""
+
+    starts: tuple[float, ...]
+    ends: tuple[float, ...]
+    majorants: tuple[float, ...]
+    hazard: tuple[float, ...]
+    untrusted: tuple[int, ...]
 
 
 # =====================================================================
@@ -69,8 +94,8 @@ _MAJORANT_CAP = 1e12
 class CoefficientTrack:
     """Time-dependent data of the process: c_minus(t), c_plus(t) and the
     vacuum amplitude psi0(t) on a strictly increasing grid, interpolated
-    piecewise-cubically in each real/imaginary part by one spline over
-    the stacked columns (c_minus, c_plus, psi0)."""
+    piecewise-cubically in each real/imaginary part by one coefficient
+    table (cubic.cubic_table) over the six real columns."""
 
     def __init__(self, params: PhysParams, times, c_minus, c_plus, psi0):
         self.params = params
@@ -92,19 +117,18 @@ class CoefficientTrack:
         self.psi0_values = p0
         # fixed coefficients: flights under them are evaluated in closed
         # form, flux_report and the master-equation oracle read the pair,
-        # and coefficients() returns it without the spline
+        # and coefficients() returns it without the table
         self._const_pair = None
         if np.all(cm == cm[0]) and np.all(cp == cp[0]):
             self._const_pair = (complex(cm[0]), complex(cp[0]))
-        # (c_minus, c_plus, psi0) at times s, shape s.shape + (3,)
-        stacked = np.stack([cm, cp, p0], axis=-1)
-        if len(t) == 1:
-            self._values = lambda s: np.full(np.shape(s) + (3,), stacked[0])
-        else:
-            from scipy.interpolate import CubicSpline
-
-            kind = "not-a-knot" if len(t) >= 4 else "natural"
-            self._values = CubicSpline(t, stacked, bc_type=kind)
+        # columns Re/Im of c_minus, c_plus and psi0
+        columns = np.stack([cm.real, cm.imag, cp.real, cp.imag, p0.real, p0.imag], -1)
+        self._table = cubic_table(t, columns)
+        # the same table as Python floats, for scalar evaluation:
+        # per piece, per column, (a, b, c, d)
+        self._knots = t.tolist()
+        self._pieces = self._table.transpose(0, 2, 1).tolist()
+        self._gain = 8.0 * (1.0 + params.q) * params.B
 
     @property
     def t_start(self) -> float:
@@ -114,58 +138,97 @@ class CoefficientTrack:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def _clamp(self, t: float) -> float:
-        return min(max(t, self.t_start), self.t_end)
-
     @property
     def constant_coefficients(self) -> tuple[complex, complex] | None:
         """(c_minus, c_plus) when the track holds them fixed, else None."""
         return self._const_pair
 
+    def _columns_at(self, t: float) -> list[float]:
+        """The six real columns at one time (clamped to the grid): bisect
+        to the piece, then Horner on Python floats."""
+        knots = self._knots
+        t = min(max(float(t), knots[0]), knots[-1])
+        i = min(bisect.bisect_right(knots, t), len(self._pieces)) - 1
+        s = t - knots[i]
+        return [((a * s + b) * s + c) * s + d for a, b, c, d in self._pieces[i]]
+
     def coefficients(self, t: float) -> tuple[complex, complex]:
         if self._const_pair is not None:
             return self._const_pair
-        cm, cp, _ = self._values(self._clamp(t))
-        return complex(cm), complex(cp)
+        cmr, cmi, cpr, cpi, _, _ = self._columns_at(t)
+        return complex(cmr, cmi), complex(cpr, cpi)
 
     def psi0(self, t: float) -> complex:
-        return complex(self._values(self._clamp(t))[2])
+        _, _, _, _, pr, pi = self._columns_at(t)
+        return complex(pr, pi)
+
+    def _cross_and_weight(self, times):
+        """(Im[conj(c_minus) c_plus], |psi0|^2) at a time or an array of
+        times, clamped to the grid."""
+        if isinstance(times, (int, float)):
+            cmr, cmi, cpr, cpi, pr, pi = self._columns_at(times)
+        else:
+            values = cubic_values(self.times, self._table, times)
+            cmr, cmi, cpr, cpi, pr, pi = np.moveaxis(values, -1, 0)
+        return cmr * cpi - cmi * cpr, pr * pr + pi * pi
 
     def vacuum_weight(self, t: float) -> float:
-        return abs(self.psi0(t)) ** 2
+        return self._cross_and_weight(float(t))[1]
 
     def im_cross(self, t: float) -> float:
-        cm, cp = self.coefficients(t)
-        return (cm.conjugate() * cp).imag
+        return self._cross_and_weight(float(t))[0]
 
     def rate_profile(self, times):
         """The emission rate law Gamma at a time or an array of times
         (clamped to the grid): 8 (1+q) B max{0, Im[conj(c_minus) c_plus]}
         / |psi0|^2, and inf where psi0 vanishes under positive flux."""
-        values = self._values(np.clip(times, self.t_start, self.t_end))
-        cm, cp = self._const_pair or (values[..., 0], values[..., 1])
-        im = (cm.conjugate() * cp).imag
-        weight = np.abs(values[..., 2]) ** 2
-        p = self.params
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(im > 0.0, 8.0 * (1.0 + p.q) * p.B * im / weight, 0.0)
+        im, weight = self._cross_and_weight(times)
+        if isinstance(im, float):
+            return self._rate(im, weight)
+        return np.vectorize(self._rate, otypes=[float])(im, weight)
+
+    def _rate(self, im: float, weight: float) -> float:
+        """The rate law at one time, from Im and |psi0|^2."""
+        if not im > 0.0:
+            return 0.0
+        return self._gain * im / weight if weight > 0.0 else math.inf
 
     @functools.cached_property
-    def majorant_table(self) -> tuple[tuple[float, float, float], ...]:
-        """Thinning pieces (start, end, majorant), in time order, for the
-        grid intervals whose rate bound is positive; built once, on first
-        use.  The bound is the largest rate_profile value at
-        _MAJORANT_PROBES evenly spaced times, the majorant MAJORANT_MARGIN
-        times it, or inf where no bound can be trusted (psi0 vanishes at a
-        probe, or the bound exceeds _MAJORANT_CAP)."""
+    def majorant_table(self) -> MajorantTable:
+        """Thinning pieces, built once, on first use.  On each grid
+        interval Im[conj(c_minus) c_plus] and |psi0|^2 are polynomials of
+        degree 6 read from the table; the rate bound is 8 (1+q) B times
+        the largest Im over the smallest weight, both exact (taken at the
+        interval ends and the derivative's roots).  The majorant is
+        MAJORANT_MARGIN times the bound, or inf where no bound can be
+        trusted (the weight reaches 0, or the bound exceeds
+        _MAJORANT_CAP).  Intervals where Im <= 0 throughout carry no rate
+        and are left out."""
         g = self.times
-        probes = np.linspace(g[:-1], g[1:], _MAJORANT_PROBES, axis=1)
-        bound = np.max(self.rate_profile(probes), axis=1)
-        trusted = bound <= _MAJORANT_CAP
+        cols = unit_pieces(g, self._table)
+        cmr, cmi, cpr, cpi, pr, pi = cols
+        _, im_max = poly_range(poly_product(cmr, cpi) - poly_product(cmi, cpr))
+        w_min, _ = poly_range(poly_product(pr, pr) + poly_product(pi, pi))
+        # both widened by the rounding of either evaluation; the sum of a
+        # cubic's |coefficients| bounds it on [0, 1]
+        n_cmr, n_cmi, n_cpr, n_cpi, n_pr, n_pi = np.abs(cols).sum(axis=-1)
+        im_max += _ROUNDING * (n_cmr * n_cpi + n_cmi * n_cpr)
+        w_min -= _ROUNDING * (n_pr**2 + n_pi**2)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            bound = self._gain * im_max / w_min
+        trusted = (w_min > 0.0) & (bound <= _MAJORANT_CAP)
         majorant = np.where(trusted, MAJORANT_MARGIN * bound, math.inf)
-        keep = ~trusted | (bound > 0.0)
-        return tuple(
-            zip(g[:-1][keep].tolist(), g[1:][keep].tolist(), majorant[keep].tolist())
+        keep = im_max > 0.0
+        majorant, width, trusted = majorant[keep], np.diff(g)[keep], trusted[keep]
+        hazard = np.cumsum(np.where(trusted, majorant * width, 0.0))
+        n = len(majorant)
+        first = np.where(trusted, n, np.arange(n))
+        return MajorantTable(
+            starts=tuple(g[:-1][keep].tolist()),
+            ends=tuple(g[1:][keep].tolist()),
+            majorants=tuple(majorant.tolist()),
+            hazard=(0.0, *hazard.tolist()),
+            untrusted=tuple(np.minimum.accumulate(first[::-1])[::-1].tolist()),
         )
 
     @classmethod
@@ -327,26 +390,39 @@ def sample_waiting_time(
 ) -> float | None:
     """First-event time of the inhomogeneous Poisson process with
     intensity total_jump_rate, from t_start; None if the track ends
-    first.  Thinning against track.majorant_table, from its first piece
-    that ends after t_start."""
-    pieces = track.majorant_table
-    first = bisect.bisect_right(pieces, t_start, key=itemgetter(1))
-    for a, b, majorant in itertools.islice(pieces, first, None):
-        if majorant == math.inf:
+    first.  Thinning against track.majorant_table (Lewis and Shedler):
+    each proposal adds one Exp(1) draw to the cumulative majorant
+    integral H, bisects for the piece that H reaches and maps back to a
+    time, which is accepted with probability rate / majorant."""
+    table = track.majorant_table
+    n = len(table.ends)
+    k = bisect.bisect_right(table.ends, t_start)
+    if k == n:
+        return None
+    # the wait cannot pass H = hazard[stop]: the end of the last piece, or
+    # the start of the first untrusted one, whose rate has no bound
+    stop = table.untrusted[k]
+    hazard = table.hazard[k]
+    if stop > k and t_start > table.starts[k]:
+        hazard += table.majorants[k] * (t_start - table.starts[k])
+    while (hazard := hazard + rng.standard_exponential()) <= table.hazard[stop]:
+        k = bisect.bisect_left(table.hazard, hazard, k + 1) - 1
+        a, majorant = table.starts[k], table.majorants[k]
+        t = min(max(a + (hazard - table.hazard[k]) / majorant, t_start), table.ends[k])
+        rate = total_jump_rate(track, t)
+        if rate > majorant:
             raise MajorantError(
-                f"no trusted rate majorant on [{a!r}, {b!r}]: psi0 vanishes "
-                f"or the rate bound exceeds {_MAJORANT_CAP!r}"
+                f"rate {rate!r} exceeds majorant {majorant!r} at t = {t!r}"
             )
-        t = max(a, t_start)
-        while (t := t + rng.exponential(1.0 / majorant)) <= b:
-            rate = total_jump_rate(track, t)
-            if rate > majorant:
-                raise MajorantError(
-                    f"rate {rate!r} exceeds majorant {majorant!r} at t = {t!r}"
-                )
-            if rng.random() * majorant < rate:
-                return float(t)
-    return None
+        if rng.random() * majorant < rate:
+            return t
+    if stop == n:
+        return None
+    raise MajorantError(
+        f"no trusted rate majorant on [{table.starts[stop]!r}, "
+        f"{table.ends[stop]!r}]: psi0 vanishes or the rate bound exceeds "
+        f"{_MAJORANT_CAP!r}"
+    )
 
 
 def sample_emission_angles(rng: np.random.Generator) -> tuple[float, float]:

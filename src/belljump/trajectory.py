@@ -45,6 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .cubic import cubic_table, cubic_values
 from .errors import (
     DegenerateError,
     DomainError,
@@ -157,10 +158,9 @@ class TrajectorySegment:
             t_src = self.t[0] - _elapsed(p, parts, self.r[0])
             lo, hi = sorted((float(self.r[0]), float(self.r[-1])))
             return _invert_time(p, parts, t - t_src, lo, hi)
-        from scipy.interpolate import CubicSpline
-
         one = 1.0 - 2.0 * p.B
-        return float(CubicSpline(self.t, self.r**one)(t)) ** (1.0 / one)
+        table = cubic_table(self.t, (self.r**one)[:, None])
+        return float(cubic_values(self.t, table, t)[0]) ** (1.0 / one)
 
 
 # =====================================================================
@@ -229,14 +229,43 @@ def _invert_time(
 ) -> float:
     """The radius in [r_lo, r_hi] at which t(r) - t0 = dt.  t(r) is
     monotone; when rounding puts dt just outside the bracket's image,
-    the nearer end is returned."""
-    from scipy.optimize import brentq
+    the nearer end is returned.  Newton steps with the exact slope
 
+        dt/dr = (|c-|^2 r^(-2B) + 2 q Re + |c+|^2 r^(2B)) / (2 B Im),
+
+    kept inside the shrinking sign-change bracket (a step that leaves it
+    bisects instead); _bracket_root finishes if they do not converge."""
+    m2, p2, re, im = parts
+    q, B = params.q, params.B
     f = lambda r: _elapsed(params, parts, r) - dt
     f_lo, f_hi = f(r_lo), f(r_hi)
     if f_lo * f_hi > 0.0:
         return r_lo if abs(f_lo) < abs(f_hi) else r_hi
-    return float(brentq(f, r_lo, r_hi, xtol=1e-300, rtol=8.9e-16, maxiter=200))
+    if f_lo == 0.0 or f_hi == 0.0:
+        return r_lo if f_lo == 0.0 else r_hi
+    lo, hi, rising = r_lo, r_hi, f_lo < 0.0
+    # start where the chord in s = r^(1-2B) crosses, the variable in
+    # which t is nearly linear near the source
+    one = 1.0 - 2.0 * B
+    s_lo, s_hi = lo**one, hi**one
+    r = min(max((s_lo + f_lo / (f_lo - f_hi) * (s_hi - s_lo)) ** (1.0 / one), lo), hi)
+    for _ in range(60):
+        g = f(r)
+        if g == 0.0:
+            return r
+        if (g < 0.0) == rising:
+            lo = r
+        else:
+            hi = r
+        u = r ** (2.0 * B)
+        slope = (m2 / u + 2.0 * q * re + p2 * u) / (2.0 * B * im)
+        r_next = r - g / slope
+        if not lo < r_next < hi:
+            r_next = 0.5 * (lo + hi)
+        if abs(r_next - r) <= 4.4e-16 * r:
+            return r_next
+        r = r_next
+    return _bracket_root(f, lo, hi, f(lo), f(hi))
 
 
 def _closed_form_flight(

@@ -5,7 +5,8 @@ called by the package: the pure-model guiding equation in (r, theta,
 phi), the series coefficient of its azimuthal rate, the leading
 small-|t| flight, the inverse of the exact t(r) by bisection, the
 guiding field j/rho and the density |psi|^2 by spinor contraction, the
-flux balance d|psi0|^2/dt = -4 pi C_r of a track, vacuum membership
+flux balance d|psi0|^2/dt = -4 pi C_r of a track, a track's
+cumulative emission hazard by adaptive quadrature, vacuum membership
 read off a path's entries, and a KS test of snapshot radii against the
 sector-1 radial law.
 """
@@ -191,6 +192,25 @@ def validate_balance(track, balance_tol=BALANCE_TOL):
             report,
         )
     return report
+
+
+def cumulative_hazard(track, t_start, times):
+    """Lambda(t) = integral of total_jump_rate from t_start to t, for
+    each of the increasing times (>= t_start): scipy's adaptive quad on
+    every piece between consecutive times and track knots."""
+    from scipy.integrate import quad
+
+    from belljump.jump_process import total_jump_rate
+
+    times = np.asarray(times, dtype=float)
+    knots = track.times[(track.times > t_start) & (track.times < times[-1])]
+    edges = np.union1d(np.append(times, t_start), knots)
+    pieces = [
+        quad(lambda t: total_jump_rate(track, t), a, b, epsabs=1e-13, epsrel=1e-12)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    hazard = np.concatenate(([0.0], np.cumsum(pieces)))
+    return hazard[np.searchsorted(edges, times)]
 
 
 def in_vacuum(path, t):

@@ -15,6 +15,7 @@ from belljump import ParseError, ValidationError, __version__, canonical_params
 from belljump import config
 from belljump.cli import dispatch
 from belljump.config import parse_config, serialize
+from belljump.ensemble import normalized_amplitudes
 from belljump.trajectory import fit_power_law, time_from_radius
 from belljump.wavefunction import ModelFamily, current_coeffs
 
@@ -539,6 +540,30 @@ tol = 1e-6
 """
 
 
+#: A balanced track that drains the vacuum weight from 0.9995 to 9e-4
+#: over its window: path 0 starts in the vacuum and emits with
+#: probability 0.9986 (on a balanced track the emission time is uniform
+#: on the window), so `simulate` writes emission and flight records at
+#: whatever stream the seed gives
+EMITTING_CONF = """\
+[params]
+q = 0.96
+
+[track]
+kind = balanced
+c_minus = 0.005289410531196515, 0
+c_plus = 0, 0.005289410531196515
+p0_init = 0.9995
+t_end = 8130.0
+n = 129
+
+[run]
+seed = 79
+n_paths = 300
+tol = 1e-6
+"""
+
+
 def _simulate_with_traces(tmp_path, conf_text):
     """Run simulate without and with --trace-dir.  The records must be
     byte-identical, and each flight CSV must trace its record's flight to
@@ -575,10 +600,10 @@ def _simulate_with_traces(tmp_path, conf_text):
 
 
 def test_simulate_event_records(tmp_path):
-    records = _simulate_with_traces(tmp_path, ENSEMBLE_CONF)
+    records = _simulate_with_traces(tmp_path, EMITTING_CONF)
     kinds = [rec["record"] for rec in records]
     assert kinds[0] == "header" and kinds[-1] == "end"
-    # seed 79 draws a vacuum start, one emission, one open flight
+    # a vacuum start, one emission, one flight
     assert "vacuum_span" in kinds and "emission" in kinds and "flight" in kinds
     emission = next(rec for rec in records if rec["record"] == "emission")
     assert set(emission) == {"record", "t0", "theta0", "phi0"}
@@ -590,7 +615,7 @@ def test_simulate_event_records(tmp_path):
         "absorbed", "left_inner_region", "time_exhausted"
     )
     end = records[-1]
-    assert end["t_span"] == [0.0, 3.0]
+    assert end["t_span"] == [0.0, 8130.0]
     assert end["n_emissions"] == 1 and end["n_absorptions"] == 0
 
 
@@ -690,6 +715,65 @@ def test_ensemble_without_angle_report_skips_scipy_stats(tmp_path):
     assert "skipped" in angles
 
 
+def test_runs_import_no_scipy_solvers(tmp_path):
+    # tracks are the package's own cubic tables, waits are thinned
+    # against them, and t(r) is inverted by the package's root finder:
+    # neither an ensemble on a file track (DP5 flights, snapshot radii)
+    # nor a simulated path (closed-form flight) loads scipy's
+    # interpolate, optimize or integrate
+    p = canonical_params(0.96)
+    t = np.linspace(0.0, 2.0, 17)
+    phase = 0.5 * math.pi + 0.3 * np.sin(math.pi * t)
+    amp = abs(normalized_amplitudes(p, 1.0, 1j, 1.0, 0.3)[0])
+    drain = np.concatenate(
+        ([0.0], np.cumsum(np.diff(t) * 8.0 * (1.0 + p.q) * p.B * amp**2 * 0.5
+                          * (np.sin(phase[1:]) + np.sin(phase[:-1]))))
+    )
+    rows = [
+        f"{a!r}, {amp!r}, 0.0, {amp * math.cos(ph)!r}, {amp * math.sin(ph)!r}, "
+        f"{math.sqrt(0.7 - d)!r}, 0.0"
+        for a, ph, d in zip(t.tolist(), phase.tolist(), drain.tolist())
+    ]
+    track_csv = tmp_path / "track.csv"
+    track_csv.write_text("\n".join(rows) + "\n")
+    file_conf = tmp_path / "file.conf"
+    file_conf.write_text(
+        f"[params]\nq = 0.96\n\n[track]\nkind = file\nfile = {track_csv}\n\n"
+        "[run]\nseed = 3\nn_paths = 200\ntol = 1e-6\nsnapshot_time = 1.0\n"
+    )
+    sim_conf = tmp_path / "sim.conf"
+    sim_conf.write_text(EMITTING_CONF)
+    script = (
+        "import sys\n"
+        "from belljump.cli import dispatch\n"
+        f"rc = [dispatch(['ensemble', '--config', {str(file_conf)!r}, "
+        f"'--output', {str(tmp_path / 'out')!r}]),\n"
+        f"      dispatch(['simulate', '--config', {str(sim_conf)!r}, "
+        f"'--output', {str(tmp_path / 'path.jsonl')!r}])]\n"
+        "names = ('scipy.interpolate', 'scipy.optimize', 'scipy.integrate')\n"
+        "print(rc, [n for n in names if n in sys.modules])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[0, 0] []", run.stdout + run.stderr
+    summary = (tmp_path / "out" / "ensemble_summary.json").read_text()
+    records = [json.loads(line) for line in summary.splitlines()]
+    totals = next(rec for rec in records if rec["record"] == "totals")
+    snapshot = next(rec for rec in records if rec["record"] == "snapshot")
+    assert totals["n_emissions"] > 0 and snapshot["count"] > 0
+    flights = [
+        json.loads(line)
+        for line in (tmp_path / "path.jsonl").read_text().splitlines()
+        if '"flight"' in line
+    ]
+    assert flights and flights[0]["samples"] == 2
+
+
 def test_ensemble_snapshot_radii(tmp_path):
     conf = tmp_path / "ens.conf"
     conf.write_text(ENSEMBLE_CONF + "snapshot_time = 1.5\nprobe_radius = 0.2\n")
@@ -742,7 +826,7 @@ def test_ensemble_snapshot_radii(tmp_path):
 )
 def test_every_output_starts_with_header(tmp_path, capsys, argv, outputs):
     ens, trace = tmp_path / "ens.conf", tmp_path / "trace.conf"
-    ens.write_text(ENSEMBLE_CONF.replace("n_paths = 300", "n_paths = 40"))
+    ens.write_text(EMITTING_CONF.replace("n_paths = 300", "n_paths = 40"))
     trace.write_text(TRACE_CONF.replace("tol = 1e-10", "tol = 1e-6"))
     argv = [arg.format(tmp=tmp_path, ens=ens, trace=trace) for arg in argv]
     assert dispatch(argv) == 0

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from belljump import (
     DomainError,
@@ -11,6 +14,7 @@ from belljump import (
     VacuumEmpty,
     canonical_params,
 )
+from belljump.cubic import cubic_values
 from belljump.jump_process import (
     AbsorptionEvent,
     CoefficientTrack,
@@ -27,7 +31,7 @@ from belljump.jump_process import (
 )
 from belljump.trajectory import Absorbed, LeftInnerRegion, TimeExhausted
 from belljump.wavefunction import ModelFamily, current_coeffs
-from oracles import BalanceViolation, in_vacuum, validate_balance
+from oracles import BalanceViolation, cumulative_hazard, in_vacuum, validate_balance
 
 P96 = canonical_params(0.96)
 
@@ -130,22 +134,111 @@ def test_waiting_time_majorant_guards():
         )
 
 
-def test_waiting_times_pinned_on_spline_track():
+def test_majorant_bounds_rate_between_grid_points():
+    # psi0's spline crosses zero inside [0, 1/3] although no grid value
+    # is small there: the rate is unbounded on that interval, which
+    # probing the rate at sample points missed
+    t = np.linspace(0.0, 1.0, 4)
+    ones = np.ones(4)
+    tr = CoefficientTrack(P96, t, 0.1 * ones, 0.1j * ones, [0.5, -0.37, 0.4, 0.5])
+    assert tr.majorant_table.majorants[0] == math.inf
+    with pytest.raises(MajorantError):
+        sample_waiting_time(tr, 0.0, np.random.default_rng(0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=2, max_value=8).flatmap(
+        lambda n: st.tuples(
+            hnp.arrays(float, n, elements=st.floats(0.05, 1.0)),
+            hnp.arrays(float, (n, 6), elements=st.floats(-1.0, 1.0)),
+        )
+    )
+)
+@example(  # Im's derivative spans 15 decades, too many for its companion matrix
+    (
+        np.array([0.05078125, 0.05078125]),
+        np.array(
+            [
+                [0.0, -1.0, -0.75, 0.0, 1.0, 0.0],
+                [0.0, 0.0, 0.11406281578525612, 0.0, 1.0, 0.0],
+            ]
+        ),
+    )
+)
+def test_majorant_never_below_rate(grid):
+    steps, values = grid
+    t = np.cumsum(steps)
+    cm = values[:, 0] + 1j * values[:, 1]
+    cp = values[:, 2] + 1j * values[:, 3]
+    p0 = values[:, 4] + 1j * values[:, 5]
+    tr = CoefficientTrack(P96, t, cm, cp, p0)
+    table = tr.majorant_table
+    kept = dict(zip(table.starts, table.majorants))
+    for a, b in zip(t[:-1].tolist(), t[1:].tolist()):
+        rate = tr.rate_profile(np.linspace(a, b, 4001))
+        if a not in kept:
+            assert np.all(rate == 0.0)  # Im <= 0 on the whole interval
+        else:
+            assert np.all(rate <= kept[a])
+    # H, the majorant integral, accumulates over the kept trusted pieces
+    # only; untrusted[k] points at the first inf majorant from piece k on
+    widths = np.subtract(table.ends, table.starts)
+    terms = np.where(np.isinf(table.majorants), 0.0, np.multiply(table.majorants, widths))
+    np.testing.assert_allclose(table.hazard, np.concatenate(([0.0], np.cumsum(terms))))
+    n = len(table.majorants)
+    for k in range(n):
+        later = [j for j in range(k, n) if table.majorants[j] == math.inf]
+        assert table.untrusted[k] == (later[0] if later else n)
+
+
+def _gapped_track():
     # Im[conj(c_minus) c_plus] <= 0 on [0.75, 1.25] (zero majorant there)
-    # and complex psi0; values recorded before the majorant table existed
+    # and complex psi0
     t = np.linspace(0.0, 2.0, 9)
     im = np.array([0.6, 0.8, 0.5, -0.3, -0.6, -0.4, 0.2, 0.7, 0.9])
-    tr = CoefficientTrack(P96, t, np.ones(9), 1j * im, 0.9 - 0.05 * t + 0.02j * t)
+    return CoefficientTrack(P96, t, np.ones(9), 1j * im, 0.9 - 0.05 * t + 0.02j * t)
+
+
+@pytest.mark.parametrize("case", ["balanced", "gapped"])
+def test_waiting_time_law_matches_exact_survival(case):
+    # the first-event time T from t0 has P(T > t) = exp(-Lambda(t)) up to
+    # the track end, where None stands for "no event"; Lambda by
+    # quadrature of the rate, independently of the majorant table
+    from scipy import stats as sps
+
+    tr, t0, seed = {
+        "balanced": (_balanced(), 0.37, 61),
+        "gapped": (_gapped_track(), 0.61, 62),
+    }[case]
+    rng = np.random.default_rng(seed)
+    n = 4000
+    draws = [sample_waiting_time(tr, t0, rng) for _ in range(n)]
+    events = np.sort([d for d in draws if d is not None])
+    assert np.all(events > t0)
+    hazard = cumulative_hazard(tr, t0, np.append(events, tr.t_end))
+    p_event = 1.0 - math.exp(-hazard[-1])
+    z = (len(events) - n * p_event) / math.sqrt(n * p_event * (1.0 - p_event))
+    assert abs(z) < 4.0
+    # conditional on an event, F(T) = (1 - exp(-Lambda(T))) / p_event is uniform
+    ks = sps.kstest(-np.expm1(-hazard[:-1]) / p_event, "uniform")
+    assert ks.pvalue > 1e-3
+
+
+def test_waiting_times_pinned_on_spline_track():
+    # complex psi0 and a zero-majorant gap on [0.75, 1.25]; values
+    # recorded with the cumulative-majorant sampler
+    tr = _gapped_track()
     rng = np.random.default_rng(2024)
     starts = (0.0, 0.5, 0.61, 0.95, 1.3, 1.9)  # 0.5 is a grid node
     draws = [tuple(sample_waiting_time(tr, t0, rng) for _ in range(3)) for t0 in starts]
     assert draws == [
-        (0.17394161796343044, 0.2976405658309197, 0.08854994518330087),
-        (1.585699175925309, 1.5932995324917791, 0.5222928376823772),
-        (1.5558870217287002, 1.5774735061431517, 1.6583526192427196),
-        (1.5902869362804841, 1.7733828079988647, 1.523314924894845),
-        (1.7365420096050572, 1.7642688194007032, 1.7556089195699875),
-        (None, None, 1.9055963196377657),
+        (0.17394161796342444, 0.5039290689260953, 0.10585408518746946),
+        (0.526616841381935, 0.6198699358470572, 1.982105562164643),
+        (1.96379144260623, 1.5597850243403495, 1.4933600313299185),
+        (1.6543820872119042, 1.7433545769155199, 1.6154950319486812),
+        (1.683923759980174, 1.6567751223974512, None),
+        (None, 1.9055963196377654, 1.9138855801518542),
     ]
 
 
@@ -160,6 +253,13 @@ def test_waiting_time_stops_at_untrusted_interval():
         assert t0 < sample_waiting_time(tr, t0, rng) < 0.95
     with pytest.raises(MajorantError):
         sample_waiting_time(tr, 0.97, rng)
+    # psi0 = t - 0.5 vanishes mid-track, with no majorant on [0.45, 0.55]:
+    # a wait from after those pieces runs on the later ones (hazard from
+    # 0.7 to the end about 13)
+    tr = CoefficientTrack(P96, t, ones, 1j * ones, t - 0.5)
+    assert tr.majorant_table.untrusted[:11] == (9,) * 10 + (10,)
+    for t0 in (0.55, 0.6, 0.7):
+        assert t0 < sample_waiting_time(tr, t0, rng) <= 1.0
 
 
 def test_waiting_time_without_rate_draws_nothing():
@@ -229,12 +329,7 @@ def test_varying_track_interpolates():
     assert abs(cm - 1.5) < 1e-10 and abs(cp - 1.5j) < 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 9, 257])
-def test_track_values_match_separate_splines(n):
-    # the track's one interpolant over (c_minus, c_plus, psi0) against
-    # three independent scipy splines with the same end conditions
-    from scipy.interpolate import CubicSpline
-
+def _random_track(n):
     rng = np.random.default_rng(n)
     t = np.cumsum(rng.uniform(0.1, 1.0, n))
     cm, cp, p0 = (
@@ -242,24 +337,54 @@ def test_track_values_match_separate_splines(n):
         rng.normal(size=n) + 1j * (0.5 + rng.normal(size=n)),
         (0.6 + 0.1 * rng.normal(size=n)) + 0.2j * rng.normal(size=n),
     )
-    tr = CoefficientTrack(P96, t, cm, cp, p0)
+    return CoefficientTrack(P96, t, cm, cp, p0), (cm, cp, p0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 257])
+def test_track_values_match_separate_splines(n):
+    # the track's coefficient table against three independent scipy
+    # splines with the same end conditions: each real column within
+    # 1e-14 of its largest value, the rate law within 1e-12 relative
+    from scipy.interpolate import CubicSpline
+
+    tr, columns = _random_track(n)
+    t = tr.times
     if n == 1:
-        splines = [lambda s, v=complex(y[0]): np.full(np.shape(s), v) for y in (cm, cp, p0)]
+        splines = [lambda s, v=complex(y[0]): np.full(np.shape(s), v) for y in columns]
     else:
         kind = "not-a-knot" if n >= 4 else "natural"
-        splines = [CubicSpline(t, y, bc_type=kind) for y in (cm, cp, p0)]
-    sm, sp, s0 = splines
+        splines = [CubicSpline(t, y, bc_type=kind) for y in columns]
     times = np.concatenate([np.linspace(t[0] - 0.5, t[-1] + 0.5, 301), t])
     clamped = np.clip(times, t[0], t[-1])
-    for tq, tc in zip(times.tolist(), clamped.tolist()):
-        assert tr.coefficients(tq) == (complex(sm(tc)), complex(sp(tc)))
-        assert tr.psi0(tq) == complex(s0(tc))
-    im = (np.conj(sm(clamped)) * sp(clamped)).imag
-    with np.errstate(divide="ignore", invalid="ignore"):
-        want = np.where(
-            im > 0.0, 8.0 * (1.0 + P96.q) * P96.B * im / np.abs(s0(clamped)) ** 2, 0.0
-        )
-    np.testing.assert_array_equal(tr.rate_profile(times), want)
+    sm, sp, s0 = (spline(clamped) for spline in splines)
+    got = np.array([(*tr.coefficients(tq), tr.psi0(tq)) for tq in times.tolist()])
+    for want, column in zip((sm, sp, s0), got.T):
+        for part in (np.real, np.imag):
+            scale = np.max(np.abs(part(want)))
+            assert np.max(np.abs(part(column) - part(want))) <= 1e-14 * scale
+    im = (np.conj(sm) * sp).imag
+    want = np.where(im > 0.0, 8.0 * (1.0 + P96.q) * P96.B * im / np.abs(s0) ** 2, 0.0)
+    np.testing.assert_allclose(tr.rate_profile(times), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 257])
+def test_scalar_and_array_evaluation_agree(n):
+    # one table, two evaluators: Horner on Python floats for one time,
+    # numpy for arrays, with the same piece lookup and clamping
+    tr, _ = _random_track(n)
+    t = tr.times
+    times = np.concatenate([np.linspace(t[0] - 0.5, t[-1] + 0.5, 401), t])
+    columns = cubic_values(t, tr._table, times)
+    scalar = np.array([(*tr.coefficients(tq), tr.psi0(tq)) for tq in times.tolist()])
+    np.testing.assert_array_equal(scalar.real, columns[:, 0::2])
+    np.testing.assert_array_equal(scalar.imag, columns[:, 1::2])
+    rates = [tr.rate_profile(tq) for tq in times.tolist()]
+    assert all(type(r) is float for r in rates)
+    np.testing.assert_array_equal(rates, tr.rate_profile(times))
+    np.testing.assert_array_equal(
+        [tr.vacuum_weight(tq) for tq in times.tolist()],
+        columns[:, 4] ** 2 + columns[:, 5] ** 2,
+    )
 
 
 def test_balanced_constant_flux_track():

@@ -369,6 +369,58 @@ def test_closed_form_radius_at_matches_integrator():
     assert exact.radius_at(exact.t[0] - 1.0) is None
 
 
+def test_integrated_radius_at_matches_scipy_spline():
+    # integrated segments interpolate s = r^(1-2B) with the package's
+    # cubic table: scipy's spline with the same end conditions agrees
+    # within 1e-14 of the largest s
+    from scipy.interpolate import CubicSpline
+
+    one = 1.0 - 2.0 * canonical_params(0.96).B
+    segments = []
+    for case in ("ingoing_probe", "outgoing_leaves"):
+        m, start, t_end, probe = _flight_cases()[case]
+        segments.append(integrate(m, start, t_end, tol=1e-6, probe_radius=probe))
+    for n in (2, 3):  # natural end conditions below four samples
+        t = np.linspace(0.0, 1.0, n)
+        r = 0.01 + 0.05 * t**2
+        segments.append(
+            TrajectorySegment(
+                t=t, r=r, theta=np.ones(n), phi=np.zeros(n),
+                terminal=TimeExhausted(), n_accepted=n - 1, model=_model(),
+            )
+        )
+    for seg in segments:
+        assert seg.n_accepted > 0
+        kind = "not-a-knot" if len(seg.t) >= 4 else "natural"
+        spline = CubicSpline(seg.t, seg.r**one, bc_type=kind)
+        scale = np.max(seg.r**one)
+        for t in np.linspace(seg.t[0], seg.t[-1], 97):
+            assert abs(seg.radius_at(t) ** one - spline(t)) <= 1e-14 * scale
+
+
+def test_invert_time_matches_bisection():
+    # the Newton inversion of t(r) against the oracle's bisection, on
+    # pairs with q Re >= 0, so that no term of t(r) cancels another.
+    # Near the source t ~ r^(1-2B): a rounding error in t moves the root
+    # 1/(1-2B) times as much in r, so the check is 1e-14 relative in t
+    rng = np.random.default_rng(71)
+    checked = 0
+    while checked < 300:
+        q = rng.choice([-1.0, 1.0]) * rng.uniform(0.87, 0.999)
+        cm, cp = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+        parts = trajectory._overlap_parts(cm, cp)
+        if q * parts[2] < 0.0:
+            continue
+        p = canonical_params(q)
+        r_lo, r_hi = 10.0 ** rng.uniform(-9.0, -3.0), 0.5
+        r = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
+        dt = time_from_radius(p, cm, cp, r)
+        got = trajectory._invert_time(p, parts, dt, r_lo, r_hi)
+        want = radius_from_time(p, cm, cp, dt, r_hi)
+        assert abs(got - want) * (1.0 - 2.0 * p.B) <= 1e-14 * want
+        checked += 1
+
+
 def test_subleading_flights_stay_on_the_integrator():
     m = _model(subleading_amp=(0.05, 0.05j))
     seg = integrate(m, SphericalState(0.0, 1e-2, 1.0, 0.0), 1e9, tol=1e-6, dense=False)
