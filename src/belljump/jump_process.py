@@ -459,10 +459,11 @@ def simulate_path(
 ) -> ProcessPath:
     """One realization of the process on t_span.
 
-    In flight the coefficients are re-read from the track at every
-    accepted integrator step (quasi-static update) unless they cannot
-    change over a flight: the family is frozen (each segment keeps the
-    coefficients of its start time) or the track holds them constant.
+    In flight the particle follows the guiding field of the track's
+    coefficients at each time (every DP5 stage reads them at its own
+    time) unless they cannot change over a flight: the family is frozen
+    (each segment keeps the coefficients of its start time) or the track
+    holds them constant.
     Such flights of a subleading-free model are evaluated in closed form;
     the others step DP5.  Flights end at model_family.r_min and record
     their crossings of probe_radius, if given.  Identical (inputs, rng

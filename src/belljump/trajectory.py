@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -325,8 +326,7 @@ def _closed_form_flight(
 # adaptive integrator (Dormand-Prince 5(4), FSAL, PI step control)
 # =====================================================================
 
-# the guiding field takes no t within a step, so the stage nodes c_i
-# are not needed
+_DP_C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
 _DP_A = (
     (),
     (0.2,),
@@ -408,10 +408,10 @@ def integrate(
 
     Stops early with Absorbed (r crossed model.r_min, t0 extrapolated) or
     LeftInnerRegion (r crossed r_cut/2).  `refresh`, when given, supplies
-    (c_minus(t), c_plus(t)) at the start of every accepted step; within a
-    step the field stays frozen (quasi-static update).  Crossings of
-    `probe_radius`, when given, must lie in (0, r_cut/2) and are recorded
-    in either direction.
+    (c_minus(t), c_plus(t)): the flight then solves the time-dependent
+    guiding equation, each DP5 stage reading the field at its own time
+    t + c_i h.  Crossings of `probe_radius`, when given, must lie in
+    (0, r_cut/2) and are recorded in either direction.
 
     With dense=False, no refresh and no subleading amplitudes the flight
     is evaluated in closed form instead (exact; Absorbed then carries the
@@ -456,8 +456,7 @@ def integrate(
     crossings: list[ProbeCrossing] = []
     n_acc = n_rej = 0
 
-    c_mi, c_pl = coeffs(t)
-    f_s, f_phi = rhs(s, c_mi, c_pl)
+    f_s, f_phi = rhs(s, *coeffs(t))
 
     # Hairer's first-step guess h0 = 0.01 d0/d1, with d0 and d1 the
     # scaled norms of y0 and f(y0)
@@ -484,19 +483,21 @@ def integrate(
         if final_step:
             h = t_end - t
 
-        k = [(f_s, f_phi)]
+        # the field depends on s only, so phi is a quadrature of its stages
+        ks, kp = [f_s], [f_phi]
         failed = False
         for i in range(1, 6):
-            a = _DP_A[i]
-            ys = s + h * sum(a[j] * k[j][0] for j in range(i))
-            yp = phi + h * sum(a[j] * k[j][1] for j in range(i))
+            ys = s + h * sum(map(mul, _DP_A[i], ks))
             if ys <= 0.0:
                 failed = True  # stepped over the source; shrink
                 break
-            k.append(rhs(ys, c_mi, c_pl))
+            c = coeffs(t + _DP_C[i] * h)
+            k_s, k_phi = rhs(ys, *c)
+            ks.append(k_s)
+            kp.append(k_phi)
         if not failed:
-            s_new = s + h * sum(_DP_B[j] * k[j][0] for j in range(6))
-            phi_new = phi + h * sum(_DP_B[j] * k[j][1] for j in range(6))
+            s_new = s + h * sum(map(mul, _DP_B, ks))
+            phi_new = phi + h * sum(map(mul, _DP_B, kp))
             if s_new <= 0.0:
                 failed = True
         if failed:
@@ -504,10 +505,11 @@ def integrate(
             h *= 0.3
             continue
 
-        f_new = rhs(s_new, c_mi, c_pl)  # FSAL stage
-        k.append(f_new)
-        err_s = h * sum(_DP_E[j] * k[j][0] for j in range(7))
-        err_phi = h * sum(_DP_E[j] * k[j][1] for j in range(7))
+        f_new = rhs(s_new, *c)  # FSAL stage, at t + h like the last one
+        ks.append(f_new[0])
+        kp.append(f_new[1])
+        err_s = h * sum(map(mul, _DP_E, ks))
+        err_phi = h * sum(map(mul, _DP_E, kp))
         sc_s = atol_s + tol * max(abs(s), abs(s_new))
         sc_phi = tol * max(1.0, abs(phi), abs(phi_new))
         err = math.sqrt(0.5 * ((err_s / sc_s) ** 2 + (err_phi / sc_phi) ** 2))
@@ -519,15 +521,11 @@ def integrate(
             continue
 
         # accepted: scan [t, t+h] for probe and terminal crossings
-        t_new = t + h
-        h_used = h
-        f0_s, f0_phi = f_s, f_phi
-
         def s_at(tau):
-            return _hermite(s, s_new, f0_s, f_new[0], h_used, tau)
+            return _hermite(s, s_new, f_s, f_new[0], h, tau)
 
         def phi_at(tau):
-            return _hermite(phi, phi_new, f0_phi, f_new[1], h_used, tau)
+            return _hermite(phi, phi_new, f_phi, f_new[1], h, tau)
 
         hits: list[tuple[float, float, int, bool]] = []  # (tau, s_level, dir, is_terminal)
         for level, is_term in levels:
@@ -539,7 +537,7 @@ def integrate(
         hits.sort()
 
         for tau_c, level, direction, is_term in hits:
-            tc = t + tau_c * h_used
+            tc = t + tau_c * h
             if tc <= ts[-1]:
                 tc = np.nextafter(ts[-1], math.inf)
             if is_term:
@@ -547,7 +545,7 @@ def integrate(
                 ss.append(level)
                 phis.append(phi_at(tau_c))
                 if level == s_min and direction < 0:
-                    ds_dt = rhs(s_min, c_mi, c_pl)[0]
+                    ds_dt = rhs(s_min, *coeffs(tc))[0]
                     t0 = tc + s_min / (-ds_dt) if ds_dt < 0.0 else tc
                     terminal = Absorbed(t0=t0)
                 else:
@@ -559,7 +557,7 @@ def integrate(
 
         n_acc += 1
         if terminal is None:
-            t, s, phi = (t_end if final_step else t_new), s_new, phi_new
+            t, s, phi = (t_end if final_step else t + h), s_new, phi_new
             if t <= ts[-1]:
                 t = np.nextafter(ts[-1], math.inf)
             ts.append(t)
@@ -569,12 +567,8 @@ def integrate(
                 terminal = TimeExhausted()
                 break
             fac = 0.9 * err ** -0.14 * err_prev**0.08 if err > 0.0 else 10.0
-            h = h_used * min(10.0, max(0.2, fac))
+            h *= min(10.0, max(0.2, fac))
             err_prev = max(err, 1e-10)
-            c_new = coeffs(t)
-            if c_new != (c_mi, c_pl):
-                c_mi, c_pl = c_new
-                f_new = rhs(s, c_mi, c_pl)
             f_s, f_phi = f_new
 
     r_arr = np.array(ss) ** inv_one

@@ -45,6 +45,8 @@ SUBLEADING_DELTA = 0.1
 R_MIN_FRACTION = 1e-8
 #: Emission seed radius as a multiple of r_min.
 R_SEED_FACTOR = 10.0
+#: Points of the s grid the radial mass profile is summed on.
+MASS_PROFILE_POINTS = 4097
 
 
 def _absorption_radius(r_cut: float, r_min: float | None) -> float:
@@ -95,9 +97,9 @@ class ModelFamily:
     """Static part of the model shared by all coefficient values.
 
     Maps track coefficients (c_minus(t), c_plus(t)) to concrete
-    ModelWavefunction instances; `frozen` selects strictly frozen
-    coefficients per flight segment instead of the quasi-static per-step
-    refresh; r_min as in ModelWavefunction.
+    ModelWavefunction instances; `frozen` holds each flight segment at
+    the coefficients of its start time instead of following the track's
+    field as it changes during the flight; r_min as in ModelWavefunction.
     """
 
     params: PhysParams
@@ -245,9 +247,7 @@ def current_exact(model: ModelWavefunction, x) -> np.ndarray:
 # radial mass profile (used by the ensemble sampler and the tests)
 # =====================================================================
 
-def radial_mass_profile(
-    model: ModelWavefunction, n: int = 4097
-) -> tuple[np.ndarray, np.ndarray]:
+def radial_mass_profile(model: ModelWavefunction) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative radial mass M(s) = integral of 4 pi r^2 rho dr on a grid
     of the substituted variable s = r^(1-2B), from 0 to r_cut^(1-2B).
 
@@ -256,7 +256,7 @@ def radial_mass_profile(
     """
     p = model.params
     one = 1.0 - 2.0 * p.B
-    s_grid = np.linspace(0.0, model.r_cut ** one, n)
+    s_grid = np.linspace(0.0, model.r_cut ** one, MASS_PROFILE_POINTS)
     r = s_grid ** (1.0 / one)
     a_hat, c_hat = reduced_amplitudes(
         p, model.c_minus, model.c_plus, r, model.subleading_amp
@@ -270,6 +270,6 @@ def radial_mass_profile(
     return s_grid, cum
 
 
-def particle_sector_mass(model: ModelWavefunction, n: int = 4097) -> float:
+def particle_sector_mass(model: ModelWavefunction) -> float:
     """Total mass of |psi|^2 over the ball of radius r_cut."""
-    return float(radial_mass_profile(model, n)[1][-1])
+    return float(radial_mass_profile(model)[1][-1])

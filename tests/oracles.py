@@ -6,8 +6,9 @@ phi), the series coefficient of its azimuthal rate, the leading
 small-|t| flight, the inverse of the exact t(r) by bisection, the
 guiding field j/rho and the density |psi|^2 by spinor contraction, the
 flux balance d|psi0|^2/dt = -4 pi C_r of a track, a track's
-cumulative emission hazard by adaptive quadrature, vacuum membership
-read off a path's entries, and a KS test of snapshot radii against the
+cumulative emission hazard by adaptive quadrature, a flight through a
+time-dependent guiding field by scipy's DOP853, vacuum membership read
+off a path's entries, and a KS test of snapshot radii against the
 sector-1 radial law.
 """
 
@@ -211,6 +212,33 @@ def cumulative_hazard(track, t_start, times):
     ]
     hazard = np.concatenate(([0.0], np.cumsum(pieces)))
     return hazard[np.searchsorted(edges, times)]
+
+
+def time_dependent_flight(params, coefficients, initial, times):
+    """(r, phi) at each of the increasing `times` (from initial.t on) of
+    the flight dQ/dt = v^{psi_t}(Q) of a subleading-free model whose
+    coefficients are coefficients(t): scipy's DOP853 at rtol 1e-12 on
+    the package's (s, phi) field, with the pair read at every evaluation
+    time."""
+    from scipy.integrate import solve_ivp
+
+    from belljump.trajectory import _make_rhs
+
+    rhs = _make_rhs(params, (0j, 0j))
+    one = 1.0 - 2.0 * params.B
+    s0 = float(initial.r) ** one
+    sol = solve_ivp(
+        lambda t, y: rhs(y[0], *coefficients(t)),
+        (float(initial.t), float(times[-1])),
+        [s0, float(initial.phi)],
+        method="DOP853",
+        t_eval=times,
+        rtol=1e-12,
+        atol=[1e-14 * s0, 1e-12],
+    )
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    return sol.y[0] ** (1.0 / one), sol.y[1]
 
 
 def in_vacuum(path, t):

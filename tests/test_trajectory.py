@@ -1,6 +1,7 @@
 """Deterministic flights: exact rates, closed-form primitives, the
 adaptive integrator, and the power-law fitter."""
 
+import cmath
 import math
 
 import numpy as np
@@ -32,7 +33,8 @@ from belljump.trajectory import (
     integrate,
     time_from_radius,
 )
-from belljump.wavefunction import ModelWavefunction
+from belljump.jump_process import CoefficientTrack
+from belljump.wavefunction import ModelFamily, ModelWavefunction
 from oracles import (
     PoleError,
     SignError,
@@ -40,6 +42,7 @@ from oracles import (
     ode_rhs,
     phi_rate_correction,
     radius_from_time,
+    time_dependent_flight,
     velocity_field,
 )
 
@@ -303,15 +306,89 @@ def test_probe_crossings_recorded():
     assert abs(hit.t - want_t) < 1e-8 * want_t
 
 
-def test_quasi_static_refresh_reduces_to_frozen_for_constant_coeffs():
+def test_constant_refresh_reproduces_the_fixed_flight_bitwise():
     m = _model()
     start = SphericalState(0.0, 1e-3, 1.0, 0.0)
     plain = integrate(m, start, t_end=1e9, tol=1e-9)
     refreshed = integrate(
         m, start, t_end=1e9, tol=1e-9, refresh=lambda t: (1.0, 1j)
     )
-    assert np.allclose(plain.t, refreshed.t, rtol=1e-12, atol=0.0)
-    assert np.allclose(plain.r, refreshed.r, rtol=1e-12, atol=0.0)
+    for a, b in ((plain.t, refreshed.t), (plain.r, refreshed.r), (plain.phi, refreshed.phi)):
+        assert np.array_equal(a, b)
+    assert (plain.n_accepted, plain.n_rejected) == (
+        refreshed.n_accepted, refreshed.n_rejected
+    )
+
+
+def test_fixed_coefficient_flight_digest_is_stable():
+    # samples, terminal, crossings and step counts of DP5 flights under
+    # fixed coefficients: outgoing and ingoing, with a probe, with
+    # subleading amplitudes, emitted, and circling at Im = 0 on a
+    # constant refresh.  Where the stages read the field does not matter
+    # when it holds still, so these stay bitwise fixed
+    import hashlib
+
+    start = SphericalState(0.0, 1e-3, 1.0, 0.3)
+    flights = (
+        (_model(), start, 1e9, {"probe_radius": 0.2}),
+        (_model(cp=-1j, r_min=1e-9), start, 10.0, {"probe_radius": 1e-5}),
+        (_model(cp=-0.5 - 1j), start, 2e-4, {}),
+        (_model(subleading_amp=(0.05, 0.05j)), start, 1e9, {}),
+        (_model(cp=-1j, subleading_amp=(0.05j, -0.05)), start, 10.0, {}),
+        (_model(cp=2.0), start, 1.0, {"refresh": lambda t: (1.0, 2.0)}),
+    )
+    h = hashlib.sha256()
+    for tol in (1e-6, 1e-10):
+        segments = [integrate(m, s, t_end, tol, **kw) for m, s, t_end, kw in flights]
+        segments.append(emit_trajectory(_model(cp=0.3 + 1j), 0.1, 1.0, 0.2, tol))
+        for seg in segments:
+            for values in (seg.t, seg.r, seg.phi):
+                h.update(values.tobytes())
+            h.update(repr(
+                (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
+            ).encode())
+    assert h.hexdigest() == (
+        "b78102e31d75575a23ea5a3b88e646d8ffc9ad1f3a0ff23792f7cdfbfc354501"
+    )
+
+
+def _drifting_track():
+    # a spline track whose c_plus phase drifts as pi/2 + 0.7 sin(2 pi t/1.5)
+    # on 256 intervals of [0, 3]: Im[conj(c-) c+] stays positive but
+    # changes within every interval
+    t = np.linspace(0.0, 3.0, 257)
+    phase = 0.5 * math.pi + 0.7 * np.sin(2.0 * math.pi * t / 1.5)
+    return CoefficientTrack(
+        canonical_params(0.96), t, np.ones_like(t), np.exp(1j * phase),
+        np.full_like(t, math.sqrt(0.97)),
+    )
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_drifting_flights_follow_the_time_dependent_field(tol):
+    # flights emitted at three times on a drifting track, against DOP853
+    # at rtol 1e-12 on the time-dependent ODE at every accepted sample;
+    # holding the field fixed over each step misses r by up to 8e-2
+    track = _drifting_track()
+    family = ModelFamily(track.params, 1.0)
+    worst_r = worst_phi = 0.0
+    for t0 in (0.3, 1.1, 2.0):
+        model = family.at(*track.coefficients(t0))
+        seg = emit_trajectory(
+            model, t0, 0.5 * math.pi, 0.0, tol, t_end=3.0, refresh=track.coefficients
+        )
+        # a terminal crossing is interpolated, not stepped to
+        n = len(seg.t) - (not isinstance(seg.terminal, TimeExhausted))
+        r_ref, phi_ref = time_dependent_flight(
+            track.params, track.coefficients, seg.initial, seg.t[:n]
+        )
+        worst_r = max(worst_r, float(np.max(np.abs(seg.r[:n] / r_ref - 1.0))))
+        worst_phi = max(
+            worst_phi,
+            float(np.max(np.abs(seg.phi[:n] - phi_ref) / np.max(np.abs(seg.phi)))),
+        )
+    assert worst_r < 10.0 * tol
+    assert worst_phi < 10.0 * tol
 
 
 def _flight_cases():
@@ -483,23 +560,29 @@ _PARAMS = (
     frac=st.floats(0.02, 2.0),
     log_probe=st.none() | st.floats(-7.9, math.log10(0.499)),
     dense=st.booleans(),
+    drift=st.booleans(),
 )
 @example(  # ingoing start one float above r_min: t(r_min) - t(r0) rounds to 0
     params=_PARAMS[0], inward=True, phase=math.pi / 2, beta=1.0,
     log_r0=math.log10(math.nextafter(1e-8, 1.0)), frac=2.0, log_probe=None,
-    dense=False,
+    dense=False, drift=False,
 )
 @example(  # outgoing start one float below r_cut/2
     params=_PARAMS[0], inward=False, phase=math.pi / 2, beta=1.0,
     log_r0=math.log10(math.nextafter(0.5, 0.0)), frac=2.0, log_probe=None,
-    dense=False,
+    dense=False, drift=False,
 )
 def test_flights_produce_ordered_positive_samples(
-    params, inward, phase, beta, log_r0, frac, log_probe, dense
+    params, inward, phase, beta, log_r0, frac, log_probe, dense, drift
 ):
     # closed-form (dense=False) and DP5 flights, in and out, ended by
-    # their terminal radius or by t_end, with and without a probe
+    # their terminal radius or by t_end, with and without a probe; with
+    # drift, on a field whose c_plus phase turns by up to 0.1 over time
+    # (never through Im = 0), which keeps every flight on the integrator
     cp = beta * complex(math.cos(phase), -math.sin(phase) if inward else math.sin(phase))
+    refresh = None
+    if drift:
+        refresh = lambda t: (1.0, cp * cmath.exp(0.1j * math.sin(2.0 * math.pi * t / 1.5)))
     m = ModelWavefunction(params, 1.0, cp, 1.0)
     r0 = min(max(10.0**log_r0, math.nextafter(m.r_min, 1.0)), math.nextafter(0.5, 0.0))
     r_term = m.r_min if inward else 0.5
@@ -511,14 +594,14 @@ def test_flights_produce_ordered_positive_samples(
     probe = None if log_probe is None else 10.0**log_probe
     seg = integrate(
         m, SphericalState(t0, r0, 1.0, 0.3), t_end, tol=1e-6,
-        probe_radius=probe, dense=dense,
+        probe_radius=probe, refresh=refresh, dense=dense,
     )
     arrays = (seg.t, seg.r, seg.theta, seg.phi)
     assert all(a.dtype == np.float64 and a.shape == seg.t.shape for a in arrays)
     assert len(seg.t) >= 2
     assert np.all(np.diff(seg.t) > 0.0)
     assert np.all(seg.r > 0.0)
-    assert (seg.n_accepted == 0) == (not dense)
+    assert (seg.n_accepted == 0) == (not dense and not drift)
     assert len(seg.probe_crossings) <= (probe is not None)  # r is monotone
 
 

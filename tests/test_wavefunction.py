@@ -241,11 +241,11 @@ def test_mass_profile_against_weighted_quadrature():
 def test_mass_profile_shape():
     rng = np.random.default_rng(37)
     m = _random_model(rng, q=-0.91)
-    s_grid, cum = radial_mass_profile(m, n=513)
+    s_grid, cum = radial_mass_profile(m)
     assert s_grid[0] == 0.0 and cum[0] == 0.0
     assert np.all(np.diff(cum) >= 0.0)
     assert abs(s_grid[-1] - m.r_cut ** (1.0 - 2.0 * m.params.B)) < 1e-14
-    assert abs(cum[-1] - particle_sector_mass(m, n=513)) == 0.0
+    assert abs(cum[-1] - particle_sector_mass(m)) == 0.0
 
 
 def test_model_family_at():
