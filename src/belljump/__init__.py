@@ -22,6 +22,7 @@ from .errors import (
     StepFailure,
     VacuumEmpty,
     ValidationError,
+    WindowClosed,
     ZeroCoupling,
 )
 from .params import (

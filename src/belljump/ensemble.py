@@ -27,6 +27,7 @@ only the rate law, CoefficientTrack.rate_profile, with the path sampler.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -47,7 +48,6 @@ from .jump_process import (
     simulate_path,
 )
 from .params import PhysParams
-from .spinor_basis import from_spherical
 from .trajectory import time_from_radius
 from .wavefunction import (
     ModelFamily,
@@ -163,15 +163,21 @@ class _RadialSampler:
         one = 1.0 - 2.0 * model.params.B
         self.inv_exponent = 1.0 / one
         s_floor = (DRAW_FLOOR_FACTOR * model.r_min) ** one
-        lo = float(np.interp(s_floor, s_grid, cum))
-        self.s_grid = s_grid
-        self.cum = cum
-        self.lo = lo
+        self.lo = float(np.interp(s_floor, s_grid, cum))
+        self.s_grid = s_grid.tolist()
+        self.cum = cum.tolist()
 
     def draw_radius(self, u: float) -> float:
-        target = self.lo + u * (self.cum[-1] - self.lo)
-        s = float(np.interp(target, self.cum, self.s_grid))
-        return s**self.inv_exponent
+        """np.interp(target, cum, s_grid) on Python floats, with numpy's
+        branches: clamped ends, the knot value on a knot, else the chord."""
+        c, s = self.cum, self.s_grid
+        target = self.lo + u * (c[-1] - self.lo)
+        j = bisect.bisect_right(c, target) - 1
+        if j < 0 or j == len(c) - 1 or c[j] == target:
+            x = s[max(j, 0)]
+        else:
+            x = (s[j + 1] - s[j]) / (c[j + 1] - c[j]) * (target - c[j]) + s[j]
+        return x**self.inv_exponent
 
 
 def make_initial_sampler(
@@ -195,6 +201,20 @@ def make_initial_sampler(
     return vac_weight, sampler
 
 
+def _path_stream(seed: int, index: int, rng: np.random.Generator | None):
+    """The generator of path `index`: Philox keyed (seed, index) at
+    counter 0.  A given Philox generator is re-keyed in place to exactly
+    that state, at a fraction of the cost of building a new one."""
+    key = np.array([seed, index], dtype=np.uint64)
+    if rng is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
+
+
 def draw_path(
     model_family: ModelFamily,
     track: CoefficientTrack,
@@ -206,12 +226,13 @@ def draw_path(
     sampler: _RadialSampler,
     tol: float = 1e-6,
     probe_radius: float | None = None,
+    rng: np.random.Generator | None = None,
 ) -> ProcessPath:
-    """One realization on the per-index Philox stream keyed (seed, index)."""
+    """One realization on the per-index Philox stream keyed (seed, index).
+    A Philox generator given as rng is re-keyed to that stream, so one
+    generator serves every path of a run."""
     t_a, t_b = float(t_span[0]), float(t_span[1])
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
-    )
+    rng = _path_stream(seed, index, rng)
     r_top = 0.5 * model_family.r_cut
     if rng.random() < vac_weight:
         config: Vacuum | Particle = Vacuum()
@@ -221,7 +242,9 @@ def draw_path(
         if r0 >= r_top:
             # parked outside the modeled region: sector 1 throughout
             return ProcessPath(t_span=(t_a, t_b), entries=(), events=())
-        config = Particle(tuple(from_spherical(r0, theta0, phi0)))
+        st = math.sin(theta0)  # from_spherical's products, without its array
+        x = (r0 * st * math.cos(phi0), r0 * st * math.sin(phi0), r0 * math.cos(theta0))
+        config = Particle(x)
     return simulate_path(
         model_family,
         track,
@@ -248,8 +271,9 @@ def run_ensemble(
     """n_paths independent realizations with |psi_tau|^2-distributed
     initial configurations, indices 0..n_paths-1.  Path i draws from its
     own Philox stream keyed by (seed, i), so draw_path(..., index=i)
-    replays it alone, bitwise.  snapshot_time, when given, must lie in
-    t_span, and probe_radius in (0, r_cut/2).
+    replays it alone, bitwise (one generator, re-keyed, serves them
+    all).  snapshot_time, when given, must lie in t_span, and
+    probe_radius in (0, r_cut/2).
     """
     t_a, t_b = float(t_span[0]), float(t_span[1])
     if snapshot_time is not None and not t_a <= snapshot_time <= t_b:
@@ -267,8 +291,12 @@ def run_ensemble(
         return EnsembleStats.empty(grid, probe_radius, snapshot_time)
 
     vac_weight, sampler = make_initial_sampler(model_family, track, t_a)
-    # per-path values are collected in lists and turned into arrays once
-    vacuum_counts = np.zeros(len(grid), dtype=np.int64)
+    rng = np.random.Generator(np.random.Philox(0))  # re-keyed per path
+    # per-path values are collected in lists and turned into arrays once;
+    # a vacuum span (a, b) marks +1 at the first grid time >= a and -1 past
+    # the last <= b: the running sum counts vacuum paths (spans are disjoint)
+    times = grid.tolist()
+    marks = [0] * (len(times) + 1)
     emissions, absorptions, inward, outward, snapshots = [], [], [], [], []
     for index in range(n_paths):
         path = draw_path(
@@ -281,8 +309,11 @@ def run_ensemble(
             sampler=sampler,
             tol=tol,
             probe_radius=probe_radius,
+            rng=rng,
         )
-        vacuum_counts += path.occupancy(grid)
+        for a, b in path.vacuum_spans:
+            marks[bisect.bisect_left(times, a)] += 1
+            marks[bisect.bisect_right(times, b)] -= 1
         emissions.extend(path.emissions)
         absorptions.extend(a.t0 for a in path.absorptions)
         for seg in path.segments:
@@ -299,7 +330,7 @@ def run_ensemble(
     return EnsembleStats(
         n_paths=n_paths,
         time_grid=grid,
-        vacuum_counts=vacuum_counts,
+        vacuum_counts=np.cumsum(marks[:-1], dtype=np.int64),
         emission_times=floats([e.t0 for e in emissions]),
         absorption_times=floats(absorptions),
         emission_cos_theta=floats([math.cos(e.theta0) for e in emissions]),

@@ -36,6 +36,10 @@ class DomainError(BelljumpError, ValueError):
     """Invalid quantum numbers or out-of-domain evaluation point."""
 
 
+class WindowClosed(DomainError):
+    """The window ends before an emitted particle reaches its seed radius."""
+
+
 class OriginError(BelljumpError, ValueError):
     """Wave-function evaluation requested at the source point x = 0."""
 

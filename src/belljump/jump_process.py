@@ -51,17 +51,17 @@ from .cubic import (
     poly_range,
     unit_pieces,
 )
-from .errors import DomainError, MajorantError, VacuumEmpty
+from .errors import DomainError, MajorantError, VacuumEmpty, WindowClosed
 from .params import PhysParams
+from .spinor_basis import to_spherical
 from .trajectory import (
     Absorbed,
     SphericalState,
     TrajectorySegment,
     emit_trajectory,
     integrate,
-    time_from_radius,
 )
-from .wavefunction import R_SEED_FACTOR, ModelFamily, current_coeffs
+from .wavefunction import ModelFamily, current_coeffs
 
 #: Safety factor on the per-interval rate majorant used in thinning.
 MAJORANT_MARGIN = 1.1
@@ -143,19 +143,19 @@ class CoefficientTrack:
         """(c_minus, c_plus) when the track holds them fixed, else None."""
         return self._const_pair
 
-    def _columns_at(self, t: float) -> list[float]:
-        """The six real columns at one time (clamped to the grid): bisect
-        to the piece, then Horner on Python floats."""
+    def _columns_at(self, t: float, n: int = 6) -> list[float]:
+        """The first n real columns at one time (clamped to the grid):
+        bisect to the piece, then Horner on Python floats."""
         knots = self._knots
         t = min(max(float(t), knots[0]), knots[-1])
         i = min(bisect.bisect_right(knots, t), len(self._pieces)) - 1
         s = t - knots[i]
-        return [((a * s + b) * s + c) * s + d for a, b, c, d in self._pieces[i]]
+        return [((a * s + b) * s + c) * s + d for a, b, c, d in self._pieces[i][:n]]
 
     def coefficients(self, t: float) -> tuple[complex, complex]:
         if self._const_pair is not None:
             return self._const_pair
-        cmr, cmi, cpr, cpi, _, _ = self._columns_at(t)
+        cmr, cmi, cpr, cpi = self._columns_at(t, 4)
         return complex(cmr, cmi), complex(cpr, cpi)
 
     def psi0(self, t: float) -> complex:
@@ -342,14 +342,6 @@ class ProcessPath:
             (e.t_start, e.t_end) for e in self.entries if isinstance(e, VacuumInterval)
         )
 
-    def occupancy(self, times) -> np.ndarray:
-        """Boolean array: configuration is the vacuum at each time."""
-        times = np.asarray(times, dtype=float)
-        out = np.zeros(times.shape, dtype=bool)
-        for a, b in self.vacuum_spans:
-            out |= (times >= a) & (times <= b)
-        return out
-
     @property
     def emissions(self) -> tuple[EmissionEvent, ...]:
         return tuple(e for e in self.events if isinstance(e, EmissionEvent))
@@ -441,12 +433,6 @@ def sample_emission_angles(rng: np.random.Generator) -> tuple[float, float]:
 # the path state machine
 # =====================================================================
 
-def _to_spherical_config(position) -> tuple[float, float, float]:
-    from .spinor_basis import to_spherical
-
-    return to_spherical(np.asarray(position, dtype=float))
-
-
 def simulate_path(
     model_family: ModelFamily,
     track: CoefficientTrack,
@@ -477,8 +463,6 @@ def simulate_path(
         raise DomainError("track does not cover the requested time span")
     if not t_b > t_a:
         raise DomainError("empty time span")
-    seed_radius = R_SEED_FACTOR * model_family.r_min
-
     entries: list = []
     events: list = []
 
@@ -508,31 +492,28 @@ def simulate_path(
             entries.append(VacuumInterval(t, t_jump))
             events.append(EmissionEvent(t_jump, theta0, phi0))
             cm, cp = track.coefficients(t_jump)
-            model = model_family.at(cm, cp)
-            t_seed = t_jump + time_from_radius(track.params, cm, cp, seed_radius)
-            if t_seed >= t_b:
+            try:
+                segment = emit_trajectory(
+                    model_family.at(cm, cp),
+                    t_jump,
+                    theta0,
+                    phi0,
+                    tol,
+                    t_end=t_b,
+                    probe_radius=probe_radius,
+                    refresh=refresh_for(cm, cp),
+                    dense=False,
+                )
+            except WindowClosed:
                 # emitted just before the window closes: the particle is
                 # still inside the seed radius at t_b, no flight recorded
                 t = t_b
                 break
-            segment = emit_trajectory(
-                model,
-                t_jump,
-                theta0,
-                phi0,
-                tol,
-                t_end=t_b,
-                probe_radius=probe_radius,
-                refresh=refresh_for(cm, cp),
-                dense=False,
-            )
         else:
-            r0, th0, ph0 = _to_spherical_config(config.position)
             cm, cp = track.coefficients(t)
-            model = model_family.at(cm, cp)
             segment = integrate(
-                model,
-                SphericalState(t, r0, th0, ph0),
+                model_family.at(cm, cp),
+                SphericalState(t, *to_spherical(config.position)),
                 t_b,
                 tol,
                 probe_radius=probe_radius,

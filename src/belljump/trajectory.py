@@ -53,6 +53,7 @@ from .errors import (
     FitError,
     OriginError,
     StepFailure,
+    WindowClosed,
 )
 from .params import PhysParams
 from .wavefunction import (
@@ -600,7 +601,8 @@ def emit_trajectory(
     """Outgoing trajectory emanating from the source at t0 with labels
     (theta0, phi0): seed (t, phi) at R_SEED_FACTOR * model.r_min from the
     exact closed forms, then integrate forward until leaving the inner
-    region (or t_end); `dense` as in integrate.
+    region (or t_end); `dense` as in integrate.  WindowClosed if t_end
+    does not come after the seed time.
     """
     p = model.params
     seed_radius = R_SEED_FACTOR * model.r_min
@@ -613,7 +615,7 @@ def emit_trajectory(
     phi_seed = phi0 + _azimuth(p, parts, seed_radius)
     start = SphericalState(t=t_seed, r=seed_radius, theta=theta0, phi=phi_seed)
     if not t_end > t_seed:
-        raise DomainError("t_end precedes the seed time")
+        raise WindowClosed("t_end precedes the seed time")
     if math.isinf(t_end):
         # generous bound: exact exit time for frozen coefficients, doubled
         t_end = t_seed + 2.0 * abs(_elapsed(p, parts, 0.5 * model.r_cut)) + 1.0

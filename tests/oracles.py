@@ -8,8 +8,8 @@ guiding field j/rho and the density |psi|^2 by spinor contraction, the
 flux balance d|psi0|^2/dt = -4 pi C_r of a track, a track's
 cumulative emission hazard by adaptive quadrature, a flight through a
 time-dependent guiding field by scipy's DOP853, vacuum membership read
-off a path's entries, and a KS test of snapshot radii against the
-sector-1 radial law.
+off a path's entries (at one time, or on a grid by numpy comparisons),
+and a KS test of snapshot radii against the sector-1 radial law.
 """
 
 import math
@@ -249,6 +249,16 @@ def in_vacuum(path, t):
         for e in path.entries
         if isinstance(e, VacuumInterval)
     )
+
+
+def occupancy(path, times):
+    """Boolean array: the configuration of `path` is the vacuum at each
+    of `times`, by numpy comparisons against its closed vacuum spans."""
+    times = np.asarray(times, dtype=float)
+    out = np.zeros(times.shape, dtype=bool)
+    for a, b in path.vacuum_spans:
+        out |= (times >= a) & (times <= b)
+    return out
 
 
 def radius_from_time(params, c_minus, c_plus, dt, r_max):

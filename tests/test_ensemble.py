@@ -12,6 +12,7 @@ from belljump import (
     NormalizationError,
     canonical_params,
 )
+from belljump import ensemble
 from belljump.ensemble import (
     DRAW_FLOOR_FACTOR,
     EnsembleStats,
@@ -26,9 +27,10 @@ from belljump.ensemble import (
     run_ensemble,
     sector0_comparison,
 )
-from belljump.jump_process import CoefficientTrack
+from belljump.jump_process import CoefficientTrack, ProcessPath, VacuumInterval
+from belljump.trajectory import Absorbed, TrajectorySegment
 from belljump.wavefunction import ModelFamily, ModelWavefunction, particle_sector_mass
-from oracles import cumulative_hazard, in_vacuum, radial_snapshot_ks
+from oracles import cumulative_hazard, in_vacuum, occupancy, radial_snapshot_ks
 
 P96 = canonical_params(0.96)
 
@@ -97,7 +99,7 @@ def _single_path_stats(path, grid, probe_radius, snapshot_time):
     return EnsembleStats(
         n_paths=1,
         time_grid=grid,
-        vacuum_counts=path.occupancy(grid).astype(np.int64),
+        vacuum_counts=occupancy(path, grid).astype(np.int64),
         emission_times=np.array([e.t0 for e in path.emissions], dtype=float),
         absorption_times=np.array([a.t0 for a in path.absorptions], dtype=float),
         emission_cos_theta=np.array(
@@ -192,6 +194,137 @@ def test_run_zero_paths():
     fam, track = _balanced_setup()
     stats = run_ensemble(fam, track, 0, (0.0, 3.0), 1, time_grid_n=7)
     assert stats.n_paths == 0
+
+
+def _path_fingerprint(path):
+    """Every number of a path, bitwise: arrays as bytes, floats by repr."""
+    parts = [repr(path.t_span), repr(path.events)]
+    for entry in path.entries:
+        if isinstance(entry, TrajectorySegment):
+            parts += [a.tobytes() for a in (entry.t, entry.r, entry.theta, entry.phi)]
+            parts.append(repr((
+                entry.terminal, entry.probe_crossings, entry.n_accepted,
+                entry.n_rejected, entry.model,
+            )))
+        else:
+            parts.append(repr(entry))
+    return parts
+
+
+def test_run_paths_equal_fresh_generator_replays(monkeypatch):
+    # one re-keyed generator carries the run; each path equals its replay
+    # on a fresh Philox(key=[seed, index]), whatever the paths before it drew
+    fam, track = _balanced_setup()
+    span, probe, seed = (0.0, 3.0), 0.2, 71
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(draw_path(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(ensemble, "draw_path", recording)
+    run_ensemble(fam, track, 40, span, seed, time_grid_n=11, probe_radius=probe)
+    vac_weight, sampler = make_initial_sampler(fam, track, span[0])
+    for index, path in enumerate(drawn):
+        replay = draw_path(
+            fam, track, span, seed, index, vac_weight=vac_weight,
+            sampler=sampler, probe_radius=probe,
+        )
+        assert _path_fingerprint(path) == _path_fingerprint(replay)
+    starts = {type(p.entries[0]).__name__ if p.entries else "parked" for p in drawn}
+    assert {"VacuumInterval", "TrajectorySegment"} <= starts
+    assert any(p.emissions for p in drawn)
+
+
+def test_rekeyed_generator_matches_fresh_philox():
+    seed, index = 2**63 + 7, 2**40
+    used = np.random.Generator(np.random.Philox(5))
+    used.random()
+    used.integers(0, 10, dtype=np.uint32)  # leaves half a word buffered
+    assert used.bit_generator.state["has_uint32"] == 1
+    fresh = np.random.Generator(
+        np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+    )
+    for rng in (ensemble._path_stream(seed, index, used), fresh):
+        assert rng.bit_generator.state["has_uint32"] == 0
+    for _ in range(3):
+        assert used.random() == fresh.random()
+        assert used.standard_exponential() == fresh.standard_exponential()
+        assert used.integers(0, 2**62) == fresh.integers(0, 2**62)
+        assert used.integers(0, 10, dtype=np.uint32) == fresh.integers(
+            0, 10, dtype=np.uint32
+        )
+
+
+def test_run_builds_one_generator(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(args or kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    fam, track = _balanced_setup()
+    run_ensemble(fam, track, 40, (0.0, 3.0), 9, time_grid_n=11)
+    assert len(built) == 1
+
+
+def test_vacuum_counts_equal_oracle_occupancy(monkeypatch):
+    # hand-made paths on the run's grid 0, 0.1, ..., 1: spans ending on
+    # grid points, zero-length spans on and off a grid point, spans that
+    # touch t_a and t_b
+    fam, track = _balanced_setup()
+    grid = np.linspace(0.0, 1.0, 11)
+    flight = TrajectorySegment(
+        t=np.array([0.0, 1.0]), r=np.array([0.1, 0.1]), theta=np.zeros(2),
+        phi=np.zeros(2), terminal=Absorbed(1.0),
+    )
+    span_sets = [
+        [(0.0, 1.0)],
+        [(0.0, 0.0)],
+        [(1.0, 1.0)],
+        [(grid[3], grid[3])],
+        [(0.35, 0.35)],
+        [(0.0, grid[2]), (grid[4], grid[7])],
+        [(0.05, 0.25), (grid[6], grid[6]), (0.95, 1.0)],
+        [(0.0, 0.3), (0.7, 0.7), (np.nextafter(grid[8], 2.0), 1.0)],
+        [(np.nextafter(grid[5], 0.0), grid[5])],
+        [],
+    ]
+    paths = []
+    for spans in span_sets:
+        entries = []
+        for a, b in spans:
+            entries += [VacuumInterval(a, b), flight]
+        paths.append(ProcessPath((0.0, 1.0), tuple(entries[:-1]), ()))
+
+    monkeypatch.setattr(
+        ensemble, "draw_path", lambda fam, track, span, seed, index, **kw: paths[index]
+    )
+    stats = run_ensemble(fam, track, len(paths), (0.0, 1.0), 1, time_grid_n=11)
+    want = sum(occupancy(p, grid).astype(np.int64) for p in paths)
+    assert np.array_equal(stats.vacuum_counts, want)
+    assert stats.vacuum_counts.dtype == np.int64
+
+
+def test_draw_radius_equals_numpy_interp():
+    for cp in (1j, -1j, 0.3 + 1j):
+        fam = ModelFamily(P96, 1.0)
+        cm, cp = normalized_amplitudes(P96, 1.0, cp, 1.0, 0.3)
+        track = CoefficientTrack.constant(P96, cm, cp, math.sqrt(0.7), 0.0, 1.0)
+        _, sampler = make_initial_sampler(fam, track, 0.0)
+        cum, s_grid = np.array(sampler.cum), np.array(sampler.s_grid)
+        us = [0.0, 1.0, *np.random.default_rng(3).random(4000)]
+        for u in us:
+            target = sampler.lo + u * (cum[-1] - sampler.lo)
+            want = float(np.interp(target, cum, s_grid)) ** sampler.inv_exponent
+            assert sampler.draw_radius(u) == want
+    # a target on a knot whose chord slope overflows: the knot value, not
+    # inf * 0
+    sampler.cum, sampler.s_grid, sampler.lo = [0.0, 5e-324, 1.0], [0.0, 1.0, 2.0], 0.0
+    want = np.interp(0.0, sampler.cum, sampler.s_grid)
+    assert sampler.draw_radius(0.0) == 0.0 == want
 
 
 def test_snapshot_outside_window_rejected():

@@ -12,8 +12,10 @@ from belljump import (
     DomainError,
     MajorantError,
     VacuumEmpty,
+    WindowClosed,
     canonical_params,
 )
+from belljump import jump_process
 from belljump.cubic import cubic_values
 from belljump.jump_process import (
     AbsorptionEvent,
@@ -29,9 +31,20 @@ from belljump.jump_process import (
     simulate_path,
     total_jump_rate,
 )
-from belljump.trajectory import Absorbed, LeftInnerRegion, TimeExhausted
+from belljump.trajectory import (
+    Absorbed,
+    LeftInnerRegion,
+    TimeExhausted,
+    emit_trajectory,
+)
 from belljump.wavefunction import ModelFamily, current_coeffs
-from oracles import BalanceViolation, cumulative_hazard, in_vacuum, validate_balance
+from oracles import (
+    BalanceViolation,
+    cumulative_hazard,
+    in_vacuum,
+    occupancy,
+    validate_balance,
+)
 
 P96 = canonical_params(0.96)
 
@@ -474,7 +487,7 @@ def test_simulate_path_alternation_and_spans():
                 assert in_vacuum(path, ev.t0)
         # occupancy flags agree with the recorded spans
         grid = np.linspace(0.0, 3.0, 31)
-        occ = path.occupancy(grid)
+        occ = occupancy(path, grid)
         for t, flag in zip(grid, occ):
             assert flag == in_vacuum(path, t)
     assert found_events
@@ -505,6 +518,23 @@ def test_simulate_path_outgoing_particle_leaves_and_parks():
     assert len(path.segments) == 1
     assert isinstance(path.segments[0].terminal, LeftInnerRegion)
     assert path.vacuum_spans == ()
+
+
+def test_emission_inside_seed_time_of_window_end_records_no_flight(monkeypatch):
+    # an emission so close to t_b that the particle is still inside the
+    # seed radius when the window closes: the path ends with the emission
+    fam, tr = _family(), _constant_track()
+    t_b = 3.0
+    t_jump = math.nextafter(t_b, 0.0)
+    model = fam.at(*tr.coefficients(t_jump))
+    with pytest.raises(WindowClosed):
+        emit_trajectory(model, t_jump, 1.0, 0.0, t_end=t_b)
+    monkeypatch.setattr(jump_process, "sample_waiting_time", lambda *a: t_jump)
+    rng = np.random.default_rng(58)
+    path = simulate_path(fam, tr, Vacuum(), (0.0, t_b), rng)
+    assert path.vacuum_spans == ((0.0, t_jump),)
+    assert len(path.emissions) == 1 and path.emissions[0].t0 == t_jump
+    assert path.segments == ()
 
 
 def test_simulate_path_flight_evaluation():
