@@ -40,7 +40,6 @@ from .spinor_basis import (
     from_spherical,
     phi_basis,
     sphere_quadrature,
-    to_spherical,
 )
 from .wavefunction import (
     CurrentCoeffs,

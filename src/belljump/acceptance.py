@@ -268,10 +268,7 @@ def criterion_2():
             b2 = 2.0 * params.B
             for r in radii:
                 for theta in (0.31, 1.2, 2.8):
-                    x = np.array(
-                        [r * math.sin(theta), 0.0, r * math.cos(theta)]
-                    )
-                    j_r, j_th, j_ph = current_exact(model, x)
+                    j_r, j_th, j_ph = current_exact(model, r, theta, 0.0)
                     worst_r = max(worst_r, abs(r * r * j_r - cc.C_r) / abs(cc.C_r))
                     poly = (
                         cc.Cphi_leading

@@ -158,7 +158,7 @@ def _require_seed(cfg: RunConfig) -> int:
 
 def _model_family(cfg: RunConfig) -> ModelFamily:
     mc = cfg.model
-    sub = (mc.s_minus, mc.s_plus) if mc.subleading else (0j, 0j)
+    sub = (mc.s_minus, mc.s_plus)
     return ModelFamily(
         cfg.params, r_cut=mc.r_cut, subleading_amp=sub, frozen=mc.frozen, r_min=mc.r_min
     )

@@ -26,7 +26,6 @@ from .wavefunction import R_SEED_FACTOR
 class ModelConfig:
     r_cut: float = 1.0
     r_min: float | None = None
-    subleading: bool = False
     s_minus: complex = 0j
     s_plus: complex = 0j
     frozen: bool = False

@@ -242,9 +242,7 @@ def draw_path(
         if r0 >= r_top:
             # parked outside the modeled region: sector 1 throughout
             return ProcessPath(t_span=(t_a, t_b), entries=(), events=())
-        st = math.sin(theta0)  # from_spherical's products, without its array
-        x = (r0 * st * math.cos(phi0), r0 * st * math.sin(phi0), r0 * math.cos(theta0))
-        config = Particle(x)
+        config = Particle(r0, theta0, phi0)
     return simulate_path(
         model_family,
         track,
@@ -385,7 +383,7 @@ def master_equation_occupancy(
     times = np.linspace(t_a, t_b, time_grid_n)
     p0_init = track.vacuum_weight(t_a)
 
-    ims = np.array([track.im_cross(t) for t in times])
+    ims = track.im_cross(times)
     if np.all(ims >= 0.0):
         # Lambda(t), the integral of Gamma from t_a, by Gauss-Legendre on
         # each piece between consecutive track knots and output times
@@ -414,10 +412,7 @@ def master_equation_occupancy(
     t_stop = t_a + abs(
         time_from_radius(p, cm, cp, 0.5 * model_family.r_cut)
     )
-    p0 = np.empty_like(times)
-    for i, t in enumerate(times):
-        reach = min(t, t_stop)
-        p0[i] = p0_init + influx * max(0.0, reach - t_a)
+    p0 = p0_init + influx * np.maximum(0.0, np.minimum(times, t_stop) - t_a)
     if np.any(p0 > 1.0 + 1e-9):
         raise DomainError("oracle occupancy left [0, 1]; window too long")
     return times, np.clip(p0, 0.0, 1.0)
@@ -448,7 +443,7 @@ def sector0_comparison(
     oracle); passes iff at most 1% of grid times exceed |z| = z_limit."""
     times = stats.time_grid
     if expected is None:
-        expected = np.array([track.vacuum_weight(t) for t in times])
+        expected = track.vacuum_weight(times)
     expected = np.asarray(expected, dtype=float)
     p_hat = stats.p0_hat
     n = stats.n_paths

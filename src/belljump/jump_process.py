@@ -16,7 +16,8 @@ which CoefficientTrack.rate_profile applies at one time or an array of
 times; total_jump_rate and jump_rate_density evaluate it there, and the
 thinning majorants
 (CoefficientTrack.majorant_table) bound it exactly on each grid interval
-from the same coefficient table.  A particle follows the guiding field
+from the same coefficient table.  A particle, held at (r, theta, phi)
+like every position in the package, follows the guiding field
 until its radius falls below the model's r_min (absorption: the
 configuration becomes the vacuum at the arrival time t0) or until it
 leaves the inner region r < r_cut/2, after which the near-source model
@@ -53,7 +54,6 @@ from .cubic import (
 )
 from .errors import DomainError, MajorantError, VacuumEmpty, WindowClosed
 from .params import PhysParams
-from .spinor_basis import to_spherical
 from .trajectory import (
     Absorbed,
     SphericalState,
@@ -172,11 +172,13 @@ class CoefficientTrack:
             cmr, cmi, cpr, cpi, pr, pi = np.moveaxis(values, -1, 0)
         return cmr * cpi - cmi * cpr, pr * pr + pi * pi
 
-    def vacuum_weight(self, t: float) -> float:
-        return self._cross_and_weight(float(t))[1]
+    def vacuum_weight(self, times):
+        """|psi0|^2 at a time or an array of times."""
+        return self._cross_and_weight(times)[1]
 
-    def im_cross(self, t: float) -> float:
-        return self._cross_and_weight(float(t))[0]
+    def im_cross(self, times):
+        """Im[conj(c_minus) c_plus] at a time or an array of times."""
+        return self._cross_and_weight(times)[0]
 
     def rate_profile(self, times):
         """The emission rate law Gamma at a time or an array of times
@@ -281,17 +283,14 @@ class Vacuum:
     """The empty configuration."""
 
 
-@dataclass(frozen=True)
-class Particle:
-    """A single particle at a nonzero position."""
+class Particle(NamedTuple):
+    """A single particle at spherical position (r, theta, phi), the
+    coordinates every flight runs in.  Its flight checks the radius:
+    simulate_path raises DomainError unless r_min < r < r_cut/2."""
 
-    position: tuple[float, float, float]
-
-    def __post_init__(self):
-        pos = tuple(float(v) for v in self.position)
-        if pos == (0.0, 0.0, 0.0):
-            raise DomainError("particle position must be nonzero")
-        object.__setattr__(self, "position", pos)
+    r: float
+    theta: float
+    phi: float
 
 
 @dataclass(frozen=True)
@@ -443,7 +442,8 @@ def simulate_path(
     tol: float = 1e-8,
     probe_radius: float | None = None,
 ) -> ProcessPath:
-    """One realization of the process on t_span.
+    """One realization of the process on t_span, from q_init: the vacuum,
+    or a Particle whose first flight starts at (t_span[0], r, theta, phi).
 
     In flight the particle follows the guiding field of the track's
     coefficients at each time (every DP5 stage reads them at its own
@@ -513,7 +513,7 @@ def simulate_path(
             cm, cp = track.coefficients(t)
             segment = integrate(
                 model_family.at(cm, cp),
-                SphericalState(t, *to_spherical(config.position)),
+                SphericalState(t, *config),
                 t_b,
                 tol,
                 probe_radius=probe_radius,

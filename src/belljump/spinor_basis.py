@@ -138,17 +138,6 @@ def alpha_component(k: str, point) -> np.ndarray:
     return e[0] * ALPHA[0] + e[1] * ALPHA[1] + e[2] * ALPHA[2]
 
 
-def to_spherical(x) -> tuple[float, float, float]:
-    """Cartesian 3-vector -> (r, theta, phi) with phi in [0, 2 pi)."""
-    x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
-    r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-    if r == 0.0:
-        return 0.0, 0.0, 0.0
-    theta = math.acos(max(-1.0, min(1.0, x2 / r)))
-    phi = math.atan2(x1, x0) % (2.0 * math.pi)
-    return r, theta, phi
-
-
 def from_spherical(r: float, theta: float, phi: float) -> np.ndarray:
     """(r, theta, phi) -> Cartesian 3-vector."""
     st = math.sin(theta)

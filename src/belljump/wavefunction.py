@@ -2,12 +2,13 @@
 
 The short-distance model is
 
-    psi(x) = [c_minus r^(-1-B) + s_minus r^(-1/2+delta)] f^-(omega)
-           + [c_plus  r^(-1+B) + s_plus  r^(-1/2+delta)] f^+(omega),
+    psi(r, omega) = [c_minus r^(-1-B) + s_minus r^(-1/2+delta)] f^-(omega)
+                  + [c_plus  r^(-1+B) + s_plus  r^(-1/2+delta)] f^+(omega),
 
 multiplied by a C^1 cutoff chi(r) that is 1 on r <= r_cut/2 and 0 beyond
-r_cut, with omega = x/r.  The optional s_-/s_+ amplitudes inject error
-terms strictly smaller than r^(-1/2) (delta = 0.1 fixed) to exercise the
+r_cut, with omega = (theta, phi); every function here takes a position
+as (r, theta, phi).  The optional s_-/s_+ amplitudes inject error terms
+strictly smaller than r^(-1/2) (delta = 0.1 fixed) to exercise the
 robustness of the asymptotic extractors; they default to zero.
 
 Everything the dynamics needs follows from the pointwise overlaps of the
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, OriginError
 from .params import PhysParams
-from .spinor_basis import SpherePoint, f_boundary, to_spherical
+from .spinor_basis import SpherePoint, alpha_component, f_boundary
 
 #: The injected error terms scale as r^(-1/2 + SUBLEADING_DELTA).
 SUBLEADING_DELTA = 0.1
@@ -184,8 +185,8 @@ def reduced_amplitudes(params: PhysParams, c_minus, c_plus, r, subleading_amp):
 
 def radial_amplitudes(model: ModelWavefunction, r: float) -> tuple[complex, complex]:
     """Full radial amplitudes (A, C) of psi = A f^- + C f^+ at radius r."""
-    if r <= 0.0:
-        raise OriginError("radius must be positive")
+    if not r > 0.0:
+        raise OriginError(f"radius must be positive, got {r!r}")
     a_hat, c_hat = reduced_amplitudes(
         model.params, model.c_minus, model.c_plus, r, model.subleading_amp
     )
@@ -193,11 +194,9 @@ def radial_amplitudes(model: ModelWavefunction, r: float) -> tuple[complex, comp
     return common * a_hat, common * c_hat
 
 
-def eval_psi1(model: ModelWavefunction, x) -> np.ndarray:
-    """Model wave function at the Cartesian point x (four components)."""
-    r, theta, phi = to_spherical(x)
-    if r == 0.0:
-        raise OriginError("psi is evaluated on the punctured ball, not at x = 0")
+def eval_psi1(model: ModelWavefunction, r, theta, phi) -> np.ndarray:
+    """Model wave function at (r, theta, phi) (four components);
+    OriginError unless r > 0."""
     a, c = radial_amplitudes(model, r)
     point = SpherePoint(theta, phi)
     return a * f_boundary(-1, point, model.params) + c * f_boundary(
@@ -226,14 +225,10 @@ def span_currents(params: PhysParams, a_minus, a_plus):
     return j_r, j_phi_over_sin, rho
 
 
-def current_exact(model: ModelWavefunction, x) -> np.ndarray:
-    """Current (j_r, j_theta, j_phi): spinor contraction psi^dag alpha_k psi."""
-    from .spinor_basis import alpha_component  # local to keep import cycle-free
-
-    r, theta, phi = to_spherical(x)
-    if r == 0.0:
-        raise OriginError("current is defined on the punctured ball only")
-    psi = eval_psi1(model, x)
+def current_exact(model: ModelWavefunction, r, theta, phi) -> np.ndarray:
+    """Current (j_r, j_theta, j_phi) at (r, theta, phi) by the spinor
+    contraction psi^dag alpha_k psi; OriginError unless r > 0."""
+    psi = eval_psi1(model, r, theta, phi)
     point = SpherePoint(theta, phi)
     return np.array(
         [

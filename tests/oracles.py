@@ -24,7 +24,6 @@ from belljump import (
     OriginError,
 )
 from belljump.jump_process import VacuumInterval
-from belljump.spinor_basis import to_spherical
 from belljump.trajectory import SphericalState, time_from_radius
 from belljump.wavefunction import (
     current_coeffs,
@@ -131,24 +130,23 @@ def asymptotic_solution(params, c_minus, c_plus, theta0, phi0, t):
     return SphericalState(t, r, theta0, phi)
 
 
-def density_exact(model, x):
-    """Probability density |psi(x)|^2."""
-    psi = eval_psi1(model, x)
+def density_exact(model, r, theta, phi):
+    """Probability density |psi|^2 at (r, theta, phi)."""
+    psi = eval_psi1(model, r, theta, phi)
     return float(np.vdot(psi, psi).real)
 
 
-def velocity_field(model, x):
-    """Guiding field (j_r/rho, j_theta/rho, j_phi/rho) at x from the spinor
-    contraction, on the inner region r < r_cut/2."""
-    r, _, _ = to_spherical(x)
-    if r == 0.0:
+def velocity_field(model, r, theta, phi):
+    """Guiding field (j_r/rho, j_theta/rho, j_phi/rho) at (r, theta, phi)
+    from the spinor contraction, on the inner region r < r_cut/2."""
+    if not r > 0.0:
         raise OriginError("velocity undefined at the source")
     if r >= 0.5 * model.r_cut:
         raise DomainError(f"velocity field needs r < r_cut/2, got r = {r!r}")
-    rho = density_exact(model, x)
+    rho = density_exact(model, r, theta, phi)
     if not rho > 0.0:
-        raise ZeroDensity(f"rho = {rho!r} at x = {x!r}")
-    return current_exact(model, x) / rho
+        raise ZeroDensity(f"rho = {rho!r} at {(r, theta, phi)!r}")
+    return current_exact(model, r, theta, phi) / rho
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from belljump import ParseError, ValidationError, __version__, canonical_params
-from belljump import config
+from belljump import cli, config
 from belljump.cli import dispatch
 from belljump.config import parse_config, serialize
 from belljump.ensemble import normalized_amplitudes
@@ -49,7 +49,7 @@ def test_comments_case_and_value_forms():
         g = -0.5, 1.25
 
         [model]
-        subleading = Yes
+        frozen = Yes
         s_minus = 0.3, -0.2
 
         [run]
@@ -57,7 +57,7 @@ def test_comments_case_and_value_forms():
         """)
     assert cfg.params.q == 0.92
     assert cfg.params.g == complex(-0.5, 1.25)
-    assert cfg.model.subleading is True
+    assert cfg.model.frozen is True
     assert cfg.model.s_minus == complex(0.3, -0.2)
     assert cfg.run.seed == 16
 
@@ -97,7 +97,7 @@ def test_malformed_values_report_line_and_column():
     with pytest.raises(ParseError, match="expected an integer"):
         parse_config(MINIMAL + "[run]\nn_paths = 2.5\n")
     with pytest.raises(ParseError, match="expected a boolean"):
-        parse_config(MINIMAL + "[model]\nsubleading = maybe\n")
+        parse_config(MINIMAL + "[model]\nfrozen = maybe\n")
     with pytest.raises(ParseError, match="'re, im'"):
         parse_config(MINIMAL + "[track]\nc_minus = 1\n")
     with pytest.raises(ParseError, match="even count"):
@@ -187,7 +187,6 @@ def test_track_kind_validation(tmp_path):
 ALL_KEYS = {
     ("model", "r_cut"): 2.0,
     ("model", "r_min"): 1e-6,
-    ("model", "subleading"): True,
     ("model", "s_minus"): 0.1 - 0.2j,
     ("model", "s_plus"): 0.25 - 0.125j,
     ("model", "frozen"): True,
@@ -223,7 +222,6 @@ ALL_KEYS_CONFIG = MINIMAL + textwrap.dedent("""\
     [model]
     r_cut = 2.0
     r_min = 1e-6
-    subleading = true
     s_minus = 0.1, -0.2
     s_plus = 0.25, -0.125
     frozen = true
@@ -265,7 +263,6 @@ ROUND_TRIP_CONFIGS = [
     + textwrap.dedent("""\
         [model]
         r_min = 1e-6
-        subleading = true
         s_plus = 0.25, -0.125
 
         [track]
@@ -304,6 +301,17 @@ def test_config_keys_are_pinned():
         assert got != getattr(type(block)(), key), f"{section}.{key} is its default"
     with pytest.raises(ParseError, match="unknown key run.r_seed"):
         parse_config(MINIMAL + "[run]\nr_seed = 1e-6\n")
+
+
+def test_subleading_amplitudes_reach_the_model_family():
+    # a nonzero amplitude switches the subleading terms on by itself; there
+    # is no separate switch that could drop it
+    family = cli._model_family(parse_config(MINIMAL + "[model]\ns_minus = 0.3, 0\n"))
+    assert family.subleading_amp == (0.3 + 0j, 0j)
+    assert family.at(1.0, 1j).has_subleading
+    assert not cli._model_family(parse_config(MINIMAL)).at(1.0, 1j).has_subleading
+    with pytest.raises(ParseError, match="unknown key model.subleading"):
+        parse_config(MINIMAL + "[model]\nsubleading = true\n")
 
 
 @pytest.mark.parametrize("text", ROUND_TRIP_CONFIGS)
@@ -365,8 +373,6 @@ def test_validation_failures_exit_1(tmp_path, capsys):
 
 def test_internal_value_error_exits_2(monkeypatch, capsys):
     # a plain ValueError is a broken invariant, not a bad input
-    from belljump import cli
-
     def broken(ns):
         raise ValueError("samples must be strictly time-ordered")
 

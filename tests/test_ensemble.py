@@ -27,7 +27,12 @@ from belljump.ensemble import (
     run_ensemble,
     sector0_comparison,
 )
-from belljump.jump_process import CoefficientTrack, ProcessPath, VacuumInterval
+from belljump.jump_process import (
+    CoefficientTrack,
+    ProcessPath,
+    VacuumInterval,
+    sample_emission_angles,
+)
 from belljump.trajectory import Absorbed, TrajectorySegment
 from belljump.wavefunction import ModelFamily, ModelWavefunction, particle_sector_mass
 from oracles import cumulative_hazard, in_vacuum, occupancy, radial_snapshot_ks
@@ -372,6 +377,32 @@ def test_normalized_amplitudes():
         normalized_amplitudes(P96, 1.0, 1j, 1.0, 0.0)
     with pytest.raises(DomainError):
         normalized_amplitudes(P96, 0.0, 0.0, 1.0, 0.3)
+
+
+def test_first_flight_starts_at_the_drawn_position():
+    # replay each path's stream (the vacuum draw, the radius, the angles):
+    # a particle path's first flight starts exactly at (t_a, r0, theta0, phi0)
+    span, seed = (0.0, 0.5), 77
+    for fam, track in (_balanced_setup(), _ingoing_setup()[:2]):
+        vac_weight, sampler = make_initial_sampler(fam, track, span[0])
+        started = 0
+        for index in range(80):
+            rng = ensemble._path_stream(seed, index, None)
+            if rng.random() < vac_weight:
+                continue
+            r0 = sampler.draw_radius(rng.random())
+            theta0, phi0 = sample_emission_angles(rng)
+            if r0 >= 0.5 * fam.r_cut:
+                continue
+            path = draw_path(
+                fam, track, span, seed, index, vac_weight=vac_weight, sampler=sampler
+            )
+            flight = path.entries[0]
+            assert isinstance(flight, TrajectorySegment)
+            start = (flight.t[0], flight.r[0], flight.theta[0], flight.phi[0])
+            assert start == (span[0], r0, theta0, phi0), index
+            started += 1
+        assert started >= 15
 
 
 def test_parked_draws_outside_modeled_region():

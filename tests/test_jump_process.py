@@ -394,10 +394,12 @@ def test_scalar_and_array_evaluation_agree(n):
     rates = [tr.rate_profile(tq) for tq in times.tolist()]
     assert all(type(r) is float for r in rates)
     np.testing.assert_array_equal(rates, tr.rate_profile(times))
-    np.testing.assert_array_equal(
-        [tr.vacuum_weight(tq) for tq in times.tolist()],
-        columns[:, 4] ** 2 + columns[:, 5] ** 2,
-    )
+    weights = [tr.vacuum_weight(tq) for tq in times.tolist()]
+    np.testing.assert_array_equal(weights, columns[:, 4] ** 2 + columns[:, 5] ** 2)
+    np.testing.assert_array_equal(weights, tr.vacuum_weight(times))
+    ims = [tr.im_cross(tq) for tq in times.tolist()]
+    assert all(type(v) is float for v in ims + weights)
+    np.testing.assert_array_equal(ims, tr.im_cross(times))
 
 
 def test_balanced_constant_flux_track():
@@ -496,9 +498,9 @@ def test_simulate_path_alternation_and_spans():
 def test_simulate_path_ingoing_absorbs_then_stays_vacuum():
     fam = ModelFamily(P96, 1.0, r_min=1e-9)
     tr = _constant_track(cp=-1j)  # ingoing: no emissions ever
-    pos = (1e-3, 0.0, 1e-4)
+    start = Particle(1e-3, 1.4, 0.0)
     rng = np.random.default_rng(56)
-    path = simulate_path(fam, tr, Particle(pos), (0.0, 3.0), rng, tol=1e-8)
+    path = simulate_path(fam, tr, start, (0.0, 3.0), rng, tol=1e-8)
     assert len(path.absorptions) == 1
     assert len(path.emissions) == 0
     t0 = path.absorptions[0].t0
@@ -513,7 +515,7 @@ def test_simulate_path_outgoing_particle_leaves_and_parks():
     fam = _family()
     tr = _constant_track()  # outgoing flux
     rng = np.random.default_rng(57)
-    path = simulate_path(fam, tr, Particle((0.01, 0.0, 0.0)), (0.0, 3.0), rng)
+    path = simulate_path(fam, tr, Particle(0.01, math.pi / 2, 0.0), (0.0, 3.0), rng)
     assert path.events == ()
     assert len(path.segments) == 1
     assert isinstance(path.segments[0].terminal, LeftInnerRegion)
@@ -542,7 +544,7 @@ def test_simulate_path_flight_evaluation():
     # form; a spline track keeps refreshing them, so it stays on the
     # integrator
     fam = _family()
-    start = Particle((0.01, 0.0, 0.0))
+    start = Particle(0.01, math.pi / 2, 0.0)
     varying = CoefficientTrack(
         P96, np.linspace(0.0, 3.0, 9), np.ones(9),
         1j * np.linspace(1.0, 1.5, 9), np.full(9, 0.5),
@@ -575,10 +577,10 @@ def test_simulate_path_guards():
         simulate_path(fam, tr, Vacuum(), (0.0, 5.0), rng)  # beyond the track
     with pytest.raises(DomainError):
         simulate_path(fam, tr, Vacuum(), (1.0, 1.0), rng)
-    with pytest.raises(DomainError):
-        simulate_path(fam, tr, Particle((0.9, 0.0, 0.0)), (0.0, 1.0), rng)
-    with pytest.raises(DomainError):
-        Particle((0.0, 0.0, 0.0))
+    # the flight checks a particle's radius: r_min < r < r_cut/2
+    for r in (0.0, -1e-3, math.nan, 0.9):
+        with pytest.raises(DomainError, match="initial radius"):
+            simulate_path(fam, tr, Particle(r, 1.0, 0.5), (0.0, 1.0), rng)
     # the family must fly with the params the track's rate law uses
     other = ModelFamily(canonical_params(-0.93), 1.0)
     with pytest.raises(DomainError, match="params"):

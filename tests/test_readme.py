@@ -1,9 +1,12 @@
-"""README.md's library examples run against the current API."""
+"""README.md's library examples run against the current API, and its
+config tables list the keys the parser accepts."""
 
 import re
 from pathlib import Path
 
 import pytest
+
+from belljump import config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
@@ -16,3 +19,13 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_python_example_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+@pytest.mark.parametrize("section", ["model", "run"])
+def test_readme_config_table_lists_the_schema(section):
+    # the backticked names in the first column of the `[section]` table
+    after = README.read_text().split(f"### `[{section}]`", 1)[1]
+    body = re.split(r"\n##+ ", after)[0]
+    cells = [row.split("|")[1] for row in body.splitlines() if row.startswith("| `")]
+    listed = {key for cell in cells for key in re.findall(r"`(\w+)`", cell)}
+    assert listed == {key for block, key in config._KEYS if block == section}

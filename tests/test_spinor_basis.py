@@ -24,7 +24,6 @@ from belljump.spinor_basis import (
     from_spherical,
     phi_basis,
     sphere_quadrature,
-    to_spherical,
 )
 
 LABELS = ((-0.5, -1), (-0.5, 1), (0.5, -1), (0.5, 1))
@@ -225,12 +224,19 @@ def test_frame_vectors_orthonormal_right_handed():
         assert np.max(np.abs(np.cross(e_r, e_theta) - e_phi)) < 1e-14
 
 
-def test_spherical_round_trip():
+def test_from_spherical_norm_and_axes():
     rng = np.random.default_rng(28)
     for _ in range(20):
-        x = rng.normal(size=3)
-        r, theta, phi = to_spherical(x)
-        assert r > 0.0 and 0.0 <= theta <= math.pi
-        back = from_spherical(r, theta, phi)
-        assert np.max(np.abs(back - x)) < 1e-13 * max(1.0, r)
-    assert to_spherical((0.0, 0.0, 0.0))[0] == 0.0
+        r = math.exp(rng.uniform(-10.0, 3.0))
+        theta, phi = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
+        assert abs(np.linalg.norm(from_spherical(r, theta, phi)) - r) < 1e-15 * r
+    half = math.pi / 2
+    for (r, theta, phi), want in (
+        ((2.0, 0.0, 1.3), (0.0, 0.0, 2.0)),
+        ((2.0, math.pi, 0.4), (0.0, 0.0, -2.0)),
+        ((1.5, half, 0.0), (1.5, 0.0, 0.0)),
+        ((1.5, half, half), (0.0, 1.5, 0.0)),
+        ((1.5, half, math.pi), (-1.5, 0.0, 0.0)),
+        ((1.5, half, 3.0 * half), (0.0, -1.5, 0.0)),
+    ):
+        assert np.max(np.abs(from_spherical(r, theta, phi) - want)) < 1e-15 * r

@@ -19,7 +19,6 @@ from belljump import (
     circling_sign,
 )
 from belljump import trajectory
-from belljump.spinor_basis import from_spherical
 from belljump.trajectory import (
     Absorbed,
     LeftInnerRegion,
@@ -123,7 +122,7 @@ def test_integrator_rhs_matches_oracles():
             sub = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
             ds_dt, dphi_dt = _make_rhs(p, sub)(r**one, cm, cp)
             model = ModelWavefunction(p, cm, cp, 1.0, sub)
-            v_r, _, v_phi = velocity_field(model, from_spherical(r, theta, 0.3))
+            v_r, _, v_phi = velocity_field(model, r, theta, 0.3)
             speed = math.hypot(v_r, v_phi)
             worst = max(
                 worst,

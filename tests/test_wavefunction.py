@@ -11,7 +11,6 @@ from belljump import (
     OriginError,
     canonical_params,
 )
-from belljump.spinor_basis import from_spherical
 from belljump.wavefunction import (
     SUBLEADING_DELTA,
     CurrentCoeffs,
@@ -46,10 +45,11 @@ def _random_model(rng, q=None, subleading=False):
 
 
 def _random_point(rng, r_lo=1e-6, r_hi=0.999):
+    """(r, theta, phi), log-uniform in r and away from the poles."""
     r = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
     theta = rng.uniform(0.1, math.pi - 0.1)
     phi = rng.uniform(0.0, 2.0 * math.pi)
-    return from_spherical(r, theta, phi), r, theta
+    return r, theta, phi
 
 
 # ---------------------------------------------------------------------
@@ -63,8 +63,8 @@ def test_current_dual_route():
     worst = 0.0
     for k in range(60):
         m = _random_model(rng, subleading=(k % 2 == 1))
-        x, r, theta = _random_point(rng)
-        j = current_exact(m, x)
+        r, theta, phi = _random_point(rng)
+        j = current_exact(m, r, theta, phi)
         a, c = radial_amplitudes(m, r)
         j_r, j_phi_over_sin, rho = span_currents(m.params, a, c)
         scale = max(np.max(np.abs(j)), abs(rho), 1e-300)
@@ -73,7 +73,7 @@ def test_current_dual_route():
             abs(j[0] - j_r) / scale,
             abs(j[1]) / scale,
             abs(j[2] - j_phi_over_sin * math.sin(theta)) / scale,
-            abs(density_exact(m, x) - rho) / scale,
+            abs(density_exact(m, r, theta, phi) - rho) / scale,
         )
     assert worst < 1e-10
 
@@ -82,8 +82,7 @@ def test_polar_current_vanishes_pointwise():
     rng = np.random.default_rng(32)
     for k in range(30):
         m = _random_model(rng, subleading=(k % 3 == 0))
-        x, _, _ = _random_point(rng)
-        j = current_exact(m, x)
+        j = current_exact(m, *_random_point(rng))
         assert abs(j[1]) <= 5e-14 * max(np.max(np.abs(j)), 1e-300)
 
 
@@ -109,8 +108,8 @@ def test_current_coeffs_reproduce_exact_currents():
         p = m.params
         cc = current_coeffs(p, m.c_minus, m.c_plus)
         for r in (1e-7, 1e-4, 0.049):
-            x, _, theta = _random_point(rng, r_lo=r, r_hi=r)
-            j = current_exact(m, x)
+            _, theta, phi = _random_point(rng, r_lo=r, r_hi=r)
+            j = current_exact(m, r, theta, phi)
             u = r ** (2.0 * p.B)
             assert abs(r * r * j[0] - cc.C_r) < 1e-9 * max(abs(cc.C_r), 1e-6)
             poly = cc.Cphi_leading + cc.Cphi_mid * u + cc.Cphi_sub * u * u
@@ -121,7 +120,7 @@ def test_current_coeffs_reproduce_exact_currents():
                 + cc.rho_mid * u
                 + abs(m.c_plus) ** 2 * (1.0 + p.q) / math.pi * u * u
             )
-            got_rho = r ** (2.0 + 2.0 * p.B) * density_exact(m, x)
+            got_rho = r ** (2.0 + 2.0 * p.B) * density_exact(m, r, theta, phi)
             assert abs(got_rho - rho_poly) < 1e-8 * max(rho_poly, 1e-6)
 
 
@@ -131,8 +130,8 @@ def test_radial_current_is_angle_independent():
     r = 1e-3
     values = []
     for _ in range(10):
-        x, _, _ = _random_point(rng, r_lo=r, r_hi=r)
-        values.append(r * r * current_exact(m, x)[0])
+        j = current_exact(m, *_random_point(rng, r_lo=r, r_hi=r))
+        values.append(r * r * j[0])
     assert np.ptp(values) < 1e-12 * max(abs(v) for v in values)
 
 
@@ -144,19 +143,21 @@ def test_speed_never_exceeds_light():
     rng = np.random.default_rng(35)
     for k in range(80):
         m = _random_model(rng, subleading=(k % 2 == 0))
-        x, _, _ = _random_point(rng, r_hi=0.4999)
-        v = velocity_field(m, x)
+        v = velocity_field(m, *_random_point(rng, r_hi=0.4999))
         assert np.linalg.norm(v) <= 1.0 + 1e-12
 
 
 def test_velocity_guards():
     m = ModelWavefunction(canonical_params(0.9), 1.0, 1j, 1.0)
     with pytest.raises(OriginError):
-        velocity_field(m, (0.0, 0.0, 0.0))
+        velocity_field(m, 0.0, 1.0, 0.0)
     with pytest.raises(DomainError):
-        velocity_field(m, (0.7, 0.0, 0.0))  # outside the inner region
-    with pytest.raises(OriginError):
-        eval_psi1(m, (0.0, 0.0, 0.0))
+        velocity_field(m, 0.7, 1.0, 0.0)  # outside the inner region
+    for r in (0.0, -1e-3, math.nan):
+        with pytest.raises(OriginError):
+            eval_psi1(m, r, 1.0, 0.0)
+        with pytest.raises(OriginError):
+            current_exact(m, r, 1.0, 0.0)
     with pytest.raises(DomainError):
         ModelWavefunction(canonical_params(0.9), 1.0, 1j, -1.0)
 
@@ -224,15 +225,16 @@ def test_mass_profile_against_weighted_quadrature():
     m = ModelWavefunction(p, 0.7 + 0.2j, -0.5j, 1.0)
     B, w = p.B, (1.0 + p.q) / math.pi
 
+    def shell(r):  # 4 pi r^2 |psi|^2; the density is angle-independent
+        return 4.0 * math.pi * r * r * density_exact(m, r, math.pi / 2, 0.0)
+
     def peeled(r):
         if r == 0.0:
             return 4.0 * math.pi * w * abs(m.c_minus) ** 2
-        return 4.0 * math.pi * r * r * density_exact(m, (r, 0.0, 0.0)) * r ** (2.0 * B)
+        return shell(r) * r ** (2.0 * B)
 
     inner, _ = quad(peeled, 0.0, 0.5, weight="alg", wvar=(-2.0 * B, 0.0), limit=200)
-    outer, _ = quad(
-        lambda r: 4.0 * math.pi * r * r * density_exact(m, (r, 0.0, 0.0)), 0.5, 1.0
-    )
+    outer, _ = quad(shell, 0.5, 1.0)
     ref = inner + outer
     mine = particle_sector_mass(m)
     assert abs(mine - ref) / ref < 5e-8  # measured 3.9e-9
