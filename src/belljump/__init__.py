@@ -72,6 +72,7 @@ from .jump_process import (
     ProcessPath,
     Vacuum,
     VacuumInterval,
+    fly,
     jump_rate_density,
     sample_emission_angles,
     sample_waiting_time,

@@ -28,7 +28,7 @@ from .ensemble import (
     run_ensemble,
     sector0_comparison,
 )
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .jump_process import (
     CoefficientTrack,
     jump_rate_density,
@@ -139,7 +139,13 @@ def lemma_residual_rows(
     random point cloud and random admissible q; with order > 0, also
     whole-sphere quadrature checks against the exact integrals.
 
-    Returns (rows, overall max residual)."""
+    Returns (rows, overall max residual); DomainError unless n_points
+    >= 1, n_q >= 1 and order >= 0."""
+    if not (n_points >= 1 and n_q >= 1 and order >= 0):
+        raise DomainError(
+            f"need points >= 1, qs >= 1 and order >= 0, got "
+            f"{n_points!r}, {n_q!r} and {order!r}"
+        )
     rng = np.random.default_rng(seed)
     points = [
         SpherePoint(

@@ -29,16 +29,10 @@ from .errors import (
     InsufficientEvents,
     ValidationError,
 )
-from .jump_process import CoefficientTrack
+from .jump_process import CoefficientTrack, EmissionEvent, fly
 from .params import canonical_params
 from .spinor_basis import from_spherical
-from .trajectory import (
-    Absorbed,
-    LeftInnerRegion,
-    SphericalState,
-    emit_trajectory,
-    integrate,
-)
+from .trajectory import Absorbed, LeftInnerRegion, SphericalState, integrate
 from .wavefunction import ModelFamily, current_coeffs
 
 USAGE_EXIT = 64
@@ -277,27 +271,20 @@ def _trace_lines(cfg: RunConfig, segment):
 
 def _cmd_trace(ns) -> int:
     cfg = _load_config(ns.config)
-    track = _build_track(cfg)
     run = cfg.run
-    model = _model_family(cfg).at(*track.coefficients(run.t0))
-    t_end = run.t_end if run.t_end is not None else math.inf
     if run.r0 is not None:
         # start at a given radius (ingoing runs trace to absorption)
-        segment = integrate(
-            model,
-            SphericalState(t=run.t0, r=run.r0, theta=run.theta0, phi=run.phi0),
-            t_end=t_end,
-            tol=run.tol,
-        )
+        launch = SphericalState(run.t0, run.r0, run.theta0, run.phi0)
     else:
-        segment = emit_trajectory(
-            model,
-            run.t0,
-            run.theta0,
-            run.phi0,
-            tol=run.tol,
-            t_end=t_end,
-        )
+        launch = EmissionEvent(run.t0, run.theta0, run.phi0)
+    segment = fly(
+        _model_family(cfg),
+        _build_track(cfg),
+        launch,
+        run.t_end if run.t_end is not None else math.inf,
+        run.tol,
+        dense=True,
+    )
     out = _resolve(ns.output if ns.output else run.output)
     _write_lines(out, _trace_lines(cfg, segment))
     terminal = type(segment.terminal).__name__

@@ -499,21 +499,19 @@ def flux_report(stats: EnsembleStats, track: CoefficientTrack) -> FluxReport:
     passes iff |z| <= 3."""
     if track.constant_coefficients is None:
         raise DomainError("flux comparison needs a constant-coefficient track")
+    n = stats.n_paths
+    if n == 0:
+        raise InsufficientEvents("no paths in the ensemble")
     cm, cp = track.constant_coefficients
     expected = 4.0 * math.pi * current_coeffs(track.params, cm, cp).C_r
     estimate = flux_estimate(stats, stats.probe_radius)
     n_in = len(stats.inward_crossing_times)
     n_out = len(stats.outward_crossing_times)
     window = float(stats.time_grid[-1] - stats.time_grid[0])
-    n = stats.n_paths
     count = n_in + n_out
     # crossings are near-Bernoulli per path; binomial width on the count
-    p_hat = min(count / n, 1.0) if n else 0.0
-    sigma = (
-        math.sqrt(max(count * (1.0 - p_hat), 1.0)) / (n * window)
-        if n
-        else math.inf
-    )
+    p_hat = min(count / n, 1.0)
+    sigma = math.sqrt(max(count * (1.0 - p_hat), 1.0)) / (n * window)
     z = (estimate - expected) / sigma if sigma > 0 else math.inf
     return FluxReport(
         estimate=estimate,

@@ -22,11 +22,14 @@ until its radius falls below the model's r_min (absorption: the
 configuration becomes the vacuum at the arrival time t0) or until it
 leaves the inner region r < r_cut/2, after which the near-source model
 no longer applies and the path is parked as a particle for the rest of
-the window.  The flight
-itself decides how it is computed: fixed coefficients and no subleading
-amplitudes give the exact closed-form flight, anything else steps DP5;
-no caller switch selects between them, so a path is the same whoever
-draws it.
+the window.  Every flight, of a path or of the `trace` command, is
+launched by fly, the one place that picks its model and field: between
+jumps the particle follows psi_t, so the field is the track's
+coefficients at each time unless they cannot change over the flight.
+The flight itself decides how it is computed: fixed coefficients and no
+subleading amplitudes give the exact closed-form flight, anything else
+steps DP5; no caller switch selects between them, so a path is the same
+whoever draws it.
 
 The emission intensity is exactly 4 pi C_r / |psi0|^2 when C_r > 0, the
 flux of |psi|^2 out of the source; a track is "balanced" when
@@ -432,6 +435,48 @@ def sample_emission_angles(rng: np.random.Generator) -> tuple[float, float]:
 # the path state machine
 # =====================================================================
 
+def fly(
+    model_family: ModelFamily,
+    track: CoefficientTrack,
+    launch: EmissionEvent | SphericalState,
+    t_end: float,
+    tol: float,
+    *,
+    probe_radius: float | None = None,
+    dense: bool = False,
+) -> TrajectorySegment:
+    """The flight from `launch` to t_end: emitted from the source
+    (an EmissionEvent, seeded and flown by emit_trajectory) or started at
+    a SphericalState (flown by integrate).
+
+    Its model holds the track's coefficients at the launch time.  Its
+    field is psi_t, the track's coefficients at each time (every DP5
+    stage reads them at its own time), unless they cannot change over
+    the flight: the family is frozen or the track holds them constant,
+    and the flight keeps the model's coefficients.  `probe_radius` and
+    `dense` as in integrate.
+    """
+    emitted = isinstance(launch, EmissionEvent)
+    model = model_family.at(*track.coefficients(launch.t0 if emitted else launch.t))
+    fixed = model_family.frozen or track.constant_coefficients is not None
+    field = None if fixed else track.coefficients
+    if emitted:
+        return emit_trajectory(
+            model,
+            launch.t0,
+            launch.theta0,
+            launch.phi0,
+            tol,
+            t_end=t_end,
+            probe_radius=probe_radius,
+            refresh=field,
+            dense=dense,
+        )
+    return integrate(
+        model, launch, t_end, tol, probe_radius=probe_radius, refresh=field, dense=dense
+    )
+
+
 def simulate_path(
     model_family: ModelFamily,
     track: CoefficientTrack,
@@ -445,16 +490,13 @@ def simulate_path(
     """One realization of the process on t_span, from q_init: the vacuum,
     or a Particle whose first flight starts at (t_span[0], r, theta, phi).
 
-    In flight the particle follows the guiding field of the track's
-    coefficients at each time (every DP5 stage reads them at its own
-    time) unless they cannot change over a flight: the family is frozen
-    (each segment keeps the coefficients of its start time) or the track
-    holds them constant.
-    Such flights of a subleading-free model are evaluated in closed form;
-    the others step DP5.  Flights end at model_family.r_min and record
-    their crossings of probe_radius, if given.  Identical (inputs, rng
-    state) give identical paths.  The track and the family must share
-    one PhysParams.
+    Each flight, after an emission or from the initial particle, is
+    fly's: it follows psi_t unless the family is frozen or the track's
+    coefficients are constant, and is evaluated in closed form where
+    that is exact.  Flights end at model_family.r_min and record their
+    crossings of probe_radius, if given.  Identical (inputs, rng state)
+    give identical paths.  The track and the family must share one
+    PhysParams.
     """
     if track.params != model_family.params:
         raise DomainError("track and model family carry different params")
@@ -465,73 +507,35 @@ def simulate_path(
         raise DomainError("empty time span")
     entries: list = []
     events: list = []
-
-    fixed = model_family.frozen or track.constant_coefficients is not None
-
-    def refresh_for(cm: complex, cp: complex):
-        if not fixed:
-            return track.coefficients
-        if (cm.conjugate() * cp).imag == 0.0:
-            # no radial motion (Im = 0): the particle circles at its start
-            # radius, which the closed forms do not cover and integrate
-            # rejects without a refresh; refreshing the fixed pair keeps
-            # such flights on the integrator
-            return lambda _t: (cm, cp)
-        return None
-
-    t = t_a
-    config: Vacuum | Particle = q_init
-    while t < t_b:
+    t, config = t_a, q_init
+    while True:
         if isinstance(config, Vacuum):
             t_jump = sample_waiting_time(track, t, rng)
             if t_jump is None or t_jump >= t_b:
                 entries.append(VacuumInterval(t, t_b))
-                t = t_b
                 break
-            theta0, phi0 = sample_emission_angles(rng)
             entries.append(VacuumInterval(t, t_jump))
-            events.append(EmissionEvent(t_jump, theta0, phi0))
-            cm, cp = track.coefficients(t_jump)
-            try:
-                segment = emit_trajectory(
-                    model_family.at(cm, cp),
-                    t_jump,
-                    theta0,
-                    phi0,
-                    tol,
-                    t_end=t_b,
-                    probe_radius=probe_radius,
-                    refresh=refresh_for(cm, cp),
-                    dense=False,
-                )
-            except WindowClosed:
-                # emitted just before the window closes: the particle is
-                # still inside the seed radius at t_b, no flight recorded
-                t = t_b
-                break
+            launch = EmissionEvent(t_jump, *sample_emission_angles(rng))
+            events.append(launch)
         else:
-            cm, cp = track.coefficients(t)
-            segment = integrate(
-                model_family.at(cm, cp),
-                SphericalState(t, *config),
-                t_b,
-                tol,
-                probe_radius=probe_radius,
-                refresh=refresh_for(cm, cp),
-                dense=False,
+            launch = SphericalState(t, *config)
+        try:
+            segment = fly(
+                model_family, track, launch, t_b, tol, probe_radius=probe_radius
             )
+        except WindowClosed:
+            # emitted just before the window closes: the particle is
+            # still inside the seed radius at t_b, no flight recorded
+            break
         entries.append(segment)
-        if isinstance(segment.terminal, Absorbed) and segment.terminal.t0 < t_b:
-            t0 = segment.terminal.t0
-            events.append(AbsorptionEvent(t0))
-            config = Vacuum()
-            t = t0
-        else:
+        terminal = segment.terminal
+        if not (isinstance(terminal, Absorbed) and terminal.t0 < t_b):
             # LeftInnerRegion: parked as a particle outside the modeled
             # region; TimeExhausted (or absorption completing past t_b):
             # window over while in flight.
-            t = t_b
             break
+        events.append(AbsorptionEvent(terminal.t0))
+        t, config = terminal.t0, Vacuum()
 
     return ProcessPath(
         t_span=(t_a, t_b),

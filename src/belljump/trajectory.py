@@ -28,8 +28,9 @@ does not ask for dense samples (`dense=False`; the path sampler always
 does this): the overlap (|c-|^2, |c+|^2, Re, Im) is formed once, and
 terminal event, probe crossing and end point cost a few evaluations and
 at most one root-find of t(r).  The DP5 integrator serves dense traces
-(`trace`, the `simulate --trace-dir` CSVs), subleading models and
-time-varying coefficients, and is tested against the closed forms;
+(`trace`, the `simulate --trace-dir` CSVs), subleading models,
+time-varying coefficients and flights without radial motion (Im = 0,
+circling at their start radius), and is tested against the closed forms;
 emission trajectories are seeded from them.  Either way a flight
 records the crossings of at most one probe radius.
 
@@ -109,8 +110,9 @@ class TrajectorySegment:
     """One deterministic flight.  Integrated flights sample every accepted
     step plus the terminal point; closed-form flights (n_accepted = 0)
     sample the start, the probe crossing if any and the terminal point.
-    `model` is the model the flight was computed from (for a refreshed
-    flight, the one at its start).
+    `model` is the model at the flight's launch time, the coefficients a
+    fixed flight keeps throughout; an emitted flight holds those of its
+    emission time, not of its first sample (the seed point after it).
 
     The segment keeps the float arrays its producer built: of equal
     length, t strictly increasing and r > 0, which integrate and
@@ -127,19 +129,8 @@ class TrajectorySegment:
     model: ModelWavefunction | None = None
 
     @property
-    def samples(self) -> tuple[SphericalState, ...]:
-        return tuple(
-            SphericalState(*row)
-            for row in zip(self.t, self.r, self.theta, self.phi)
-        )
-
-    @property
     def initial(self) -> SphericalState:
         return SphericalState(self.t[0], self.r[0], self.theta[0], self.phi[0])
-
-    @property
-    def final(self) -> SphericalState:
-        return SphericalState(self.t[-1], self.r[-1], self.theta[-1], self.phi[-1])
 
     def radius_at(self, t: float) -> float | None:
         """Radius at time t, or None outside the segment's time span.
@@ -417,7 +408,10 @@ def integrate(
     With dense=False, no refresh and no subleading amplitudes the flight
     is evaluated in closed form instead (exact; Absorbed then carries the
     exact arrival time at the source, and only the start, the crossing
-    and the terminal point are sampled).
+    and the terminal point are sampled).  Without refresh or subleading
+    amplitudes and with Im[conj(c_minus) c_plus] = 0 there is no radial
+    motion: DP5 circles at the start radius until t_end, and an infinite
+    t_end raises DegenerateError, since such a flight never ends.
     """
     p = model.params
     r_min = model.r_min
@@ -433,9 +427,16 @@ def integrate(
             f"probe_radius = {probe_radius!r} outside (0, {r_top!r})"
         )
     if refresh is None and not model.has_subleading:
-        parts = _overlap_parts(model.c_minus, model.c_plus)  # Im = 0 guard
-        if not dense:
-            return _closed_form_flight(model, parts, initial, t_end, probe_radius)
+        try:
+            parts = _overlap_parts(model.c_minus, model.c_plus)
+        except DegenerateError:
+            # no radial motion: DP5 circles at the start radius, a flight
+            # only a finite t_end ends
+            if math.isinf(t_end):
+                raise
+        else:
+            if not dense:
+                return _closed_form_flight(model, parts, initial, t_end, probe_radius)
 
     one = 1.0 - 2.0 * p.B
     inv_one = 1.0 / one

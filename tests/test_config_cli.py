@@ -16,7 +16,13 @@ from belljump import cli, config
 from belljump.cli import dispatch
 from belljump.config import parse_config, serialize
 from belljump.ensemble import normalized_amplitudes
-from belljump.trajectory import fit_power_law, time_from_radius
+from belljump.trajectory import (
+    SphericalState,
+    emit_trajectory,
+    fit_power_law,
+    integrate,
+    time_from_radius,
+)
 from belljump.wavefunction import ModelFamily, current_coeffs
 
 MINIMAL = "[params]\nq = 0.9\n"
@@ -314,7 +320,9 @@ def test_subleading_amplitudes_reach_the_model_family():
         parse_config(MINIMAL + "[model]\nsubleading = true\n")
 
 
-@pytest.mark.parametrize("text", ROUND_TRIP_CONFIGS)
+@pytest.mark.parametrize(
+    "text", ROUND_TRIP_CONFIGS, ids=["minimal", "balanced", "grid", "all_keys"]
+)
 def test_serialize_reparses_equal(text):
     cfg = parse_config(text)
     again = parse_config(serialize(cfg))
@@ -521,6 +529,59 @@ def test_trace_resolves_against_outdir(tmp_path, monkeypatch):
     monkeypatch.setenv("BELLJUMP_OUTDIR", str(tmp_path / "results"))
     assert dispatch(["trace", "--config", str(conf), "--output", "sub/t.csv"]) == 0
     assert (tmp_path / "results" / "sub" / "t.csv").exists()
+
+
+def _grid_trace_conf(case, r0):
+    # seven knots on [0, 3]; the phase of c_plus drifts as
+    # pi/2 + 0.7 sin(2 pi t/1.5), keeping Im[conj(c-) c+] positive,
+    # except on the "constant" track, which holds it at pi/2 + 0.3
+    times = [0.5 * k for k in range(7)]
+    drift = [0.7 * math.sin(2.0 * math.pi * t / 1.5) for t in times]
+    if case == "constant":
+        drift = [0.3] * len(times)
+    phases = [0.5 * math.pi + d for d in drift]
+    return MINIMAL.replace("0.9", "0.96") + textwrap.dedent(f"""\
+        [model]
+        frozen = {str(case == "frozen").lower()}
+
+        [track]
+        kind = grid
+        times = {", ".join(map(repr, times))}
+        c_minus_grid = {", ".join("1, 0" for _ in times)}
+        c_plus_grid = {", ".join(f"{math.cos(p)!r}, {math.sin(p)!r}" for p in phases)}
+        psi0_grid = {", ".join("0.5, 0" for _ in times)}
+
+        [run]
+        t0 = 0.2
+        {r0}
+        t_end = 2.5
+        """)
+
+
+@pytest.mark.parametrize("r0", ["r0 = 0.01", ""], ids=["from_r0", "emitted"])
+@pytest.mark.parametrize("case", ["psi_t", "frozen", "constant"])
+def test_trace_flies_the_field_simulate_flies(tmp_path, case, r0):
+    # psi_t on a drifting track; the coefficients at t0 throughout when
+    # the family is frozen or the track holds them constant
+    text = _grid_trace_conf(case, r0)
+    conf, out = tmp_path / "trace.conf", tmp_path / "trace.csv"
+    conf.write_text(text)
+    assert dispatch(["trace", "--config", str(conf), "--output", str(out)]) == 0
+    _, rows = _read_csv(out)
+
+    cfg = parse_config(text)
+    track = cli._build_track(cfg)
+    model = cli._model_family(cfg).at(*track.coefficients(0.2))
+    field = track.coefficients if case == "psi_t" else None
+    if r0:
+        start = SphericalState(0.2, 0.01, 0.5 * math.pi, 0.0)
+        seg = integrate(model, start, 2.5, 1e-8, refresh=field)
+    else:
+        seg = emit_trajectory(
+            model, 0.2, 0.5 * math.pi, 0.0, 1e-8, t_end=2.5, refresh=field
+        )
+    for column, values in enumerate((seg.t, seg.r, seg.theta, seg.phi)):
+        assert np.array_equal(rows[:, column], values)
 
 
 # ---------------------------------------------------------------------
@@ -896,6 +957,17 @@ def test_validate_basis_residual_table(tmp_path, capsys):
     assert set(keys) == want
     residuals = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
     assert max(residuals) < 1e-10
+
+
+def test_validate_basis_rejects_bad_counts(capsys):
+    # an empty point cloud, no q values or a negative quadrature order is
+    # bad input: exit 1 with a validation error, never a traceback or a
+    # silently skipped check
+    for args in (
+        ["--points", "0"], ["--points", "-2"], ["--qs", "0"], ["--order", "-1"]
+    ):
+        assert dispatch(["validate-basis", *args]) == 1
+        assert "belljump: validation error" in capsys.readouterr().err
 
 
 def test_selftest_single_criterion(capsys):

@@ -583,6 +583,16 @@ def test_flux_estimate_guards(ingoing_run):
         flux_report(stats, varying)
 
 
+def test_flux_report_refuses_an_empty_ensemble(ingoing_run):
+    # no paths carry no flux estimate: both reports refuse, rather than
+    # one passing with z = 0 and sigma = inf
+    fam, track, _, window = ingoing_run
+    empty = run_ensemble(fam, track, 0, (0.0, window), 1, probe_radius=1e-4)
+    for report in (flux_report, sector0_comparison):
+        with pytest.raises(InsufficientEvents, match="no paths"):
+            report(empty, track)
+
+
 def test_radial_ks_guards(ingoing_run):
     fam, track, stats, _ = ingoing_run
     no_snap = EnsembleStats.empty(np.linspace(0.0, 1.0, 5))

@@ -25,6 +25,7 @@ from belljump.jump_process import (
     ProcessPath,
     Vacuum,
     VacuumInterval,
+    fly,
     jump_rate_density,
     sample_emission_angles,
     sample_waiting_time,
@@ -34,8 +35,10 @@ from belljump.jump_process import (
 from belljump.trajectory import (
     Absorbed,
     LeftInnerRegion,
+    SphericalState,
     TimeExhausted,
     emit_trajectory,
+    integrate,
 )
 from belljump.wavefunction import ModelFamily, current_coeffs
 from oracles import (
@@ -569,6 +572,49 @@ def test_simulate_path_flight_evaluation():
         seg = path.segments[0]
         assert isinstance(seg.terminal, TimeExhausted)
         assert seg.t[-1] == 3.0 and np.allclose(seg.r, 0.01, rtol=1e-12)
+
+
+def test_fly_picks_each_flights_model_and_field():
+    # the model holds the coefficients at the launch time; the field is
+    # psi_t on a varying track, and those fixed coefficients on a frozen
+    # family or a constant track
+    fam = _family()
+    t = np.linspace(0.0, 3.0, 9)
+    varying = CoefficientTrack(
+        P96, t, np.ones(9), np.exp(1j * (0.5 * math.pi + 0.7 * np.sin(t))),
+        np.full(9, 0.5),
+    )
+    start = SphericalState(0.2, 0.01, math.pi / 2, 0.0)
+    emission = EmissionEvent(0.2, 1.0, 0.3)
+
+    def fingerprint(seg):
+        return (
+            seg.t.tobytes(), seg.r.tobytes(), seg.theta.tobytes(), seg.phi.tobytes(),
+            seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected,
+            seg.model,
+        )
+
+    for family, track, field in (
+        (fam, varying, varying.coefficients),
+        (ModelFamily(P96, 1.0, frozen=True), varying, None),
+        (fam, _constant_track(), None),
+    ):
+        model = family.at(*track.coefficients(0.2))
+        for dense in (False, True):
+            kw = {"probe_radius": 0.1, "dense": dense}
+            got = fly(family, track, start, 2.5, 1e-8, **kw)
+            want = integrate(model, start, 2.5, 1e-8, refresh=field, **kw)
+            assert fingerprint(got) == fingerprint(want)
+            got = fly(family, track, emission, 2.5, 1e-8, **kw)
+            want = emit_trajectory(
+                model, 0.2, 1.0, 0.3, 1e-8, t_end=2.5, refresh=field, **kw
+            )
+            assert fingerprint(got) == fingerprint(want)
+    # psi_t and the frozen launch-time field give different flights
+    drifting = fly(fam, varying, start, 2.5, 1e-8)
+    frozen = fly(ModelFamily(P96, 1.0, frozen=True), varying, start, 2.5, 1e-8)
+    assert drifting.n_accepted > 0 and frozen.n_accepted == 0
+    assert abs(drifting.r[-1] / frozen.r[-1] - 1.0) > 1e-3
 
 
 def test_simulate_path_guards():

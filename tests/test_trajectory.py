@@ -227,7 +227,8 @@ def test_outgoing_integration_matches_closed_forms():
     # every accepted sample obeys t(r) and phi(r)
     p = m.params
     worst_t = worst_phi = 0.0
-    for t, r, theta, phi in seg.samples[:: max(1, len(seg.t) // 40)]:
+    rows = list(zip(seg.t, seg.r, seg.theta, seg.phi))
+    for t, r, theta, phi in rows[:: max(1, len(seg.t) // 40)]:
         want_t = time_from_radius(p, m.c_minus, m.c_plus, r)
         worst_t = max(worst_t, abs(t - want_t) / max(abs(want_t), 1e-12))
         want_phi = 0.25 + azimuth_from_radius(p, m.c_minus, m.c_plus, r)
@@ -322,9 +323,9 @@ def test_constant_refresh_reproduces_the_fixed_flight_bitwise():
 def test_fixed_coefficient_flight_digest_is_stable():
     # samples, terminal, crossings and step counts of DP5 flights under
     # fixed coefficients: outgoing and ingoing, with a probe, with
-    # subleading amplitudes, emitted, and circling at Im = 0 on a
-    # constant refresh.  Where the stages read the field does not matter
-    # when it holds still, so these stay bitwise fixed
+    # subleading amplitudes, emitted, and circling at Im = 0 (stepped
+    # without a refresh).  Where the stages read the field does not
+    # matter when it holds still, so these stay bitwise fixed
     import hashlib
 
     start = SphericalState(0.0, 1e-3, 1.0, 0.3)
@@ -334,7 +335,7 @@ def test_fixed_coefficient_flight_digest_is_stable():
         (_model(cp=-0.5 - 1j), start, 2e-4, {}),
         (_model(subleading_amp=(0.05, 0.05j)), start, 1e9, {}),
         (_model(cp=-1j, subleading_amp=(0.05j, -0.05)), start, 10.0, {}),
-        (_model(cp=2.0), start, 1.0, {"refresh": lambda t: (1.0, 2.0)}),
+        (_model(cp=2.0), start, 1.0, {}),
     )
     h = hashlib.sha256()
     for tol in (1e-6, 1e-10):
@@ -536,8 +537,18 @@ def test_integrate_guards():
                 m, SphericalState(0.0, 0.01, 1.0, 0.0), t_end=1.0,
                 probe_radius=-1e-4, dense=dense,
             )
+    # no radial motion (Im = 0): the flight circles at its start radius
+    # until t_end, and only an infinite t_end is refused
+    circling = _model(cp=2.0)
     with pytest.raises(DegenerateError):
-        integrate(_model(cp=2.0), SphericalState(0.0, 0.01, 1.0, 0.0), t_end=1.0)
+        integrate(circling, SphericalState(0.0, 0.01, 1.0, 0.0), t_end=math.inf)
+    for dense in (True, False):
+        seg = integrate(
+            circling, SphericalState(0.0, 0.01, 1.0, 0.0), t_end=1.0, dense=dense
+        )
+        assert isinstance(seg.terminal, TimeExhausted)
+        assert seg.t[-1] == 1.0 and seg.n_accepted > 0
+        assert np.all(np.abs(seg.r / 0.01 - 1.0) <= 1e-12)
     with pytest.raises(DegenerateError):
         emit_trajectory(_model(cp=-1j), 0.0, 1.0, 0.0)
 
@@ -610,8 +621,8 @@ def test_segment_invariants():
         terminal=TimeExhausted(),
     )
     assert seg.initial == SphericalState(0.0, 0.1, 1.0, 0.0)
-    assert seg.final == SphericalState(1.0, 0.2, 1.0, 0.5)
-    assert len(seg.samples) == 2
+    assert (seg.t[-1], seg.r[-1], seg.theta[-1], seg.phi[-1]) == (1.0, 0.2, 1.0, 0.5)
+    assert len(seg.t) == len(seg.r) == len(seg.theta) == len(seg.phi) == 2
 
 
 # ---------------------------------------------------------------------
