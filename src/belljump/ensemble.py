@@ -479,7 +479,8 @@ class FluxReport:
 
 def flux_estimate(stats: EnsembleStats, r_probe: float) -> float:
     """Signed empirical probability flux through the probe sphere,
-    (outward - inward crossings) / (n_paths * window)."""
+    (outward - inward crossings) / (n_paths * window);
+    InsufficientEvents for an ensemble with no paths."""
     if stats.probe_radius is None:
         raise DomainError("ensemble was run without a probe radius")
     if not math.isclose(r_probe, stats.probe_radius, rel_tol=1e-12):
@@ -487,7 +488,7 @@ def flux_estimate(stats: EnsembleStats, r_probe: float) -> float:
             f"stats carry probe radius {stats.probe_radius!r}, not {r_probe!r}"
         )
     if stats.n_paths == 0:
-        return 0.0
+        raise InsufficientEvents("no paths in the ensemble")
     window = float(stats.time_grid[-1] - stats.time_grid[0])
     net = len(stats.outward_crossing_times) - len(stats.inward_crossing_times)
     return net / (stats.n_paths * window)
@@ -499,12 +500,10 @@ def flux_report(stats: EnsembleStats, track: CoefficientTrack) -> FluxReport:
     passes iff |z| <= 3."""
     if track.constant_coefficients is None:
         raise DomainError("flux comparison needs a constant-coefficient track")
-    n = stats.n_paths
-    if n == 0:
-        raise InsufficientEvents("no paths in the ensemble")
     cm, cp = track.constant_coefficients
     expected = 4.0 * math.pi * current_coeffs(track.params, cm, cp).C_r
     estimate = flux_estimate(stats, stats.probe_radius)
+    n = stats.n_paths
     n_in = len(stats.inward_crossing_times)
     n_out = len(stats.outward_crossing_times)
     window = float(stats.time_grid[-1] - stats.time_grid[0])

@@ -131,6 +131,10 @@ class CoefficientTrack:
         # per piece, per column, (a, b, c, d)
         self._knots = t.tolist()
         self._pieces = self._table.transpose(0, 2, 1).tolist()
+        # the four c+- columns of each piece flat, for coefficients()
+        self._pair_pieces = [
+            tuple(x for column in piece[:4] for x in column) for piece in self._pieces
+        ]
         self._gain = 8.0 * (1.0 + params.q) * params.B
 
     @property
@@ -146,20 +150,39 @@ class CoefficientTrack:
         """(c_minus, c_plus) when the track holds them fixed, else None."""
         return self._const_pair
 
-    def _columns_at(self, t: float, n: int = 6) -> list[float]:
-        """The first n real columns at one time (clamped to the grid):
-        bisect to the piece, then Horner on Python floats."""
+    def _locate(self, t: float) -> tuple[int, float]:
+        """The piece of one time, clamped to the grid, and the time's
+        offset into it."""
         knots = self._knots
-        t = min(max(float(t), knots[0]), knots[-1])
-        i = min(bisect.bisect_right(knots, t), len(self._pieces)) - 1
-        s = t - knots[i]
-        return [((a * s + b) * s + c) * s + d for a, b, c, d in self._pieces[i][:n]]
+        t = float(t)
+        if t < knots[0]:
+            t = knots[0]
+        elif t > knots[-1]:
+            t = knots[-1]
+        i = bisect.bisect_right(knots, t) - 1
+        if i == len(self._pieces):  # t on the last knot
+            i -= 1
+        return i, t - knots[i]
+
+    def _columns_at(self, t: float) -> list[float]:
+        """The six real columns at one time (clamped to the grid): Horner
+        on Python floats."""
+        i, s = self._locate(t)
+        return [((a * s + b) * s + c) * s + d for a, b, c, d in self._pieces[i]]
 
     def coefficients(self, t: float) -> tuple[complex, complex]:
+        """(c_minus, c_plus) at one time (clamped to the grid): Horner on
+        the four c+- columns of the piece, as _columns_at evaluates them."""
         if self._const_pair is not None:
             return self._const_pair
-        cmr, cmi, cpr, cpi = self._columns_at(t, 4)
-        return complex(cmr, cmi), complex(cpr, cpi)
+        i, s = self._locate(t)
+        a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 = (
+            self._pair_pieces[i]
+        )
+        return (
+            complex(((a0 * s + b0) * s + c0) * s + d0, ((a1 * s + b1) * s + c1) * s + d1),
+            complex(((a2 * s + b2) * s + c2) * s + d2, ((a3 * s + b3) * s + c3) * s + d3),
+        )
 
     def psi0(self, t: float) -> complex:
         _, _, _, _, pr, pi = self._columns_at(t)
@@ -187,16 +210,18 @@ class CoefficientTrack:
         """The emission rate law Gamma at a time or an array of times
         (clamped to the grid): 8 (1+q) B max{0, Im[conj(c_minus) c_plus]}
         / |psi0|^2, and inf where psi0 vanishes under positive flux."""
-        im, weight = self._cross_and_weight(times)
-        if isinstance(im, float):
-            return self._rate(im, weight)
-        return np.vectorize(self._rate, otypes=[float])(im, weight)
+        return self._rate(*self._cross_and_weight(times))
 
-    def _rate(self, im: float, weight: float) -> float:
-        """The rate law at one time, from Im and |psi0|^2."""
-        if not im > 0.0:
-            return 0.0
-        return self._gain * im / weight if weight > 0.0 else math.inf
+    def _rate(self, im, weight):
+        """The rate law from Im and |psi0|^2, floats or arrays: 0 unless
+        Im > 0, else inf unless the weight is > 0."""
+        if isinstance(im, float):
+            if not im > 0.0:
+                return 0.0
+            return self._gain * im / weight if weight > 0.0 else math.inf
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rate = np.where(weight > 0.0, self._gain * im / weight, math.inf)
+        return np.where(im > 0.0, rate, 0.0)
 
     @functools.cached_property
     def majorant_table(self) -> MajorantTable:

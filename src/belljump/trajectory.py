@@ -1,7 +1,8 @@
 """Bohmian trajectories near the source: the closed-form flow relations,
 a closed-form flight evaluator, an adaptive integrator in the substituted
 radial variable, and emission seeding.  The integrator's guiding field is
-wavefunction.span_currents of the reduced amplitudes.
+wavefunction.span_currents of the real and imaginary parts of the reduced
+amplitudes, with its parameter weights formed once per flight.
 
 Radial substitution.  With s = r^(1-2B) the leading radial equation
 becomes ds/dt = const near the origin (the power-law r(t) ~ |t|^(1/(1-2B))
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -60,6 +60,7 @@ from .params import PhysParams
 from .wavefunction import (
     R_SEED_FACTOR,
     ModelWavefunction,
+    current_weights,
     reduced_amplitudes,
     span_currents,
 )
@@ -337,6 +338,62 @@ _DP_E = (  # b - b_hat, applied to k1..k7
     11.0 / 84.0 - 187.0 / 2100.0,
     -1.0 / 40.0,
 )
+# the same entries as module floats, for the straight-line stages
+_C2, _C3, _C4, _C5, _C6 = _DP_C[1:]
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+) = _DP_A[1:]
+_B1, _B2, _B3, _B4, _B5, _B6 = _DP_B
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
+
+
+def _dp5_attempt(rhs, coeffs, t, s, phi, h, k1, q1):
+    """One Dormand-Prince attempt of width h from (t, s, phi), where k1
+    and q1 are the slopes of s and phi: (s_new, phi_new, k7, q7, err_s,
+    err_phi), with k7, q7 the FSAL slopes at t + h and err_* the
+    embedded error estimates; None when a stage or s_new reaches s <= 0
+    (the step passed the source).  Stage i reads the field at t + c_i h.
+    The field depends on s only, so phi is a quadrature of its stages.
+    Each sum runs left to right over all terms, zero ones included."""
+    ys = s + h * (_A21 * k1)
+    if ys <= 0.0:
+        return None
+    k2, q2 = rhs(ys, *coeffs(t + _C2 * h))
+    ys = s + h * (_A31 * k1 + _A32 * k2)
+    if ys <= 0.0:
+        return None
+    k3, q3 = rhs(ys, *coeffs(t + _C3 * h))
+    ys = s + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
+    if ys <= 0.0:
+        return None
+    k4, q4 = rhs(ys, *coeffs(t + _C4 * h))
+    ys = s + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+    if ys <= 0.0:
+        return None
+    k5, q5 = rhs(ys, *coeffs(t + _C5 * h))
+    ys = s + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+    if ys <= 0.0:
+        return None
+    c = coeffs(t + _C6 * h)
+    k6, q6 = rhs(ys, *c)
+    s_new = s + h * (_B1 * k1 + _B2 * k2 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+    if s_new <= 0.0:
+        return None
+    phi_new = phi + h * (
+        _B1 * q1 + _B2 * q2 + _B3 * q3 + _B4 * q4 + _B5 * q5 + _B6 * q6
+    )
+    k7, q7 = rhs(s_new, *c)  # FSAL stage, at t + h like the last one
+    err_s = h * (
+        _E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
+    )
+    err_phi = h * (
+        _E1 * q1 + _E2 * q2 + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6 + _E7 * q7
+    )
+    return s_new, phi_new, k7, q7, err_s, err_phi
 
 
 def _hermite(y0, y1, f0, f1, h, tau):
@@ -368,19 +425,24 @@ def _make_rhs(
 ) -> Callable:
     """RHS for y = (s, phi) with s = r^(1-2B); coefficients passed per call.
 
-    v = j/rho from span_currents of the reduced amplitudes, whose common
-    factor cancels from the ratios: ds/dt = (1-2B) r^(-2B) j_r/rho and
-    dphi/dt = (j_phi/sin(theta))/(r rho).  Both stay finite as s -> 0
-    (j_r ~ r^(2B) while rho -> (1+q)|c-|^2/pi).
+    v = j/rho from span_currents of the real and imaginary parts of the
+    reduced amplitudes, whose common factor cancels from the ratios:
+    ds/dt = (1-2B) r^(-2B) j_r/rho and dphi/dt = (j_phi/sin(theta))/(r rho).
+    Both stay finite as s -> 0 (j_r ~ r^(2B) while rho -> (1+q)|c-|^2/pi).
+    The constants that depend on params only (the exponents and
+    current_weights) are formed once, here.
     """
     one = 1.0 - 2.0 * params.B
     inv_one = 1.0 / one
     neg_two_b = -2.0 * params.B
+    weights = current_weights(params)
 
     def rhs(s: float, c_minus: complex, c_plus: complex) -> tuple[float, float]:
         r = s**inv_one
-        a_hat, c_hat = reduced_amplitudes(params, c_minus, c_plus, r, subleading)
-        j_r, j_phi_over_sin, rho = span_currents(params, a_hat, c_hat)
+        a, c = reduced_amplitudes(params, c_minus, c_plus, r, subleading)
+        j_r, j_phi_over_sin, rho = span_currents(
+            weights, a.real, a.imag, c.real, c.imag
+        )
         return one * r**neg_two_b * j_r / rho, j_phi_over_sin / (r * rho)
 
     return rhs
@@ -485,33 +547,12 @@ def integrate(
         if final_step:
             h = t_end - t
 
-        # the field depends on s only, so phi is a quadrature of its stages
-        ks, kp = [f_s], [f_phi]
-        failed = False
-        for i in range(1, 6):
-            ys = s + h * sum(map(mul, _DP_A[i], ks))
-            if ys <= 0.0:
-                failed = True  # stepped over the source; shrink
-                break
-            c = coeffs(t + _DP_C[i] * h)
-            k_s, k_phi = rhs(ys, *c)
-            ks.append(k_s)
-            kp.append(k_phi)
-        if not failed:
-            s_new = s + h * sum(map(mul, _DP_B, ks))
-            phi_new = phi + h * sum(map(mul, _DP_B, kp))
-            if s_new <= 0.0:
-                failed = True
-        if failed:
-            n_rej += 1
+        attempt = _dp5_attempt(rhs, coeffs, t, s, phi, h, f_s, f_phi)
+        if attempt is None:
+            n_rej += 1  # stepped over the source; shrink
             h *= 0.3
             continue
-
-        f_new = rhs(s_new, *c)  # FSAL stage, at t + h like the last one
-        ks.append(f_new[0])
-        kp.append(f_new[1])
-        err_s = h * sum(map(mul, _DP_E, ks))
-        err_phi = h * sum(map(mul, _DP_E, kp))
+        s_new, phi_new, g_s, g_phi, err_s, err_phi = attempt
         sc_s = atol_s + tol * max(abs(s), abs(s_new))
         sc_phi = tol * max(1.0, abs(phi), abs(phi_new))
         err = math.sqrt(0.5 * ((err_s / sc_s) ** 2 + (err_phi / sc_phi) ** 2))
@@ -524,10 +565,10 @@ def integrate(
 
         # accepted: scan [t, t+h] for probe and terminal crossings
         def s_at(tau):
-            return _hermite(s, s_new, f_s, f_new[0], h, tau)
+            return _hermite(s, s_new, f_s, g_s, h, tau)
 
         def phi_at(tau):
-            return _hermite(phi, phi_new, f_phi, f_new[1], h, tau)
+            return _hermite(phi, phi_new, f_phi, g_phi, h, tau)
 
         hits: list[tuple[float, float, int, bool]] = []  # (tau, s_level, dir, is_terminal)
         for level, is_term in levels:
@@ -571,7 +612,7 @@ def integrate(
             fac = 0.9 * err ** -0.14 * err_prev**0.08 if err > 0.0 else 10.0
             h *= min(10.0, max(0.2, fac))
             err_prev = max(err, 1e-10)
-            f_s, f_phi = f_new
+            f_s, f_phi = g_s, g_phi
 
     r_arr = np.array(ss) ** inv_one
     return TrajectorySegment(

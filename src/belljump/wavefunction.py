@@ -27,6 +27,11 @@ and current_exact (the spinor contraction) checks them.  For the pure
 model (s = 0) they give the exact expansion coefficients frozen in
 CurrentCoeffs, e.g. r^2 j_r = C_r = 2(1+q) B Im[conj(c_minus) c_plus]/pi
 exactly below r_cut/2.
+
+span_currents(current_weights(params), a_r, a_i, c_r, c_i) takes the
+real and imaginary parts of A and C and forms X with the operations of
+CPython's complex product, so an array gives elementwise the bits that
+scalars give.
 """
 
 from __future__ import annotations
@@ -207,25 +212,30 @@ def eval_psi1(model: ModelWavefunction, r, theta, phi) -> np.ndarray:
     )
 
 
-def span_currents(params: PhysParams, a_minus, a_plus):
-    """(j_r, j_phi / sin(theta), rho) for a spinor A f^- + C f^+.
+def current_weights(params: PhysParams) -> tuple[float, float, float, float, float]:
+    """The factors of span_currents that depend on params only:
+    (q, w, 2 w B, -w sgn, 2 q) with w = (1+q)/pi."""
+    q = params.q
+    w = (1.0 + q) / math.pi
+    return q, w, 2.0 * w * params.B, -w * params.sign_mk, 2.0 * q
+
+
+def span_currents(weights, a_r, a_i, c_r, c_i):
+    """(j_r, j_phi / sin(theta), rho) for a spinor A f^- + C f^+, from the
+    real and imaginary parts A = a_r + i a_i, C = c_r + i c_i and the
+    weights current_weights(params).
 
     The bilinear route: assembled from the closed-form boundary-spinor
     overlaps, valid for any radial amplitudes (with or without the
     injected subleading terms, with or without the cutoff factor) and
-    elementwise for arrays of them.
+    elementwise for arrays of them.  X = conj(A) C is formed from the
+    parts with the operations of a complex product.
     """
-    q, B = params.q, params.B
-    w = (1.0 + q) / math.pi
-    x = a_minus.conjugate() * a_plus
-    mod2 = (
-        a_minus.real * a_minus.real + a_minus.imag * a_minus.imag
-        + a_plus.real * a_plus.real + a_plus.imag * a_plus.imag
-    )
-    j_r = 2.0 * w * B * x.imag
-    j_phi_over_sin = -w * params.sign_mk * (q * mod2 + 2.0 * x.real)
-    rho = w * (mod2 + 2.0 * q * x.real)
-    return j_r, j_phi_over_sin, rho
+    q, w, w_r, w_phi, two_q = weights
+    x_r = a_r * c_r + a_i * c_i
+    x_i = a_r * c_i - a_i * c_r
+    mod2 = a_r * a_r + a_i * a_i + c_r * c_r + c_i * c_i
+    return w_r * x_i, w_phi * (q * mod2 + 2.0 * x_r), w * (mod2 + two_q * x_r)
 
 
 def current_exact(model: ModelWavefunction, r, theta, phi) -> np.ndarray:
@@ -259,7 +269,9 @@ def radial_mass_profile(model: ModelWavefunction) -> tuple[np.ndarray, np.ndarra
     a_hat, c_hat = reduced_amplitudes(
         p, model.c_minus, model.c_plus, r, model.subleading_amp
     )
-    rho_hat = span_currents(p, a_hat, c_hat)[2]
+    rho_hat = span_currents(
+        current_weights(p), a_hat.real, a_hat.imag, c_hat.real, c_hat.imag
+    )[2]
     # 4 pi r^2 rho dr = (4 pi / (1-2B)) chi^2 rho_hat ds
     integrand = (4.0 * math.pi / one) * cutoff(r, model.r_cut) ** 2 * rho_hat
     cum = np.concatenate(

@@ -584,10 +584,13 @@ def test_flux_estimate_guards(ingoing_run):
 
 
 def test_flux_report_refuses_an_empty_ensemble(ingoing_run):
-    # no paths carry no flux estimate: both reports refuse, rather than
-    # one passing with z = 0 and sigma = inf
+    # no paths carry no flux estimate: the estimate and both reports
+    # refuse, rather than an estimate of 0 or a report passing with z = 0
+    # and sigma = inf
     fam, track, _, window = ingoing_run
     empty = run_ensemble(fam, track, 0, (0.0, window), 1, probe_radius=1e-4)
+    with pytest.raises(InsufficientEvents, match="no paths"):
+        flux_estimate(empty, 1e-4)
     for report in (flux_report, sector0_comparison):
         with pytest.raises(InsufficientEvents, match="no paths"):
             report(empty, track)

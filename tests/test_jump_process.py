@@ -405,6 +405,23 @@ def test_scalar_and_array_evaluation_agree(n):
     np.testing.assert_array_equal(ims, tr.im_cross(times))
 
 
+def test_rate_law_on_arrays_matches_the_scalar_law_bitwise():
+    # the array form of the rate law against the scalar one, elementwise,
+    # on its edge cases: Im <= 0 (signed zeros and nan included) gives 0,
+    # a weight <= 0 (or nan) under Im > 0 gives inf, and a tiny weight
+    # overflows to inf
+    tr, _ = _random_track(5)
+    nan, inf = math.nan, math.inf
+    ims = [1.3, 1e-300, 0.0, -0.0, -2.0, nan, 0.7, 0.7, 0.7, 0.7, 0.7, inf, 1e300]
+    weights = [0.4, 0.9, 0.4, 0.0, 0.4, 0.4, 0.0, -0.0, -1.0, nan, 1e-320, 0.5, 1e-300]
+    rates = tr._rate(np.array(ims), np.array(weights))
+    want = np.array([tr._rate(im, w) for im, w in zip(ims, weights)])
+    assert rates.dtype == want.dtype == np.float64
+    assert rates.tobytes() == want.tobytes()
+    assert want[[2, 3, 4, 5]].tolist() == [0.0] * 4
+    assert want[[6, 7, 8, 9, 10, 12]].tolist() == [inf] * 6
+
+
 def test_balanced_constant_flux_track():
     tr = CoefficientTrack.balanced_constant_flux(P96, 0.1, 0.1j, 0.7, 0.0, 1.0)
     c_r = current_coeffs(P96, 0.1, 0.1j).C_r

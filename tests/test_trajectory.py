@@ -306,6 +306,28 @@ def test_probe_crossings_recorded():
     assert abs(hit.t - want_t) < 1e-8 * want_t
 
 
+def test_dp5_tableau_constants_and_order_conditions():
+    # the straight-line stages read module floats unpacked from the one
+    # tableau; the tableau meets the Dormand-Prince order conditions
+    t = trajectory
+    assert (t._C2, t._C3, t._C4, t._C5, t._C6) == t._DP_C[1:]
+    assert (
+        (t._A21,),
+        (t._A31, t._A32),
+        (t._A41, t._A42, t._A43),
+        (t._A51, t._A52, t._A53, t._A54),
+        (t._A61, t._A62, t._A63, t._A64, t._A65),
+    ) == t._DP_A[1:]
+    assert (t._B1, t._B2, t._B3, t._B4, t._B5, t._B6) == t._DP_B
+    assert (t._E1, t._E2, t._E3, t._E4, t._E5, t._E6, t._E7) == t._DP_E
+    b, c = t._DP_B, t._DP_C
+    for row, c_i in zip(t._DP_A[1:], c[1:]):
+        assert abs(math.fsum(row) - c_i) <= 1e-15
+    for power, want in enumerate((1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0)):
+        assert abs(math.fsum(bi * ci**power for bi, ci in zip(b, c)) - want) <= 1e-15
+    assert abs(math.fsum(t._DP_E)) <= 1e-15
+
+
 def test_constant_refresh_reproduces_the_fixed_flight_bitwise():
     m = _model()
     start = SphericalState(0.0, 1e-3, 1.0, 0.0)

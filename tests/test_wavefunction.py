@@ -18,6 +18,7 @@ from belljump.wavefunction import (
     ModelWavefunction,
     current_coeffs,
     current_exact,
+    current_weights,
     cutoff,
     eval_psi1,
     particle_sector_mass,
@@ -66,7 +67,9 @@ def test_current_dual_route():
         r, theta, phi = _random_point(rng)
         j = current_exact(m, r, theta, phi)
         a, c = radial_amplitudes(m, r)
-        j_r, j_phi_over_sin, rho = span_currents(m.params, a, c)
+        j_r, j_phi_over_sin, rho = span_currents(
+            current_weights(m.params), a.real, a.imag, c.real, c.imag
+        )
         scale = max(np.max(np.abs(j)), abs(rho), 1e-300)
         worst = max(
             worst,
@@ -76,6 +79,52 @@ def test_current_dual_route():
             abs(density_exact(m, r, theta, phi) - rho) / scale,
         )
     assert worst < 1e-10
+
+
+def _complex_form(params, a, c):
+    # the kernel written with CPython's complex product X = conj(A) C
+    q, B = params.q, params.B
+    w = (1.0 + q) / math.pi
+    x = a.conjugate() * c
+    mod2 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+    return (
+        2.0 * w * B * x.imag,
+        -w * params.sign_mk * (q * mod2 + 2.0 * x.real),
+        w * (mod2 + 2.0 * q * x.real),
+    )
+
+
+def test_span_currents_real_parts_match_the_complex_product_bitwise():
+    # the real-part kernel performs the IEEE operations of CPython's
+    # complex product conj(A) C: equal bits for complex scalars, and on
+    # numpy arrays (array with array, and a scalar A as the mass profile
+    # passes it) the same bits elementwise, signed zeros included.  (numpy's
+    # own complex product may fuse a multiply-add and differ in the last
+    # bit, so it is not the reference.)
+    rng = np.random.default_rng(33)
+    values = np.concatenate([
+        rng.normal(size=1000) * 10.0 ** rng.uniform(-8.0, 8.0, 1000),
+        [0.0, -0.0, 1.0, -1.0],
+    ])
+    a_r, a_i, c_r, c_i = rng.choice(values, size=(4, 1000))
+    a = [complex(x, y) for x, y in zip(a_r.tolist(), a_i.tolist())]
+    c = [complex(x, y) for x, y in zip(c_r.tolist(), c_i.tolist())]
+    for k, q in enumerate((0.9, -0.95, 0.999, -0.87)):
+        p = canonical_params(q, *LABELS[k])
+        weights = current_weights(p)
+        want = np.array([_complex_form(p, ak, ck) for ak, ck in zip(a, c)]).T
+        scalar = np.array([
+            span_currents(weights, ak.real, ak.imag, ck.real, ck.imag)
+            for ak, ck in zip(a, c)
+        ]).T
+        assert scalar.tobytes() == want.tobytes()
+        assert np.array(span_currents(weights, a_r, a_i, c_r, c_i)).tobytes() == (
+            want.tobytes()
+        )
+        a0 = a[k]
+        want = np.array([_complex_form(p, a0, ck) for ck in c]).T
+        got = np.array(span_currents(weights, a0.real, a0.imag, c_r, c_i))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_polar_current_vanishes_pointwise():
