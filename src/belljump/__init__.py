@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     BelljumpError,
-    ConstraintError,
     DegenerateError,
     DomainError,
     FitError,
@@ -23,15 +22,12 @@ from .errors import (
     VacuumEmpty,
     ValidationError,
     WindowClosed,
-    ZeroCoupling,
 )
 from .params import (
     ADMISSIBLE_LABELS,
     PhysParams,
-    canonical_a,
     canonical_params,
     circling_sign,
-    make_params,
 )
 from .spinor_basis import (
     SpherePoint,

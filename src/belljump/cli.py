@@ -23,10 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, parse_config, serialize
+from .config import RunConfig, _complex, parse_config, serialize
 from .errors import (
     BelljumpError,
     InsufficientEvents,
+    ParseError,
     ValidationError,
 )
 from .jump_process import CoefficientTrack, EmissionEvent, fly
@@ -48,13 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _complex_arg(raw: str) -> complex:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 're,im', got {raw!r}")
-    return complex(float(parts[0]), float(parts[1]))
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="belljump", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -70,8 +64,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("coeffs", help="print current coefficients as JSON")
     p.add_argument("--config", help="read q and amplitudes from a config file")
     p.add_argument("--q", type=float)
-    p.add_argument("--c-minus", type=_complex_arg, default=1 + 0j, metavar="RE,IM")
-    p.add_argument("--c-plus", type=_complex_arg, default=1j, metavar="RE,IM")
+    p.add_argument("--c-minus", default="1, 0", metavar="RE,IM")
+    p.add_argument("--c-plus", default="0, 1", metavar="RE,IM")
     p.add_argument("--output")
 
     p = sub.add_parser("trace", help="write one trajectory as CSV")
@@ -241,7 +235,13 @@ def _cmd_coeffs(ns) -> int:
             raise _UsageError("coeffs needs --config or --q")
         cfg = None
         params = canonical_params(ns.q)
-        cm, cp = ns.c_minus, ns.c_plus
+        amplitudes = []
+        for flag, raw in (("--c-minus", ns.c_minus), ("--c-plus", ns.c_plus)):
+            try:
+                amplitudes.append(_complex(raw, None, None))
+            except ParseError as exc:
+                raise _UsageError(f"{flag}: {exc}") from None
+        cm, cp = amplitudes
     record = {
         "record": "coeffs",
         "q": params.q,

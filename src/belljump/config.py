@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .params import PhysParams, canonical_a, make_params
+from .params import PhysParams, canonical_params
 from .wavefunction import R_SEED_FACTOR
 
 
@@ -130,29 +130,13 @@ def _complex_list(raw, line, col):
     )
 
 
-def _complex_scalar(raw, line, col):
-    # a bare real is fine where the model allows a complex entry
-    if "," in raw:
-        return _complex(raw, line, col)
-    return complex(_float(raw, line, col), 0.0)
-
-
 def _str(raw, line, col):
     return raw.strip()
 
 
 # [params] key -> parser; collected apart from the blocks because
-# PhysParams is assembled through make_params
-_PARAMS_KEYS = {
-    "q": _float,
-    "g": _complex_scalar,
-    "a1": _float,
-    "a2": _float,
-    "a3": _float,
-    "a4": _float,
-    "m_tilde": _float,
-    "kappa_tilde": _float,
-}
+# PhysParams is assembled through canonical_params
+_PARAMS_KEYS = {"q": _float, "m_tilde": _float, "kappa_tilde": _float}
 
 # the config sections after [params], each parsed into its dataclass
 _BLOCKS = {"model": ModelConfig, "track": TrackConfig, "run": RunBlock}
@@ -254,22 +238,8 @@ def parse_config(text: str) -> RunConfig:
 
     if "q" not in params_raw:
         raise ValidationError("config must set params.q")
-    q = params_raw["q"]
-    have_a = [k for k in ("a1", "a2", "a3", "a4") if k in params_raw]
-    if have_a and len(have_a) != 4:
-        raise ValidationError("set all of a1..a4 or none")
     try:
-        if have_a:
-            a = tuple(params_raw[k] for k in ("a1", "a2", "a3", "a4"))
-        else:
-            a = canonical_a(q)
-        params = make_params(
-            q,
-            params_raw.get("g", 1.0),
-            *a,
-            m_tilde=params_raw.get("m_tilde", 0.5),
-            kappa_tilde=params_raw.get("kappa_tilde", 1.0),
-        )
+        params = canonical_params(**params_raw)
     except ValueError as exc:
         raise ValidationError(f"bad [params] block: {exc}") from exc
 
@@ -356,11 +326,6 @@ def serialize(config: RunConfig) -> str:
     lines = [
         "[params]",
         f"q = {p.q!r}",
-        f"g = {_format(p.g)}",
-        f"a1 = {p.a1!r}",
-        f"a2 = {p.a2!r}",
-        f"a3 = {p.a3!r}",
-        f"a4 = {p.a4!r}",
         f"m_tilde = {p.m_tilde!r}",
         f"kappa_tilde = {p.kappa_tilde!r}",
     ]

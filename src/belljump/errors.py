@@ -17,16 +17,8 @@ class RangeError(BelljumpError, ValueError):
     """Coulomb strength outside the admissible band sqrt(3)/2 < |q| < 1."""
 
 
-class ConstraintError(BelljumpError, ValueError):
-    """Boundary-matrix entries violate a1*a4 - a2*a3 = 4B(1+q)."""
-
-
 class SetError(BelljumpError, ValueError):
     """(m_tilde, kappa_tilde) is not one of the four admissible label pairs."""
-
-
-class ZeroCoupling(BelljumpError, ValueError):
-    """Source coupling g is zero."""
 
 
 # ------------------------------------------------------------------- domains

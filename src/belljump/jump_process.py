@@ -26,10 +26,11 @@ the window.  Every flight, of a path or of the `trace` command, is
 launched by fly, the one place that picks its model and field: between
 jumps the particle follows psi_t, so the field is the track's
 coefficients at each time unless they cannot change over the flight.
-The flight itself decides how it is computed: fixed coefficients and no
-subleading amplitudes give the exact closed-form flight, anything else
-steps DP5; no caller switch selects between them, so a path is the same
-whoever draws it.
+Fixed coefficients and no subleading amplitudes give the exact
+closed-form flight, anything else steps DP5, unless the caller asks for
+dense samples: fly(dense=True) steps DP5 along any flight, which is how
+`trace` gets its samples.  The path sampler never sets it, so a path is
+the same whoever draws it.
 
 The emission intensity is exactly 4 pi C_r / |psi0|^2 when C_r > 0, the
 flux of |psi|^2 out of the source; a track is "balanced" when
@@ -347,19 +348,6 @@ class ProcessPath:
     t_span: tuple[float, float]
     entries: tuple
     events: tuple
-
-    def __post_init__(self):
-        last_kind = None
-        for entry in self.entries:
-            kind = isinstance(entry, VacuumInterval)
-            if last_kind is not None and kind == last_kind:
-                raise ValueError("entries must alternate vacuum and flight")
-            last_kind = kind
-        times = [
-            e.t0 for e in self.events
-        ]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("events must be time-ordered")
 
     @property
     def vacuum_spans(self) -> tuple[tuple[float, float], ...]:

@@ -1,8 +1,6 @@
 """Model parameters for the point-source Dirac jump process.
 
-The model is fixed by the Coulomb coupling strength q, a complex source
-coupling g, four real boundary-matrix entries a1..a4 tying the incoming
-and outgoing singular amplitudes to the vacuum amplitude, and a choice of
+The model is fixed by the Coulomb coupling strength q and a choice of
 angular sector labels (m_tilde, kappa_tilde).  Units: hbar = c = 1; every
 dynamical law downstream is unit-free up to a common time rescaling.
 
@@ -15,6 +13,13 @@ potential is supercritical.  The derived exponent
 controls every short-distance power law in the package (the singular
 radial modes r^(-1-B) and r^(-1+B), the absorption law r ~ |t|^(1/(1-2B)),
 the azimuthal winding r^(-2B)).
+
+The interior-boundary condition of the paper's Hamiltonian also carries a
+source coupling g and a boundary matrix a1..a4.  They fix how the
+singular amplitudes evolve with the vacuum amplitude, but here every
+track supplies c_minus(t), c_plus(t) and psi0(t) directly, and the jump
+rate, the guiding field and the spinors depend only on q, B and the
+labels.  So they are not parameters of this package.
 """
 
 from __future__ import annotations
@@ -22,29 +27,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConstraintError, RangeError, SetError, ZeroCoupling
+from .errors import RangeError, SetError
 
 #: Admissible sector labels (m_tilde, kappa_tilde): total angular momentum
 #: j = 1/2 combined with either sign of the spin-orbit eigenvalue.
 ADMISSIBLE_LABELS = ((-0.5, -1), (-0.5, 1), (0.5, -1), (0.5, 1))
-
-#: Relative tolerance for the boundary-matrix constraint a1*a4 - a2*a3 = 4B(1+q).
-A_CONSTRAINT_RTOL = 1e-12
 
 _Q_LOW = math.sqrt(3.0) / 2.0
 
 
 @dataclass(frozen=True)
 class PhysParams:
-    """Validated, immutable parameter set.  Build via make_params()."""
+    """Validated, immutable parameter set.  Build via canonical_params()."""
 
     q: float
     B: float
-    g: complex
-    a1: float
-    a2: float
-    a3: float
-    a4: float
     m_tilde: float
     kappa_tilde: int
 
@@ -54,58 +51,23 @@ class PhysParams:
         return 1 if self.m_tilde * self.kappa_tilde > 0 else -1
 
 
-def canonical_a(q: float) -> tuple[float, float, float, float]:
-    """Diagonal boundary-matrix entries (1, 0, 0, 4B(1+q)).
-
-    Convenient representative of the constraint surface a1*a4 - a2*a3
-    = 4B(1+q); any other admissible choice changes nothing downstream of
-    the boundary condition.
-    """
-    if not _Q_LOW < abs(q) < 1.0:
-        raise RangeError(f"q = {q!r} outside (sqrt(3)/2, 1) in absolute value")
-    B = math.sqrt(1.0 - q * q)
-    return (1.0, 0.0, 0.0, 4.0 * B * (1.0 + q))
-
-
-def make_params(q, g, a1, a2, a3, a4, m_tilde, kappa_tilde) -> PhysParams:
+def canonical_params(q, m_tilde=0.5, kappa_tilde=1) -> PhysParams:
     """Validate raw inputs and derive B = sqrt(1 - q^2).
 
-    Raises RangeError, ConstraintError, SetError, or ZeroCoupling on the
-    respective violations.
+    Raises RangeError for q outside the band and SetError for labels
+    outside ADMISSIBLE_LABELS.
     """
     q = float(q)
     if not _Q_LOW < abs(q) < 1.0:
         raise RangeError(f"q = {q!r} outside (sqrt(3)/2, 1) in absolute value")
-    B = math.sqrt(1.0 - q * q)
-
-    a1, a2, a3, a4 = (float(a) for a in (a1, a2, a3, a4))
-    target = 4.0 * B * (1.0 + q)
-    scale = max(abs(a1 * a4), abs(a2 * a3), abs(target))
-    if abs(a1 * a4 - a2 * a3 - target) > A_CONSTRAINT_RTOL * scale:
-        raise ConstraintError(
-            f"a1*a4 - a2*a3 = {a1 * a4 - a2 * a3!r} != 4B(1+q) = {target!r}"
-        )
-
     mk = (float(m_tilde), float(kappa_tilde))
     if mk not in {(m, float(k)) for m, k in ADMISSIBLE_LABELS}:
         raise SetError(
             f"(m_tilde, kappa_tilde) = {mk!r} not in {ADMISSIBLE_LABELS!r}"
         )
-
-    g = complex(g)
-    if g == 0:
-        raise ZeroCoupling("coupling g must be nonzero")
-
     return PhysParams(
-        q=q, B=B, g=g, a1=a1, a2=a2, a3=a3, a4=a4,
-        m_tilde=mk[0], kappa_tilde=int(mk[1]),
+        q=q, B=math.sqrt(1.0 - q * q), m_tilde=mk[0], kappa_tilde=int(mk[1])
     )
-
-
-def canonical_params(q, m_tilde=0.5, kappa_tilde=1, g=1.0) -> PhysParams:
-    """Params with the canonical boundary matrix for the given q."""
-    a1, a2, a3, a4 = canonical_a(q)
-    return make_params(q, g, a1, a2, a3, a4, m_tilde, kappa_tilde)
 
 
 def circling_sign(params: PhysParams) -> int:

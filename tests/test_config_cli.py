@@ -39,7 +39,6 @@ def _cfg(text):
 def test_minimal_config_applies_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.params.q == 0.9
-    assert cfg.params.g == 1.0 + 0j
     assert cfg.params.m_tilde == 0.5 and cfg.params.kappa_tilde == 1
     assert cfg.model.r_cut == 1.0 and cfg.model.r_min is None
     assert cfg.track.kind == "constant" and cfg.track.c_plus == 1j
@@ -52,7 +51,6 @@ def test_comments_case_and_value_forms():
         ; full-line comment
         [PARAMS]
         Q = 0.92          # trailing comment
-        g = -0.5, 1.25
 
         [model]
         frozen = Yes
@@ -62,7 +60,6 @@ def test_comments_case_and_value_forms():
         seed = 0x10       ; hex is fine for integers
         """)
     assert cfg.params.q == 0.92
-    assert cfg.params.g == complex(-0.5, 1.25)
     assert cfg.model.frozen is True
     assert cfg.model.s_minus == complex(0.3, -0.2)
     assert cfg.run.seed == 16
@@ -93,6 +90,18 @@ def test_unknown_keys_are_hard_errors():
         parse_config(MINIMAL + "[run]\ncolour = red\n")
     with pytest.raises(ParseError, match="unknown key extras.x"):
         parse_config(MINIMAL + "[extras]\nx = 1\n")
+
+
+def test_removed_boundary_condition_keys_are_unknown(tmp_path, capsys):
+    # g and a1..a4 changed nothing any output depends on; a config or an
+    # old output header that still sets them fails to parse
+    for key in ("g", "a1"):
+        with pytest.raises(ParseError, match=f"unknown key params.{key}"):
+            parse_config(MINIMAL + f"{key} = 1.0\n")
+    old = tmp_path / "old.conf"
+    old.write_text(MINIMAL + "g = 1.0, 0.0\n")
+    assert dispatch(["coeffs", "--config", str(old)]) == 1
+    assert "unknown key params.g" in capsys.readouterr().err
 
 
 def test_malformed_values_report_line_and_column():
@@ -139,8 +148,6 @@ def test_structural_errors():
 def test_params_block_validation():
     with pytest.raises(ValidationError, match="must set params.q"):
         parse_config("[run]\ntol = 1e-6\n")
-    with pytest.raises(ValidationError, match="all of a1..a4 or none"):
-        parse_config("[params]\nq = 0.9\na1 = 1.0\na2 = 0.0\n")
     # out-of-band q is rejected by the parameter constructor, wrapped
     with pytest.raises(ValidationError, match=r"bad \[params\] block"):
         parse_config("[params]\nq = 0.5\n")
@@ -425,6 +432,24 @@ def test_coeffs_json_matches_library(tmp_path):
     assert body["rho_leading"] == cc.rho_leading
     assert body["rho_mid"] == cc.rho_mid
     assert body["B"] == canonical_params(0.9).B
+
+
+def test_coeffs_amplitudes_must_be_finite(tmp_path, capsys):
+    # JSON has no NaN or Infinity, so a non-finite amplitude is a usage error
+    out = tmp_path / "coeffs.json"
+    for flag in ("--c-minus=nan,0", "--c-plus=0,inf", "--c-minus=1"):
+        assert dispatch(["coeffs", "--q", "0.9", flag, "--output", str(out)]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--c-minus: expected a finite number, got 'nan'" in err
+    assert "--c-plus: expected a finite number, got 'inf'" in err
+
+    def strict(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    assert dispatch(["coeffs", "--q", "0.9", "--output", str(out)]) == 0
+    body = json.loads(out.read_text().splitlines()[1], parse_constant=strict)
+    assert body["c_minus"] == [1.0, 0.0] and body["c_plus"] == [0.0, 1.0]
 
 
 def test_coeffs_reads_file_track(tmp_path):

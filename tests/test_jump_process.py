@@ -18,11 +18,9 @@ from belljump import (
 from belljump import jump_process
 from belljump.cubic import cubic_values
 from belljump.jump_process import (
-    AbsorptionEvent,
     CoefficientTrack,
     EmissionEvent,
     Particle,
-    ProcessPath,
     Vacuum,
     VacuumInterval,
     fly,
@@ -649,17 +647,3 @@ def test_simulate_path_guards():
     with pytest.raises(DomainError, match="params"):
         simulate_path(other, tr, Vacuum(), (0.0, 1.0), rng)
 
-
-def test_process_path_validation():
-    with pytest.raises(ValueError):
-        ProcessPath(
-            t_span=(0.0, 1.0),
-            entries=(VacuumInterval(0.0, 0.5), VacuumInterval(0.5, 1.0)),
-            events=(),
-        )
-    with pytest.raises(ValueError):
-        ProcessPath(
-            t_span=(0.0, 1.0),
-            entries=(),
-            events=(AbsorptionEvent(0.8), EmissionEvent(0.2, 1.0, 0.0)),
-        )

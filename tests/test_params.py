@@ -1,4 +1,4 @@
-"""Parameter validation: admissible band, matrix constraint, labels."""
+"""Parameter validation: admissible band and labels; the circling sense."""
 
 import math
 
@@ -7,14 +7,10 @@ import pytest
 
 from belljump import (
     ADMISSIBLE_LABELS,
-    ConstraintError,
     RangeError,
     SetError,
-    ZeroCoupling,
-    canonical_a,
     canonical_params,
     circling_sign,
-    make_params,
 )
 
 Q_LOW = math.sqrt(3.0) / 2.0
@@ -43,33 +39,6 @@ def test_b_is_open_interval():
         assert 0.0 < p.B < 0.5
 
 
-def test_canonical_a_satisfies_constraint():
-    for q in (0.9, -0.9, 0.96, -0.99):
-        a1, a2, a3, a4 = canonical_a(q)
-        B = math.sqrt(1.0 - q * q)
-        lhs = a1 * a4 - a2 * a3
-        rhs = 4.0 * B * (1.0 + q)
-        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-
-def test_constraint_violation_rejected():
-    q = 0.96
-    a1, a2, a3, a4 = canonical_a(q)
-    with pytest.raises(ConstraintError):
-        make_params(q, 1.0, a1, a2, a3, a4 * (1.0 + 1e-9), 0.5, 1)
-    # a relative wiggle below the 1e-12 gate must be accepted
-    make_params(q, 1.0, a1, a2, a3, a4 * (1.0 + 1e-13), 0.5, 1)
-
-
-def test_constraint_scaling_freedom():
-    # (a1, a4) -> (s a1, a4/s) preserves the product, so any s is legal
-    q = -0.94
-    a1, a2, a3, a4 = canonical_a(q)
-    for s in (0.5, 2.0, 17.0):
-        p = make_params(q, 1.0, a1 * s, a2, a3, a4 / s, -0.5, -1)
-        assert p.q == q
-
-
 @pytest.mark.parametrize(
     "m_tilde,kappa_tilde",
     [(1.5, 1), (0.5, 2), (0.0, 1), (0.5, 0), (-0.5, 3), (0.25, -1)],
@@ -77,24 +46,15 @@ def test_constraint_scaling_freedom():
 def test_inadmissible_labels_rejected(m_tilde, kappa_tilde):
     q = 0.9
     with pytest.raises(SetError):
-        make_params(q, 1.0, *canonical_a(q), m_tilde, kappa_tilde)
+        canonical_params(q, m_tilde, kappa_tilde)
 
 
 def test_admissible_labels_accepted():
     q = 0.9
     assert len(ADMISSIBLE_LABELS) == 4
     for m_tilde, kappa_tilde in ADMISSIBLE_LABELS:
-        p = make_params(q, 1.0, *canonical_a(q), m_tilde, kappa_tilde)
+        p = canonical_params(q, m_tilde, kappa_tilde)
         assert p.sign_mk == (1 if m_tilde * kappa_tilde > 0 else -1)
-
-
-def test_zero_coupling_rejected():
-    q = 0.9
-    with pytest.raises(ZeroCoupling):
-        make_params(q, 0.0, *canonical_a(q), 0.5, 1)
-    # nonzero complex coupling is fine
-    p = make_params(q, 0.3 - 2.0j, *canonical_a(q), 0.5, 1)
-    assert p.g == 0.3 - 2.0j
 
 
 def test_circling_sign_table():
@@ -105,13 +65,3 @@ def test_circling_sign_table():
     assert circling_sign(canonical_params(0.9, -0.5, -1)) == -1
     assert circling_sign(canonical_params(-0.9, -0.5, -1)) == 1
 
-
-def test_circling_sign_invariant_under_gauge_freedom():
-    # neither g nor the a-scaling freedom may touch the circling sense
-    q = 0.93
-    a1, a2, a3, a4 = canonical_a(q)
-    base = circling_sign(make_params(q, 1.0, a1, a2, a3, a4, 0.5, 1))
-    for g in (2.0, -1.0, 1j, 0.2 - 0.7j):
-        for s in (0.25, 1.0, 8.0):
-            p = make_params(q, g, a1 * s, a2, a3, a4 / s, 0.5, 1)
-            assert circling_sign(p) == base

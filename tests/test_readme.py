@@ -21,11 +21,15 @@ def test_readme_python_example_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
 
 
-@pytest.mark.parametrize("section", ["model", "run"])
+@pytest.mark.parametrize("section", ["params", "model", "run"])
 def test_readme_config_table_lists_the_schema(section):
     # the backticked names in the first column of the `[section]` table
     after = README.read_text().split(f"### `[{section}]`", 1)[1]
     body = re.split(r"\n##+ ", after)[0]
     cells = [row.split("|")[1] for row in body.splitlines() if row.startswith("| `")]
     listed = {key for cell in cells for key in re.findall(r"`(\w+)`", cell)}
-    assert listed == {key for block, key in config._KEYS if block == section}
+    if section == "params":
+        schema = set(config._PARAMS_KEYS)
+    else:
+        schema = {key for block, key in config._KEYS if block == section}
+    assert listed == schema

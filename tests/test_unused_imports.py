@@ -3,11 +3,16 @@
 No linter is a dependency of the project, so this parses each module of
 src/belljump and lists the imported names that no expression references
 (except in __init__.py, whose imports are its public surface) and the
-module-level `_name` bindings that the module never reads.
+module-level `_name` bindings that the module never reads.  It also lists
+the parameter fields that only the config parser reads.
 """
 
 import ast
+from dataclasses import dataclass, fields
 from pathlib import Path
+
+from belljump import config
+from belljump.params import PhysParams
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "belljump"
 
@@ -105,3 +110,42 @@ def test_package_modules_read_every_private_name():
         for line, name in unread_private_names(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def unread_fields(classes, sources) -> list[str]:
+    """The fields of `classes` that no `obj.field` attribute in `sources`
+    mentions."""
+    read = {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+    }
+    return [
+        f"{cls.__name__}.{f.name}"
+        for cls in classes
+        for f in fields(cls)
+        if f.name not in read
+    ]
+
+
+def test_detector_flags_only_unread_fields():
+    @dataclass
+    class Pair:
+        kept: int
+        dropped: int
+
+    source = "def f(p):\n    dropped = 1\n    return p.kept + dropped\n"
+    assert unread_fields([Pair], [source]) == ["Pair.dropped"]
+
+
+def test_every_parameter_field_is_read_outside_the_parser():
+    # config.py parses and echoes every field, so a field that only it
+    # reads is a key that changes nothing
+    sources = [
+        path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "config.py"
+    ]
+    classes = [PhysParams, config.ModelConfig, config.TrackConfig, config.RunBlock]
+    assert unread_fields(classes, sources) == []
