@@ -62,10 +62,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", help="CSV path (default stdout)")
 
     p = sub.add_parser("coeffs", help="print current coefficients as JSON")
-    p.add_argument("--config", help="read q and amplitudes from a config file")
+    p.add_argument(
+        "--config",
+        help="read q and amplitudes from a config file (no --q, --c-minus, --c-plus)",
+    )
     p.add_argument("--q", type=float)
-    p.add_argument("--c-minus", default="1, 0", metavar="RE,IM")
-    p.add_argument("--c-plus", default="0, 1", metavar="RE,IM")
+    p.add_argument("--c-minus", metavar="RE,IM", help="default 1, 0")
+    p.add_argument("--c-plus", metavar="RE,IM", help="default 0, 1")
     p.add_argument("--output")
 
     p = sub.add_parser("trace", help="write one trajectory as CSV")
@@ -226,6 +229,18 @@ def _cmd_validate_basis(ns) -> int:
 
 def _cmd_coeffs(ns) -> int:
     if ns.config:
+        given = [
+            flag
+            for flag, value in (
+                ("--q", ns.q), ("--c-minus", ns.c_minus), ("--c-plus", ns.c_plus)
+            )
+            if value is not None
+        ]
+        if given:
+            raise _UsageError(
+                f"coeffs --config reads q and the amplitudes from the file; "
+                f"drop {', '.join(given)}"
+            )
         cfg = _load_config(ns.config)
         params = cfg.params
         track = _build_track(cfg)
@@ -236,9 +251,12 @@ def _cmd_coeffs(ns) -> int:
         cfg = None
         params = canonical_params(ns.q)
         amplitudes = []
-        for flag, raw in (("--c-minus", ns.c_minus), ("--c-plus", ns.c_plus)):
+        for flag, raw, default in (
+            ("--c-minus", ns.c_minus, "1, 0"),
+            ("--c-plus", ns.c_plus, "0, 1"),
+        ):
             try:
-                amplitudes.append(_complex(raw, None, None))
+                amplitudes.append(_complex(default if raw is None else raw, None, None))
             except ParseError as exc:
                 raise _UsageError(f"{flag}: {exc}") from None
         cm, cp = amplitudes

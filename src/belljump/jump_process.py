@@ -30,7 +30,9 @@ Fixed coefficients and no subleading amplitudes give the exact
 closed-form flight, anything else steps DP5, unless the caller asks for
 dense samples: fly(dense=True) steps DP5 along any flight, which is how
 `trace` gets its samples.  The path sampler never sets it, so a path is
-the same whoever draws it.
+the same whoever draws it.  A psi_t flight hands the integrator the
+track itself: each DP5 stage reads one piece of it, with the bits of
+CoefficientTrack.coefficients, in one Python call.
 
 The emission intensity is exactly 4 pi C_r / |psi0|^2 when C_r > 0, the
 flux of |psi|^2 out of the source; a track is "balanced" when
@@ -132,7 +134,8 @@ class CoefficientTrack:
         # per piece, per column, (a, b, c, d)
         self._knots = t.tolist()
         self._pieces = self._table.transpose(0, 2, 1).tolist()
-        # the four c+- columns of each piece flat, for coefficients()
+        # the four c+- columns of each piece flat, for the guiding field
+        # of psi_t flights (trajectory._make_rhs)
         self._pair_pieces = [
             tuple(x for column in piece[:4] for x in column) for piece in self._pieces
         ]
@@ -172,18 +175,14 @@ class CoefficientTrack:
         return [((a * s + b) * s + c) * s + d for a, b, c, d in self._pieces[i]]
 
     def coefficients(self, t: float) -> tuple[complex, complex]:
-        """(c_minus, c_plus) at one time (clamped to the grid): Horner on
-        the four c+- columns of the piece, as _columns_at evaluates them."""
+        """(c_minus, c_plus) at one time (clamped to the grid), from the
+        c+- columns _columns_at evaluates.  A psi_t flight reads them once,
+        at launch; its stages evaluate the same columns with the same bits
+        in trajectory._make_rhs."""
         if self._const_pair is not None:
             return self._const_pair
-        i, s = self._locate(t)
-        a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 = (
-            self._pair_pieces[i]
-        )
-        return (
-            complex(((a0 * s + b0) * s + c0) * s + d0, ((a1 * s + b1) * s + c1) * s + d1),
-            complex(((a2 * s + b2) * s + c2) * s + d2, ((a3 * s + b3) * s + c3) * s + d3),
-        )
+        cmr, cmi, cpr, cpi, _, _ = self._columns_at(t)
+        return complex(cmr, cmi), complex(cpr, cpi)
 
     def psi0(self, t: float) -> complex:
         _, _, _, _, pr, pi = self._columns_at(t)
@@ -462,17 +461,19 @@ def fly(
     (an EmissionEvent, seeded and flown by emit_trajectory) or started at
     a SphericalState (flown by integrate).
 
-    Its model holds the track's coefficients at the launch time.  Its
-    field is psi_t, the track's coefficients at each time (every DP5
-    stage reads them at its own time), unless they cannot change over
-    the flight: the family is frozen or the track holds them constant,
-    and the flight keeps the model's coefficients.  `probe_radius` and
-    `dense` as in integrate.
+    Its model holds the track's coefficients at the launch time, the one
+    CoefficientTrack.coefficients call of the flight.  Its field is
+    psi_t, the track's coefficients at each time, unless they cannot
+    change over the flight: the family is frozen or the track holds them
+    constant, and the flight keeps the model's coefficients.  Under psi_t
+    the integrator gets the track itself, and every DP5 stage reads the
+    track's piece at its own time, with the bits coefficients gives
+    there.  `probe_radius` and `dense` as in integrate.
     """
     emitted = isinstance(launch, EmissionEvent)
     model = model_family.at(*track.coefficients(launch.t0 if emitted else launch.t))
     fixed = model_family.frozen or track.constant_coefficients is not None
-    field = None if fixed else track.coefficients
+    field = None if fixed else track
     if emitted:
         return emit_trajectory(
             model,

@@ -12,6 +12,14 @@ integrated at all: every model wave function lies pointwise in the span
 of the two boundary spinors, which makes j_theta vanish identically, so
 theta stays exactly constant along a segment.
 
+One call per stage.  Each DP5 stage makes one Python call, field(t, s),
+built once per flight (_make_rhs), plus span_currents inside it.  Under
+psi_t the field reads the CoefficientTrack itself: the piece of its
+last read, or a bisect when t leaves it, and a Horner evaluation of the
+four c+- columns, with the same bits as CoefficientTrack.coefficients at
+that time.  The pair enters span_currents as real parts, never boxed as
+complex numbers.
+
 Closed forms (pure model, coefficients frozen).  Separating variables,
 with Im = Im[conj(c_minus) c_plus], Re likewise, sgn = sgn(m~ k~):
 
@@ -41,9 +49,10 @@ numerical stand-in for the source.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -64,6 +73,9 @@ from .wavefunction import (
     reduced_amplitudes,
     span_currents,
 )
+
+if TYPE_CHECKING:
+    from .jump_process import CoefficientTrack
 
 #: Integrator steps (accepted plus rejected) one flight may take.
 MAX_STEPS = 500_000
@@ -153,8 +165,15 @@ class TrajectorySegment:
             lo, hi = sorted((float(self.r[0]), float(self.r[-1])))
             return _invert_time(p, parts, t - t_src, lo, hi)
         one = 1.0 - 2.0 * p.B
-        table = cubic_table(self.t, (self.r**one)[:, None])
-        return float(cubic_values(self.t, table, t)[0]) ** (1.0 / one)
+        return float(cubic_values(self.t, self._s_table, t)[0]) ** (1.0 / one)
+
+    @functools.cached_property
+    def _s_table(self) -> np.ndarray:
+        """The cubic table of s = r^(1-2B) through an integrated segment's
+        samples, built on the first radius_at and kept: it is no field,
+        so segments compare without it."""
+        one = 1.0 - 2.0 * self.model.params.B
+        return cubic_table(self.t, (self.r**one)[:, None])
 
 
 # =====================================================================
@@ -351,42 +370,42 @@ _B1, _B2, _B3, _B4, _B5, _B6 = _DP_B
 _E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
 
-def _dp5_attempt(rhs, coeffs, t, s, phi, h, k1, q1):
+def _dp5_attempt(field, t, s, phi, h, k1, q1):
     """One Dormand-Prince attempt of width h from (t, s, phi), where k1
     and q1 are the slopes of s and phi: (s_new, phi_new, k7, q7, err_s,
     err_phi), with k7, q7 the FSAL slopes at t + h and err_* the
     embedded error estimates; None when a stage or s_new reaches s <= 0
-    (the step passed the source).  Stage i reads the field at t + c_i h.
+    (the step passed the source).  Stage i reads field(t + c_i h, s_i).
     The field depends on s only, so phi is a quadrature of its stages.
     Each sum runs left to right over all terms, zero ones included."""
     ys = s + h * (_A21 * k1)
     if ys <= 0.0:
         return None
-    k2, q2 = rhs(ys, *coeffs(t + _C2 * h))
+    k2, q2 = field(t + _C2 * h, ys)
     ys = s + h * (_A31 * k1 + _A32 * k2)
     if ys <= 0.0:
         return None
-    k3, q3 = rhs(ys, *coeffs(t + _C3 * h))
+    k3, q3 = field(t + _C3 * h, ys)
     ys = s + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
     if ys <= 0.0:
         return None
-    k4, q4 = rhs(ys, *coeffs(t + _C4 * h))
+    k4, q4 = field(t + _C4 * h, ys)
     ys = s + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
     if ys <= 0.0:
         return None
-    k5, q5 = rhs(ys, *coeffs(t + _C5 * h))
+    k5, q5 = field(t + _C5 * h, ys)
     ys = s + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
     if ys <= 0.0:
         return None
-    c = coeffs(t + _C6 * h)
-    k6, q6 = rhs(ys, *c)
+    t6 = t + _C6 * h
+    k6, q6 = field(t6, ys)
     s_new = s + h * (_B1 * k1 + _B2 * k2 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
     if s_new <= 0.0:
         return None
     phi_new = phi + h * (
         _B1 * q1 + _B2 * q2 + _B3 * q3 + _B4 * q4 + _B5 * q5 + _B6 * q6
     )
-    k7, q7 = rhs(s_new, *c)  # FSAL stage, at t + h like the last one
+    k7, q7 = field(t6, s_new)  # FSAL stage, at t + h like the last one
     err_s = h * (
         _E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
     )
@@ -422,8 +441,10 @@ def _bracket_root(g, lo, hi, g_lo, g_hi):
 def _make_rhs(
     params: PhysParams,
     subleading: tuple[complex, complex],
-) -> Callable:
-    """RHS for y = (s, phi) with s = r^(1-2B); coefficients passed per call.
+    coefficients: tuple[complex, complex] | CoefficientTrack | Callable,
+) -> Callable[[float, float], tuple[float, float]]:
+    """The guiding field of one flight, field(t, s) -> (ds/dt, dphi/dt)
+    for y = (s, phi) with s = r^(1-2B): one call per DP5 stage.
 
     v = j/rho from span_currents of the real and imaginary parts of the
     reduced amplitudes, whose common factor cancels from the ratios:
@@ -431,21 +452,80 @@ def _make_rhs(
     Both stay finite as s -> 0 (j_r ~ r^(2B) while rho -> (1+q)|c-|^2/pi).
     The constants that depend on params only (the exponents and
     current_weights) are formed once, here.
+
+    `coefficients` gives (c_minus, c_plus) at time t: a fixed pair, a
+    callable t -> (c_minus, c_plus), or a CoefficientTrack (psi_t).  A
+    track read without subleading amplitudes evaluates the four c+-
+    columns of its piece by Horner, in the order and with the offset of
+    CoefficientTrack.coefficients, keeping the piece of the last read
+    and bisecting only when t leaves it.  Without subleading amplitudes
+    c_plus r^(2B) is formed as (Re c+ u, Im c+ u), the bits of the
+    complex product.  So each source gives the bits of the complex route,
+    reduced_amplitudes of the pair coefficients(t) returns.
     """
     one = 1.0 - 2.0 * params.B
     inv_one = 1.0 / one
-    neg_two_b = -2.0 * params.B
+    two_b = 2.0 * params.B
+    neg_two_b = -two_b
     weights = current_weights(params)
 
-    def rhs(s: float, c_minus: complex, c_plus: complex) -> tuple[float, float]:
+    if subleading != (0j, 0j) or callable(coefficients):
+        if isinstance(coefficients, tuple):
+            pair = coefficients
+            coeffs = lambda _t: pair
+        elif callable(coefficients):
+            coeffs = coefficients
+        else:
+            coeffs = coefficients.coefficients
+
+        def field(t: float, s: float) -> tuple[float, float]:
+            r = s**inv_one
+            a, c = reduced_amplitudes(params, *coeffs(t), r, subleading)
+            j_r, j_phi_over_sin, rho = span_currents(
+                weights, a.real, a.imag, c.real, c.imag
+            )
+            return one * r**neg_two_b * j_r / rho, j_phi_over_sin / (r * rho)
+
+        return field
+
+    if isinstance(coefficients, tuple):
+        c_minus, c_plus = coefficients
+        a_r, a_i, c_r, c_i = c_minus.real, c_minus.imag, c_plus.real, c_plus.imag
+
+        def field(t: float, s: float) -> tuple[float, float]:
+            r = s**inv_one
+            u = r**two_b
+            j_r, j_phi_over_sin, rho = span_currents(weights, a_r, a_i, c_r * u, c_i * u)
+            return one * r**neg_two_b * j_r / rho, j_phi_over_sin / (r * rho)
+
+        return field
+
+    knots = coefficients._knots
+    pieces = coefficients._pair_pieces
+    locate = coefficients._locate
+    lo = hi = math.nan  # the last read's piece [lo, hi); none yet
+    piece = None
+
+    def field(t: float, s: float) -> tuple[float, float]:
+        nonlocal lo, hi, piece
+        if lo <= t < hi:
+            x = t - lo
+        else:
+            i, x = locate(t)
+            lo, hi, piece = knots[i], knots[i + 1], pieces[i]
+        a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 = piece
         r = s**inv_one
-        a, c = reduced_amplitudes(params, c_minus, c_plus, r, subleading)
+        u = r**two_b
         j_r, j_phi_over_sin, rho = span_currents(
-            weights, a.real, a.imag, c.real, c.imag
+            weights,
+            ((a0 * x + b0) * x + c0) * x + d0,
+            ((a1 * x + b1) * x + c1) * x + d1,
+            (((a2 * x + b2) * x + c2) * x + d2) * u,
+            (((a3 * x + b3) * x + c3) * x + d3) * u,
         )
         return one * r**neg_two_b * j_r / rho, j_phi_over_sin / (r * rho)
 
-    return rhs
+    return field
 
 
 def integrate(
@@ -455,17 +535,20 @@ def integrate(
     tol: float = 1e-8,
     *,
     probe_radius: float | None = None,
-    refresh: Callable[[float], tuple[complex, complex]] | None = None,
+    refresh: CoefficientTrack | Callable[[float], tuple[complex, complex]] | None = None,
     dense: bool = True,
 ) -> TrajectorySegment:
     """Integrate the guiding equation forward from `initial` to t_end.
 
     Stops early with Absorbed (r crossed model.r_min, t0 extrapolated) or
     LeftInnerRegion (r crossed r_cut/2).  `refresh`, when given, supplies
-    (c_minus(t), c_plus(t)): the flight then solves the time-dependent
-    guiding equation, each DP5 stage reading the field at its own time
-    t + c_i h.  Crossings of `probe_radius`, when given, must lie in
-    (0, r_cut/2) and are recorded in either direction.
+    (c_minus(t), c_plus(t)), as a CoefficientTrack or a callable: the
+    flight then solves the time-dependent guiding equation, each DP5
+    stage reading the field at its own time t + c_i h.  A track is read
+    one piece at a time, with the bits of its coefficients, in one
+    Python call per stage (_make_rhs).  Crossings of `probe_radius`,
+    when given, must lie in (0, r_cut/2) and are recorded in either
+    direction.
 
     With dense=False, no refresh and no subleading amplitudes the flight
     is evaluated in closed form instead (exact; Absorbed then carries the
@@ -507,9 +590,11 @@ def integrate(
     levels = [(s_min, True), (s_top, True)]  # (s level, is terminal)
     if probe_radius is not None:
         levels.append((float(probe_radius) ** one, False))
-    rhs = _make_rhs(p, model.subleading_amp)
-
-    coeffs = refresh or (lambda _t: (model.c_minus, model.c_plus))
+    field = _make_rhs(
+        p,
+        model.subleading_amp,
+        (model.c_minus, model.c_plus) if refresh is None else refresh,
+    )
 
     t = float(initial.t)
     s = float(initial.r) ** one
@@ -520,7 +605,7 @@ def integrate(
     crossings: list[ProbeCrossing] = []
     n_acc = n_rej = 0
 
-    f_s, f_phi = rhs(s, *coeffs(t))
+    f_s, f_phi = field(t, s)
 
     # Hairer's first-step guess h0 = 0.01 d0/d1, with d0 and d1 the
     # scaled norms of y0 and f(y0)
@@ -542,53 +627,56 @@ def integrate(
         if f_s < 0.0:
             # near absorption s(t) is almost linear and the controller
             # would overshoot s <= 0; aim just below the crossing instead
-            h = min(h, (0.5 * s_min - s) / f_s)
+            h_aim = (0.5 * s_min - s) / f_s
+            if h_aim < h:
+                h = h_aim
         final_step = t + h >= t_end
         if final_step:
             h = t_end - t
 
-        attempt = _dp5_attempt(rhs, coeffs, t, s, phi, h, f_s, f_phi)
+        attempt = _dp5_attempt(field, t, s, phi, h, f_s, f_phi)
         if attempt is None:
             n_rej += 1  # stepped over the source; shrink
             h *= 0.3
             continue
         s_new, phi_new, g_s, g_phi, err_s, err_phi = attempt
-        sc_s = atol_s + tol * max(abs(s), abs(s_new))
-        sc_phi = tol * max(1.0, abs(phi), abs(phi_new))
+        # comparisons in place of min and max, picking what they pick
+        s_abs, s_new_abs = abs(s), abs(s_new)
+        sc_s = atol_s + tol * (s_new_abs if s_new_abs > s_abs else s_abs)
+        phi_abs, phi_new_abs = abs(phi), abs(phi_new)
+        phi_abs = phi_abs if phi_abs > 1.0 else 1.0
+        sc_phi = tol * (phi_new_abs if phi_new_abs > phi_abs else phi_abs)
         err = math.sqrt(0.5 * ((err_s / sc_s) ** 2 + (err_phi / sc_phi) ** 2))
 
         if err > 1.0:
             n_rej += 1
-            h *= max(0.2, 0.9 * err**-0.2)
+            fac = 0.9 * err**-0.2
+            h *= fac if fac > 0.2 else 0.2
             err_prev = err
             continue
 
         # accepted: scan [t, t+h] for probe and terminal crossings
-        def s_at(tau):
-            return _hermite(s, s_new, f_s, g_s, h, tau)
-
-        def phi_at(tau):
-            return _hermite(phi, phi_new, f_phi, g_phi, h, tau)
-
         hits: list[tuple[float, float, int, bool]] = []  # (tau, s_level, dir, is_terminal)
         for level, is_term in levels:
             g0, g1 = s - level, s_new - level
             if g0 == 0.0 or (g0 < 0.0) == (g1 < 0.0):
                 continue
-            tau_c = _bracket_root(lambda u: s_at(u) - level, 0.0, 1.0, g0, g1)
+            tau_c = _bracket_root(
+                lambda u: _hermite(s, s_new, f_s, g_s, h, u) - level, 0.0, 1.0, g0, g1
+            )
             hits.append((tau_c, level, 1 if g1 > g0 else -1, is_term))
         hits.sort()
 
         for tau_c, level, direction, is_term in hits:
             tc = t + tau_c * h
             if tc <= ts[-1]:
-                tc = np.nextafter(ts[-1], math.inf)
+                tc = math.nextafter(ts[-1], math.inf)
             if is_term:
                 ts.append(tc)
                 ss.append(level)
-                phis.append(phi_at(tau_c))
+                phis.append(_hermite(phi, phi_new, f_phi, g_phi, h, tau_c))
                 if level == s_min and direction < 0:
-                    ds_dt = rhs(s_min, *coeffs(tc))[0]
+                    ds_dt = field(tc, s_min)[0]
                     t0 = tc + s_min / (-ds_dt) if ds_dt < 0.0 else tc
                     terminal = Absorbed(t0=t0)
                 else:
@@ -602,7 +690,7 @@ def integrate(
         if terminal is None:
             t, s, phi = (t_end if final_step else t + h), s_new, phi_new
             if t <= ts[-1]:
-                t = np.nextafter(ts[-1], math.inf)
+                t = math.nextafter(ts[-1], math.inf)
             ts.append(t)
             ss.append(s)
             phis.append(phi)
@@ -610,8 +698,9 @@ def integrate(
                 terminal = TimeExhausted()
                 break
             fac = 0.9 * err ** -0.14 * err_prev**0.08 if err > 0.0 else 10.0
-            h *= min(10.0, max(0.2, fac))
-            err_prev = max(err, 1e-10)
+            fac = fac if fac > 0.2 else 0.2
+            h *= fac if fac < 10.0 else 10.0
+            err_prev = 1e-10 if 1e-10 > err else err
             f_s, f_phi = g_s, g_phi
 
     r_arr = np.array(ss) ** inv_one
@@ -637,7 +726,7 @@ def emit_trajectory(
     *,
     t_end: float = math.inf,
     probe_radius: float | None = None,
-    refresh: Callable[[float], tuple[complex, complex]] | None = None,
+    refresh: CoefficientTrack | Callable[[float], tuple[complex, complex]] | None = None,
     dense: bool = True,
 ) -> TrajectorySegment:
     """Outgoing trajectory emanating from the source at t0 with labels

@@ -215,28 +215,33 @@ def cumulative_hazard(track, t_start, times):
 def time_dependent_flight(params, coefficients, initial, times):
     """(r, phi) at each of the increasing `times` (from initial.t on) of
     the flight dQ/dt = v^{psi_t}(Q) of a subleading-free model whose
-    coefficients are coefficients(t): scipy's DOP853 at rtol 1e-12 on
-    the package's (s, phi) field, with the pair read at every evaluation
-    time."""
+    coefficients are coefficients(t): scipy's DOP853 at rtol 1e-13 on
+    ode_rhs in (r, phi), with the pair read at every evaluation time.
+    Near the source r ~ (t - t0)^(1/(1-2B)) has unbounded higher
+    derivatives, which cost DOP853 about 1e-8 relative in r at rtol
+    1e-12."""
     from scipy.integrate import solve_ivp
 
-    from belljump.trajectory import _make_rhs
+    theta = float(initial.theta)
 
-    rhs = _make_rhs(params, (0j, 0j))
-    one = 1.0 - 2.0 * params.B
-    s0 = float(initial.r) ** one
+    def rates(t, y):
+        state = SphericalState(t, y[0], theta, y[1])
+        dr_dt, _, dphi_dt = ode_rhs(params, *coefficients(t), state)
+        return dr_dt, dphi_dt
+
+    r0 = float(initial.r)
     sol = solve_ivp(
-        lambda t, y: rhs(y[0], *coefficients(t)),
+        rates,
         (float(initial.t), float(times[-1])),
-        [s0, float(initial.phi)],
+        [r0, float(initial.phi)],
         method="DOP853",
         t_eval=times,
-        rtol=1e-12,
-        atol=[1e-14 * s0, 1e-12],
+        rtol=1e-13,
+        atol=[1e-16 * r0, 1e-13],
     )
     if not sol.success:
         raise RuntimeError(sol.message)
-    return sol.y[0] ** (1.0 / one), sol.y[1]
+    return sol.y[0], sol.y[1]
 
 
 def in_vacuum(path, t):

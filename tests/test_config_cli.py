@@ -475,6 +475,27 @@ def test_coeffs_reads_file_track(tmp_path):
     assert dispatch(["coeffs", "--config", str(conf)]) == 1
 
 
+def test_coeffs_config_refuses_amplitude_flags(tmp_path, capsys):
+    # the config's q and track give the amplitudes; a flag beside it would
+    # be silently ignored, so any of the three is a usage error
+    conf = tmp_path / "c.conf"
+    conf.write_text("[params]\nq = 0.96\n")
+    out = tmp_path / "coeffs.json"
+    for flags in (
+        ["--q", "0.9"],
+        ["--c-minus", "0,1"],
+        ["--c-plus=-1,0"],
+        ["--q", "0.9", "--c-minus", "0,1", "--c-plus=-1,0"],
+    ):
+        args = ["coeffs", "--config", str(conf), *flags, "--output", str(out)]
+        assert dispatch(args) == 64
+        assert not out.exists()
+    assert "drop --q, --c-minus, --c-plus" in capsys.readouterr().err
+    assert dispatch(["coeffs", "--config", str(conf), "--output", str(out)]) == 0
+    body = json.loads(out.read_text().splitlines()[1])
+    assert body["q"] == 0.96
+
+
 # ---------------------------------------------------------------------
 # trace
 # ---------------------------------------------------------------------

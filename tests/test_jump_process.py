@@ -632,6 +632,30 @@ def test_fly_picks_each_flights_model_and_field():
     assert abs(drifting.r[-1] / frozen.r[-1] - 1.0) > 1e-3
 
 
+def test_psi_t_flights_read_coefficients_only_at_launch(monkeypatch):
+    # the stages read the track's pieces themselves; the one call to
+    # CoefficientTrack.coefficients is fly's, for the launch-time model
+    t = np.linspace(0.0, 3.0, 9)
+    varying = CoefficientTrack(
+        P96, t, np.ones(9), np.exp(1j * (0.5 * math.pi + 0.7 * np.sin(t))),
+        np.full(9, 0.5),
+    )
+    read = CoefficientTrack.coefficients
+    calls = []
+
+    def counting(self, t):
+        calls.append(t)
+        return read(self, t)
+
+    monkeypatch.setattr(CoefficientTrack, "coefficients", counting)
+    for launch in (SphericalState(0.2, 0.01, math.pi / 2, 0.0), EmissionEvent(0.2, 1.0, 0.3)):
+        for dense in (False, True):
+            calls.clear()
+            seg = fly(_family(), varying, launch, 2.5, 1e-8, probe_radius=0.1, dense=dense)
+            assert seg.n_accepted > 10
+            assert calls == [0.2]
+
+
 def test_simulate_path_guards():
     fam, tr, rng = _family(), _balanced(), np.random.default_rng(60)
     with pytest.raises(DomainError):

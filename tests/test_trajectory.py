@@ -110,7 +110,7 @@ def test_integrator_rhs_matches_oracles():
         theta = rng.uniform(0.1, math.pi - 0.1)
         u, one = r ** (2.0 * p.B), 1.0 - 2.0 * p.B
         if k % 2 == 0:
-            ds_dt, dphi_dt = _make_rhs(p, (0j, 0j))(r**one, cm, cp)
+            ds_dt, dphi_dt = _make_rhs(p, (0j, 0j), (cm, cp))(0.0, r**one)
             dr_dt, _, want_phi = ode_rhs(p, cm, cp, SphericalState(0.0, r, theta, 0.0))
             want_s = one * dr_dt / u
             worst = max(
@@ -120,7 +120,7 @@ def test_integrator_rhs_matches_oracles():
             )
         else:
             sub = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
-            ds_dt, dphi_dt = _make_rhs(p, sub)(r**one, cm, cp)
+            ds_dt, dphi_dt = _make_rhs(p, sub, (cm, cp))(0.0, r**one)
             model = ModelWavefunction(p, cm, cp, 1.0, sub)
             v_r, _, v_phi = velocity_field(model, r, theta, 0.3)
             speed = math.hypot(v_r, v_phi)
@@ -130,6 +130,61 @@ def test_integrator_rhs_matches_oracles():
                 abs(dphi_dt * r * math.sin(theta) - v_phi) / speed,
             )
     assert worst < 1e-10
+
+
+def test_track_field_gives_the_bits_of_coefficients():
+    # one psi_t field reads the track's pieces itself, keeping the piece
+    # of its last read: at random times, on every knot, outside the grid
+    # (clamped) and in falling order (the absorption extrapolation reads
+    # behind the step) it gives the bits of the field fed
+    # track.coefficients(t), as a callable and as the fixed pair.  On the
+    # rough track a piece's end rarely repeats the next knot's bits
+    track = _drifting_track()
+    p = track.params
+    one = 1.0 - 2.0 * p.B
+    rng = np.random.default_rng(97)
+    grid = np.cumsum(rng.uniform(0.01, 0.1, 40))
+    z = lambda: rng.normal(size=40) + 1j * rng.normal(size=40)
+    rough = CoefficientTrack(p, grid, z(), z(), z())
+    for tr in (track, rough):
+        knots = tr.times
+        a, b = knots[0], knots[-1]
+        edges = (a - 1.0, a - 1e-12, b, b + 1e-12, b + 2.0, math.nextafter(b, a))
+        times = np.concatenate((
+            rng.uniform(a - 0.5, b + 0.5, 200), knots, knots[::-1], edges,
+            np.sort(rng.uniform(a, b, 100))[::-1],
+            knots[:-1] + 0.4 * np.diff(knots),
+        ))
+        for sub in ((0j, 0j), (0.05, 0.05j)):
+            field = _make_rhs(p, sub, tr)
+            by_call = _make_rhs(p, sub, tr.coefficients)
+            for t in times.tolist():
+                s = rng.uniform(1e-8, 0.5) ** one
+                got = repr(field(t, s))
+                assert got == repr(by_call(t, s))
+                assert got == repr(_make_rhs(p, sub, tr.coefficients(t))(t, s))
+    # whole flights step the same bits either way: emitted, and ingoing
+    # to absorption, whose extrapolation reads the field behind the step
+    inward = CoefficientTrack(
+        p, track.times, track.c_minus_values, track.c_plus_values.conjugate(),
+        track.psi0_values,
+    )
+    family = ModelFamily(p, 1.0)
+    for tr, start in ((track, None), (inward, SphericalState(0.4, 0.05, 1.0, 0.3))):
+        model = family.at(*tr.coefficients(0.4))
+        segments = []
+        for refresh in (tr, tr.coefficients):
+            if start is None:
+                seg = emit_trajectory(model, 0.4, 1.0, 0.3, 1e-8, t_end=3.0, refresh=refresh)
+            else:
+                seg = integrate(model, start, 3.0, 1e-8, probe_radius=0.01, refresh=refresh)
+            segments.append((
+                seg.t.tobytes(), seg.r.tobytes(), seg.phi.tobytes(), seg.terminal,
+                seg.probe_crossings, seg.n_accepted, seg.n_rejected,
+            ))
+        assert segments[0] == segments[1]
+        assert segments[0][5] > 10
+    assert isinstance(segments[0][3], Absorbed) and segments[0][4]
 
 
 # ---------------------------------------------------------------------
@@ -437,7 +492,7 @@ def test_drifting_flights_follow_the_time_dependent_field(tol):
     for t0 in (0.3, 1.1, 2.0):
         model = family.at(*track.coefficients(t0))
         seg = emit_trajectory(
-            model, t0, 0.5 * math.pi, 0.0, tol, t_end=3.0, refresh=track.coefficients
+            model, t0, 0.5 * math.pi, 0.0, tol, t_end=3.0, refresh=track
         )
         # a terminal crossing is interpolated, not stepped to
         n = len(seg.t) - (not isinstance(seg.terminal, TimeExhausted))
@@ -535,6 +590,28 @@ def test_integrated_radius_at_matches_scipy_spline():
         scale = np.max(seg.r**one)
         for t in np.linspace(seg.t[0], seg.t[-1], 97):
             assert abs(seg.radius_at(t) ** one - spline(t)) <= 1e-14 * scale
+
+
+def test_integrated_radius_at_builds_its_table_once(monkeypatch):
+    # the cubic table of s is built on the first call and kept; repeated
+    # calls give the bits of a table built afresh, at the samples and
+    # between them
+    from belljump.cubic import cubic_table, cubic_values
+
+    m, start, t_end, probe = _flight_cases()["ingoing_probe"]
+    seg = integrate(m, start, t_end, tol=1e-6, probe_radius=probe)
+    one = 1.0 - 2.0 * m.params.B
+    fresh = cubic_table(seg.t, (seg.r**one)[:, None])
+    built = []
+    monkeypatch.setattr(
+        trajectory, "cubic_table", lambda *a: built.append(1) or cubic_table(*a)
+    )
+    times = [*seg.t.tolist(), *(0.5 * (seg.t[1:] + seg.t[:-1])).tolist()]
+    for _ in range(2):
+        for t in times:
+            want = float(cubic_values(seg.t, fresh, t)[0]) ** (1.0 / one)
+            assert seg.radius_at(t) == want
+    assert len(built) == 1
 
 
 def test_invert_time_matches_bisection():
