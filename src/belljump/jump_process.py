@@ -47,7 +47,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -134,8 +134,7 @@ class CoefficientTrack:
         # per piece, per column, (a, b, c, d)
         self._knots = t.tolist()
         self._pieces = self._table.transpose(0, 2, 1).tolist()
-        # the four c+- columns of each piece flat, for the guiding field
-        # of psi_t flights (trajectory._make_rhs)
+        # the four c+- columns of each piece flat (pair_pieces)
         self._pair_pieces = [
             tuple(x for column in piece[:4] for x in column) for piece in self._pieces
         ]
@@ -167,6 +166,16 @@ class CoefficientTrack:
         if i == len(self._pieces):  # t on the last knot
             i -= 1
         return i, t - knots[i]
+
+    def pair_pieces(self) -> tuple[list[float], list[tuple[float, ...]], Callable]:
+        """What a stage of a psi_t flight reads (trajectory._make_rhs):
+        (knots, pieces, locate).  pieces[i] holds the four c+- columns of
+        the piece [knots[i], knots[i+1]] flat, (a, b, c, d) for each of Re
+        c_minus, Im c_minus, Re c_plus, Im c_plus in that order; locate(t)
+        gives the piece i of t, clamped to the grid, and the offset x = t -
+        knots[i].  Each column is ((a x + b) x + c) x + d, the bits that
+        coefficients(t) holds."""
+        return self._knots, self._pair_pieces, self._locate
 
     def _columns_at(self, t: float) -> list[float]:
         """The six real columns at one time (clamped to the grid): Horner

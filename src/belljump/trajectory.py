@@ -454,22 +454,24 @@ def _make_rhs(
     current_weights) are formed once, here.
 
     `coefficients` gives (c_minus, c_plus) at time t: a fixed pair, a
-    callable t -> (c_minus, c_plus), or a CoefficientTrack (psi_t).  A
-    track read without subleading amplitudes evaluates the four c+-
-    columns of its piece by Horner, in the order and with the offset of
-    CoefficientTrack.coefficients, keeping the piece of the last read
-    and bisecting only when t leaves it.  Without subleading amplitudes
-    c_plus r^(2B) is formed as (Re c+ u, Im c+ u), the bits of the
-    complex product.  So each source gives the bits of the complex route,
-    reduced_amplitudes of the pair coefficients(t) returns.
+    callable t -> (c_minus, c_plus), or a CoefficientTrack (psi_t).  The
+    first two, and any source with subleading amplitudes, take the
+    complex route through reduced_amplitudes.  A track read without
+    subleading amplitudes evaluates the four c+- columns of its piece
+    (CoefficientTrack.pair_pieces) by Horner, keeping the piece of the
+    last read and locating only when t leaves it, and forms c_plus
+    r^(2B) as (Re c+ u, Im c+ u), the bits of the complex product.  So
+    it gives the bits of the complex route fed coefficients(t).
     """
+    from .jump_process import CoefficientTrack  # jump_process imports this module
+
     one = 1.0 - 2.0 * params.B
     inv_one = 1.0 / one
     two_b = 2.0 * params.B
     neg_two_b = -two_b
     weights = current_weights(params)
 
-    if subleading != (0j, 0j) or callable(coefficients):
+    if subleading != (0j, 0j) or not isinstance(coefficients, CoefficientTrack):
         if isinstance(coefficients, tuple):
             pair = coefficients
             coeffs = lambda _t: pair
@@ -488,21 +490,7 @@ def _make_rhs(
 
         return field
 
-    if isinstance(coefficients, tuple):
-        c_minus, c_plus = coefficients
-        a_r, a_i, c_r, c_i = c_minus.real, c_minus.imag, c_plus.real, c_plus.imag
-
-        def field(t: float, s: float) -> tuple[float, float]:
-            r = s**inv_one
-            u = r**two_b
-            j_r, j_phi_over_sin, rho = span_currents(weights, a_r, a_i, c_r * u, c_i * u)
-            return one * r**neg_two_b * j_r / rho, j_phi_over_sin / (r * rho)
-
-        return field
-
-    knots = coefficients._knots
-    pieces = coefficients._pair_pieces
-    locate = coefficients._locate
+    knots, pieces, locate = coefficients.pair_pieces()
     lo = hi = math.nan  # the last read's piece [lo, hi); none yet
     piece = None
 

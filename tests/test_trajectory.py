@@ -469,6 +469,44 @@ def test_time_dependent_flight_digest_is_stable():
     )
 
 
+def test_time_dependent_flight_digest_holds_for_the_track_read():
+    # the flights of the digest above with refresh=track, the route fly
+    # takes: the stages read the track's pieces themselves and step the
+    # same bits
+    import hashlib
+
+    track = _drifting_track()
+    family = ModelFamily(track.params, 1.0)
+    sub = ModelFamily(track.params, 1.0, subleading_amp=(0.05, 0.05j))
+    outer = SphericalState(0.4, 0.05, 1.0, 0.3)
+    inner = SphericalState(0.4, 1e-3, 1.0, 0.3)
+    h = hashlib.sha256()
+    for tol in (1e-6, 1e-10):
+        segments = [
+            emit_trajectory(
+                family.at(*track.coefficients(t0)), t0, 0.5 * math.pi, 0.1, tol,
+                t_end=3.0, refresh=track,
+            )
+            for t0 in (0.3, 1.1, 2.0)
+        ]
+        segments.append(integrate(
+            family.at(*track.coefficients(0.4)), outer, 3.0, tol,
+            probe_radius=0.2, refresh=track,
+        ))
+        segments.append(integrate(
+            sub.at(*track.coefficients(0.4)), inner, 3.0, tol, refresh=track,
+        ))
+        for seg in segments:
+            for values in (seg.t, seg.r, seg.phi):
+                h.update(values.tobytes())
+            h.update(repr(
+                (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
+            ).encode())
+    assert h.hexdigest() == (
+        "fbd435044c72ee547ab3d4298faea4276fc54af06419e9f2024b348796878eed"
+    )
+
+
 def _drifting_track():
     # a spline track whose c_plus phase drifts as pi/2 + 0.7 sin(2 pi t/1.5)
     # on 256 intervals of [0, 3]: Im[conj(c-) c+] stays positive but
