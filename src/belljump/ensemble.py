@@ -22,7 +22,8 @@ exactly constant), so A(t) = 4 pi |C_r| until the shell that started at
 r_cut/2 arrives, and 0 after.  Without absorption the solution is
 p0(t) = p0(t_a) exp(-Lambda(t)), with Lambda the integral of Gamma
 (Gauss-Legendre on every piece of the track grid); the oracle shares
-only the rate law, CoefficientTrack.rate_profile, with the path sampler.
+only the rate law with the path sampler, read with the Im it checks
+through CoefficientTrack.cross_and_rate.
 """
 
 from __future__ import annotations
@@ -60,8 +61,25 @@ from .wavefunction import (
 NORMALIZATION_TOL = 1e-6
 #: Particle draws are conditioned to r >= this multiple of r_min.
 DRAW_FLOOR_FACTOR = 1.5
-#: Gauss-Legendre nodes per piece of the master-equation oracle's hazard.
-_ORACLE_NODES = 16
+#: The master-equation oracle's rule on each piece of its hazard: 16-point
+#: Gauss-Legendre on [-1, 1], nodes ascending, with the bits of
+#: numpy.polynomial.legendre.leggauss(16), whose import the oracle skips.
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+    -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+    -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+    0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+    0.9894009349916499,
+])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+    0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+    0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+    0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+    0.027152459411754176,
+])
 
 
 # =====================================================================
@@ -378,6 +396,8 @@ def master_equation_occupancy(
     emission-only tracks (Im >= 0 everywhere: A = 0, arbitrary time
     dependence), and ingoing constant-coefficient tracks (Im < 0:
     Gamma = 0 and A = 4 pi |C_r| until the shell from r_cut/2 arrives).
+    Im is checked at the output times and at every quadrature node, so a
+    track whose Im dips below 0 between output times is refused too.
     """
     t_a, t_b = float(t_span[0]), float(t_span[1])
     times = np.linspace(t_a, t_b, time_grid_n)
@@ -386,16 +406,23 @@ def master_equation_occupancy(
     ims = track.im_cross(times)
     if np.all(ims >= 0.0):
         # Lambda(t), the integral of Gamma from t_a, by Gauss-Legendre on
-        # each piece between consecutive track knots and output times
+        # each piece between consecutive track knots and output times;
+        # the edges are the sorted union of both, each value once
         inner = track.times[(track.times > t_a) & (track.times < t_b)]
-        edges = np.union1d(times, inner)
-        nodes, weights = np.polynomial.legendre.leggauss(_ORACLE_NODES)
+        edges = np.concatenate((times, inner))
+        edges.sort()
+        edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
         half = 0.5 * np.diff(edges)[:, None]
         mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-        rates = track.rate_profile(mid + half * nodes)
+        node_ims, rates = track.cross_and_rate(mid + half * _GL_NODES)
+        if np.any(node_ims < 0.0):
+            raise DomainError(
+                "oracle supports emission-only tracks: Im[conj(c_minus) "
+                "c_plus] < 0 between the output times"
+            )
         if np.any(np.isinf(rates)):
             raise VacuumEmpty("psi0 vanishes with positive emission flux")
-        hazard = np.concatenate(([0.0], np.cumsum((half * rates) @ weights)))
+        hazard = np.concatenate(([0.0], np.cumsum((half * rates) @ _GL_WEIGHTS)))
         return times, p0_init * np.exp(-hazard[np.searchsorted(edges, times)])
 
     if track.constant_coefficients is None or np.any(ims > 0.0):

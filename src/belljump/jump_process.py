@@ -13,8 +13,8 @@ uniform over the sphere; the per-solid-angle form is
 
 independent of phi0.  The law is coded once, in CoefficientTrack._rate,
 which CoefficientTrack.rate_profile applies at one time or an array of
-times; total_jump_rate and jump_rate_density evaluate it there, and the
-thinning majorants
+times (cross_and_rate with the Im it reads); total_jump_rate and
+jump_rate_density evaluate it there, and the thinning majorants
 (CoefficientTrack.majorant_table) bound it exactly on each grid interval
 from the same coefficient table.  A particle, held at (r, theta, phi)
 like every position in the package, follows the guiding field
@@ -220,6 +220,12 @@ class CoefficientTrack:
         (clamped to the grid): 8 (1+q) B max{0, Im[conj(c_minus) c_plus]}
         / |psi0|^2, and inf where psi0 vanishes under positive flux."""
         return self._rate(*self._cross_and_weight(times))
+
+    def cross_and_rate(self, times):
+        """(im_cross, rate_profile) at a time or an array of times, from
+        one evaluation of the table."""
+        im, weight = self._cross_and_weight(times)
+        return im, self._rate(im, weight)
 
     def _rate(self, im, weight):
         """The rate law from Im and |psi0|^2, floats or arrays: 0 unless

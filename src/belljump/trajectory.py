@@ -34,13 +34,14 @@ Both are exact for the subleading-free model, not asymptotic, and r is
 monotone along such a flight.  So a flight with fixed coefficients and
 no subleading amplitudes is evaluated directly from them when the caller
 does not ask for dense samples (`dense=False`; the path sampler always
-does this): the overlap (|c-|^2, |c+|^2, Re, Im) is formed once, and
-terminal event, probe crossing and end point cost a few evaluations and
-at most one root-find of t(r).  The DP5 integrator serves dense traces
-(`trace`, the `simulate --trace-dir` CSVs), subleading models,
-time-varying coefficients and flights without radial motion (Im = 0,
-circling at their start radius), and is tested against the closed forms;
-emission trajectories are seeded from them.  Either way a flight
+does this): the overlap (|c-|^2, |c+|^2, Re, Im) is formed once per
+model (ModelWavefunction.overlap_parts), and terminal event, probe
+crossing and end point cost a few evaluations and at most one root-find
+of t(r).  The DP5 integrator serves dense traces (`trace`, the
+`simulate --trace-dir` CSVs), subleading models, time-varying
+coefficients and flights without radial motion (Im = 0, circling at
+their start radius), and is tested against the closed forms; emission
+trajectories are seeded from them.  Either way a flight
 records the crossings of at most one probe radius.
 
 Flights end at the model's r_min (ModelWavefunction.r_min), the
@@ -70,6 +71,7 @@ from .wavefunction import (
     R_SEED_FACTOR,
     ModelWavefunction,
     current_weights,
+    overlap_parts,
     reduced_amplitudes,
     span_currents,
 )
@@ -160,7 +162,7 @@ class TrajectorySegment:
             raise DomainError("segment carries no model to evaluate radii with")
         p = self.model.params
         if self.n_accepted == 0:
-            parts = _overlap_parts(self.model.c_minus, self.model.c_plus)
+            parts = self.model.overlap_parts
             t_src = self.t[0] - _elapsed(p, parts, self.r[0])
             lo, hi = sorted((float(self.r[0]), float(self.r[-1])))
             return _invert_time(p, parts, t - t_src, lo, hi)
@@ -180,16 +182,8 @@ class TrajectorySegment:
 # closed forms
 # =====================================================================
 
-#: (|c-|^2, |c+|^2, Re, Im) of conj(c_minus) c_plus, as _overlap_parts forms it.
+#: (|c-|^2, |c+|^2, Re, Im) of conj(c_minus) c_plus, as overlap_parts forms it.
 _Parts = tuple[float, float, float, float]
-
-
-def _overlap_parts(c_minus: complex, c_plus: complex) -> _Parts:
-    """(|c-|^2, |c+|^2, Re, Im) of conj(c-) c+; DegenerateError if Im = 0."""
-    x = complex(c_minus).conjugate() * complex(c_plus)
-    if x.imag == 0.0:
-        raise DegenerateError("no radial motion for Im[conj(c_minus) c_plus] = 0")
-    return abs(c_minus) ** 2, abs(c_plus) ** 2, x.real, x.imag
 
 
 def _elapsed(params: PhysParams, parts: _Parts, r: float) -> float:
@@ -224,7 +218,7 @@ def time_from_radius(
     """
     if r <= 0.0:
         raise OriginError("radius must be positive")
-    return _elapsed(params, _overlap_parts(c_minus, c_plus), r)
+    return _elapsed(params, overlap_parts(c_minus, c_plus), r)
 
 
 def azimuth_from_radius(
@@ -234,7 +228,7 @@ def azimuth_from_radius(
     by subtracting the divergent r^(-2B) and log parts as r -> 0."""
     if r <= 0.0:
         raise OriginError("radius must be positive")
-    return _azimuth(params, _overlap_parts(c_minus, c_plus), r)
+    return _azimuth(params, overlap_parts(c_minus, c_plus), r)
 
 
 def _invert_time(
@@ -323,11 +317,17 @@ def _closed_form_flight(
             crossings = (ProbeCrossing(t=tc, r=rp, direction=-1 if inward else 1),)
 
     radii = [r_i, *(pc.r for pc in crossings), r_last]
+    t, r, theta, phi = np.array([
+        [t_i, *(pc.t for pc in crossings), t_last],
+        radii,
+        [float(initial.theta)] * len(radii),
+        [phi_i] + [phi_label + _azimuth(p, parts, r) for r in radii[1:]],
+    ])
     return TrajectorySegment(
-        t=np.array([t_i, *(pc.t for pc in crossings), t_last]),
-        r=np.array(radii),
-        theta=np.full(len(radii), float(initial.theta)),
-        phi=np.array([phi_i] + [phi_label + _azimuth(p, parts, r) for r in radii[1:]]),
+        t=t,
+        r=r,
+        theta=theta,
+        phi=phi,
         terminal=terminal,
         probe_crossings=crossings,
         model=model,
@@ -561,7 +561,7 @@ def integrate(
         )
     if refresh is None and not model.has_subleading:
         try:
-            parts = _overlap_parts(model.c_minus, model.c_plus)
+            parts = model.overlap_parts
         except DegenerateError:
             # no radial motion: DP5 circles at the start radius, a flight
             # only a finite t_end ends
@@ -725,7 +725,7 @@ def emit_trajectory(
     """
     p = model.params
     seed_radius = R_SEED_FACTOR * model.r_min
-    parts = _overlap_parts(model.c_minus, model.c_plus)
+    parts = model.overlap_parts
     if parts[3] < 0.0:
         raise DegenerateError(
             f"no outgoing trajectory for Im[conj(c_minus) c_plus] = {parts[3]!r}"

@@ -36,12 +36,13 @@ scalars give.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OriginError
+from .errors import DegenerateError, DomainError, OriginError
 from .params import PhysParams
 from .spinor_basis import SpherePoint, alpha_component, f_boundary
 
@@ -97,6 +98,12 @@ class ModelWavefunction:
     def has_subleading(self) -> bool:
         return self.subleading_amp != (0j, 0j)
 
+    @functools.cached_property
+    def overlap_parts(self) -> tuple[float, float, float, float]:
+        """overlap_parts(c_minus, c_plus), formed on first use and kept:
+        it is no field, so models compare without it."""
+        return overlap_parts(self.c_minus, self.c_plus)
+
 
 @dataclass(frozen=True)
 class ModelFamily:
@@ -121,9 +128,17 @@ class ModelFamily:
         object.__setattr__(self, "r_min", _absorption_radius(self.r_cut, self.r_min))
 
     def at(self, c_minus: complex, c_plus: complex) -> ModelWavefunction:
-        return ModelWavefunction(
-            self.params, c_minus, c_plus, self.r_cut, self.subleading_amp, self.r_min
-        )
+        """The model at (c_minus, c_plus).  A pair equal to the last one
+        gets the last model back, so the flights of fixed coefficients
+        share one model and its overlap_parts; the memo is no field, so
+        families compare without it."""
+        model = self.__dict__.get("_model")
+        if model is None or model.c_minus != c_minus or model.c_plus != c_plus:
+            model = ModelWavefunction(
+                self.params, c_minus, c_plus, self.r_cut, self.subleading_amp, self.r_min
+            )
+            object.__setattr__(self, "_model", model)
+        return model
 
 
 @dataclass(frozen=True)
@@ -141,6 +156,15 @@ class CurrentCoeffs:
     Cphi_sub: float
     rho_leading: float
     rho_mid: float
+
+
+def overlap_parts(c_minus: complex, c_plus: complex) -> tuple[float, float, float, float]:
+    """(|c-|^2, |c+|^2, Re, Im) of conj(c-) c+, what the closed-form flight
+    relations read; DegenerateError if Im = 0 (no radial motion)."""
+    x = complex(c_minus).conjugate() * complex(c_plus)
+    if x.imag == 0.0:
+        raise DegenerateError("no radial motion for Im[conj(c_minus) c_plus] = 0")
+    return abs(c_minus) ** 2, abs(c_plus) ** 2, x.real, x.imag
 
 
 def current_coeffs(params: PhysParams, c_minus: complex, c_plus: complex) -> CurrentCoeffs:

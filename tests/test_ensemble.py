@@ -507,6 +507,89 @@ def test_master_equation_oracle_regimes():
         master_equation_occupancy(varying, fam, (0.0, 1.0))
 
 
+def test_master_equation_refuses_inflow_between_output_times():
+    # Im dips to -1.0e-3 between the 11 output times and is +2.5e-3 at
+    # each of them: the ingoing stretches carry influx the oracle omits
+    fam = ModelFamily(P96, 1.0)
+    t = np.linspace(0.0, 3.0, 401)
+    phase = 0.5 * math.pi - 2.0 * np.sin(math.pi * t / 0.1) ** 2
+    track = CoefficientTrack(
+        P96, t, np.full(401, 0.05), 0.05 * np.exp(1j * phase), np.sqrt(0.9 - 0.05 * t)
+    )
+    assert np.all(track.im_cross(np.linspace(0.0, 3.0, 11)) > 0.0)
+    assert np.min(track.im_cross(t)) < -1e-3
+    with pytest.raises(DomainError, match="between the output times"):
+        master_equation_occupancy(track, fam, (0.0, 3.0), time_grid_n=11)
+
+
+def _drifting_track(n):
+    t = np.linspace(0.0, 3.0, n)
+    phase = 0.5 * math.pi + 0.7 * np.sin(2.0 * math.pi * t / 1.5)
+    return CoefficientTrack(
+        P96, t, np.full(n, 0.2), 0.2 * np.exp(1j * phase), np.sqrt(0.9 - 0.05 * t)
+    )
+
+
+@pytest.mark.parametrize(
+    "track, n_times, digest",
+    [
+        # criterion 8's track: 3 of its 127 inner knots are output times
+        (_balanced_setup()[1], 101, "71c4ca86980239ca"),
+        # every inner knot is an output time, so each edge comes twice
+        (_drifting_track(33), 65, "6dad0cf7f48144d1"),
+    ],
+    ids=["criterion_8", "shared_knots"],
+)
+def test_master_equation_occupancy_bits_are_pinned(track, n_times, digest):
+    import hashlib
+
+    fam = ModelFamily(P96, 1.0)
+    times, p0 = master_equation_occupancy(track, fam, (0.0, 3.0), n_times)
+    got = hashlib.sha256(times.tobytes() + p0.tobytes()).hexdigest()[:16]
+    assert got == digest
+
+
+def test_oracle_rule_is_numpys_gauss_legendre():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert ensemble._GL_NODES.tobytes() == nodes.tobytes()
+    assert ensemble._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def test_equivariance_check_loads_no_lazy_numpy_submodule():
+    # numpy.ma (through np.unique) and numpy.polynomial (through leggauss)
+    # are imported on first use; the criterion-8 check uses neither
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "from belljump import canonical_params\n"
+        "from belljump.ensemble import (master_equation_occupancy,\n"
+        "    normalized_amplitudes, run_ensemble, sector0_comparison)\n"
+        "from belljump.jump_process import CoefficientTrack\n"
+        "from belljump.wavefunction import ModelFamily\n"
+        "p = canonical_params(0.96)\n"
+        "fam = ModelFamily(p, 1.0)\n"
+        "cm, cp = normalized_amplitudes(p, 1.0, 1j, 1.0, 0.3)\n"
+        "track = CoefficientTrack.balanced_constant_flux(p, cm, cp, 0.7, 0.0, 3.0)\n"
+        "stats = run_ensemble(fam, track, 50, (0.0, 3.0), seed=808, tol=1e-6)\n"
+        "_, oracle = master_equation_occupancy(track, fam, (0.0, 3.0), 101)\n"
+        "sector0_comparison(stats, track, expected=oracle)\n"
+        "sector0_comparison(stats, track)\n"
+        "print([n for n in ('numpy.ma', 'numpy.polynomial') if n in sys.modules])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------
 # the ingoing window: flux, snapshot, oracle
 # ---------------------------------------------------------------------

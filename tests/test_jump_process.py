@@ -38,7 +38,7 @@ from belljump.trajectory import (
     emit_trajectory,
     integrate,
 )
-from belljump.wavefunction import ModelFamily, current_coeffs
+from belljump.wavefunction import ModelFamily, ModelWavefunction, current_coeffs
 from oracles import (
     BalanceViolation,
     cumulative_hazard,
@@ -654,6 +654,30 @@ def test_psi_t_flights_read_coefficients_only_at_launch(monkeypatch):
             seg = fly(_family(), varying, launch, 2.5, 1e-8, probe_radius=0.1, dense=dense)
             assert seg.n_accepted > 10
             assert calls == [0.2]
+
+
+def test_psi_t_flight_model_is_the_family_model_at_launch():
+    # the family hands back its last model for an equal pair and builds a
+    # new one for any other, so alternating launches never get a stale one
+    t = np.linspace(0.0, 3.0, 9)
+    varying = CoefficientTrack(
+        P96, t, np.ones(9), np.exp(1j * (0.5 * math.pi + 0.7 * np.sin(t))),
+        np.full(9, 0.5),
+    )
+    fam = _family()
+    for t0 in (0.2, 1.3, 0.2, 0.2, 2.1):
+        seg = fly(fam, varying, EmissionEvent(t0, 1.0, 0.3), 2.9, 1e-6)
+        assert seg.n_accepted > 0
+        pair = varying.coefficients(t0)
+        assert seg.model is fam.at(*pair)
+        assert seg.model == ModelWavefunction(P96, *pair, 1.0)
+
+
+def test_fixed_flights_share_one_model():
+    fam, tr = _family(), _constant_track()
+    for t0 in (0.1, 0.7, 1.9):
+        seg = fly(fam, tr, EmissionEvent(t0, 1.0, 0.3), 3.0, 1e-6)
+        assert seg.n_accepted == 0 and seg.model is fam.at(1.0, 1j)
 
 
 def test_simulate_path_guards():

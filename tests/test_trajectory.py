@@ -33,7 +33,7 @@ from belljump.trajectory import (
     time_from_radius,
 )
 from belljump.jump_process import CoefficientTrack
-from belljump.wavefunction import ModelFamily, ModelWavefunction
+from belljump.wavefunction import ModelFamily, ModelWavefunction, overlap_parts
 from oracles import (
     PoleError,
     SignError,
@@ -662,7 +662,7 @@ def test_invert_time_matches_bisection():
     while checked < 300:
         q = rng.choice([-1.0, 1.0]) * rng.uniform(0.87, 0.999)
         cm, cp = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
-        parts = trajectory._overlap_parts(cm, cp)
+        parts = overlap_parts(cm, cp)
         if q * parts[2] < 0.0:
             continue
         p = canonical_params(q)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from belljump import (
+    DegenerateError,
     DomainError,
     OriginError,
     canonical_params,
@@ -24,6 +25,7 @@ from belljump.wavefunction import (
     particle_sector_mass,
     radial_amplitudes,
     radial_mass_profile,
+    overlap_parts,
     reduced_amplitudes,
     span_currents,
 )
@@ -316,3 +318,26 @@ def test_model_family_at():
             ModelFamily(p, r_cut=1.0, r_min=r_min)
         with pytest.raises(DomainError, match="r_min"):
             ModelWavefunction(p, 1.0, 1j, r_cut=1.0, r_min=r_min)
+
+
+def test_model_family_reuses_only_an_equal_pair():
+    p = canonical_params(0.9)
+    fam = ModelFamily(p, 2.0, (0.1j, 0.2))
+    for cm, cp in ((1.0 - 1j, 0.5j), (0.3, -0.2j), (1.0 - 1j, 0.5j), (0.3, -0.2j)):
+        m = fam.at(cm, cp)
+        assert m == ModelWavefunction(p, cm, cp, 2.0, (0.1j, 0.2))
+        assert fam.at(cm, cp) is m
+        assert fam.at(complex(cm), complex(cp)) is m
+    # the memo is no field: families still compare by their fields
+    assert fam == ModelFamily(p, 2.0, (0.1j, 0.2))
+
+
+def test_overlap_parts_are_formed_once_per_model():
+    m = ModelWavefunction(canonical_params(0.9), 0.7 + 0.2j, -0.5j, 1.0)
+    parts = m.overlap_parts
+    assert parts == overlap_parts(0.7 + 0.2j, -0.5j)
+    assert m.overlap_parts is parts
+    assert m == ModelWavefunction(canonical_params(0.9), 0.7 + 0.2j, -0.5j, 1.0)
+    flat = ModelWavefunction(canonical_params(0.9), 1.0, 0.5, 1.0)
+    with pytest.raises(DegenerateError):
+        flat.overlap_parts
