@@ -519,6 +519,62 @@ def _drifting_track():
     )
 
 
+def test_track_reader_digest_is_stable():
+    # every reader of a track's table, at scalar times and as arrays: the
+    # launch reads, the thinning's rate law, the oracle's Im and weight,
+    # and the psi_t field of _make_rhs.  Times are the knots, the grid
+    # ends, times between knots and clamped times outside the grid, on
+    # the drifting track and a 4-knot one; the scalar readers also run on
+    # a 1-knot track
+    import hashlib
+
+    h = hashlib.sha256()
+
+    def feed(value):
+        if isinstance(value, tuple):
+            for v in value:
+                feed(v)
+        elif isinstance(value, np.ndarray):
+            h.update(value.dtype.str.encode())
+            h.update(value.tobytes())
+        else:
+            h.update(repr(value).encode())
+
+    p = canonical_params(0.96)
+    t4 = np.array([0.0, 0.3, 1.1, 2.0])
+    four = CoefficientTrack(
+        p, t4,
+        [1.0, 0.9 + 0.1j, 1.1 - 0.2j, 1.0 + 0.05j],
+        [1j, 0.2 + 1j, 0.6 - 0.1j, 0.3 + 1.1j],
+        [0.9, 0.85 + 0.1j, 0.8, 0.7 - 0.05j],
+    )
+    one_knot = CoefficientTrack(p, [0.5], [1.0 + 0.2j], [0.3 + 1j], [0.9j])
+    scalar_readers = ("coefficients", "psi0", "vacuum_weight", "rate_profile",
+                      "im_cross", "cross_and_rate")
+    array_readers = scalar_readers[2:]
+    one = 1.0 - 2.0 * p.B
+    for track in (_drifting_track(), four, one_knot):
+        t = track.times
+        between = 0.5 * (t[1:] + t[:-1]) if len(t) > 1 else t
+        times = np.concatenate(
+            [t, between, [t[0], t[-1], t[0] - 0.7, t[-1] + 0.7, t[0] - 1e-9]]
+        )
+        for name in scalar_readers:
+            for tq in times.tolist():
+                feed(getattr(track, name)(tq))
+        if len(t) == 1:
+            continue
+        for name in array_readers:
+            feed(getattr(track, name)(times))
+        for r in (1e-3, 0.05):
+            field = _make_rhs(p, (0j, 0j), track)
+            for tq in [*times.tolist(), *times[::-1].tolist()]:
+                feed(field(tq, r**one))
+    assert h.hexdigest() == (
+        "ff3ef33b13b9fbc95a0eba3feec97947da0c08e1578dd7b104af23e452bda76a"
+    )
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
 def test_drifting_flights_follow_the_time_dependent_field(tol):
     # flights emitted at three times on a drifting track, against DOP853
