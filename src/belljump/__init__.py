@@ -61,7 +61,6 @@ from .trajectory import (
     time_from_radius,
 )
 from .jump_process import (
-    AbsorptionEvent,
     CoefficientTrack,
     EmissionEvent,
     Particle,

@@ -290,6 +290,12 @@ def _trace_lines(cfg: RunConfig, segment):
 def _cmd_trace(ns) -> int:
     cfg = _load_config(ns.config)
     run = cfg.run
+    track = _build_track(cfg)
+    if not track.t_start <= run.t0 <= track.t_end:
+        raise ValidationError(
+            f"run.t0 = {run.t0!r} lies outside the track "
+            f"[{track.t_start!r}, {track.t_end!r}]"
+        )
     if run.r0 is not None:
         # start at a given radius (ingoing runs trace to absorption)
         launch = SphericalState(run.t0, run.r0, run.theta0, run.phi0)
@@ -297,7 +303,7 @@ def _cmd_trace(ns) -> int:
         launch = EmissionEvent(run.t0, run.theta0, run.phi0)
     segment = fly(
         _model_family(cfg),
-        _build_track(cfg),
+        track,
         launch,
         run.t_end if run.t_end is not None else math.inf,
         run.tol,

@@ -289,8 +289,8 @@ def _validate(model: ModelConfig, track: TrackConfig, run: RunBlock) -> None:
         raise ValidationError("track.t_end must exceed track.t_start")
     if run.tol <= 0.0:
         raise ValidationError("run.tol must be positive")
-    if run.n_paths < 0:
-        raise ValidationError("run.n_paths must be nonnegative")
+    if run.n_paths < 1:
+        raise ValidationError("run.n_paths must be at least 1")
     if run.decimation < 1:
         raise ValidationError("run.decimation must be at least 1")
     if run.time_grid_n < 2:

@@ -130,14 +130,11 @@ class CoefficientTrack:
         # columns Re/Im of c_minus, c_plus and psi0
         columns = np.stack([cm.real, cm.imag, cp.real, cp.imag, p0.real, p0.imag], -1)
         self._table = cubic_table(t, columns)
-        # the same table as Python floats, for scalar evaluation:
-        # per piece, per column, (a, b, c, d)
+        # the same table as Python floats, for scalar evaluation: per
+        # piece one flat list of (a, b, c, d) for each column in turn
         self._knots = t.tolist()
-        self._pieces = self._table.transpose(0, 2, 1).tolist()
-        # the four c+- columns of each piece flat (pair_pieces)
-        self._pair_pieces = [
-            tuple(x for column in piece[:4] for x in column) for piece in self._pieces
-        ]
+        pieces = self._table.transpose(0, 2, 1)
+        self._pieces = pieces.reshape(len(pieces), 24).tolist()
         self._gain = 8.0 * (1.0 + params.q) * params.B
 
     @property
@@ -167,21 +164,25 @@ class CoefficientTrack:
             i -= 1
         return i, t - knots[i]
 
-    def pair_pieces(self) -> tuple[list[float], list[tuple[float, ...]], Callable]:
+    def pair_pieces(self) -> tuple[list[float], list[list[float]], Callable]:
         """What a stage of a psi_t flight reads (trajectory._make_rhs):
-        (knots, pieces, locate).  pieces[i] holds the four c+- columns of
-        the piece [knots[i], knots[i+1]] flat, (a, b, c, d) for each of Re
-        c_minus, Im c_minus, Re c_plus, Im c_plus in that order; locate(t)
+        (knots, pieces, locate).  pieces[i] holds the six columns of the
+        piece [knots[i], knots[i+1]] flat, (a, b, c, d) for each of Re
+        c_minus, Im c_minus, Re c_plus, Im c_plus, Re psi0, Im psi0 in
+        that order, so its first 16 floats are the c+- columns; locate(t)
         gives the piece i of t, clamped to the grid, and the offset x = t -
         knots[i].  Each column is ((a x + b) x + c) x + d, the bits that
         coefficients(t) holds."""
-        return self._knots, self._pair_pieces, self._locate
+        return self._knots, self._pieces, self._locate
 
     def _columns_at(self, t: float) -> list[float]:
         """The six real columns at one time (clamped to the grid): Horner
         on Python floats."""
-        i, s = self._locate(t)
-        return [((a * s + b) * s + c) * s + d for a, b, c, d in self._pieces[i]]
+        i, x = self._locate(t)
+        p = self._pieces[i]
+        return [
+            ((p[k] * x + p[k + 1]) * x + p[k + 2]) * x + p[k + 3] for k in range(0, 24, 4)
+        ]
 
     def coefficients(self, t: float) -> tuple[complex, complex]:
         """(c_minus, c_plus) at one time (clamped to the grid), from the
@@ -349,15 +350,12 @@ class EmissionEvent:
     phi0: float
 
 
-@dataclass(frozen=True)
-class AbsorptionEvent:
-    t0: float
-
-
 @dataclass
 class ProcessPath:
     """One realization: alternating vacuum intervals and flight segments,
-    with the jump events in time order."""
+    with the jump events in time order: an EmissionEvent for each
+    emission, and for each absorption the Absorbed terminal of the flight
+    it ends."""
 
     t_span: tuple[float, float]
     entries: tuple
@@ -376,8 +374,8 @@ class ProcessPath:
         return tuple(e for e in self.events if isinstance(e, EmissionEvent))
 
     @property
-    def absorptions(self) -> tuple[AbsorptionEvent, ...]:
-        return tuple(e for e in self.events if isinstance(e, AbsorptionEvent))
+    def absorptions(self) -> tuple[Absorbed, ...]:
+        return tuple(e for e in self.events if isinstance(e, Absorbed))
 
     @property
     def segments(self) -> tuple[TrajectorySegment, ...]:
@@ -563,7 +561,7 @@ def simulate_path(
             # region; TimeExhausted (or absorption completing past t_b):
             # window over while in flight.
             break
-        events.append(AbsorptionEvent(terminal.t0))
+        events.append(terminal)
         t, config = terminal.t0, Vacuum()
 
     return ProcessPath(

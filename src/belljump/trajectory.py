@@ -50,7 +50,6 @@ numerical stand-in for the source.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -152,9 +151,9 @@ class TrajectorySegment:
 
         Closed-form segments invert t(r) of their frozen model exactly;
         integrated ones interpolate s = r^(1-2B), the integrator's own
-        variable, with a cubic spline through the samples (linear
-        interpolation between the integrator's wide steps is off by more
-        than 1e-5 relative far from the source).
+        variable, with a cubic spline through the samples, built at each
+        call (linear interpolation between the integrator's wide steps is
+        off by more than 1e-5 relative far from the source).
         """
         if not self.t[0] <= t <= self.t[-1]:
             return None
@@ -167,15 +166,8 @@ class TrajectorySegment:
             lo, hi = sorted((float(self.r[0]), float(self.r[-1])))
             return _invert_time(p, parts, t - t_src, lo, hi)
         one = 1.0 - 2.0 * p.B
-        return float(cubic_values(self.t, self._s_table, t)[0]) ** (1.0 / one)
-
-    @functools.cached_property
-    def _s_table(self) -> np.ndarray:
-        """The cubic table of s = r^(1-2B) through an integrated segment's
-        samples, built on the first radius_at and kept: it is no field,
-        so segments compare without it."""
-        one = 1.0 - 2.0 * self.model.params.B
-        return cubic_table(self.t, (self.r**one)[:, None])
+        table = cubic_table(self.t, (self.r**one)[:, None])
+        return float(cubic_values(self.t, table, t)[0]) ** (1.0 / one)
 
 
 # =====================================================================
@@ -458,10 +450,11 @@ def _make_rhs(
     first two, and any source with subleading amplitudes, take the
     complex route through reduced_amplitudes.  A track read without
     subleading amplitudes evaluates the four c+- columns of its piece
-    (CoefficientTrack.pair_pieces) by Horner, keeping the piece of the
-    last read and locating only when t leaves it, and forms c_plus
-    r^(2B) as (Re c+ u, Im c+ u), the bits of the complex product.  So
-    it gives the bits of the complex route fed coefficients(t).
+    (the first 16 floats of a CoefficientTrack.pair_pieces piece, taken
+    when it locates the piece) by Horner, keeping the piece of the last
+    read and locating only when t leaves it, and forms c_plus r^(2B) as
+    (Re c+ u, Im c+ u), the bits of the complex product.  So it gives
+    the bits of the complex route fed coefficients(t).
     """
     from .jump_process import CoefficientTrack  # jump_process imports this module
 
@@ -500,7 +493,7 @@ def _make_rhs(
             x = t - lo
         else:
             i, x = locate(t)
-            lo, hi, piece = knots[i], knots[i + 1], pieces[i]
+            lo, hi, piece = knots[i], knots[i + 1], pieces[i][:16]
         a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 = piece
         r = s**inv_one
         u = r**two_b

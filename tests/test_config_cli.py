@@ -160,6 +160,7 @@ def test_block_range_validation():
         ("[model]\nr_min = 0.06\n", "r_min"),
         ("[run]\ntol = -1e-8\n", "tol"),
         ("[run]\nn_paths = -3\n", "n_paths"),
+        ("[run]\nn_paths = 0\n", "n_paths"),
         ("[run]\ndecimation = 0\n", "decimation"),
         ("[run]\ntime_grid_n = 1\n", "time_grid_n"),
         ("[run]\nprobe_radius = -0.1\n", "probe_radius"),
@@ -384,6 +385,24 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     assert "validation error" in err
     assert "seed" in err
     assert "finite" in err
+
+
+def test_trace_refuses_a_launch_outside_the_track(tmp_path, capsys):
+    # simulate refuses the empty window [5, 1]; trace would fly from t0 = 5
+    # on the coefficients clamped to their t = 1 values
+    conf = tmp_path / "late.conf"
+    conf.write_text(
+        MINIMAL
+        + "[track]\nkind = grid\ntimes = 0, 1\n"
+        + "c_minus_grid = 1, 0, 1, 0\nc_plus_grid = 0, 1, 0, 1\n"
+        + "psi0_grid = 1, 0, 1, 0\n\n[run]\nseed = 1\nt0 = 5.0\n"
+    )
+    out = tmp_path / "trace.csv"
+    assert dispatch(["trace", "--config", str(conf), "--output", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "validation error" in err and "5.0" in err and "1.0" in err
+    assert dispatch(["simulate", "--config", str(conf)]) == 1
 
 
 def test_internal_value_error_exits_2(monkeypatch, capsys):
