@@ -195,6 +195,56 @@ def test_balanced_run_digest_is_stable():
     )
 
 
+def _ingoing_window(cm, cp):
+    """The ingoing run's window: short of the shell from r_cut/2 and of
+    draining 60% of the flight mass."""
+    from belljump.trajectory import time_from_radius
+    from belljump.wavefunction import current_coeffs
+
+    t_half = abs(time_from_radius(P96, cm, cp, 0.5))
+    drain = abs(4.0 * math.pi * current_coeffs(P96, cm, cp).C_r)
+    return min(0.8 * t_half, 0.6 / drain)
+
+
+@pytest.mark.parametrize(
+    "setup, digest",
+    [
+        ("ingoing", "91608f01f79da0357ce852c4adc43ed3405938b58fec4f0207447bd6aff5eb5b"),
+        ("balanced", "d49df85855dfb578976bd41767d100c84ed52de25f98aadddfc7ece05a78a266"),
+    ],
+)
+def test_run_digest_pins_every_field(setup, digest):
+    # every per-path record a run accumulates, bitwise, at a fixed seed:
+    # the vacuum counts and every event array in EnsembleStats order
+    import hashlib
+
+    if setup == "ingoing":
+        fam, track, cm, cp = _ingoing_setup()
+        window = _ingoing_window(cm, cp)
+        span, probe, snapshot = (0.0, window), 1e-4, 0.5 * window
+    else:
+        fam, track = _balanced_setup()
+        span, probe, snapshot = (0.0, 3.0), 0.2, 1.5
+    stats = run_ensemble(
+        fam, track, 300, span, 4242, time_grid_n=31, tol=1e-6,
+        probe_radius=probe, snapshot_time=snapshot,
+    )
+    h = hashlib.sha256(stats.vacuum_counts.tobytes())
+    for name in ensemble._EVENT_ARRAYS:
+        values = getattr(stats, name)
+        assert values.dtype == np.float64
+        h.update(name.encode())
+        h.update(values.tobytes())
+    crossings = len(stats.inward_crossing_times) + len(stats.outward_crossing_times)
+    assert crossings > 0
+    assert len(stats.snapshot_radii) > 0
+    if setup == "ingoing":
+        assert len(stats.absorption_times) > 0
+    else:
+        assert len(stats.emission_times) > 0
+    assert h.hexdigest() == digest
+
+
 def test_run_zero_paths():
     fam, track = _balanced_setup()
     stats = run_ensemble(fam, track, 0, (0.0, 3.0), 1, time_grid_n=7)
