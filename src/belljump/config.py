@@ -289,6 +289,8 @@ def _validate(model: ModelConfig, track: TrackConfig, run: RunBlock) -> None:
         raise ValidationError("track.t_end must exceed track.t_start")
     if run.tol <= 0.0:
         raise ValidationError("run.tol must be positive")
+    if run.seed is not None and not 0 <= run.seed < 2**64:
+        raise ValidationError("run.seed must lie in [0, 2**64)")
     if run.n_paths < 1:
         raise ValidationError("run.n_paths must be at least 1")
     if run.decimation < 1:

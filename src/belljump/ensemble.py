@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,9 +43,11 @@ from .errors import (
 )
 from .jump_process import (
     CoefficientTrack,
+    EmissionEvent,
     Particle,
     ProcessPath,
     Vacuum,
+    VacuumInterval,
     sample_emission_angles,
     simulate_path,
 )
@@ -221,13 +224,25 @@ def make_initial_sampler(
 
 def _path_stream(seed: int, index: int, rng: np.random.Generator | None):
     """The generator of path `index`: Philox keyed (seed, index) at
-    counter 0.  A given Philox generator is re-keyed in place to exactly
-    that state, at a fraction of the cost of building a new one."""
-    key = np.array([seed, index], dtype=np.uint64)
+    counter 0, both integers in [0, 2**64).  A given Philox generator is
+    re-keyed in place to exactly that state, from the two Python ints, at
+    a fraction of the cost of building a new one."""
+    try:
+        seed, index = operator.index(seed), operator.index(index)
+    except TypeError:
+        raise DomainError(
+            f"seed and path index must be integers, not {seed!r} and {index!r}"
+        ) from None
+    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
+        raise DomainError(
+            f"seed {seed!r} and path index {index!r} must lie in [0, 2**64)"
+        )
     if rng is None:
+        key = np.array([seed, index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
     rng.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, index)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return rng
@@ -288,9 +303,13 @@ def run_ensemble(
     initial configurations, indices 0..n_paths-1.  Path i draws from its
     own Philox stream keyed by (seed, i), so draw_path(..., index=i)
     replays it alone, bitwise (one generator, re-keyed, serves them
-    all).  snapshot_time, when given, must lie in t_span, and
-    probe_radius in (0, r_cut/2).
+    all).  n_paths must be >= 0 and time_grid_n >= 2; snapshot_time, when
+    given, must lie in t_span, and probe_radius in (0, r_cut/2).
     """
+    if n_paths < 0:
+        raise DomainError(f"n_paths = {n_paths!r} is negative")
+    if time_grid_n < 2:
+        raise DomainError(f"time_grid_n = {time_grid_n!r} is below 2")
     t_a, t_b = float(t_span[0]), float(t_span[1])
     if snapshot_time is not None and not t_a <= snapshot_time <= t_b:
         raise DomainError(
@@ -327,18 +346,26 @@ def run_ensemble(
             probe_radius=probe_radius,
             rng=rng,
         )
-        for a, b in path.vacuum_spans:
-            marks[bisect.bisect_left(times, a)] += 1
-            marks[bisect.bisect_right(times, b)] -= 1
-        emissions.extend(path.emissions)
-        absorptions.extend(a.t0 for a in path.absorptions)
-        for seg in path.segments:
-            for pc in seg.probe_crossings:
+        # one walk over the entries and one over the events, in time
+        # order: the entries are vacuum intervals and flight segments, the
+        # events emissions and the Absorbed terminals of flights
+        for e in path.entries:
+            if type(e) is VacuumInterval:
+                marks[bisect.bisect_left(times, e.t_start)] += 1
+                marks[bisect.bisect_right(times, e.t_end)] -= 1
+                continue
+            for pc in e.probe_crossings:
                 (outward if pc.direction > 0 else inward).append(pc.t)
-        if snapshot_time is not None:
-            # flights are disjoint in time: at most one covers the snapshot
-            radii = (seg.radius_at(snapshot_time) for seg in path.segments)
-            snapshots.extend(r for r in radii if r is not None)
+            if snapshot_time is not None:
+                # flights are disjoint in time: at most one covers the snapshot
+                r = e.radius_at(snapshot_time)
+                if r is not None:
+                    snapshots.append(r)
+        for ev in path.events:
+            if type(ev) is EmissionEvent:
+                emissions.append(ev)
+            else:
+                absorptions.append(ev.t0)
 
     def floats(values):
         return np.array(values, dtype=float)

@@ -139,11 +139,11 @@ class CoefficientTrack:
 
     @property
     def t_start(self) -> float:
-        return float(self.times[0])
+        return self._knots[0]
 
     @property
     def t_end(self) -> float:
-        return float(self.times[-1])
+        return self._knots[-1]
 
     @property
     def constant_coefficients(self) -> tuple[complex, complex] | None:
@@ -337,14 +337,12 @@ class Particle(NamedTuple):
     phi: float
 
 
-@dataclass(frozen=True)
-class VacuumInterval:
+class VacuumInterval(NamedTuple):
     t_start: float
     t_end: float
 
 
-@dataclass(frozen=True)
-class EmissionEvent:
+class EmissionEvent(NamedTuple):
     t0: float
     theta0: float
     phi0: float
@@ -525,7 +523,9 @@ def simulate_path(
     give identical paths.  The track and the family must share one
     PhysParams.
     """
-    if track.params != model_family.params:
+    # identity first: a path pays the dataclass comparison only for two
+    # equal but distinct PhysParams
+    if track.params is not model_family.params and track.params != model_family.params:
         raise DomainError("track and model family carry different params")
     t_a, t_b = float(t_span[0]), float(t_span[1])
     if not (track.t_start <= t_a and t_b <= track.t_end):

@@ -405,6 +405,23 @@ def test_trace_refuses_a_launch_outside_the_track(tmp_path, capsys):
     assert dispatch(["simulate", "--config", str(conf)]) == 1
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["ensemble", "simulate"])
+def test_seed_outside_the_key_range_is_a_validation_error(tmp_path, capsys, command, seed):
+    # a Philox key word holds [0, 2**64); the edges themselves are valid
+    conf = tmp_path / "seed.conf"
+    conf.write_text(ENSEMBLE_CONF.replace("seed = 79", f"seed = {seed}"))
+    out = tmp_path / "out"
+    assert dispatch([command, "--config", str(conf), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err and "run.seed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    for edge in (0, 2**64 - 1):
+        cfg = parse_config(ENSEMBLE_CONF.replace("seed = 79", f"seed = {edge}"))
+        assert cfg.run.seed == edge
+
+
 def test_internal_value_error_exits_2(monkeypatch, capsys):
     # a plain ValueError is a broken invariant, not a bad input
     def broken(ns):

@@ -311,6 +311,70 @@ def test_rekeyed_generator_matches_fresh_philox():
         )
 
 
+#: Philox keys at the edges of the (seed, index) range and inside it.
+_KEYS = [
+    (0, 0), (808, 5), (2**63 + 7, 2**40), (2**64 - 1, 2**64 - 1),
+    (1, 2**64 - 1), (2**64 - 1, 0),
+    (np.uint64(2**64 - 1), 3), (np.int64(2**62), np.int64(9)),
+]
+
+
+def _philox_state(rng):
+    state = rng.bit_generator.state
+    inner = {k: np.asarray(v).tolist() for k, v in state["state"].items()}
+    return inner, np.asarray(state["buffer"]).tolist(), state["buffer_pos"], \
+        state["has_uint32"], state["uinteger"]
+
+
+@pytest.mark.parametrize("seed, index", _KEYS)
+def test_tuple_key_matches_fresh_philox(seed, index):
+    used = np.random.Generator(np.random.Philox(5))
+    used.standard_exponential()
+    rekeyed = ensemble._path_stream(seed, index, used)
+    fresh = np.random.Generator(
+        np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+    )
+    for rng in (rekeyed, ensemble._path_stream(seed, index, None)):
+        assert _philox_state(rng) == _philox_state(fresh)
+    replay = ensemble._path_stream(seed, index, None)
+    first = [rekeyed.random() for _ in range(9)] + [rekeyed.standard_exponential()]
+    again = [replay.random() for _ in range(9)] + [replay.standard_exponential()]
+    expected = [fresh.random() for _ in range(9)] + [fresh.standard_exponential()]
+    assert first == expected and again == expected
+
+
+@pytest.mark.parametrize(
+    "seed, index",
+    [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (np.int64(-1), 0),
+     (1.5, 0), (1.0, 0), ("1", 0), (None, 0), (1, 0.5)],
+)
+def test_path_stream_refuses_keys_outside_the_range(seed, index):
+    for rng in (None, np.random.Generator(np.random.Philox(0))):
+        with pytest.raises(DomainError):
+            ensemble._path_stream(seed, index, rng)
+
+
+def test_run_refuses_a_non_integer_seed_and_keeps_numpy_integers():
+    # a truncated 1.5 would replay seed 1's paths
+    fam, track = _balanced_setup()
+    for seed in (1.5, 1.9):
+        with pytest.raises(DomainError, match="integer"):
+            run_ensemble(fam, track, 20, (0.0, 3.0), seed, time_grid_n=11)
+    base = run_ensemble(fam, track, 60, (0.0, 3.0), 12, time_grid_n=11)
+    for seed in (np.int64(12), np.uint64(12)):
+        same = run_ensemble(fam, track, 60, (0.0, 3.0), seed, time_grid_n=11)
+        assert _stats_equal(base, same)
+
+
+def test_run_refuses_counts_the_config_refuses():
+    fam, track = _balanced_setup()
+    with pytest.raises(DomainError, match="n_paths"):
+        run_ensemble(fam, track, -3, (0.0, 3.0), 1)
+    for n in (0, 1):
+        with pytest.raises(DomainError, match="time_grid_n"):
+            run_ensemble(fam, track, 10, (0.0, 3.0), 1, time_grid_n=n)
+
+
 def test_run_builds_one_generator(monkeypatch):
     built = []
     philox = np.random.Philox

@@ -513,6 +513,25 @@ def test_simulate_path_alternation_and_spans():
     assert found_events
 
 
+@pytest.mark.parametrize(
+    "record, field, text",
+    [
+        (VacuumInterval(0.5, 1.25), "t_end", "VacuumInterval(t_start=0.5, t_end=1.25)"),
+        (
+            EmissionEvent(0.2, 1.0, 0.3),
+            "theta0",
+            "EmissionEvent(t0=0.2, theta0=1.0, phi0=0.3)",
+        ),
+    ],
+    ids=["VacuumInterval", "EmissionEvent"],
+)
+def test_path_records_are_immutable_with_named_fields(record, field, text):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0.0)
+    assert repr(record) == text
+    assert getattr(record, field) == record[record._fields.index(field)]
+
+
 def test_simulate_path_ingoing_absorbs_then_stays_vacuum():
     fam = ModelFamily(P96, 1.0, r_min=1e-9)
     tr = _constant_track(cp=-1j)  # ingoing: no emissions ever
