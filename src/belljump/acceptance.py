@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import (
+    _integer,
     angle_arrays_report,
     flux_report,
     master_equation_occupancy,
@@ -53,6 +54,7 @@ from .trajectory import (
     azimuth_from_radius,
     fit_power_law,
     integrate,
+    time_from_radius,
 )
 from .wavefunction import (
     ModelFamily,
@@ -139,8 +141,9 @@ def lemma_residual_rows(
     random point cloud and random admissible q; with order > 0, also
     whole-sphere quadrature checks against the exact integrals.
 
-    Returns (rows, overall max residual); DomainError unless n_points
-    >= 1, n_q >= 1 and order >= 0."""
+    Returns (rows, overall max residual); DomainError unless seed is a
+    non-negative integer, n_points >= 1, n_q >= 1 and order >= 0."""
+    seed = _integer("seed", seed, 0)
     if not (n_points >= 1 and n_q >= 1 and order >= 0):
         raise DomainError(
             f"need points >= 1, qs >= 1 and order >= 0, got "
@@ -526,8 +529,6 @@ def criterion_9():
     cm, cp = normalized_amplitudes(params, 1.0, -1.0j, 1.0, 0.7)
     cc = current_coeffs(params, cm, cp)
     r_probe = 1e-4
-    from .trajectory import time_from_radius
-
     t_half = abs(time_from_radius(params, cm, cp, 0.5 * family.r_cut))
     t_probe = abs(time_from_radius(params, cm, cp, r_probe))
     # window with steady influx at the probe and |psi0|^2 inside [0, 1]

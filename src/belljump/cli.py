@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, ensemble
 from .config import RunConfig, _complex, parse_config, serialize
 from .errors import (
     BelljumpError,
@@ -204,6 +204,8 @@ def _window(cfg: RunConfig, track: CoefficientTrack) -> tuple[float, float]:
 # ---------------------------------------------------------------------
 
 def _cmd_validate_basis(ns) -> int:
+    # imported here: only validate-basis and selftest use acceptance, and
+    # `belljump ensemble` should not pay for loading it
     from .acceptance import lemma_residual_rows
 
     rows, max_resid = lemma_residual_rows(
@@ -365,15 +367,13 @@ def _path_records(path):
 
 
 def _cmd_simulate(ns) -> int:
-    from .ensemble import draw_path, make_initial_sampler
-
     cfg = _load_config(ns.config)
     seed = _require_seed(cfg)
     family = _model_family(cfg)
     track = _build_track(cfg)
     t_span = _window(cfg, track)
-    vac_weight, sampler = make_initial_sampler(family, track, t_span[0])
-    path = draw_path(
+    vac_weight, sampler = ensemble.make_initial_sampler(family, track, t_span[0])
+    path = ensemble.draw_path(
         family,
         track,
         t_span,
@@ -413,19 +413,12 @@ def _hist_rows(tables):
 
 
 def _cmd_ensemble(ns) -> int:
-    from .ensemble import (
-        angle_uniformity_test,
-        flux_report,
-        run_ensemble,
-        sector0_comparison,
-    )
-
     cfg = _load_config(ns.config)
     seed = _require_seed(cfg)
     family = _model_family(cfg)
     track = _build_track(cfg)
     t_span = _window(cfg, track)
-    stats = run_ensemble(
+    stats = ensemble.run_ensemble(
         family,
         track,
         cfg.run.n_paths,
@@ -440,7 +433,7 @@ def _cmd_ensemble(ns) -> int:
     summary_path = _resolve(str(Path(outdir) / "ensemble_summary.json"))
     hist_path = _resolve(str(Path(outdir) / "ensemble_hist.csv"))
 
-    comparison = sector0_comparison(stats, track)
+    comparison = ensemble.sector0_comparison(stats, track)
     records = [
         {
             "record": "occupancy",
@@ -456,7 +449,7 @@ def _cmd_ensemble(ns) -> int:
         },
     ]
     if stats.probe_radius is not None and track.constant_coefficients:
-        fr = flux_report(stats, track)
+        fr = ensemble.flux_report(stats, track)
         records.append(
             {
                 "record": "flux",
@@ -469,7 +462,7 @@ def _cmd_ensemble(ns) -> int:
             }
         )
     try:
-        ar = angle_uniformity_test(stats)
+        ar = ensemble.angle_uniformity_test(stats)
         records.append(
             {
                 "record": "emission_angles",
@@ -525,7 +518,7 @@ def _cmd_ensemble(ns) -> int:
 
 
 def _cmd_selftest(ns) -> int:
-    from .acceptance import run_all
+    from .acceptance import run_all  # imported here, as in _cmd_validate_basis
 
     only = None
     if ns.only:

@@ -222,11 +222,20 @@ def make_initial_sampler(
     return vac_weight, sampler
 
 
-def _path_stream(seed: int, index: int, rng: np.random.Generator | None):
-    """The generator of path `index`: Philox keyed (seed, index) at
-    counter 0, both integers in [0, 2**64).  A given Philox generator is
-    re-keyed in place to exactly that state, from the two Python ints, at
-    a fraction of the cost of building a new one."""
+def _integer(name: str, value, least: int) -> int:
+    """value as a Python int; DomainError unless it is an integer >= least."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, not {value!r}") from None
+    if n < least:
+        raise DomainError(f"{name} = {value!r} is below {least}")
+    return n
+
+
+def _stream_key(seed: int, index: int) -> tuple[int, int]:
+    """The Philox key (seed, index) as two Python ints; DomainError unless
+    both are integers in [0, 2**64)."""
     try:
         seed, index = operator.index(seed), operator.index(index)
     except TypeError:
@@ -237,9 +246,18 @@ def _path_stream(seed: int, index: int, rng: np.random.Generator | None):
         raise DomainError(
             f"seed {seed!r} and path index {index!r} must lie in [0, 2**64)"
         )
+    return seed, index
+
+
+def _path_stream(seed: int, index: int, rng: np.random.Generator | None):
+    """The generator of path `index`: Philox keyed (seed, index) at
+    counter 0.  A given Philox generator is re-keyed in place to exactly
+    that state, from the two Python ints, at a fraction of the cost of
+    building a new one; without one, a new generator is built and
+    re-keyed the same way."""
+    seed, index = _stream_key(seed, index)
     if rng is None:
-        key = np.array([seed, index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        rng = np.random.Generator(np.random.Philox(0))
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": (seed, index)},
@@ -303,13 +321,15 @@ def run_ensemble(
     initial configurations, indices 0..n_paths-1.  Path i draws from its
     own Philox stream keyed by (seed, i), so draw_path(..., index=i)
     replays it alone, bitwise (one generator, re-keyed, serves them
-    all).  n_paths must be >= 0 and time_grid_n >= 2; snapshot_time, when
-    given, must lie in t_span, and probe_radius in (0, r_cut/2).
+    all).  The seed must be an integer in [0, 2**64), n_paths an integer
+    >= 0, time_grid_n an integer >= 2 and tol in (0, inf); snapshot_time,
+    when given, must lie in t_span, and probe_radius in (0, r_cut/2).
     """
-    if n_paths < 0:
-        raise DomainError(f"n_paths = {n_paths!r} is negative")
-    if time_grid_n < 2:
-        raise DomainError(f"time_grid_n = {time_grid_n!r} is below 2")
+    n_paths = _integer("n_paths", n_paths, 0)
+    time_grid_n = _integer("time_grid_n", time_grid_n, 2)
+    _stream_key(seed, 0)  # a bad seed is refused even when no path is drawn
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol = {tol!r} outside (0, inf)")
     t_a, t_b = float(t_span[0]), float(t_span[1])
     if snapshot_time is not None and not t_a <= snapshot_time <= t_b:
         raise DomainError(
@@ -599,7 +619,7 @@ def angle_arrays_report(
     n = len(cos_theta)
     if n < 1000:
         raise InsufficientEvents(f"need at least 1000 emissions, got {n}")
-    from scipy import stats as sps
+    from scipy import stats as sps  # imported here: only this report needs scipy
 
     bins = 10
     hist, _, _ = np.histogram2d(

@@ -548,6 +548,8 @@ def integrate(
         )
     if not t_end > initial.t:
         raise DomainError("t_end must exceed the initial time")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol = {tol!r} outside (0, inf)")
     if probe_radius is not None and not 0.0 < probe_radius < r_top:
         raise DomainError(
             f"probe_radius = {probe_radius!r} outside (0, {r_top!r})"

@@ -1052,6 +1052,14 @@ def test_validate_basis_rejects_bad_counts(capsys):
         assert "belljump: validation error" in capsys.readouterr().err
 
 
+def test_validate_basis_rejects_a_negative_seed(capsys):
+    # numpy's own refusal once surfaced as an internal error (exit 2)
+    args = ["validate-basis", "--seed", "-1", "--points", "3", "--qs", "2"]
+    assert dispatch(args) == 1
+    err = capsys.readouterr().err
+    assert "belljump: validation error" in err and "seed" in err
+
+
 def test_selftest_single_criterion(capsys):
     assert dispatch(["selftest", "--only", "6"]) == 0
     out = capsys.readouterr().out

@@ -251,6 +251,21 @@ def test_run_zero_paths():
     assert stats.n_paths == 0
 
 
+@pytest.mark.parametrize(
+    "seed, n_paths, options",
+    [(-1, 0, {}), (1.5, 0, {}), (2**64, 0, {}), ("1", 0, {}),
+     (1, 2.5, {}), (1, 0, {"time_grid_n": 2.5}),
+     (1, 0, {"tol": -1.0}), (1, 0, {"tol": 0.0}), (1, 0, {"tol": math.nan}),
+     (1, 0, {"tol": math.inf})],
+)
+def test_run_checks_its_arguments_before_any_path(seed, n_paths, options):
+    # a bad seed once passed unseen when no path was drawn, and a
+    # fractional count raised a bare TypeError
+    fam, track = _balanced_setup()
+    with pytest.raises(DomainError):
+        run_ensemble(fam, track, n_paths, (0.0, 3.0), seed, **options)
+
+
 def _path_fingerprint(path):
     """Every number of a path, bitwise: arrays as bytes, floats by repr."""
     parts = [repr(path.t_span), repr(path.events)]

@@ -780,6 +780,21 @@ def test_integrate_guards():
         emit_trajectory(_model(cp=-1j), 0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+def test_integrate_refuses_a_tolerance_outside_the_positive_reals(tol):
+    # 0 divided by zero, a negative tol underflowed the step and nan ran a
+    # step of nan length; closed-form and DP5 flights refuse it alike
+    m = _model()
+    start = SphericalState(0.0, 1e-3, 1.0, 0.0)
+    for dense in (True, False):
+        with pytest.raises(DomainError, match="tol"):
+            integrate(m, start, 1.0, tol, dense=dense)
+        with pytest.raises(DomainError, match="tol"):
+            emit_trajectory(m, 0.0, 1.0, 0.0, tol, dense=dense)
+    seg = integrate(m, start, 1.0)
+    assert isinstance(seg.terminal, TimeExhausted) and seg.n_accepted == 44
+
+
 _PARAMS = (
     canonical_params(0.96),
     canonical_params(0.95, 0.5, -1),
