@@ -150,9 +150,7 @@ def _require_seed(cfg: RunConfig) -> int:
 def _model_family(cfg: RunConfig) -> ModelFamily:
     mc = cfg.model
     sub = (mc.s_minus, mc.s_plus)
-    return ModelFamily(
-        cfg.params, r_cut=mc.r_cut, subleading_amp=sub, frozen=mc.frozen, r_min=mc.r_min
-    )
+    return ModelFamily(cfg.params, r_cut=mc.r_cut, subleading_amp=sub, r_min=mc.r_min)
 
 
 def _build_track(cfg: RunConfig) -> CoefficientTrack:

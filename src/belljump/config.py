@@ -28,7 +28,6 @@ class ModelConfig:
     r_min: float | None = None
     s_minus: complex = 0j
     s_plus: complex = 0j
-    frozen: bool = False
 
 
 @dataclass(frozen=True)
@@ -94,15 +93,6 @@ def _int(raw, line, col):
         raise ParseError(f"expected an integer, got {raw!r}", line, col) from None
 
 
-def _bool(raw, line, col):
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ParseError(f"expected a boolean, got {raw!r}", line, col)
-
-
 def _complex(raw, line, col):
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
@@ -145,7 +135,6 @@ _BLOCKS = {"model": ModelConfig, "track": TrackConfig, "run": RunBlock}
 _PARSERS = {
     float: _float,
     int: _int,
-    bool: _bool,
     complex: _complex,
     str: _str,
     tuple[float, ...]: _float_list,
@@ -304,8 +293,6 @@ def _validate(model: ModelConfig, track: TrackConfig, run: RunBlock) -> None:
 # ---------------------------------------------------------------------
 
 def _format(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, complex):
         return f"{value.real!r}, {value.imag!r}"
     if isinstance(value, float):

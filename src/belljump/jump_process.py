@@ -472,19 +472,18 @@ def fly(
     (an EmissionEvent, seeded and flown by emit_trajectory) or started at
     a SphericalState (flown by integrate).
 
-    Its model holds the track's coefficients at the launch time, the one
-    CoefficientTrack.coefficients call of the flight.  Its field is
-    psi_t, the track's coefficients at each time, unless they cannot
-    change over the flight: the family is frozen or the track holds them
-    constant, and the flight keeps the model's coefficients.  Under psi_t
-    the integrator gets the track itself, and every DP5 stage reads the
-    track's piece at its own time, with the bits coefficients gives
-    there.  `probe_radius` and `dense` as in integrate.
+    Its model holds the track's coefficients at the launch time (for an
+    emitted flight, its emission time), from the flight's one
+    CoefficientTrack.coefficients call.  Its field is
+    psi_t, the track's coefficients at each time, unless the track holds
+    them constant, and the flight keeps the model's coefficients.  Under
+    psi_t the integrator gets the track itself, and every DP5 stage
+    reads the track's piece at its own time, with the bits coefficients
+    gives there.  `probe_radius` and `dense` as in integrate.
     """
     emitted = isinstance(launch, EmissionEvent)
     model = model_family.at(*track.coefficients(launch.t0 if emitted else launch.t))
-    fixed = model_family.frozen or track.constant_coefficients is not None
-    field = None if fixed else track
+    field = None if track.constant_coefficients is not None else track
     if emitted:
         return emit_trajectory(
             model,
@@ -516,9 +515,8 @@ def simulate_path(
     or a Particle whose first flight starts at (t_span[0], r, theta, phi).
 
     Each flight, after an emission or from the initial particle, is
-    fly's: it follows psi_t unless the family is frozen or the track's
-    coefficients are constant, and is evaluated in closed form where
-    that is exact.  Flights end at model_family.r_min and record their
+    fly's: it follows psi_t unless the track's coefficients are
+    constant, and is evaluated in closed form where that is exact.  Flights end at model_family.r_min and record their
     crossings of probe_radius, if given.  Identical (inputs, rng state)
     give identical paths.  The track and the family must share one
     PhysParams.

@@ -110,18 +110,12 @@ class ModelFamily:
     """Static part of the model shared by all coefficient values.
 
     Maps track coefficients (c_minus(t), c_plus(t)) to concrete
-    ModelWavefunction instances; `frozen` holds each flight at the
-    coefficients of its launch time instead of following the track's
-    field as it changes during the flight (an emitted flight at those of
-    its emission time, not of its first sample, the seed after it; the
-    flight launcher jump_process.fly applies this); r_min as in
-    ModelWavefunction.
+    ModelWavefunction instances; r_min as in ModelWavefunction.
     """
 
     params: PhysParams
     r_cut: float
     subleading_amp: tuple[complex, complex] = (0j, 0j)
-    frozen: bool = False
     r_min: float | None = None
 
     def __post_init__(self):

@@ -53,14 +53,12 @@ def test_comments_case_and_value_forms():
         Q = 0.92          # trailing comment
 
         [model]
-        frozen = Yes
         s_minus = 0.3, -0.2
 
         [run]
         seed = 0x10       ; hex is fine for integers
         """)
     assert cfg.params.q == 0.92
-    assert cfg.model.frozen is True
     assert cfg.model.s_minus == complex(0.3, -0.2)
     assert cfg.run.seed == 16
 
@@ -104,6 +102,18 @@ def test_removed_boundary_condition_keys_are_unknown(tmp_path, capsys):
     assert "unknown key params.g" in capsys.readouterr().err
 
 
+def test_removed_frozen_key_is_unknown(tmp_path, capsys):
+    # a flight's field is decided by its track alone; a config or an old
+    # output header (serialize wrote `frozen = false`) that still sets
+    # model.frozen fails to parse
+    with pytest.raises(ParseError, match="unknown key model.frozen"):
+        parse_config(MINIMAL + "[model]\nfrozen = false\n")
+    old = tmp_path / "old.conf"
+    old.write_text(MINIMAL + "[model]\nfrozen = false\n")
+    assert dispatch(["coeffs", "--config", str(old)]) == 1
+    assert "unknown key model.frozen" in capsys.readouterr().err
+
+
 def test_malformed_values_report_line_and_column():
     with pytest.raises(ParseError) as err:
         parse_config("[params]\nq = fast\n")
@@ -111,8 +121,6 @@ def test_malformed_values_report_line_and_column():
     assert err.value.line == 2 and err.value.column == 4
     with pytest.raises(ParseError, match="expected an integer"):
         parse_config(MINIMAL + "[run]\nn_paths = 2.5\n")
-    with pytest.raises(ParseError, match="expected a boolean"):
-        parse_config(MINIMAL + "[model]\nfrozen = maybe\n")
     with pytest.raises(ParseError, match="'re, im'"):
         parse_config(MINIMAL + "[track]\nc_minus = 1\n")
     with pytest.raises(ParseError, match="even count"):
@@ -203,7 +211,6 @@ ALL_KEYS = {
     ("model", "r_min"): 1e-6,
     ("model", "s_minus"): 0.1 - 0.2j,
     ("model", "s_plus"): 0.25 - 0.125j,
-    ("model", "frozen"): True,
     ("track", "kind"): "grid",
     ("track", "c_minus"): 0.5 + 0.1j,
     ("track", "c_plus"): 0.2 + 0.6j,
@@ -238,7 +245,6 @@ ALL_KEYS_CONFIG = MINIMAL + textwrap.dedent("""\
     r_min = 1e-6
     s_minus = 0.1, -0.2
     s_plus = 0.25, -0.125
-    frozen = true
 
     [track]
     kind = grid
@@ -623,9 +629,6 @@ def _grid_trace_conf(case, r0):
         drift = [0.3] * len(times)
     phases = [0.5 * math.pi + d for d in drift]
     return MINIMAL.replace("0.9", "0.96") + textwrap.dedent(f"""\
-        [model]
-        frozen = {str(case == "frozen").lower()}
-
         [track]
         kind = grid
         times = {", ".join(map(repr, times))}
@@ -641,10 +644,10 @@ def _grid_trace_conf(case, r0):
 
 
 @pytest.mark.parametrize("r0", ["r0 = 0.01", ""], ids=["from_r0", "emitted"])
-@pytest.mark.parametrize("case", ["psi_t", "frozen", "constant"])
+@pytest.mark.parametrize("case", ["psi_t", "constant"])
 def test_trace_flies_the_field_simulate_flies(tmp_path, case, r0):
     # psi_t on a drifting track; the coefficients at t0 throughout when
-    # the family is frozen or the track holds them constant
+    # the track holds them constant
     text = _grid_trace_conf(case, r0)
     conf, out = tmp_path / "trace.conf", tmp_path / "trace.csv"
     conf.write_text(text)

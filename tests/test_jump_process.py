@@ -577,9 +577,8 @@ def test_emission_inside_seed_time_of_window_end_records_no_flight(monkeypatch):
 
 
 def test_simulate_path_flight_evaluation():
-    # fixed coefficients (a constant track or a frozen family): closed
-    # form; a spline track keeps refreshing them, so it stays on the
-    # integrator
+    # fixed coefficients (a constant track): closed form; a spline track
+    # keeps refreshing them, so it stays on the integrator
     fam = _family()
     start = Particle(0.01, math.pi / 2, 0.0)
     varying = CoefficientTrack(
@@ -588,7 +587,6 @@ def test_simulate_path_flight_evaluation():
     )
     for family, track, stepped in (
         (fam, _constant_track(), False),
-        (ModelFamily(P96, 1.0, frozen=True), varying, False),
         (fam, varying, True),
     ):
         rng = np.random.default_rng(58)
@@ -597,21 +595,17 @@ def test_simulate_path_flight_evaluation():
         assert isinstance(seg.terminal, LeftInnerRegion)
         assert (seg.n_accepted > 0) == stepped
     # no radial flux: the particle circles at its start radius to the end
-    for frozen in (False, True):
-        family = ModelFamily(P96, 1.0, frozen=frozen)
-        rng = np.random.default_rng(59)
-        path = simulate_path(
-            family, _constant_track(cp=0.5), start, (0.0, 3.0), rng
-        )
-        seg = path.segments[0]
-        assert isinstance(seg.terminal, TimeExhausted)
-        assert seg.t[-1] == 3.0 and np.allclose(seg.r, 0.01, rtol=1e-12)
+    rng = np.random.default_rng(59)
+    path = simulate_path(fam, _constant_track(cp=0.5), start, (0.0, 3.0), rng)
+    seg = path.segments[0]
+    assert isinstance(seg.terminal, TimeExhausted)
+    assert seg.t[-1] == 3.0 and np.allclose(seg.r, 0.01, rtol=1e-12)
 
 
 def test_fly_picks_each_flights_model_and_field():
     # the model holds the coefficients at the launch time; the field is
-    # psi_t on a varying track, and those fixed coefficients on a frozen
-    # family or a constant track
+    # psi_t on a varying track, and those fixed coefficients on a
+    # constant track
     fam = _family()
     t = np.linspace(0.0, 3.0, 9)
     varying = CoefficientTrack(
@@ -630,7 +624,6 @@ def test_fly_picks_each_flights_model_and_field():
 
     for family, track, field in (
         (fam, varying, varying.coefficients),
-        (ModelFamily(P96, 1.0, frozen=True), varying, None),
         (fam, _constant_track(), None),
     ):
         model = family.at(*track.coefficients(0.2))
@@ -644,11 +637,6 @@ def test_fly_picks_each_flights_model_and_field():
                 model, 0.2, 1.0, 0.3, 1e-8, t_end=2.5, refresh=field, **kw
             )
             assert fingerprint(got) == fingerprint(want)
-    # psi_t and the frozen launch-time field give different flights
-    drifting = fly(fam, varying, start, 2.5, 1e-8)
-    frozen = fly(ModelFamily(P96, 1.0, frozen=True), varying, start, 2.5, 1e-8)
-    assert drifting.n_accepted > 0 and frozen.n_accepted == 0
-    assert abs(drifting.r[-1] / frozen.r[-1] - 1.0) > 1e-3
 
 
 def test_psi_t_flights_read_coefficients_only_at_launch(monkeypatch):
