@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import (
-    _integer,
     angle_arrays_report,
     flux_report,
     master_equation_occupancy,
@@ -29,7 +28,7 @@ from .ensemble import (
     run_ensemble,
     sector0_comparison,
 )
-from .errors import DomainError, ValidationError
+from .errors import ValidationError, integer_at_least
 from .jump_process import (
     CoefficientTrack,
     jump_rate_density,
@@ -141,14 +140,12 @@ def lemma_residual_rows(
     random point cloud and random admissible q; with order > 0, also
     whole-sphere quadrature checks against the exact integrals.
 
-    Returns (rows, overall max residual); DomainError unless seed is a
-    non-negative integer, n_points >= 1, n_q >= 1 and order >= 0."""
-    seed = _integer("seed", seed, 0)
-    if not (n_points >= 1 and n_q >= 1 and order >= 0):
-        raise DomainError(
-            f"need points >= 1, qs >= 1 and order >= 0, got "
-            f"{n_points!r}, {n_q!r} and {order!r}"
-        )
+    Returns (rows, overall max residual); DomainError unless seed and
+    order are integers >= 0 and n_points and n_q integers >= 1."""
+    seed = integer_at_least("seed", seed, 0)
+    n_points = integer_at_least("n_points", n_points, 1)
+    n_q = integer_at_least("n_q", n_q, 1)
+    order = integer_at_least("order", order, 0)
     rng = np.random.default_rng(seed)
     points = [
         SpherePoint(

@@ -40,6 +40,7 @@ from .errors import (
     InsufficientEvents,
     NormalizationError,
     VacuumEmpty,
+    integer_at_least,
 )
 from .jump_process import (
     CoefficientTrack,
@@ -222,17 +223,6 @@ def make_initial_sampler(
     return vac_weight, sampler
 
 
-def _integer(name: str, value, least: int) -> int:
-    """value as a Python int; DomainError unless it is an integer >= least."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, not {value!r}") from None
-    if n < least:
-        raise DomainError(f"{name} = {value!r} is below {least}")
-    return n
-
-
 def _stream_key(seed: int, index: int) -> tuple[int, int]:
     """The Philox key (seed, index) as two Python ints; DomainError unless
     both are integers in [0, 2**64)."""
@@ -325,8 +315,8 @@ def run_ensemble(
     >= 0, time_grid_n an integer >= 2 and tol in (0, inf); snapshot_time,
     when given, must lie in t_span, and probe_radius in (0, r_cut/2).
     """
-    n_paths = _integer("n_paths", n_paths, 0)
-    time_grid_n = _integer("time_grid_n", time_grid_n, 2)
+    n_paths = integer_at_least("n_paths", n_paths, 0)
+    time_grid_n = integer_at_least("time_grid_n", time_grid_n, 2)
     _stream_key(seed, 0)  # a bad seed is refused even when no path is drawn
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol = {tol!r} outside (0, inf)")

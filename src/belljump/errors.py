@@ -5,6 +5,8 @@ ValueError so callers can catch them generically; failures that can only
 surface at run time (step control, sampling) subclass RuntimeError.
 """
 
+import operator
+
 
 class BelljumpError(Exception):
     """Base class for all errors raised by this package."""
@@ -26,6 +28,17 @@ class SetError(BelljumpError, ValueError):
 
 class DomainError(BelljumpError, ValueError):
     """Invalid quantum numbers or out-of-domain evaluation point."""
+
+
+def integer_at_least(name: str, value, least: int) -> int:
+    """value as a Python int; DomainError unless it is an integer >= least."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, not {value!r}") from None
+    if n < least:
+        raise DomainError(f"{name} = {value!r} is below {least}")
+    return n
 
 
 class WindowClosed(DomainError):

@@ -58,7 +58,13 @@ from .cubic import (
     poly_range,
     unit_pieces,
 )
-from .errors import DomainError, MajorantError, VacuumEmpty, WindowClosed
+from .errors import (
+    DomainError,
+    MajorantError,
+    VacuumEmpty,
+    WindowClosed,
+    integer_at_least,
+)
 from .params import PhysParams
 from .trajectory import (
     Absorbed,
@@ -288,6 +294,8 @@ class CoefficientTrack:
         t_end: float,
         n: int = 33,
     ) -> "CoefficientTrack":
+        """Fixed coefficients and psi0 on n >= 2 knots over [t_start, t_end]."""
+        n = integer_at_least("n", n, 2)
         t = np.linspace(t_start, t_end, n)
         ones = np.ones(n)
         return cls(params, t, c_minus * ones, c_plus * ones, psi0 * ones)
@@ -304,8 +312,10 @@ class CoefficientTrack:
         n: int = 129,
     ) -> "CoefficientTrack":
         """Constant coefficients with |psi0(t)|^2 = p0_init - 4 pi C_r (t -
-        t_start): the unique balanced vacuum weight for a constant flux.
-        The weight must stay in [0, 1] over the window."""
+        t_start): the unique balanced vacuum weight for a constant flux,
+        on n >= 2 knots over [t_start, t_end].  The weight must stay in
+        [0, 1] over the window."""
+        n = integer_at_least("n", n, 2)
         c_r = current_coeffs(params, c_minus, c_plus).C_r
         t = np.linspace(t_start, t_end, n)
         weight = p0_init - 4.0 * math.pi * c_r * (t - t_start)

@@ -11,8 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from belljump import ParseError, ValidationError, __version__, canonical_params
+from belljump import (
+    DomainError,
+    ParseError,
+    ValidationError,
+    __version__,
+    canonical_params,
+)
 from belljump import cli, config
+from belljump.acceptance import lemma_residual_rows
 from belljump.cli import dispatch
 from belljump.config import parse_config, serialize
 from belljump.ensemble import normalized_amplitudes
@@ -178,6 +185,20 @@ def test_block_range_validation():
     for block, name in bad:
         with pytest.raises(ValidationError, match=name):
             parse_config(MINIMAL + block)
+
+
+@pytest.mark.parametrize("kind", ["constant", "balanced"])
+def test_a_one_knot_track_is_refused_before_it_drops_t_end(tmp_path, capsys, kind):
+    # n = 1 built the grid [t_start], and simulate reported only an empty
+    # run window [0.0, 0.0]
+    conf = tmp_path / "one.conf"
+    conf.write_text(
+        MINIMAL + f"[track]\nkind = {kind}\np0_init = 0.7\nt_end = 2.0\nn = 1\n"
+        "[run]\nseed = 1\nn_paths = 1\n"
+    )
+    assert dispatch(["simulate", "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err and "track.n must be at least 2" in err
 
 
 def test_track_kind_validation(tmp_path):
@@ -1053,6 +1074,18 @@ def test_validate_basis_rejects_bad_counts(capsys):
     ):
         assert dispatch(["validate-basis", *args]) == 1
         assert "belljump: validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{"n_points": 2.5}, {"n_q": 2.0}, {"order": 1.5}, {"n_points": 0},
+     {"n_q": 0}, {"order": -1}],
+    ids=lambda counts: "-".join(f"{k}={v}" for k, v in counts.items()),
+)
+def test_lemma_residual_rows_checks_its_counts(counts):
+    (name,) = counts
+    with pytest.raises(DomainError, match=name):
+        lemma_residual_rows(**{"n_points": 3, "n_q": 2, **counts})
 
 
 def test_validate_basis_rejects_a_negative_seed(capsys):

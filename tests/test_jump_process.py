@@ -432,6 +432,20 @@ def test_balanced_constant_flux_track():
         CoefficientTrack.balanced_constant_flux(P96, 1.0, 1j, 0.7, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("n", [1, 0, 1.5, 2.0])
+def test_fixed_coefficient_builders_need_an_integer_of_at_least_two_knots(n):
+    # one knot would drop t_end: the grid would be [t_start]
+    with pytest.raises(DomainError, match="n"):
+        CoefficientTrack.constant(P96, 1.0, 1j, 1.0, 0.0, 2.0, n)
+    with pytest.raises(DomainError, match="n"):
+        CoefficientTrack.balanced_constant_flux(P96, 0.1, 0.1j, 0.7, 0.0, 1.0, n)
+    for track in (
+        CoefficientTrack.constant(P96, 1.0, 1j, 1.0, 0.0, 2.0, 2),
+        CoefficientTrack.balanced_constant_flux(P96, 0.1, 0.1j, 0.7, 0.0, 1.0, 2),
+    ):
+        assert len(track.times) == 2 and track.t_end > track.t_start
+
+
 def test_balance_violation_for_constant_weight():
     tr = _constant_track()  # constant psi0 under nonzero flux
     with pytest.raises(BalanceViolation) as info:

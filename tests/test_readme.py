@@ -21,7 +21,7 @@ def test_readme_python_example_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
 
 
-@pytest.mark.parametrize("section", ["params", "model", "run"])
+@pytest.mark.parametrize("section", ["params", "model", "track", "run"])
 def test_readme_config_table_lists_the_schema(section):
     # the backticked names in the first column of the `[section]` table
     after = README.read_text().split(f"### `[{section}]`", 1)[1]
