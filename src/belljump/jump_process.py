@@ -484,12 +484,12 @@ def fly(
 
     Its model holds the track's coefficients at the launch time (for an
     emitted flight, its emission time), from the flight's one
-    CoefficientTrack.coefficients call.  Its field is
-    psi_t, the track's coefficients at each time, unless the track holds
-    them constant, and the flight keeps the model's coefficients.  Under
-    psi_t the integrator gets the track itself, and every DP5 stage
-    reads the track's piece at its own time, with the bits coefficients
-    gives there.  `probe_radius` and `dense` as in integrate.
+    CoefficientTrack.coefficients call.  Its field is psi_t, the track's
+    coefficients at each time, unless the track holds them constant, and
+    the flight keeps the model's coefficients.  Under psi_t the
+    integrator gets the track itself, and every DP5 stage reads the
+    track's piece at its own time, with the bits coefficients gives
+    there.  `probe_radius` and `dense` as in integrate.
     """
     emitted = isinstance(launch, EmissionEvent)
     model = model_family.at(*track.coefficients(launch.t0 if emitted else launch.t))
@@ -526,8 +526,9 @@ def simulate_path(
 
     Each flight, after an emission or from the initial particle, is
     fly's: it follows psi_t unless the track's coefficients are
-    constant, and is evaluated in closed form where that is exact.  Flights end at model_family.r_min and record their
-    crossings of probe_radius, if given.  Identical (inputs, rng state)
+    constant, and is evaluated in closed form where that is exact.
+    Flights end at model_family.r_min and record their crossings of
+    probe_radius, if given.  Identical (inputs, rng state)
     give identical paths.  The track and the family must share one
     PhysParams.
     """
