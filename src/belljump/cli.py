@@ -33,7 +33,7 @@ from .errors import (
 from .jump_process import CoefficientTrack, EmissionEvent, fly
 from .params import canonical_params
 from .spinor_basis import from_spherical
-from .trajectory import Absorbed, LeftInnerRegion, SphericalState, integrate
+from .trajectory import Absorbed, LeftInnerRegion, SphericalState
 from .wavefunction import ModelFamily, current_coeffs
 
 USAGE_EXIT = 64
@@ -390,12 +390,9 @@ def _cmd_simulate(ns) -> int:
             if seg.n_accepted == 0:
                 # a closed-form flight samples only its ends and crossings;
                 # its trace steps DP5 along the same flight
-                seg = integrate(
-                    seg.model,
-                    seg.initial,
-                    t_span[1],
-                    cfg.run.tol,
-                    probe_radius=cfg.run.probe_radius,
+                seg = fly(
+                    family, track, seg.initial, t_span[1], cfg.run.tol,
+                    probe_radius=cfg.run.probe_radius, dense=True,
                 )
             _write_lines(trace_dir / f"flight_{i:03d}.csv", _trace_lines(cfg, seg))
     return 0

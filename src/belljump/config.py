@@ -252,8 +252,11 @@ def _validate(model: ModelConfig, track: TrackConfig, run: RunBlock) -> None:
         raise ValidationError(
             f"track.kind must be one of {', '.join(_TRACK_KINDS)}"
         )
-    if track.kind in ("constant", "balanced") and track.n < 2:
-        raise ValidationError("track.n must be at least 2")
+    if track.kind in ("constant", "balanced"):
+        if track.n < 2:
+            raise ValidationError("track.n must be at least 2")
+        if track.t_end <= track.t_start:
+            raise ValidationError("track.t_end must exceed track.t_start")
     if track.kind == "balanced" and track.p0_init is None:
         raise ValidationError("balanced track needs track.p0_init")
     if track.kind == "file":
@@ -274,8 +277,6 @@ def _validate(model: ModelConfig, track: TrackConfig, run: RunBlock) -> None:
             raise ValidationError(
                 "grid track arrays must all have len(track.times) entries"
             )
-    if track.kind != "grid" and track.t_end <= track.t_start:
-        raise ValidationError("track.t_end must exceed track.t_start")
     if run.tol <= 0.0:
         raise ValidationError("run.tol must be positive")
     if run.seed is not None and not 0 <= run.seed < 2**64:

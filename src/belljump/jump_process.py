@@ -22,17 +22,17 @@ until its radius falls below the model's r_min (absorption: the
 configuration becomes the vacuum at the arrival time t0) or until it
 leaves the inner region r < r_cut/2, after which the near-source model
 no longer applies and the path is parked as a particle for the rest of
-the window.  Every flight, of a path or of the `trace` command, is
-launched by fly, the one place that picks its model and field: between
-jumps the particle follows psi_t, so the field is the track's
-coefficients at each time unless they cannot change over the flight.
-Fixed coefficients and no subleading amplitudes give the exact
+the window.  Every flight, of a path, of `trace` or of `simulate
+--trace-dir`, is launched by fly, the one place that picks its model and
+field: between jumps the particle follows psi_t, so the field is the
+track's coefficients at each time unless they cannot change over the
+flight.  Fixed coefficients and no subleading amplitudes give the exact
 closed-form flight, anything else steps DP5, unless the caller asks for
 dense samples: fly(dense=True) steps DP5 along any flight, which is how
-`trace` gets its samples.  The path sampler never sets it, so a path is
-the same whoever draws it.  A psi_t flight hands the integrator the
-track itself: each DP5 stage reads one piece of it, with the bits of
-CoefficientTrack.coefficients, in one Python call.
+the traces get their samples.  The path sampler never sets it, so a path
+is the same whoever draws it.  Each DP5 stage reads its coefficients
+from a cubic piece in one Python call: a psi_t flight's from the track
+itself, with the bits of CoefficientTrack.coefficients.
 
 The emission intensity is exactly 4 pi C_r / |psi0|^2 when C_r > 0, the
 flux of |psi|^2 out of the source; a track is "balanced" when
@@ -486,10 +486,10 @@ def fly(
     emitted flight, its emission time), from the flight's one
     CoefficientTrack.coefficients call.  Its field is psi_t, the track's
     coefficients at each time, unless the track holds them constant, and
-    the flight keeps the model's coefficients.  Under psi_t the
-    integrator gets the track itself, and every DP5 stage reads the
-    track's piece at its own time, with the bits coefficients gives
-    there.  `probe_radius` and `dense` as in integrate.
+    the flight keeps the model's coefficients.  Either way each DP5
+    stage reads a cubic piece: the track's at the stage's time under
+    psi_t (the integrator's `refresh`), or the model's fixed pair.
+    `probe_radius` and `dense` as in integrate.
     """
     emitted = isinstance(launch, EmissionEvent)
     model = model_family.at(*track.coefficients(launch.t0 if emitted else launch.t))

@@ -13,12 +13,12 @@ of the two boundary spinors, which makes j_theta vanish identically, so
 theta stays exactly constant along a segment.
 
 One call per stage.  Each DP5 stage makes one Python call, field(t, s),
-built once per flight (_make_rhs), plus span_currents inside it.  Under
-psi_t the field reads the CoefficientTrack itself: the piece of its
-last read, or a bisect when t leaves it, and a Horner evaluation of the
-four c+- columns, with the same bits as CoefficientTrack.coefficients at
-that time.  The pair enters span_currents as real parts, never boxed as
-complex numbers.
+built once per flight (_make_rhs), plus span_currents inside it.  Every
+DP5 flight reads its coefficients from a cubic piece by Horner: under
+psi_t the CoefficientTrack's own, with the bits of
+CoefficientTrack.coefficients, and for a fixed pair one piece whose
+cubic terms are zero.  Without subleading amplitudes the pair enters
+span_currents as real parts, never boxed as complex numbers.
 
 Closed forms (pure model, coefficients frozen).  Separating variables,
 with Im = Im[conj(c_minus) c_plus], Re likewise, sgn = sgn(m~ k~):
@@ -433,7 +433,7 @@ def _bracket_root(g, lo, hi, g_lo, g_hi):
 def _make_rhs(
     params: PhysParams,
     subleading: tuple[complex, complex],
-    coefficients: tuple[complex, complex] | CoefficientTrack | Callable,
+    coefficients: tuple[complex, complex] | CoefficientTrack,
 ) -> Callable[[float, float], tuple[float, float]]:
     """The guiding field of one flight, field(t, s) -> (ds/dt, dphi/dt)
     for y = (s, phi) with s = r^(1-2B): one call per DP5 stage.
@@ -445,45 +445,30 @@ def _make_rhs(
     The constants that depend on params only (the exponents and
     current_weights) are formed once, here.
 
-    `coefficients` gives (c_minus, c_plus) at time t: a fixed pair, a
-    callable t -> (c_minus, c_plus), or a CoefficientTrack (psi_t).  The
-    first two, and any source with subleading amplitudes, take the
-    complex route through reduced_amplitudes.  A track read without
-    subleading amplitudes evaluates the four c+- columns of its piece
-    (the first 16 floats of a CoefficientTrack.pair_pieces piece, taken
-    when it locates the piece) by Horner, keeping the piece of the last
-    read and locating only when t leaves it, and forms c_plus r^(2B) as
-    (Re c+ u, Im c+ u), the bits of the complex product.  So it gives
-    the bits of the complex route fed coefficients(t).
+    Each stage reads (c_minus, c_plus) at its time t by Horner from the
+    four c+- columns of a cubic piece (the first 16 floats of a
+    CoefficientTrack.pair_pieces piece), keeping the piece of its last
+    read and locating another only when t leaves it.  A track (psi_t)
+    supplies its own pieces; a fixed pair is one piece over [0, inf) with
+    zero cubic terms.  Without subleading amplitudes c_plus r^(2B) is
+    formed as (Re c+ u, Im c+ u), the bits of the complex product; with
+    them complex(Re, Im) of the pair goes through reduced_amplitudes.
     """
-    from .jump_process import CoefficientTrack  # jump_process imports this module
-
     one = 1.0 - 2.0 * params.B
     inv_one = 1.0 / one
     two_b = 2.0 * params.B
     neg_two_b = -two_b
     weights = current_weights(params)
+    plain = subleading == (0j, 0j)
 
-    if subleading != (0j, 0j) or not isinstance(coefficients, CoefficientTrack):
-        if isinstance(coefficients, tuple):
-            pair = coefficients
-            coeffs = lambda _t: pair
-        elif callable(coefficients):
-            coeffs = coefficients
-        else:
-            coeffs = coefficients.coefficients
-
-        def field(t: float, s: float) -> tuple[float, float]:
-            r = s**inv_one
-            a, c = reduced_amplitudes(params, *coeffs(t), r, subleading)
-            j_r, j_phi_over_sin, rho = span_currents(
-                weights, a.real, a.imag, c.real, c.imag
-            )
-            return one * r**neg_two_b * j_r / rho, j_phi_over_sin / (r * rho)
-
-        return field
-
-    knots, pieces, locate = coefficients.pair_pieces()
+    if isinstance(coefficients, tuple):
+        c_minus, c_plus = coefficients
+        columns = (c_minus.real, c_minus.imag, c_plus.real, c_plus.imag)
+        knots = (0.0, math.inf)
+        pieces = [[w for d in columns for w in (0.0, 0.0, 0.0, d)]]
+        locate = lambda _t: (0, 0.0)
+    else:
+        knots, pieces, locate = coefficients.pair_pieces()
     lo = hi = math.nan  # the last read's piece [lo, hi); none yet
     piece = None
 
@@ -495,15 +480,23 @@ def _make_rhs(
             i, x = locate(t)
             lo, hi, piece = knots[i], knots[i + 1], pieces[i][:16]
         a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 = piece
+        cm_r = ((a0 * x + b0) * x + c0) * x + d0
+        cm_i = ((a1 * x + b1) * x + c1) * x + d1
+        cp_r = ((a2 * x + b2) * x + c2) * x + d2
+        cp_i = ((a3 * x + b3) * x + c3) * x + d3
         r = s**inv_one
-        u = r**two_b
-        j_r, j_phi_over_sin, rho = span_currents(
-            weights,
-            ((a0 * x + b0) * x + c0) * x + d0,
-            ((a1 * x + b1) * x + c1) * x + d1,
-            (((a2 * x + b2) * x + c2) * x + d2) * u,
-            (((a3 * x + b3) * x + c3) * x + d3) * u,
-        )
+        if plain:
+            u = r**two_b
+            j_r, j_phi_over_sin, rho = span_currents(
+                weights, cm_r, cm_i, cp_r * u, cp_i * u
+            )
+        else:
+            a, c = reduced_amplitudes(
+                params, complex(cm_r, cm_i), complex(cp_r, cp_i), r, subleading
+            )
+            j_r, j_phi_over_sin, rho = span_currents(
+                weights, a.real, a.imag, c.real, c.imag
+            )
         return one * r**neg_two_b * j_r / rho, j_phi_over_sin / (r * rho)
 
     return field
@@ -516,20 +509,19 @@ def integrate(
     tol: float = 1e-8,
     *,
     probe_radius: float | None = None,
-    refresh: CoefficientTrack | Callable[[float], tuple[complex, complex]] | None = None,
+    refresh: CoefficientTrack | None = None,
     dense: bool = True,
 ) -> TrajectorySegment:
     """Integrate the guiding equation forward from `initial` to t_end.
 
     Stops early with Absorbed (r crossed model.r_min, t0 extrapolated) or
-    LeftInnerRegion (r crossed r_cut/2).  `refresh`, when given, supplies
-    (c_minus(t), c_plus(t)), as a CoefficientTrack or a callable: the
-    flight then solves the time-dependent guiding equation, each DP5
-    stage reading the field at its own time t + c_i h.  A track is read
-    one piece at a time, with the bits of its coefficients, in one
-    Python call per stage (_make_rhs).  Crossings of `probe_radius`,
-    when given, must lie in (0, r_cut/2) and are recorded in either
-    direction.
+    LeftInnerRegion (r crossed r_cut/2).  `refresh`, a CoefficientTrack
+    when given, supplies (c_minus(t), c_plus(t)): the flight then solves
+    the time-dependent guiding equation, each DP5 stage reading the
+    track's piece at its own time t + c_i h.  Without it the stages read
+    the model's fixed pair as one cubic piece (_make_rhs).  Crossings of
+    `probe_radius`, when given, must lie in (0, r_cut/2) and are recorded
+    in either direction.
 
     With dense=False, no refresh and no subleading amplitudes the flight
     is evaluated in closed form instead (exact; Absorbed then carries the
@@ -709,7 +701,7 @@ def emit_trajectory(
     *,
     t_end: float = math.inf,
     probe_radius: float | None = None,
-    refresh: CoefficientTrack | Callable[[float], tuple[complex, complex]] | None = None,
+    refresh: CoefficientTrack | None = None,
     dense: bool = True,
 ) -> TrajectorySegment:
     """Outgoing trajectory emanating from the source at t0 with labels

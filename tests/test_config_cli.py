@@ -538,6 +538,28 @@ def test_coeffs_reads_file_track(tmp_path):
     assert dispatch(["coeffs", "--config", str(conf)]) == 1
 
 
+def test_only_the_kinds_that_read_the_window_check_it(tmp_path, capsys):
+    # a file track reads neither t_start nor t_end, so t_start = 3 above
+    # the default t_end = 1 is no reason to refuse it; a constant track
+    # builds its grid on that window and still refuses it
+    track_csv = tmp_path / "track.csv"
+    track_csv.write_text(
+        "0.0, 1.0, 0.0, 0.0, 1.0, 0.5, 0.0\n"
+        "1.0, 0.9, 0.0, 0.0, 1.1, 0.5, 0.0\n"
+    )
+    conf = tmp_path / "window.conf"
+    out = tmp_path / "coeffs.json"
+    conf.write_text(
+        f"[params]\nq = 0.96\n\n[track]\nkind = file\nfile = {track_csv}\nt_start = 3\n"
+    )
+    assert dispatch(["coeffs", "--config", str(conf), "--output", str(out)]) == 0
+    body = json.loads(out.read_text().splitlines()[1])
+    assert body["c_minus"] == [1.0, 0.0] and body["c_plus"] == [0.0, 1.0]
+    conf.write_text("[params]\nq = 0.96\n\n[track]\nkind = constant\nt_start = 3\n")
+    assert dispatch(["coeffs", "--config", str(conf)]) == 1
+    assert "track.t_end must exceed track.t_start" in capsys.readouterr().err
+
+
 def test_coeffs_config_refuses_amplitude_flags(tmp_path, capsys):
     # the config's q and track give the amplitudes; a flag beside it would
     # be silently ignored, so any of the three is a usage error
@@ -678,7 +700,7 @@ def test_trace_flies_the_field_simulate_flies(tmp_path, case, r0):
     cfg = parse_config(text)
     track = cli._build_track(cfg)
     model = cli._model_family(cfg).at(*track.coefficients(0.2))
-    field = track.coefficients if case == "psi_t" else None
+    field = track if case == "psi_t" else None
     if r0:
         start = SphericalState(0.2, 0.01, 0.5 * math.pi, 0.0)
         seg = integrate(model, start, 2.5, 1e-8, refresh=field)

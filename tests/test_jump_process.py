@@ -637,7 +637,7 @@ def test_fly_picks_each_flights_model_and_field():
         )
 
     for family, track, field in (
-        (fam, varying, varying.coefficients),
+        (fam, varying, varying),
         (fam, _constant_track(), None),
     ):
         model = family.at(*track.coefficients(0.2))

@@ -1,7 +1,6 @@
 """Deterministic flights: exact rates, closed-form primitives, the
 adaptive integrator, and the power-law fitter."""
 
-import cmath
 import math
 
 import numpy as np
@@ -33,7 +32,14 @@ from belljump.trajectory import (
     time_from_radius,
 )
 from belljump.jump_process import CoefficientTrack
-from belljump.wavefunction import ModelFamily, ModelWavefunction, overlap_parts
+from belljump.wavefunction import (
+    ModelFamily,
+    ModelWavefunction,
+    current_weights,
+    overlap_parts,
+    reduced_amplitudes,
+    span_currents,
+)
 from oracles import (
     PoleError,
     SignError,
@@ -132,12 +138,30 @@ def test_integrator_rhs_matches_oracles():
     assert worst < 1e-10
 
 
-def test_track_field_gives_the_bits_of_coefficients():
+def _oracle_rhs(params, subleading, track):
+    # the guiding field fed track.coefficients(t) at each stage, through
+    # reduced_amplitudes and span_currents with the operations _make_rhs
+    # applies to their results
+    one = 1.0 - 2.0 * params.B
+    weights = current_weights(params)
+
+    def field(t, s):
+        r = s ** (1.0 / one)
+        a, c = reduced_amplitudes(params, *track.coefficients(t), r, subleading)
+        j_r, j_phi_over_sin, rho = span_currents(
+            weights, a.real, a.imag, c.real, c.imag
+        )
+        return one * r ** (-2.0 * params.B) * j_r / rho, j_phi_over_sin / (r * rho)
+
+    return field
+
+
+def test_track_field_gives_the_bits_of_coefficients(monkeypatch):
     # one psi_t field reads the track's pieces itself, keeping the piece
     # of its last read: at random times, on every knot, outside the grid
     # (clamped) and in falling order (the absorption extrapolation reads
-    # behind the step) it gives the bits of the field fed
-    # track.coefficients(t), as a callable and as the fixed pair.  On the
+    # behind the step) it gives the bits of the oracle fed
+    # track.coefficients(t), and of the field of that fixed pair.  On the
     # rough track a piece's end rarely repeats the next knot's bits
     track = _drifting_track()
     p = track.params
@@ -157,34 +181,38 @@ def test_track_field_gives_the_bits_of_coefficients():
         ))
         for sub in ((0j, 0j), (0.05, 0.05j)):
             field = _make_rhs(p, sub, tr)
-            by_call = _make_rhs(p, sub, tr.coefficients)
+            oracle = _oracle_rhs(p, sub, tr)
             for t in times.tolist():
                 s = rng.uniform(1e-8, 0.5) ** one
                 got = repr(field(t, s))
-                assert got == repr(by_call(t, s))
+                assert got == repr(oracle(t, s))
                 assert got == repr(_make_rhs(p, sub, tr.coefficients(t))(t, s))
-    # whole flights step the same bits either way: emitted, and ingoing
-    # to absorption, whose extrapolation reads the field behind the step
+    # whole flights step the same bits on the oracle field: emitted, and
+    # ingoing to absorption, whose extrapolation reads the field behind
+    # the step
     inward = CoefficientTrack(
         p, track.times, track.c_minus_values, track.c_plus_values.conjugate(),
         track.psi0_values,
     )
     family = ModelFamily(p, 1.0)
-    for tr, start in ((track, None), (inward, SphericalState(0.4, 0.05, 1.0, 0.3))):
+
+    def flight(tr, start):
         model = family.at(*tr.coefficients(0.4))
-        segments = []
-        for refresh in (tr, tr.coefficients):
-            if start is None:
-                seg = emit_trajectory(model, 0.4, 1.0, 0.3, 1e-8, t_end=3.0, refresh=refresh)
-            else:
-                seg = integrate(model, start, 3.0, 1e-8, probe_radius=0.01, refresh=refresh)
-            segments.append((
-                seg.t.tobytes(), seg.r.tobytes(), seg.phi.tobytes(), seg.terminal,
-                seg.probe_crossings, seg.n_accepted, seg.n_rejected,
-            ))
-        assert segments[0] == segments[1]
-        assert segments[0][5] > 10
-    assert isinstance(segments[0][3], Absorbed) and segments[0][4]
+        if start is None:
+            seg = emit_trajectory(model, 0.4, 1.0, 0.3, 1e-8, t_end=3.0, refresh=tr)
+        else:
+            seg = integrate(model, start, 3.0, 1e-8, probe_radius=0.01, refresh=tr)
+        return (
+            seg.t.tobytes(), seg.r.tobytes(), seg.phi.tobytes(), seg.terminal,
+            seg.probe_crossings, seg.n_accepted, seg.n_rejected,
+        )
+
+    cases = ((track, None), (inward, SphericalState(0.4, 0.05, 1.0, 0.3)))
+    stepped = [flight(tr, start) for tr, start in cases]
+    monkeypatch.setattr(trajectory, "_make_rhs", _oracle_rhs)
+    assert stepped == [flight(tr, start) for tr, start in cases]
+    assert all(got[5] > 10 for got in stepped)
+    assert isinstance(stepped[1][3], Absorbed) and stepped[1][4]
 
 
 # ---------------------------------------------------------------------
@@ -387,9 +415,8 @@ def test_constant_refresh_reproduces_the_fixed_flight_bitwise():
     m = _model()
     start = SphericalState(0.0, 1e-3, 1.0, 0.0)
     plain = integrate(m, start, t_end=1e9, tol=1e-9)
-    refreshed = integrate(
-        m, start, t_end=1e9, tol=1e-9, refresh=lambda t: (1.0, 1j)
-    )
+    track = CoefficientTrack.constant(m.params, 1.0, 1j, 1.0, 0.0, 1.0)
+    refreshed = integrate(m, start, t_end=1e9, tol=1e-9, refresh=track)
     for a, b in ((plain.t, refreshed.t), (plain.r, refreshed.r), (plain.phi, refreshed.phi)):
         assert np.array_equal(a, b)
     assert (plain.n_accepted, plain.n_rejected) == (
@@ -433,46 +460,8 @@ def test_time_dependent_flight_digest_is_stable():
     # samples, terminal, crossings and step counts of DP5 flights under
     # psi_t on the drifting track: emitted at three times, one leaving
     # the inner region past a probe, and one with subleading amplitudes;
-    # the stage times, stage sums and field evaluations stay bitwise fixed
-    import hashlib
-
-    track = _drifting_track()
-    family = ModelFamily(track.params, 1.0)
-    sub = ModelFamily(track.params, 1.0, subleading_amp=(0.05, 0.05j))
-    outer = SphericalState(0.4, 0.05, 1.0, 0.3)
-    inner = SphericalState(0.4, 1e-3, 1.0, 0.3)
-    h = hashlib.sha256()
-    for tol in (1e-6, 1e-10):
-        segments = [
-            emit_trajectory(
-                family.at(*track.coefficients(t0)), t0, 0.5 * math.pi, 0.1, tol,
-                t_end=3.0, refresh=track.coefficients,
-            )
-            for t0 in (0.3, 1.1, 2.0)
-        ]
-        segments.append(integrate(
-            family.at(*track.coefficients(0.4)), outer, 3.0, tol,
-            probe_radius=0.2, refresh=track.coefficients,
-        ))
-        segments.append(integrate(
-            sub.at(*track.coefficients(0.4)), inner, 3.0, tol,
-            refresh=track.coefficients,
-        ))
-        for seg in segments:
-            for values in (seg.t, seg.r, seg.phi):
-                h.update(values.tobytes())
-            h.update(repr(
-                (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
-            ).encode())
-    assert h.hexdigest() == (
-        "fbd435044c72ee547ab3d4298faea4276fc54af06419e9f2024b348796878eed"
-    )
-
-
-def test_time_dependent_flight_digest_holds_for_the_track_read():
-    # the flights of the digest above with refresh=track, the route fly
-    # takes: the stages read the track's pieces themselves and step the
-    # same bits
+    # the stage times, stage sums and field evaluations stay bitwise fixed.
+    # The stages read the track's pieces themselves, the route fly takes
     import hashlib
 
     track = _drifting_track()
@@ -494,7 +483,8 @@ def test_time_dependent_flight_digest_holds_for_the_track_read():
             probe_radius=0.2, refresh=track,
         ))
         segments.append(integrate(
-            sub.at(*track.coefficients(0.4)), inner, 3.0, tol, refresh=track,
+            sub.at(*track.coefficients(0.4)), inner, 3.0, tol,
+            refresh=track,
         ))
         for seg in segments:
             for values in (seg.t, seg.r, seg.phi):
@@ -729,18 +719,21 @@ def test_subleading_flights_stay_on_the_integrator():
     m = _model(subleading_amp=(0.05, 0.05j))
     seg = integrate(m, SphericalState(0.0, 1e-2, 1.0, 0.0), 1e9, tol=1e-6, dense=False)
     assert seg.n_accepted > 0
+    m = _model()
+    track = CoefficientTrack.constant(m.params, 1.0, 1j, 1.0, 0.0, 1.0)
     refreshed = integrate(
-        _model(), SphericalState(0.0, 1e-2, 1.0, 0.0), 1e9, tol=1e-6,
-        refresh=lambda t: (1.0, 1j), dense=False,
+        m, SphericalState(0.0, 1e-2, 1.0, 0.0), 1e9, tol=1e-6,
+        refresh=track, dense=False,
     )
     assert refreshed.n_accepted > 0
 
 
 def test_emit_bounds_any_infinite_end():
-    # radial motion stops after t = 1e-3, so only the exit-time bound that
-    # an infinite t_end is replaced with ends the flight
+    # radial motion stops at t = 1e-3, where c_plus has turned from i to 1
+    # and the track holds it past its end, so only the exit-time bound
+    # that an infinite t_end is replaced with ends the flight
     m = _model()
-    stall = lambda t: (1.0, 1j) if t < 1e-3 else (1.0, 1.0 + 0j)
+    stall = CoefficientTrack(m.params, [0.0, 1e-3], [1.0, 1.0], [1j, 1.0], [1.0, 1.0])
     bound = 2.0 * time_from_radius(m.params, 1.0, 1j, 0.5) + 1.0
     for end in (math.inf, float("inf")):
         seg = emit_trajectory(m, 0.0, 1.0, 0.0, t_end=end, refresh=stall)
@@ -829,12 +822,16 @@ def test_flights_produce_ordered_positive_samples(
 ):
     # closed-form (dense=False) and DP5 flights, in and out, ended by
     # their terminal radius or by t_end, with and without a probe; with
-    # drift, on a field whose c_plus phase turns by up to 0.1 over time
-    # (never through Im = 0), which keeps every flight on the integrator
+    # drift, on a grid track whose c_plus phase turns by up to 0.1 over
+    # [0, 3] (never through Im = 0), which keeps every flight on the
+    # integrator
     cp = beta * complex(math.cos(phase), -math.sin(phase) if inward else math.sin(phase))
     refresh = None
     if drift:
-        refresh = lambda t: (1.0, cp * cmath.exp(0.1j * math.sin(2.0 * math.pi * t / 1.5)))
+        t = np.linspace(0.0, 3.0, 65)
+        ones = np.ones_like(t)
+        turn = np.exp(0.1j * np.sin(2.0 * math.pi * t / 1.5))
+        refresh = CoefficientTrack(params, t, ones, cp * turn, ones)
     m = ModelWavefunction(params, 1.0, cp, 1.0)
     r0 = min(max(10.0**log_r0, math.nextafter(m.r_min, 1.0)), math.nextafter(0.5, 0.0))
     r_term = m.r_min if inward else 0.5
