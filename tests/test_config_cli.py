@@ -468,6 +468,18 @@ def test_unnormalized_track_exits_2(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    # an I/O failure is a runtime failure: here the output is a directory
+    conf = tmp_path / "trace.conf"
+    conf.write_text(TRACE_CONF.replace("tol = 1e-10", "tol = 1e-6"))
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert dispatch(["trace", "--config", str(conf), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("belljump: [Errno 21] Is a directory")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------
 # coeffs
 # ---------------------------------------------------------------------
@@ -842,6 +854,34 @@ def test_simulate_trace_dir_replays_absorbing_path(tmp_path):
     assert records[-1]["n_absorptions"] == 1
 
 
+def test_simulate_parked_time_exhausted_and_probe_records(tmp_path):
+    # ENSEMBLE_CONF (outgoing field, window [0, 3]) with a probe sphere at
+    # r = 0.2: seed 46 draws the particle at r >= r_cut/2, where it is
+    # parked; seed 3 starts in flight, crosses the probe outward and is
+    # still inside r_cut/2 when the window ends
+    def simulate(seed):
+        run_dir = tmp_path / f"seed{seed}"
+        run_dir.mkdir()
+        conf_text = ENSEMBLE_CONF.replace("seed = 79", f"seed = {seed}")
+        return _simulate_with_traces(run_dir, conf_text + "probe_radius = 0.2\n")
+
+    records = simulate(46)
+    assert [rec["record"] for rec in records] == ["header", "parked", "end"]
+    assert records[1] == {"record": "parked"}
+    assert records[-1]["n_emissions"] == records[-1]["n_absorptions"] == 0
+
+    records = simulate(3)
+    assert [rec["record"] for rec in records] == ["header", "flight", "end"]
+    flight = records[1]
+    assert flight["terminal"] == {"kind": "time_exhausted"}
+    assert flight["t_end"] == 3.0
+    (crossing,) = flight["probe_crossings"]
+    assert set(crossing) == {"t", "r", "direction"}
+    assert crossing["direction"] == 1
+    assert crossing["r"] == pytest.approx(0.2, rel=1e-9)
+    assert flight["t_start"] < crossing["t"] < flight["t_end"]
+
+
 def test_ensemble_summary_and_histograms(tmp_path):
     conf = tmp_path / "ens.conf"
     conf.write_text(ENSEMBLE_CONF.replace("seed = 79", "seed = 77"))
@@ -880,6 +920,32 @@ def test_ensemble_summary_and_histograms(tmp_path):
     assert sum(tables["emission_time"]) == totals["n_emissions"]
     assert sum(tables["emission_cos_theta"]) == totals["n_emissions"]
     assert "snapshot" not in records
+
+
+def test_ensemble_writes_the_emission_angle_report(tmp_path):
+    # EMITTING_CONF drains the vacuum over its window, so nearly every
+    # one of 1100 paths emits once: enough emissions for the angle tests
+    conf = tmp_path / "ens.conf"
+    conf.write_text(EMITTING_CONF.replace("n_paths = 300", "n_paths = 1100"))
+    out = tmp_path / "out"
+    assert dispatch(["ensemble", "--config", str(conf), "--output", str(out)]) == 0
+    records = {
+        rec["record"]: rec
+        for rec in map(
+            json.loads, (out / "ensemble_summary.json").read_text().splitlines()
+        )
+    }
+    angles = records["emission_angles"]
+    assert set(angles) == {
+        "record", "n_events", "chi2", "dof", "chi2_p_value", "ks_p_value", "passed"
+    }
+    assert angles["n_events"] == records["totals"]["n_emissions"] >= 1000
+    assert angles["dof"] == 99
+    assert 0.0 <= angles["chi2_p_value"] <= 1.0
+    assert 0.0 <= angles["ks_p_value"] <= 1.0
+    assert angles["passed"] == (
+        angles["chi2_p_value"] > 0.01 and angles["ks_p_value"] > 0.01
+    )
 
 
 def test_ensemble_without_angle_report_skips_scipy_stats(tmp_path):

@@ -334,6 +334,28 @@ def test_ingoing_integration_absorbed_at_closed_form_time():
     assert np.all(np.diff(seg.r) < 0.0)
 
 
+def test_coarse_ingoing_flight_rejects_steps_past_the_source(monkeypatch):
+    # a fast ingoing pair at tol 1e-3 from r = 0.3: the step control aims
+    # steps just below the absorption level, and some attempts still
+    # carry a stage past the source; the integrator must reject and shrink
+    # those and land at the closed-form arrival time
+    p = canonical_params(0.96)
+    attempt = trajectory._dp5_attempt
+    attempts = []
+
+    def counted(*args):
+        attempts.append(attempt(*args))
+        return attempts[-1]
+
+    monkeypatch.setattr(trajectory, "_dp5_attempt", counted)
+    m = ModelWavefunction(p, 1.0, -10j, r_cut=1.0)
+    seg = integrate(m, SphericalState(0.0, 0.3, 1.0, 0.0), math.inf, 1e-3)
+    assert sum(a is None for a in attempts) >= 1
+    assert isinstance(seg.terminal, Absorbed)
+    want = -time_from_radius(p, 1.0, -10j, 0.3)
+    assert abs(seg.terminal.t0 - want) < 2e-5 * want
+
+
 def test_time_exhausted_terminal():
     m = _model()
     start = SphericalState(0.0, 0.01, 1.0, 0.0)
