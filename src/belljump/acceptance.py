@@ -60,6 +60,7 @@ from .wavefunction import (
     ModelWavefunction,
     current_coeffs,
     current_exact,
+    eval_psi1,
 )
 
 _Q_LOW = math.sqrt(3.0) / 2.0
@@ -363,10 +364,11 @@ def criterion_4():
 @_criterion(5, "cone law", 10.0)
 def criterion_5():
     """theta stays at theta0 in the last decade of radius before
-    absorption, with and without subleading terms.  This holds by
-    construction: integrate steps r and phi only and fills theta with
-    the start value, so both deviations read exactly 0.  The physics
-    behind the law, j_theta = 0, is what criterion 2 checks."""
+    absorption, with and without subleading terms.  integrate keeps
+    theta at its start value, so the check bounds the polar drift the
+    field would cause there instead: the trapezoid integral of
+    |dtheta/dt| = |j_theta / (r rho)| over the flight's samples, with j
+    from the spinor contraction (current_exact) and rho = |psi|^2."""
     params = canonical_params(0.94)
     cm, cp = 0.8 + 0.1j, -0.6j
     theta0 = 0.77
@@ -375,7 +377,12 @@ def criterion_5():
         seg = _test_flight(params, cm, cp, theta=theta0, subleading_amp=sub)
         # final decade of radius before absorption: [r_min, 10 r_min]
         mask = seg.r <= 1e-8
-        devs.append(float(np.max(np.abs(seg.theta[mask] - theta0))))
+        rates = []
+        for r, phi in zip(seg.r[mask], seg.phi[mask]):
+            j_theta = current_exact(seg.model, r, theta0, phi)[1]
+            psi = eval_psi1(seg.model, r, theta0, phi)
+            rates.append(abs(j_theta) / (r * np.vdot(psi, psi).real))
+        devs.append(float(np.trapezoid(rates, seg.t[mask])))
     passed = devs[0] < 1e-8 and devs[1] < 1e-2
     return (
         passed,

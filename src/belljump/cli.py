@@ -276,11 +276,11 @@ def _trace_lines(cfg: RunConfig, segment):
     """The CSV of one flight: every run.decimation-th sample and the last."""
     n = len(segment.t)
     keep = sorted(set(range(0, n, cfg.run.decimation)) | {n - 1})
+    th = segment.theta
     rows = []
     for i in keep:
         t = float(segment.t[i])
         r = float(segment.r[i])
-        th = float(segment.theta[i])
         ph = float(segment.phi[i])
         x, y, z = (float(v) for v in from_spherical(r, th, ph % (2.0 * math.pi)))
         rows.append(f"{t!r},{r!r},{th!r},{ph!r},{x!r},{y!r},{z!r}")
@@ -370,15 +370,13 @@ def _cmd_simulate(ns) -> int:
     family = _model_family(cfg)
     track = _build_track(cfg)
     t_span = _window(cfg, track)
-    vac_weight, sampler = ensemble.make_initial_sampler(family, track, t_span[0])
     path = ensemble.draw_path(
         family,
         track,
         t_span,
         seed,
         0,
-        vac_weight=vac_weight,
-        sampler=sampler,
+        sampler=ensemble.make_initial_sampler(family, track, t_span[0]),
         tol=cfg.run.tol,
         probe_radius=cfg.run.probe_radius,
     )
@@ -564,7 +562,7 @@ def dispatch(argv) -> int:
         print(f"belljump: internal error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"belljump: {exc}", file=sys.stderr)
+        print(f"belljump: runtime error: {exc}", file=sys.stderr)
         return 2
 
 

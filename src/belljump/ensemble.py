@@ -176,10 +176,12 @@ class EnsembleStats:
 # initial-condition sampling
 # =====================================================================
 
-class _RadialSampler:
-    """Inverse-CDF draw of the initial radius from the sector-1 mass."""
+class _InitialSampler:
+    """The initial draw at one time: the vacuum weight |psi0|^2 and the
+    inverse-CDF draw of the radius from the sector-1 mass."""
 
-    def __init__(self, model: ModelWavefunction):
+    def __init__(self, vac_weight: float, model: ModelWavefunction):
+        self.vac_weight = vac_weight
         s_grid, cum = radial_mass_profile(model)
         self.total_mass = float(cum[-1])
         one = 1.0 - 2.0 * model.params.B
@@ -206,21 +208,20 @@ def make_initial_sampler(
     model_family: ModelFamily,
     track: CoefficientTrack,
     t: float,
-) -> tuple[float, _RadialSampler]:
-    """Vacuum weight and radial sampler at time t, with the two-sector
-    normalization checked."""
+) -> _InitialSampler:
+    """The initial draw at time t, with the two-sector normalization
+    checked."""
     if track.params != model_family.params:
         raise DomainError("track and model family carry different params")
-    vac_weight = track.vacuum_weight(t)
     cm, cp = track.coefficients(t)
-    sampler = _RadialSampler(model_family.at(cm, cp))
-    total = vac_weight + sampler.total_mass
+    sampler = _InitialSampler(track.vacuum_weight(t), model_family.at(cm, cp))
+    total = sampler.vac_weight + sampler.total_mass
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NormalizationError(
             f"|psi0|^2 + sector-1 mass = {total!r} at t = {t!r}; "
             "the ensemble draw needs a normalized two-sector state"
         )
-    return vac_weight, sampler
+    return sampler
 
 
 def _stream_key(seed: int, index: int) -> tuple[int, int]:
@@ -263,8 +264,7 @@ def draw_path(
     seed: int,
     index: int,
     *,
-    vac_weight: float,
-    sampler: _RadialSampler,
+    sampler: _InitialSampler,
     tol: float = 1e-6,
     probe_radius: float | None = None,
     rng: np.random.Generator | None = None,
@@ -275,7 +275,7 @@ def draw_path(
     t_a, t_b = float(t_span[0]), float(t_span[1])
     rng = _path_stream(seed, index, rng)
     r_top = 0.5 * model_family.r_cut
-    if rng.random() < vac_weight:
+    if rng.random() < sampler.vac_weight:
         config: Vacuum | Particle = Vacuum()
     else:
         r0 = sampler.draw_radius(rng.random())
@@ -335,7 +335,7 @@ def run_ensemble(
     if n_paths == 0:
         return EnsembleStats.empty(grid, probe_radius, snapshot_time)
 
-    vac_weight, sampler = make_initial_sampler(model_family, track, t_a)
+    sampler = make_initial_sampler(model_family, track, t_a)
     rng = np.random.Generator(np.random.Philox(0))  # re-keyed per path
     # per-path values are collected in lists and turned into arrays once;
     # a vacuum span (a, b) marks +1 at the first grid time >= a and -1 past
@@ -350,7 +350,6 @@ def run_ensemble(
             (t_a, t_b),
             seed,
             index,
-            vac_weight=vac_weight,
             sampler=sampler,
             tol=tol,
             probe_radius=probe_radius,
@@ -488,8 +487,6 @@ def master_equation_occupancy(
 
 @dataclass(frozen=True)
 class SectorComparison:
-    times: np.ndarray
-    p0_hat: np.ndarray
     expected: np.ndarray
     z_scores: np.ndarray
     fraction_exceeding: float
@@ -505,9 +502,8 @@ def sector0_comparison(
     """Pointwise z-scores of the empirical vacuum occupancy against
     |psi0(t)|^2 (or a supplied expectation, e.g. the master-equation
     oracle); passes iff at most 1% of grid times exceed |z| = z_limit."""
-    times = stats.time_grid
     if expected is None:
-        expected = track.vacuum_weight(times)
+        expected = track.vacuum_weight(stats.time_grid)
     expected = np.asarray(expected, dtype=float)
     p_hat = stats.p0_hat
     n = stats.n_paths
@@ -521,8 +517,6 @@ def sector0_comparison(
     z[exact] = np.where(p_hat[exact] == expected[exact], 0.0, np.inf)
     frac = float(np.mean(np.abs(z) > z_limit))
     return SectorComparison(
-        times=times,
-        p0_hat=p_hat,
         expected=expected,
         z_scores=z,
         fraction_exceeding=frac,
@@ -541,36 +535,24 @@ class FluxReport:
     passed: bool
 
 
-def flux_estimate(stats: EnsembleStats, r_probe: float) -> float:
-    """Signed empirical probability flux through the probe sphere,
-    (outward - inward crossings) / (n_paths * window);
-    InsufficientEvents for an ensemble with no paths."""
-    if stats.probe_radius is None:
-        raise DomainError("ensemble was run without a probe radius")
-    if not math.isclose(r_probe, stats.probe_radius, rel_tol=1e-12):
-        raise DomainError(
-            f"stats carry probe radius {stats.probe_radius!r}, not {r_probe!r}"
-        )
-    if stats.n_paths == 0:
-        raise InsufficientEvents("no paths in the ensemble")
-    window = float(stats.time_grid[-1] - stats.time_grid[0])
-    net = len(stats.outward_crossing_times) - len(stats.inward_crossing_times)
-    return net / (stats.n_paths * window)
-
-
 def flux_report(stats: EnsembleStats, track: CoefficientTrack) -> FluxReport:
-    """Compare the empirical signed flux at the probe radius with
-    4 pi C_r of the track coefficients (constant-coefficient tracks);
-    passes iff |z| <= 3."""
+    """Compare the empirical signed flux through the probe sphere,
+    (outward - inward crossings) / (n_paths * window), with 4 pi C_r of
+    the track coefficients (constant-coefficient tracks); passes iff
+    |z| <= 3.  InsufficientEvents for an ensemble with no paths."""
     if track.constant_coefficients is None:
         raise DomainError("flux comparison needs a constant-coefficient track")
     cm, cp = track.constant_coefficients
     expected = 4.0 * math.pi * current_coeffs(track.params, cm, cp).C_r
-    estimate = flux_estimate(stats, stats.probe_radius)
+    if stats.probe_radius is None:
+        raise DomainError("ensemble was run without a probe radius")
     n = stats.n_paths
+    if n == 0:
+        raise InsufficientEvents("no paths in the ensemble")
     n_in = len(stats.inward_crossing_times)
     n_out = len(stats.outward_crossing_times)
     window = float(stats.time_grid[-1] - stats.time_grid[0])
+    estimate = (n_out - n_in) / (n * window)
     count = n_in + n_out
     # crossings are near-Bernoulli per path; binomial width on the count
     p_hat = min(count / n, 1.0)
@@ -593,7 +575,6 @@ class AngleUniformityReport:
     chi2: float
     dof: int
     chi2_p_value: float
-    ks_statistic: float
     ks_p_value: float
     passed: bool
 
@@ -629,7 +610,6 @@ def angle_arrays_report(
         chi2=chi2,
         dof=dof,
         chi2_p_value=chi2_p,
-        ks_statistic=float(ks.statistic),
         ks_p_value=float(ks.pvalue),
         passed=passed,
     )

@@ -130,21 +130,22 @@ class TrajectorySegment:
 
     The segment keeps the float arrays its producer built: of equal
     length, t strictly increasing and r > 0, which integrate and
-    _closed_form_flight guarantee by construction."""
+    _closed_form_flight guarantee by construction.  theta is one float:
+    j_theta = 0 keeps every flight on its cone."""
 
     t: np.ndarray
     r: np.ndarray
-    theta: np.ndarray
+    theta: float
     phi: np.ndarray
     terminal: Absorbed | LeftInnerRegion | TimeExhausted
+    model: ModelWavefunction
     probe_crossings: tuple[ProbeCrossing, ...] = ()
     n_accepted: int = 0
     n_rejected: int = 0
-    model: ModelWavefunction | None = None
 
     @property
     def initial(self) -> SphericalState:
-        return SphericalState(self.t[0], self.r[0], self.theta[0], self.phi[0])
+        return SphericalState(self.t[0], self.r[0], self.theta, self.phi[0])
 
     def radius_at(self, t: float) -> float | None:
         """Radius at time t, or None outside the segment's time span.
@@ -157,8 +158,6 @@ class TrajectorySegment:
         """
         if not self.t[0] <= t <= self.t[-1]:
             return None
-        if self.model is None:
-            raise DomainError("segment carries no model to evaluate radii with")
         p = self.model.params
         if self.n_accepted == 0:
             parts = self.model.overlap_parts
@@ -309,16 +308,15 @@ def _closed_form_flight(
             crossings = (ProbeCrossing(t=tc, r=rp, direction=-1 if inward else 1),)
 
     radii = [r_i, *(pc.r for pc in crossings), r_last]
-    t, r, theta, phi = np.array([
+    t, r, phi = np.array([
         [t_i, *(pc.t for pc in crossings), t_last],
         radii,
-        [float(initial.theta)] * len(radii),
         [phi_i] + [phi_label + _azimuth(p, parts, r) for r in radii[1:]],
     ])
     return TrajectorySegment(
         t=t,
         r=r,
-        theta=theta,
+        theta=float(initial.theta),
         phi=phi,
         terminal=terminal,
         probe_crossings=crossings,
@@ -682,7 +680,7 @@ def integrate(
     return TrajectorySegment(
         t=np.array(ts),
         r=r_arr,
-        theta=np.full(len(ts), theta),
+        theta=theta,
         phi=np.array(phis),
         terminal=terminal,
         probe_crossings=tuple(crossings),

@@ -8,6 +8,7 @@ selftest and this suite run exactly the same code.
 
 import pytest
 
+from belljump import spinor_basis, wavefunction
 from belljump.acceptance import _CRITERIA
 
 
@@ -24,3 +25,14 @@ def _run(number):
 @pytest.mark.parametrize("number", sorted(_CRITERIA))
 def test_criterion(number):
     _run(number)
+
+
+def test_cone_law_fails_on_a_polar_current(monkeypatch):
+    # the current read with alpha_phi in place of alpha_theta: a field
+    # with j_theta = j_phi would wind the flight off its cone
+    def alpha_component(k, point):
+        return spinor_basis.alpha_component("phi" if k == "theta" else k, point)
+
+    monkeypatch.setattr(wavefunction, "alpha_component", alpha_component)
+    res = _CRITERIA[5]()
+    assert not res.passed, res.detail

@@ -19,7 +19,6 @@ from belljump.ensemble import (
     angle_arrays_report,
     angle_uniformity_test,
     draw_path,
-    flux_estimate,
     flux_report,
     make_initial_sampler,
     master_equation_occupancy,
@@ -133,12 +132,11 @@ def test_run_equals_fold_of_single_path_stats(setup):
         probe_radius=probe, snapshot_time=snapshot,
     )
     grid = np.linspace(*span, 11)
-    vac_weight, sampler = make_initial_sampler(fam, track, span[0])
+    sampler = make_initial_sampler(fam, track, span[0])
     folded = EnsembleStats.empty(grid, probe, snapshot)
     for index in range(n):
         path = draw_path(
-            fam, track, span, seed, index, vac_weight=vac_weight,
-            sampler=sampler, probe_radius=probe,
+            fam, track, span, seed, index, sampler=sampler, probe_radius=probe
         )
         folded = folded.merge(_single_path_stats(path, grid, probe, snapshot))
     assert _stats_equal(stats, folded)
@@ -271,9 +269,9 @@ def _path_fingerprint(path):
     parts = [repr(path.t_span), repr(path.events)]
     for entry in path.entries:
         if isinstance(entry, TrajectorySegment):
-            parts += [a.tobytes() for a in (entry.t, entry.r, entry.theta, entry.phi)]
+            parts += [a.tobytes() for a in (entry.t, entry.r, entry.phi)]
             parts.append(repr((
-                entry.terminal, entry.probe_crossings, entry.n_accepted,
+                entry.theta, entry.terminal, entry.probe_crossings, entry.n_accepted,
                 entry.n_rejected, entry.model,
             )))
         else:
@@ -294,11 +292,10 @@ def test_run_paths_equal_fresh_generator_replays(monkeypatch):
 
     monkeypatch.setattr(ensemble, "draw_path", recording)
     run_ensemble(fam, track, 40, span, seed, time_grid_n=11, probe_radius=probe)
-    vac_weight, sampler = make_initial_sampler(fam, track, span[0])
+    sampler = make_initial_sampler(fam, track, span[0])
     for index, path in enumerate(drawn):
         replay = draw_path(
-            fam, track, span, seed, index, vac_weight=vac_weight,
-            sampler=sampler, probe_radius=probe,
+            fam, track, span, seed, index, sampler=sampler, probe_radius=probe
         )
         assert _path_fingerprint(path) == _path_fingerprint(replay)
     starts = {type(p.entries[0]).__name__ if p.entries else "parked" for p in drawn}
@@ -414,8 +411,8 @@ def test_vacuum_counts_equal_oracle_occupancy(monkeypatch):
     fam, track = _balanced_setup()
     grid = np.linspace(0.0, 1.0, 11)
     flight = TrajectorySegment(
-        t=np.array([0.0, 1.0]), r=np.array([0.1, 0.1]), theta=np.zeros(2),
-        phi=np.zeros(2), terminal=Absorbed(1.0),
+        t=np.array([0.0, 1.0]), r=np.array([0.1, 0.1]), theta=0.0,
+        phi=np.zeros(2), terminal=Absorbed(1.0), model=fam.at(1.0, 1j),
     )
     span_sets = [
         [(0.0, 1.0)],
@@ -450,7 +447,7 @@ def test_draw_radius_equals_numpy_interp():
         fam = ModelFamily(P96, 1.0)
         cm, cp = normalized_amplitudes(P96, 1.0, cp, 1.0, 0.3)
         track = CoefficientTrack.constant(P96, cm, cp, math.sqrt(0.7), 0.0, 1.0)
-        _, sampler = make_initial_sampler(fam, track, 0.0)
+        sampler = make_initial_sampler(fam, track, 0.0)
         cum, s_grid = np.array(sampler.cum), np.array(sampler.s_grid)
         us = [0.0, 1.0, *np.random.default_rng(3).random(4000)]
         for u in us:
@@ -494,7 +491,7 @@ def test_sampler_honours_draw_floor():
     _, track = _balanced_setup()
     r_min = 1e-6
     fam = ModelFamily(P96, 1.0, r_min=r_min)
-    _, sampler = make_initial_sampler(fam, track, 0.0)
+    sampler = make_initial_sampler(fam, track, 0.0)
     for u in (0.0, 1e-9, 0.5, 1.0):
         assert sampler.draw_radius(u) >= DRAW_FLOOR_FACTOR * r_min * (1.0 - 1e-9)
     assert sampler.draw_radius(1.0) <= 1.0
@@ -516,22 +513,20 @@ def test_first_flight_starts_at_the_drawn_position():
     # a particle path's first flight starts exactly at (t_a, r0, theta0, phi0)
     span, seed = (0.0, 0.5), 77
     for fam, track in (_balanced_setup(), _ingoing_setup()[:2]):
-        vac_weight, sampler = make_initial_sampler(fam, track, span[0])
+        sampler = make_initial_sampler(fam, track, span[0])
         started = 0
         for index in range(80):
             rng = ensemble._path_stream(seed, index, None)
-            if rng.random() < vac_weight:
+            if rng.random() < sampler.vac_weight:
                 continue
             r0 = sampler.draw_radius(rng.random())
             theta0, phi0 = sample_emission_angles(rng)
             if r0 >= 0.5 * fam.r_cut:
                 continue
-            path = draw_path(
-                fam, track, span, seed, index, vac_weight=vac_weight, sampler=sampler
-            )
+            path = draw_path(fam, track, span, seed, index, sampler=sampler)
             flight = path.entries[0]
             assert isinstance(flight, TrajectorySegment)
-            start = (flight.t[0], flight.r[0], flight.theta[0], flight.phi[0])
+            start = (flight.t[0], flight.r[0], flight.theta, flight.phi[0])
             assert start == (span[0], r0, theta0, phi0), index
             started += 1
         assert started >= 15
@@ -540,13 +535,10 @@ def test_first_flight_starts_at_the_drawn_position():
 def test_parked_draws_outside_modeled_region():
     # the ingoing state carries mass beyond r_cut/2; such draws park
     fam, track, _, _ = _ingoing_setup()
-    vac_weight, sampler = make_initial_sampler(fam, track, 0.0)
+    sampler = make_initial_sampler(fam, track, 0.0)
     parked = in_flight = 0
     for index in range(60):
-        path = draw_path(
-            fam, track, (0.0, 0.01), 65, index,
-            vac_weight=vac_weight, sampler=sampler,
-        )
+        path = draw_path(fam, track, (0.0, 0.01), 65, index, sampler=sampler)
         if path.entries == () and path.vacuum_spans == ():
             parked += 1
             assert path.events == ()
@@ -782,11 +774,9 @@ def test_ingoing_snapshot_radial_law(ingoing_run):
 
 def test_flux_estimate_guards(ingoing_run):
     fam, track, stats, _ = ingoing_run
-    with pytest.raises(DomainError):
-        flux_estimate(stats, 0.5)  # probe mismatch
     bare = EnsembleStats.empty(np.linspace(0.0, 1.0, 5))
-    with pytest.raises(DomainError):
-        flux_estimate(bare, 0.1)
+    with pytest.raises(DomainError, match="without a probe radius"):
+        flux_report(bare, track)
     varying = CoefficientTrack(
         P96,
         np.linspace(0.0, 1.0, 33),
@@ -799,13 +789,10 @@ def test_flux_estimate_guards(ingoing_run):
 
 
 def test_flux_report_refuses_an_empty_ensemble(ingoing_run):
-    # no paths carry no flux estimate: the estimate and both reports
-    # refuse, rather than an estimate of 0 or a report passing with z = 0
-    # and sigma = inf
+    # no paths carry no flux estimate: both reports refuse, rather than
+    # an estimate of 0 or a report passing with z = 0 and sigma = inf
     fam, track, _, window = ingoing_run
     empty = run_ensemble(fam, track, 0, (0.0, window), 1, probe_radius=1e-4)
-    with pytest.raises(InsufficientEvents, match="no paths"):
-        flux_estimate(empty, 1e-4)
     for report in (flux_report, sector0_comparison):
         with pytest.raises(InsufficientEvents, match="no paths"):
             report(empty, track)

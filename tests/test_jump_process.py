@@ -631,7 +631,7 @@ def test_fly_picks_each_flights_model_and_field():
 
     def fingerprint(seg):
         return (
-            seg.t.tobytes(), seg.r.tobytes(), seg.theta.tobytes(), seg.phi.tobytes(),
+            seg.t.tobytes(), seg.r.tobytes(), seg.theta, seg.phi.tobytes(),
             seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected,
             seg.model,
         )

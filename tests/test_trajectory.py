@@ -310,13 +310,13 @@ def test_outgoing_integration_matches_closed_forms():
     # every accepted sample obeys t(r) and phi(r)
     p = m.params
     worst_t = worst_phi = 0.0
-    rows = list(zip(seg.t, seg.r, seg.theta, seg.phi))
-    for t, r, theta, phi in rows[:: max(1, len(seg.t) // 40)]:
+    assert seg.theta == 0.9
+    rows = list(zip(seg.t, seg.r, seg.phi))
+    for t, r, phi in rows[:: max(1, len(seg.t) // 40)]:
         want_t = time_from_radius(p, m.c_minus, m.c_plus, r)
         worst_t = max(worst_t, abs(t - want_t) / max(abs(want_t), 1e-12))
         want_phi = 0.25 + azimuth_from_radius(p, m.c_minus, m.c_plus, r)
         worst_phi = max(worst_phi, abs(phi - want_phi) / max(abs(want_phi), 1.0))
-        assert theta == 0.9
     assert worst_t < 1e-8
     assert worst_phi < 1e-6
 
@@ -685,7 +685,7 @@ def test_integrated_radius_at_matches_scipy_spline():
         r = 0.01 + 0.05 * t**2
         segments.append(
             TrajectorySegment(
-                t=t, r=r, theta=np.ones(n), phi=np.zeros(n),
+                t=t, r=r, theta=1.0, phi=np.zeros(n),
                 terminal=TimeExhausted(), n_accepted=n - 1, model=_model(),
             )
         )
@@ -828,25 +828,27 @@ _PARAMS = (
     log_probe=st.none() | st.floats(-7.9, math.log10(0.499)),
     dense=st.booleans(),
     drift=st.booleans(),
+    sub=st.booleans(),
 )
 @example(  # ingoing start one float above r_min: t(r_min) - t(r0) rounds to 0
     params=_PARAMS[0], inward=True, phase=math.pi / 2, beta=1.0,
     log_r0=math.log10(math.nextafter(1e-8, 1.0)), frac=2.0, log_probe=None,
-    dense=False, drift=False,
+    dense=False, drift=False, sub=False,
 )
 @example(  # outgoing start one float below r_cut/2
     params=_PARAMS[0], inward=False, phase=math.pi / 2, beta=1.0,
     log_r0=math.log10(math.nextafter(0.5, 0.0)), frac=2.0, log_probe=None,
-    dense=False, drift=False,
+    dense=False, drift=False, sub=False,
 )
 def test_flights_produce_ordered_positive_samples(
-    params, inward, phase, beta, log_r0, frac, log_probe, dense, drift
+    params, inward, phase, beta, log_r0, frac, log_probe, dense, drift, sub
 ):
     # closed-form (dense=False) and DP5 flights, in and out, ended by
     # their terminal radius or by t_end, with and without a probe; with
     # drift, on a grid track whose c_plus phase turns by up to 0.1 over
     # [0, 3] (never through Im = 0), which keeps every flight on the
-    # integrator
+    # integrator; with sub, a subleading s_plus along c_plus, which keeps
+    # the sign of Im and so r monotone, and the flight on the integrator
     cp = beta * complex(math.cos(phase), -math.sin(phase) if inward else math.sin(phase))
     refresh = None
     if drift:
@@ -854,7 +856,9 @@ def test_flights_produce_ordered_positive_samples(
         ones = np.ones_like(t)
         turn = np.exp(0.1j * np.sin(2.0 * math.pi * t / 1.5))
         refresh = CoefficientTrack(params, t, ones, cp * turn, ones)
-    m = ModelWavefunction(params, 1.0, cp, 1.0)
+    m = ModelWavefunction(
+        params, 1.0, cp, 1.0, subleading_amp=(0j, 0.5 * cp) if sub else (0j, 0j)
+    )
     r0 = min(max(10.0**log_r0, math.nextafter(m.r_min, 1.0)), math.nextafter(0.5, 0.0))
     r_term = m.r_min if inward else 0.5
     span = abs(
@@ -867,23 +871,24 @@ def test_flights_produce_ordered_positive_samples(
         m, SphericalState(t0, r0, 1.0, 0.3), t_end, tol=1e-6,
         probe_radius=probe, refresh=refresh, dense=dense,
     )
-    arrays = (seg.t, seg.r, seg.theta, seg.phi)
+    arrays = (seg.t, seg.r, seg.phi)
     assert all(a.dtype == np.float64 and a.shape == seg.t.shape for a in arrays)
+    assert type(seg.theta) is float and seg.theta == 1.0
     assert len(seg.t) >= 2
     assert np.all(np.diff(seg.t) > 0.0)
     assert np.all(seg.r > 0.0)
-    assert (seg.n_accepted == 0) == (not dense and not drift)
+    assert (seg.n_accepted == 0) == (not dense and not drift and not sub)
     assert len(seg.probe_crossings) <= (probe is not None)  # r is monotone
 
 
 def test_segment_invariants():
     seg = TrajectorySegment(
-        t=[0.0, 1.0], r=[0.1, 0.2], theta=[1.0, 1.0], phi=[0.0, 0.5],
-        terminal=TimeExhausted(),
+        t=[0.0, 1.0], r=[0.1, 0.2], theta=1.0, phi=[0.0, 0.5],
+        terminal=TimeExhausted(), model=_model(),
     )
     assert seg.initial == SphericalState(0.0, 0.1, 1.0, 0.0)
-    assert (seg.t[-1], seg.r[-1], seg.theta[-1], seg.phi[-1]) == (1.0, 0.2, 1.0, 0.5)
-    assert len(seg.t) == len(seg.r) == len(seg.theta) == len(seg.phi) == 2
+    assert (seg.t[-1], seg.r[-1], seg.phi[-1]) == (1.0, 0.2, 0.5)
+    assert len(seg.t) == len(seg.r) == len(seg.phi) == 2
 
 
 # ---------------------------------------------------------------------

@@ -4,7 +4,8 @@ No linter is a dependency of the project, so this parses each module of
 src/belljump and lists the imported names that no expression references
 (except in __init__.py, whose imports are its public surface) and the
 module-level `_name` bindings that the module never reads.  It also lists
-the parameter fields that only the config parser reads.
+the parameter fields that only the config parser reads, and the fields of
+the flight and report records that nothing in the package reads.
 """
 
 import ast
@@ -12,7 +13,14 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from belljump import config
+from belljump.ensemble import (
+    AngleUniformityReport,
+    EnsembleStats,
+    FluxReport,
+    SectorComparison,
+)
 from belljump.params import PhysParams
+from belljump.trajectory import TrajectorySegment
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "belljump"
 
@@ -148,4 +156,21 @@ def test_every_parameter_field_is_read_outside_the_parser():
         if path.name != "config.py"
     ]
     classes = [PhysParams, config.ModelConfig, config.TrackConfig, config.RunBlock]
+    assert unread_fields(classes, sources) == []
+
+
+def test_every_record_field_is_read_in_the_package():
+    # the match is by attribute name, on any object: `track.times` once
+    # hid an unread SectorComparison.times, and `stats.p0_hat` an unread
+    # SectorComparison.p0_hat
+    sources = [
+        path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
+    ]
+    classes = [
+        TrajectorySegment,
+        EnsembleStats,
+        SectorComparison,
+        FluxReport,
+        AngleUniformityReport,
+    ]
     assert unread_fields(classes, sources) == []
