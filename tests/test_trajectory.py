@@ -382,6 +382,20 @@ def test_first_step_does_not_climb_the_growth_cap():
     assert capped.sum() <= 1 and not capped[1:].any()
 
 
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-10])
+@pytest.mark.parametrize("start", [1.5, 3.0])
+def test_ingoing_flight_from_next_to_r_min_is_absorbed(start, tol):
+    # the first step's Euler probe s + h0 ds/dt can land at or below the
+    # source from here; the flight still ends Absorbed, with t0 carried
+    # below r_min by the linear continuation
+    m = _model(cp=-1j)
+    r0 = start * m.r_min
+    seg = integrate(m, SphericalState(0.0, r0, 1.0, 0.0), math.inf, tol)
+    assert isinstance(seg.terminal, Absorbed)
+    want = -time_from_radius(m.params, 1.0, -1j, r0)
+    assert abs(seg.terminal.t0 - want) < 1e-8 * want
+
+
 def test_step_budget_raises_step_failure(monkeypatch):
     m = _model()
     start = SphericalState(0.0, 0.01, 1.0, 0.0)
@@ -409,6 +423,21 @@ def test_probe_crossings_recorded():
     assert abs(hit.r - 0.2) < 1e-9
     want_t = time_from_radius(p, 1.0, 1j, 0.2)
     assert abs(hit.t - want_t) < 1e-8 * want_t
+
+
+def test_probe_crossing_is_found_on_the_dp5_interpolant():
+    # the flight of test_probe_crossings_recorded: the crossing is a root of
+    # DP5's own fifth-order continuous extension over the crossing step,
+    # not of a cubic Hermite through its ends (5.4e-9 relative in t)
+    m = _model()
+    p = m.params
+    t_start = time_from_radius(p, 1.0, 1j, 0.01)
+    seg = integrate(
+        m, SphericalState(t_start, 0.01, 1.0, 0.0), 1e9, 1e-9, probe_radius=0.2
+    )
+    (hit,) = seg.probe_crossings
+    want_t = time_from_radius(p, 1.0, 1j, 0.2)
+    assert abs(hit.t - want_t) < 1e-10 * want_t
 
 
 def test_dp5_tableau_constants_and_order_conditions():
@@ -612,6 +641,53 @@ def test_drifting_flights_follow_the_time_dependent_field(tol):
         )
     assert worst_r < 10.0 * tol
     assert worst_phi < 10.0 * tol
+
+
+def _launched_flights(track, tol):
+    # flights launched at t = 0 on the drifting track, from the source's
+    # neighbourhood out to most of the way to r_cut/2
+    model = ModelFamily(track.params, 1.0).at(*track.coefficients(0.0))
+    return [
+        integrate(
+            model, SphericalState(0.0, r0, 0.5 * math.pi, 0.0), 3.0, tol,
+            refresh=track,
+        )
+        for r0 in (1e-3, 1e-2, 0.05, 0.1, 0.2)
+    ]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_launched_drifting_flights_hold_twice_their_tolerance(tol):
+    # every accepted sample's r against DOP853 on the time-dependent ODE
+    track = _drifting_track()
+    worst = 0.0
+    for seg in _launched_flights(track, tol):
+        n = len(seg.t) - (not isinstance(seg.terminal, TimeExhausted))
+        r_ref, _ = time_dependent_flight(
+            track.params, track.coefficients, seg.initial, seg.t[:n]
+        )
+        worst = max(worst, float(np.max(np.abs(seg.r[:n] / r_ref - 1.0))))
+    assert worst < 2.0 * tol
+
+
+def test_drifting_flights_take_at_most_833_step_attempts():
+    # accepted plus rejected steps of the launched flights and of the
+    # emitted flights of test_drifting_flights_follow_the_time_dependent_field,
+    # at tol 1e-6 and 1e-8: 90% of the 926 that Hairer's PI controller
+    # (0.9 err^-0.14 err_prev^0.08 against tol) with h0 = 0.01 d0/d1 took
+    track = _drifting_track()
+    family = ModelFamily(track.params, 1.0)
+    attempts = 0
+    for tol in (1e-6, 1e-8):
+        segments = _launched_flights(track, tol) + [
+            emit_trajectory(
+                family.at(*track.coefficients(t0)), t0, 0.5 * math.pi, 0.0, tol,
+                t_end=3.0, refresh=track,
+            )
+            for t0 in (0.3, 1.1, 2.0)
+        ]
+        attempts += sum(seg.n_accepted + seg.n_rejected for seg in segments)
+    assert attempts <= 833
 
 
 def _flight_cases():
