@@ -325,7 +325,7 @@ def _closed_form_flight(
 
 
 # =====================================================================
-# adaptive integrator (Dormand-Prince 5(4), FSAL, PI step control)
+# adaptive integrator (Dormand-Prince 5(4), FSAL, I step control)
 # =====================================================================
 
 _DP_C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
@@ -347,6 +347,15 @@ _DP_E = (  # b - b_hat, applied to k1..k7
     11.0 / 84.0 - 187.0 / 2100.0,
     -1.0 / 40.0,
 )
+# weights of Hairer's continuous extension (CONTD5), applied to k1, k3..k7
+_DP_D = (
+    -12715105075.0 / 11282082432.0,
+    87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0,
+    701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0,
+    69997945.0 / 29380423.0,
+)
 # the same entries as module floats, for the straight-line stages
 _C2, _C3, _C4, _C5, _C6 = _DP_C[1:]
 (
@@ -358,14 +367,17 @@ _C2, _C3, _C4, _C5, _C6 = _DP_C[1:]
 ) = _DP_A[1:]
 _B1, _B2, _B3, _B4, _B5, _B6 = _DP_B
 _E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
+_D1, _D3, _D4, _D5, _D6, _D7 = _DP_D
 
 
 def _dp5_attempt(field, t, s, phi, h, k1, q1):
     """One Dormand-Prince attempt of width h from (t, s, phi), where k1
     and q1 are the slopes of s and phi: (s_new, phi_new, k7, q7, err_s,
-    err_phi), with k7, q7 the FSAL slopes at t + h and err_* the
-    embedded error estimates; None when a stage or s_new reaches s <= 0
-    (the step passed the source).  Stage i reads field(t + c_i h, s_i).
+    err_phi, stages), with k7, q7 the FSAL slopes at t + h, err_* the
+    embedded error estimates and stages = (k3, k4, k5, k6, q3, q4, q5,
+    q6) for the continuous extension (_contd5); None when a stage or
+    s_new reaches s <= 0 (the step passed the source).  Stage i reads
+    field(t + c_i h, s_i).
     The field depends on s only, so phi is a quadrature of its stages.
     Each sum runs left to right over all terms, zero ones included."""
     ys = s + h * (_A21 * k1)
@@ -402,14 +414,18 @@ def _dp5_attempt(field, t, s, phi, h, k1, q1):
     err_phi = h * (
         _E1 * q1 + _E2 * q2 + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6 + _E7 * q7
     )
-    return s_new, phi_new, k7, q7, err_s, err_phi
+    return s_new, phi_new, k7, q7, err_s, err_phi, (k3, k4, k5, k6, q3, q4, q5, q6)
 
 
-def _hermite(y0, y1, f0, f1, h, tau):
-    """Cubic Hermite value at fraction tau of a step of width h."""
-    a = tau * tau * (3.0 - 2.0 * tau)
-    b = tau * (tau - 1.0)
-    return (1.0 - a) * y0 + a * y1 + h * b * ((tau - 1.0) * f0 + tau * f1)
+def _contd5(y0, y1, h, k1, k3, k4, k5, k6, k7):
+    """DP5's continuous extension over an accepted step of width h from
+    y0 to y1 with stage slopes k1, k3..k7 (Hairer's CONTD5, of order 4):
+    its value at fraction tau of the step, as a function."""
+    dy = y1 - y0
+    b = h * k1 - dy
+    c = dy - h * k7 - b
+    d = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
+    return lambda tau: y0 + tau * (dy + (1.0 - tau) * (b + tau * (c + (1.0 - tau) * d)))
 
 
 def _bracket_root(g, lo, hi, g_lo, g_hi):
@@ -580,16 +596,23 @@ def integrate(
 
     f_s, f_phi = field(t, s)
 
-    # Hairer's first-step guess h0 = 0.01 d0/d1, with d0 and d1 the
-    # scaled norms of y0 and f(y0)
+    # the error estimates are held to 0.3 tol, which keeps the pure I
+    # controller below at or under the accuracy of Hairer's PI one at tol
+    tol = 0.3 * tol
+    # Hairer's first step: h0 = 0.01 d0/d1, with d0 and d1 the scaled
+    # norms of y0 and f(y0), then h1 = (0.01 / max(d1, d2))^(1/5), with d2
+    # the scaled change of f over an Euler step of h0.  d0 <= 1/tol, so
+    # |h0 ds/dt| <= 0.01 (s + 0.1 s_min) and that step stays above the source
     atol_s = 0.1 * tol * s_min
     scale_s = atol_s + tol * abs(s)
     scale_phi = tol * max(1.0, abs(phi))
     d0 = max(abs(s) / scale_s, abs(phi) / scale_phi)
     d1 = max(abs(f_s) / scale_s, abs(f_phi) / scale_phi, 1e-300)
-    h = min(0.01 * d0 / d1, t_end - t)
+    h = 0.01 * d0 / d1
+    e_s, e_phi = field(t + h, s + h * f_s)
+    d2 = max(abs(e_s - f_s) / scale_s, abs(e_phi - f_phi) / scale_phi) / h
+    h = min(100.0 * h, (0.01 / max(d1, d2)) ** 0.2, t_end - t)
 
-    err_prev = 1.0
     terminal: Absorbed | LeftInnerRegion | TimeExhausted | None = None
 
     while terminal is None:
@@ -612,7 +635,7 @@ def integrate(
             n_rej += 1  # stepped over the source; shrink
             h *= 0.3
             continue
-        s_new, phi_new, g_s, g_phi, err_s, err_phi = attempt
+        s_new, phi_new, g_s, g_phi, err_s, err_phi, stages = attempt
         # comparisons in place of min and max, picking what they pick
         s_abs, s_new_abs = abs(s), abs(s_new)
         sc_s = atol_s + tol * (s_new_abs if s_new_abs > s_abs else s_abs)
@@ -625,18 +648,17 @@ def integrate(
             n_rej += 1
             fac = 0.9 * err**-0.2
             h *= fac if fac > 0.2 else 0.2
-            err_prev = err
             continue
 
-        # accepted: scan [t, t+h] for probe and terminal crossings
+        # accepted: scan [t, t+h] for probe and terminal crossings, found
+        # on the step's continuous extension
         hits: list[tuple[float, float, int, bool]] = []  # (tau, s_level, dir, is_terminal)
         for level, is_term in levels:
             g0, g1 = s - level, s_new - level
             if g0 == 0.0 or (g0 < 0.0) == (g1 < 0.0):
                 continue
-            tau_c = _bracket_root(
-                lambda u: _hermite(s, s_new, f_s, g_s, h, u) - level, 0.0, 1.0, g0, g1
-            )
+            s_at = _contd5(s, s_new, h, f_s, *stages[:4], g_s)
+            tau_c = _bracket_root(lambda u: s_at(u) - level, 0.0, 1.0, g0, g1)
             hits.append((tau_c, level, 1 if g1 > g0 else -1, is_term))
         hits.sort()
 
@@ -647,7 +669,7 @@ def integrate(
             if is_term:
                 ts.append(tc)
                 ss.append(level)
-                phis.append(_hermite(phi, phi_new, f_phi, g_phi, h, tau_c))
+                phis.append(_contd5(phi, phi_new, h, f_phi, *stages[4:], g_phi)(tau_c))
                 if level == s_min and direction < 0:
                     ds_dt = field(tc, s_min)[0]
                     t0 = tc + s_min / (-ds_dt) if ds_dt < 0.0 else tc
@@ -670,10 +692,9 @@ def integrate(
             if final_step:
                 terminal = TimeExhausted()
                 break
-            fac = 0.9 * err ** -0.14 * err_prev**0.08 if err > 0.0 else 10.0
-            fac = fac if fac > 0.2 else 0.2
+            # pure I control; err <= 1 here, so the step never shrinks
+            fac = 0.9 * err**-0.2 if err > 0.0 else 10.0
             h *= fac if fac < 10.0 else 10.0
-            err_prev = 1e-10 if 1e-10 > err else err
             f_s, f_phi = g_s, g_phi
 
     r_arr = np.array(ss) ** inv_one
