@@ -20,6 +20,27 @@ CoefficientTrack.coefficients, and for a fixed pair one piece whose
 cubic terms are zero.  Without subleading amplitudes the pair enters
 span_currents as real parts, never boxed as complex numbers.
 
+Step control.  A DP5 step is accepted when err, the RMS over s and phi
+of its embedded error estimates, each relative to 0.3 tol times the
+larger of the component's values at the step's ends (plus 0.1 s_min for
+s, at least 1 for phi), is at most 1.  The next step is then
+0.9 err^(-1/5) times this one: pure I control, growth capped at 10x; a
+rejected step shrinks by the same law, at most 5x.  Near the source the
+step follows the flight's self-similar scale and grows at every step,
+which Hairer's PI controller 0.9 err^-0.14 err_prev^0.08 follows only
+about 1.12 times per step; the fraction 0.3 keeps the flights at least as
+accurate as that controller is at tol.  The
+first step is Hairer's: h0 = 0.01 d0/d1 from the scaled norms of y and
+f(y), then h1 = (0.01 / max(d1, d2))^(1/5), at most 100 h0, with d2 the
+scaled change of f over an Euler step of h0.  Probe and terminal
+crossings, and phi at a terminal crossing, are read from DP5's own
+continuous extension over the crossing step (Hairer's CONTD5, order 4).
+What tol delivers, against a DOP853 oracle on drifting psi_t flights:
+the relative error in r at an accepted sample reached 2.4 tol at worst
+over the 275 flights of the drifting_cli benchmark at seeds 4242, 11 and
+12 (tol 1e-6), and 0.42 tol on nine flights in ten; the tests' launched
+and emitted flights read 0.30-1.09 tol at tol 1e-6 and 1e-8.
+
 Closed forms (pure model, coefficients frozen).  Separating variables,
 with Im = Im[conj(c_minus) c_plus], Re likewise, sgn = sgn(m~ k~):
 
@@ -535,7 +556,10 @@ def integrate(
     track's piece at its own time t + c_i h.  Without it the stages read
     the model's fixed pair as one cubic piece (_make_rhs).  Crossings of
     `probe_radius`, when given, must lie in (0, r_cut/2) and are recorded
-    in either direction.
+    in either direction.  DP5 holds each step's error estimate to 0.3 tol
+    under pure I control (0.9 err^(-1/5)), starts from Hairer's first-step
+    estimate h1, and finds crossings on DP5's continuous extension; the
+    module docstring has the details and the accuracy tol delivers.
 
     With dense=False, no refresh and no subleading amplitudes the flight
     is evaluated in closed form instead (exact; Absorbed then carries the
@@ -596,8 +620,8 @@ def integrate(
 
     f_s, f_phi = field(t, s)
 
-    # the error estimates are held to 0.3 tol, which keeps the pure I
-    # controller below at or under the accuracy of Hairer's PI one at tol
+    # errors are held to 0.3 tol: pure I control (below) then stays at
+    # least as accurate as Hairer's PI controller at tol, in fewer steps
     tol = 0.3 * tol
     # Hairer's first step: h0 = 0.01 d0/d1, with d0 and d1 the scaled
     # norms of y0 and f(y0), then h1 = (0.01 / max(d1, d2))^(1/5), with d2
@@ -692,7 +716,7 @@ def integrate(
             if final_step:
                 terminal = TimeExhausted()
                 break
-            # pure I control; err <= 1 here, so the step never shrinks
+            # pure I control; err <= 1 here, so fac >= 0.9 needs no floor
             fac = 0.9 * err**-0.2 if err > 0.0 else 10.0
             h *= fac if fac < 10.0 else 10.0
             f_s, f_phi = g_s, g_phi

@@ -427,8 +427,8 @@ def test_probe_crossings_recorded():
 
 def test_probe_crossing_is_found_on_the_dp5_interpolant():
     # the flight of test_probe_crossings_recorded: the crossing is a root of
-    # DP5's own fifth-order continuous extension over the crossing step,
-    # not of a cubic Hermite through its ends (5.4e-9 relative in t)
+    # DP5's own continuous extension over the crossing step; a cubic
+    # Hermite through the step's ends puts it 5.4e-9 relative off in t
     m = _model()
     p = m.params
     t_start = time_from_radius(p, 1.0, 1j, 0.01)
@@ -476,6 +476,8 @@ def test_dp5_continuous_extension_is_exact_for_cubic_slopes():
     at = t._contd5(y(0.0), y1, h, k[0], *k[2:])
     for tau in np.linspace(0.0, 1.0, 11):
         assert abs(at(tau) - y(tau * h)) <= 1e-15
+
+
 def test_constant_refresh_reproduces_the_fixed_flight_bitwise():
     m = _model()
     start = SphericalState(0.0, 1e-3, 1.0, 0.0)
