@@ -31,7 +31,7 @@ from belljump.trajectory import (
     integrate,
     time_from_radius,
 )
-from belljump.jump_process import CoefficientTrack
+from belljump.jump_process import CoefficientTrack, EmissionEvent, fly
 from belljump.wavefunction import (
     ModelFamily,
     ModelWavefunction,
@@ -704,6 +704,69 @@ def test_drifting_flights_take_at_most_833_step_attempts():
         ]
         attempts += sum(seg.n_accepted + seg.n_rejected for seg in segments)
     assert attempts <= 833
+
+
+def _sampler_flights(track, tol):
+    # the launched flights of _launched_flights and the emitted flights of
+    # test_drifting_flights_follow_the_time_dependent_field, flown as the
+    # path sampler flies them: by fly, with dense=False
+    family = ModelFamily(track.params, 1.0)
+    launches = [
+        SphericalState(0.0, r0, 0.5 * math.pi, 0.0) for r0 in (1e-3, 1e-2, 0.05, 0.1, 0.2)
+    ] + [EmissionEvent(t0, 0.5 * math.pi, 0.0) for t0 in (0.3, 1.1, 2.0)]
+    return [fly(family, track, launch, 3.0, tol) for launch in launches]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_sampler_flights_hold_twice_their_tolerance(tol):
+    # every accepted sample's r against DOP853 on the time-dependent ODE
+    track = _drifting_track()
+    worst = 0.0
+    for seg in _sampler_flights(track, tol):
+        n = len(seg.t) - (not isinstance(seg.terminal, TimeExhausted))
+        r_ref, _ = time_dependent_flight(
+            track.params, track.coefficients, seg.initial, seg.t[:n]
+        )
+        worst = max(worst, float(np.max(np.abs(seg.r[:n] / r_ref - 1.0))))
+    assert worst < 2.0 * tol
+
+
+def test_sampler_flights_take_at_most_629_step_attempts():
+    # accepted plus rejected steps of the sampler flights at tol 1e-6 and
+    # 1e-8: 80% of the 787 they took when DP5 bounded the error of phi too
+    track = _drifting_track()
+    attempts = sum(
+        seg.n_accepted + seg.n_rejected
+        for tol in (1e-6, 1e-8)
+        for seg in _sampler_flights(track, tol)
+    )
+    assert attempts <= 629
+
+
+def test_sampler_flights_are_radial_and_replay_densely():
+    # a sampler flight steps s alone: its phi is its launch azimuth, then
+    # nan.  A dense=True flight from its first sample, as simulate
+    # --trace-dir flies it, gives the bits the sampler flight had while it
+    # stepped (s, phi): samples, terminal, crossings and step counts
+    import hashlib
+
+    track = _drifting_track()
+    family = ModelFamily(track.params, 1.0)
+    h = hashlib.sha256()
+    for tol in (1e-6, 1e-8):
+        for seg in _sampler_flights(track, tol):
+            assert seg.n_accepted > 0
+            assert seg.phi[0] == 0.0 and np.all(np.isnan(seg.phi[1:]))
+            replay = fly(family, track, seg.initial, 3.0, tol, dense=True)
+            for values in (replay.t, replay.r, replay.phi):
+                h.update(values.tobytes())
+            h.update(repr(
+                (replay.terminal, replay.probe_crossings,
+                 replay.n_accepted, replay.n_rejected)
+            ).encode())
+    assert h.hexdigest() == (
+        "73bb808cbf607a822be07a7d2e8cf79d80f1bc440f8fccb34833ed6a4a081f08"
+    )
 
 
 def _flight_cases():
