@@ -141,6 +141,8 @@ class CoefficientTrack:
         self._knots = t.tolist()
         pieces = self._table.transpose(0, 2, 1)
         self._pieces = pieces.reshape(len(pieces), 24).tolist()
+        # the c+- columns of each piece, all that a flight's stages read
+        self._pair_pieces = [piece[:16] for piece in self._pieces]
         self._gain = 8.0 * (1.0 + params.q) * params.B
 
     @property
@@ -172,14 +174,13 @@ class CoefficientTrack:
 
     def pair_pieces(self) -> tuple[list[float], list[list[float]], Callable]:
         """What a stage of a psi_t flight reads (trajectory._make_rhs):
-        (knots, pieces, locate).  pieces[i] holds the six columns of the
-        piece [knots[i], knots[i+1]] flat, (a, b, c, d) for each of Re
-        c_minus, Im c_minus, Re c_plus, Im c_plus, Re psi0, Im psi0 in
-        that order, so its first 16 floats are the c+- columns; locate(t)
-        gives the piece i of t, clamped to the grid, and the offset x = t -
-        knots[i].  Each column is ((a x + b) x + c) x + d, the bits that
-        coefficients(t) holds."""
-        return self._knots, self._pieces, self._locate
+        (knots, pieces, locate).  pieces[i] holds the four c+- columns of
+        the piece [knots[i], knots[i+1]] flat, (a, b, c, d) for each of Re
+        c_minus, Im c_minus, Re c_plus, Im c_plus in that order, sliced
+        once per track; locate(t) gives the piece i of t, clamped to the
+        grid, and the offset x = t - knots[i].  Each column is ((a x + b)
+        x + c) x + d, the bits that coefficients(t) holds."""
+        return self._knots, self._pair_pieces, self._locate
 
     def _columns_at(self, t: float) -> list[float]:
         """The six real columns at one time (clamped to the grid): Horner

@@ -481,8 +481,8 @@ def _make_rhs(
     current_weights) are formed once, here.
 
     Each stage reads (c_minus, c_plus) at its time t by Horner from the
-    four c+- columns of a cubic piece (the first 16 floats of a
-    CoefficientTrack.pair_pieces piece), keeping the piece of its last
+    four c+- columns of a cubic piece (a CoefficientTrack.pair_pieces
+    piece), keeping the piece of its last
     read and locating another only when t leaves it.  A track (psi_t)
     supplies its own pieces; a fixed pair is one piece over [0, inf) with
     zero cubic terms.  Without subleading amplitudes c_plus r^(2B) is
@@ -513,7 +513,7 @@ def _make_rhs(
             x = t - lo
         else:
             i, x = locate(t)
-            lo, hi, piece = knots[i], knots[i + 1], pieces[i][:16]
+            lo, hi, piece = knots[i], knots[i + 1], pieces[i]
         a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 = piece
         cm_r = ((a0 * x + b0) * x + c0) * x + d0
         cm_i = ((a1 * x + b1) * x + c1) * x + d1
@@ -603,6 +603,14 @@ def integrate(
     levels = [(s_min, True), (s_top, True)]  # (s level, is terminal)
     if probe_radius is not None:
         levels.append((float(probe_radius) ** one, False))
+
+    def bracket(s):
+        # the nearest levels at or below s and above it: a step from s
+        # crosses a level only if it ends outside [below, above)
+        below = max((lv for lv, _ in levels if lv <= s), default=-math.inf)
+        above = min((lv for lv, _ in levels if lv > s), default=math.inf)
+        return below, above
+
     field = _make_rhs(
         p,
         model.subleading_amp,
@@ -615,6 +623,7 @@ def integrate(
     theta = float(initial.theta)
 
     ts, ss, phis = [t], [s], [phi]
+    below, above = bracket(s)
     crossings: list[ProbeCrossing] = []
     n_acc = n_rej = 0
 
@@ -674,36 +683,41 @@ def integrate(
             h *= fac if fac > 0.2 else 0.2
             continue
 
-        # accepted: scan [t, t+h] for probe and terminal crossings, found
-        # on the step's continuous extension
-        hits: list[tuple[float, float, int, bool]] = []  # (tau, s_level, dir, is_terminal)
-        for level, is_term in levels:
-            g0, g1 = s - level, s_new - level
-            if g0 == 0.0 or (g0 < 0.0) == (g1 < 0.0):
-                continue
-            s_at = _contd5(s, s_new, h, f_s, *stages[:4], g_s)
-            tau_c = _bracket_root(lambda u: s_at(u) - level, 0.0, 1.0, g0, g1)
-            hits.append((tau_c, level, 1 if g1 > g0 else -1, is_term))
-        hits.sort()
+        # accepted: a step that leaves [below, above) may cross a probe or
+        # terminal level; scan [t, t+h] for them, found on the step's
+        # continuous extension
+        if not below <= s_new < above:
+            hits: list[tuple[float, float, int, bool]] = []  # (tau, s_level, dir, is_terminal)
+            for level, is_term in levels:
+                g0, g1 = s - level, s_new - level
+                if g0 == 0.0 or (g0 < 0.0) == (g1 < 0.0):
+                    continue
+                s_at = _contd5(s, s_new, h, f_s, *stages[:4], g_s)
+                tau_c = _bracket_root(lambda u: s_at(u) - level, 0.0, 1.0, g0, g1)
+                hits.append((tau_c, level, 1 if g1 > g0 else -1, is_term))
+            hits.sort()
 
-        for tau_c, level, direction, is_term in hits:
-            tc = t + tau_c * h
-            if tc <= ts[-1]:
-                tc = math.nextafter(ts[-1], math.inf)
-            if is_term:
-                ts.append(tc)
-                ss.append(level)
-                phis.append(_contd5(phi, phi_new, h, f_phi, *stages[4:], g_phi)(tau_c))
-                if level == s_min and direction < 0:
-                    ds_dt = field(tc, s_min)[0]
-                    t0 = tc + s_min / (-ds_dt) if ds_dt < 0.0 else tc
-                    terminal = Absorbed(t0=t0)
-                else:
-                    terminal = LeftInnerRegion()
-                break
-            crossings.append(
-                ProbeCrossing(t=tc, r=level**inv_one, direction=direction)
-            )
+            for tau_c, level, direction, is_term in hits:
+                tc = t + tau_c * h
+                if tc <= ts[-1]:
+                    tc = math.nextafter(ts[-1], math.inf)
+                if is_term:
+                    ts.append(tc)
+                    ss.append(level)
+                    phis.append(
+                        _contd5(phi, phi_new, h, f_phi, *stages[4:], g_phi)(tau_c)
+                    )
+                    if level == s_min and direction < 0:
+                        ds_dt = field(tc, s_min)[0]
+                        t0 = tc + s_min / (-ds_dt) if ds_dt < 0.0 else tc
+                        terminal = Absorbed(t0=t0)
+                    else:
+                        terminal = LeftInnerRegion()
+                    break
+                crossings.append(
+                    ProbeCrossing(t=tc, r=level**inv_one, direction=direction)
+                )
+            below, above = bracket(s_new)
 
         n_acc += 1
         if terminal is None:
