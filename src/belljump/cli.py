@@ -385,14 +385,14 @@ def _cmd_simulate(ns) -> int:
     if ns.trace_dir:
         trace_dir = _resolve(str(Path(ns.trace_dir) / "x")).parent
         for i, seg in enumerate(path.segments):
-            if seg.n_accepted == 0:
-                # a closed-form flight samples only its ends and crossings;
-                # its trace steps DP5 along the same flight
-                seg = fly(
-                    family, track, seg.initial, t_span[1], cfg.run.tol,
-                    probe_radius=cfg.run.probe_radius, dense=True,
-                )
-            _write_lines(trace_dir / f"flight_{i:03d}.csv", _trace_lines(cfg, seg))
+            # the path's flights sample only their ends and crossings
+            # (closed form) or carry no azimuth (radial DP5); each trace
+            # steps DP5 in (s, phi) along the same flight from its start
+            dense = fly(
+                family, track, seg.initial, t_span[1], cfg.run.tol,
+                probe_radius=cfg.run.probe_radius, dense=True,
+            )
+            _write_lines(trace_dir / f"flight_{i:03d}.csv", _trace_lines(cfg, dense))
     return 0
 
 
