@@ -388,11 +388,11 @@ def _cmd_simulate(ns) -> int:
             # the path's flights sample only their ends and crossings
             # (closed form) or carry no azimuth (radial DP5); each trace
             # steps DP5 in (s, phi) along the same flight from its start
-            dense = fly(
+            replay = fly(
                 family, track, seg.initial, t_span[1], cfg.run.tol,
                 probe_radius=cfg.run.probe_radius, dense=True,
             )
-            _write_lines(trace_dir / f"flight_{i:03d}.csv", _trace_lines(cfg, dense))
+            _write_lines(trace_dir / f"flight_{i:03d}.csv", _trace_lines(cfg, replay))
     return 0
 
 

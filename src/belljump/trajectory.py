@@ -12,6 +12,17 @@ integrated at all: every model wave function lies pointwise in the span
 of the two boundary spinors, which makes j_theta vanish identically, so
 theta stays exactly constant along a segment.
 
+Radial flights.  ds/dt and the jump rates do not depend on the angles,
+so the radial part of the process is a Markov process on its own, and no
+path statistic reads phi, which winds without bound near the source (phi
+~ r^(-2B)).  A flight without dense samples (dense=False, every flight
+the path sampler flies) that goes through DP5 therefore steps s alone:
+the error norm and the first-step norms read s only, phi is the launch
+azimuth and then nan, and r[0] is the launch radius itself, so a dense
+flight from seg.initial (how simulate --trace-dir traces it) steps from
+the same bits and gives phi.  t, r, the crossings, the terminal event
+and the step counts mean what they mean on a dense flight.
+
 One call per stage.  Each DP5 stage makes one Python call, field(t, s),
 built once per flight (_make_rhs), plus span_currents inside it.  Every
 DP5 flight reads its coefficients from a cubic piece by Horner: under
@@ -23,7 +34,10 @@ span_currents as real parts, never boxed as complex numbers.
 Step control.  A DP5 step is accepted when err, the RMS over s and phi
 of its embedded error estimates, each relative to 0.3 tol times the
 larger of the component's values at the step's ends (plus 0.1 s_min for
-s, at least 1 for phi), is at most 1.  The next step is then
+s, at least 1 for phi), is at most 1; on a radial flight err is the
+estimate of s alone relative to 0.15 tol times that larger value plus
+0.1 s_min (tighter than the 0.42 tol that the RMS allows s when phi's
+error is 0).  The next step is then
 0.9 err^(-1/5) times this one: pure I control, growth capped at 10x; a
 rejected step shrinks by the same law, at most 5x.  Near the source the
 step follows the flight's self-similar scale and grows at every step,
@@ -32,14 +46,19 @@ about 1.12 times per step; the fraction 0.3 keeps the flights at least as
 accurate as that controller is at tol.  The
 first step is Hairer's: h0 = 0.01 d0/d1 from the scaled norms of y and
 f(y), then h1 = (0.01 / max(d1, d2))^(1/5), at most 100 h0, with d2 the
-scaled change of f over an Euler step of h0.  Probe and terminal
-crossings, and phi at a terminal crossing, are read from DP5's own
-continuous extension over the crossing step (Hairer's CONTD5, order 4).
-What tol delivers, against a DOP853 oracle on drifting psi_t flights:
-the relative error in r at an accepted sample reached 2.4 tol at worst
-over the 275 flights of the drifting_cli benchmark at seeds 4242, 11 and
-12 (tol 1e-6), and 0.42 tol on nine flights in ten; the tests' launched
-and emitted flights read 0.30-1.09 tol at tol 1e-6 and 1e-8.
+scaled change of f over an Euler step of h0, all in the flight's norm.
+Probe and terminal crossings, and phi at a terminal crossing, are read
+from DP5's own continuous extension over the crossing step (Hairer's
+CONTD5, order 4).  What tol delivers, against a DOP853 oracle on
+drifting psi_t flights, as the relative error in r at an accepted
+sample, over the 275 flights of the drifting_cli benchmark at seeds
+4242, 11 and 12 (tol 1e-6): radial flights 0.33 tol at worst and 0.18
+tol on nine flights in ten, in 4866 step attempts; dense flights 2.4 tol
+and 0.42 tol, in 7412.  The tests' launched and emitted flights read
+0.14 and 1.84 tol as radial flights at tol 1e-6 and 1e-8, and 0.30-1.09
+tol as dense ones.  The worst errors come from single steps that span
+many track knots (16-18 knots in 0.19-0.21 time units), where the
+embedded estimate misses the error.
 
 Closed forms (pure model, coefficients frozen).  Separating variables,
 with Im = Im[conj(c_minus) c_plus], Re likewise, sgn = sgn(m~ k~):
@@ -61,7 +80,8 @@ crossing and end point cost a few evaluations and at most one root-find
 of t(r).  The DP5 integrator serves dense traces (`trace`, the
 `simulate --trace-dir` CSVs), subleading models, time-varying
 coefficients and flights without radial motion (Im = 0, circling at
-their start radius), and is tested against the closed forms; emission
+their start radius), the last three as radial flights when dense=False,
+and is tested against the closed forms; emission
 trajectories are seeded from them.  Either way a flight
 records the crossings of at most one probe radius.
 
@@ -152,7 +172,8 @@ class TrajectorySegment:
     The segment keeps the float arrays its producer built: of equal
     length, t strictly increasing and r > 0, which integrate and
     _closed_form_flight guarantee by construction.  theta is one float:
-    j_theta = 0 keeps every flight on its cone."""
+    j_theta = 0 keeps every flight on its cone.  A radial flight (DP5
+    with dense=False) carries phi only at its first sample, nan after."""
 
     t: np.ndarray
     r: np.ndarray
@@ -174,8 +195,11 @@ class TrajectorySegment:
         Closed-form segments invert t(r) of their frozen model exactly;
         integrated ones interpolate s = r^(1-2B), the integrator's own
         variable, with a cubic spline through the samples, built at each
-        call (linear interpolation between the integrator's wide steps is
-        off by more than 1e-5 relative far from the source).
+        call.  Between samples the spline's own error dominates: on
+        drifting psi_t sampler flights at tol 1e-6 it reaches about 1e-3
+        relative in r (9.1e-4 at worst, 1.2e-4 in the median, at 20
+        random times in each of the 275 drifting_cli flights at seeds
+        4242, 11 and 12), two orders above the error of the samples.
         """
         if not self.t[0] <= t <= self.t[-1]:
             return None
@@ -564,7 +588,9 @@ def integrate(
     With dense=False, no refresh and no subleading amplitudes the flight
     is evaluated in closed form instead (exact; Absorbed then carries the
     exact arrival time at the source, and only the start, the crossing
-    and the terminal point are sampled).  Without refresh or subleading
+    and the terminal point are sampled).  Any other flight with
+    dense=False is radial: DP5 holds the error of s alone to 0.15 tol,
+    and phi is nan after the first sample.  Without refresh or subleading
     amplitudes and with Im[conj(c_minus) c_plus] = 0 there is no radial
     motion: DP5 circles at the start radius until t_end, and an infinite
     t_end raises DegenerateError, since such a flight never ends.
@@ -629,16 +655,13 @@ def integrate(
 
     f_s, f_phi = field(t, s)
 
-    # a flight without dense samples is radial: no path statistic reads
-    # phi, and neither ds/dt nor the jump rates depend on the angles, so
-    # DP5 bounds the error of s alone and phi is nan after the launch
+    # a radial flight (module docstring) bounds the error of s alone,
+    # held to 0.15 tol, and carries no phi after its launch
     radial = not dense
     if radial:
         phi = math.nan
-    # errors are held to 0.3 tol in the RMS over (s, phi): pure I control
-    # (below) then stays at least as accurate as Hairer's PI controller at
-    # tol, in fewer steps.  A radial flight holds s to 0.15 tol, tighter
-    # than the 0.42 tol that RMS allows s when phi's error is 0
+    # dense errors are held to 0.3 tol: pure I control (below) then stays
+    # at least as accurate as Hairer's PI controller at tol, in fewer steps
     tol = (0.15 if radial else 0.3) * tol
     # Hairer's first step: h0 = 0.01 d0/d1, with d0 and d1 the scaled
     # norms of y0 and f(y0), then h1 = (0.01 / max(d1, d2))^(1/5), with d2

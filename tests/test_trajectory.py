@@ -769,6 +769,24 @@ def test_sampler_flights_are_radial_and_replay_densely():
     )
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_sampler_radius_at_stays_within_1e_3_of_the_oracle(tol):
+    # radius_at interpolates s between the samples of a DP5 flight; on
+    # the sampler flights, at 39 evenly spaced times inside each, it reads
+    # up to 6.4e-4 (tol 1e-6) and 3.4e-5 (tol 1e-8) relative.  Steps that
+    # grow longer would widen that
+    track = _drifting_track()
+    worst = 0.0
+    for seg in _sampler_flights(track, tol):
+        times = np.linspace(seg.t[0], seg.t[-1], 41)[1:-1]
+        r_ref, _ = time_dependent_flight(
+            track.params, track.coefficients, seg.initial, times
+        )
+        got = np.array([seg.radius_at(t) for t in times.tolist()])
+        worst = max(worst, float(np.max(np.abs(got / r_ref - 1.0))))
+    assert worst < 1e-3
+
+
 def _flight_cases():
     # (model, start, t_end, probe): ingoing with a probe; ingoing cut off
     # by t_end before and after the probe; outgoing leaving the inner
