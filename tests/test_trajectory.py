@@ -745,9 +745,10 @@ def test_sampler_flights_take_at_most_629_step_attempts():
 
 def test_sampler_flights_are_radial_and_replay_densely():
     # a sampler flight steps s alone: its phi is its launch azimuth (the
-    # seed azimuth of an emitted flight), then nan.  A dense=True flight from its first sample, as simulate
-    # --trace-dir flies it, gives the bits the sampler flight had while it
-    # stepped (s, phi): samples, terminal, crossings and step counts
+    # seed azimuth of an emitted flight), then nan.  A dense=True flight
+    # from its first sample, as simulate --trace-dir flies it, gives the
+    # bits the sampler flight had while it stepped (s, phi): samples,
+    # terminal, crossings and step counts
     import hashlib
 
     track = _drifting_track()
