@@ -1054,6 +1054,38 @@ def test_flights_produce_ordered_positive_samples(
     assert np.all(seg.r > 0.0)
     assert (seg.n_accepted == 0) == (not dense and not drift and not sub)
     assert len(seg.probe_crossings) <= (probe is not None)  # r is monotone
+    # every route starts at its launch state bit for bit, and only a
+    # dense flight carries an azimuth after it
+    assert seg.initial == SphericalState(t0, r0, 1.0, 0.3)
+    assert np.all(np.isnan(seg.phi[1:])) == (not dense)
+    if dense:
+        assert np.all(np.isfinite(seg.phi))
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("drift", [False, True], ids=["constant", "drifting"])
+def test_emitted_flights_start_at_their_seed(drift, dense):
+    # an emitted flight's first sample is its seed, from the exact closed
+    # forms of the coefficients at the emission time, on every route:
+    # closed form or DP5 on a constant track, radial or dense DP5 under
+    # psi_t; only a dense flight carries an azimuth after it
+    track = _drifting_track()
+    if not drift:
+        track = CoefficientTrack.constant(track.params, 1.0, 1j, 0.9, 0.0, 3.0)
+    family = ModelFamily(track.params, 1.0)
+    p = track.params
+    for t0, theta0, phi0 in ((0.3, 0.5 * math.pi, 0.1), (1.1, 1.0, -2.0)):
+        seg = fly(family, track, EmissionEvent(t0, theta0, phi0), 3.0, 1e-6, dense=dense)
+        cm, cp = track.coefficients(t0)
+        r_seed = 10.0 * family.r_min
+        assert seg.initial == SphericalState(
+            t0 + time_from_radius(p, cm, cp, r_seed),
+            r_seed,
+            theta0,
+            phi0 + azimuth_from_radius(p, cm, cp, r_seed),
+        )
+        assert np.all(np.isnan(seg.phi[1:])) == (not dense)
+        assert (seg.n_accepted == 0) == (not dense and not drift)
 
 
 def test_segment_invariants():
