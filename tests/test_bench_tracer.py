@@ -26,3 +26,70 @@ def test_tracer_install_and_restore():
         tracer.restore()
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original
+
+
+def _draws(draw_path, family, track, n_paths, probe_radius):
+    from belljump import ensemble
+
+    span = (track.t_start, track.t_end)
+    sampler = ensemble.make_initial_sampler(family, track, span[0])
+    return [
+        draw_path(family, track, span, 5, i, sampler=sampler, probe_radius=probe_radius)
+        for i in range(n_paths)
+    ]
+
+
+def test_tracer_counts_every_flight_the_paths_hold():
+    # every flight of a path is a call through one of the two names the
+    # tracer counts flights at; a flight routed around them would show
+    # here as a path segment the tracer missed.  Closed-form flights,
+    # launched and emitted, on a balanced fixed track with a probe;
+    # radial DP5 flights on a drifting grid track
+    import math
+    from collections import Counter
+
+    import numpy as np
+
+    from belljump import canonical_params, ensemble
+    from belljump.jump_process import CoefficientTrack
+    from belljump.wavefunction import ModelFamily
+
+    p = canonical_params(0.96)
+    family = ModelFamily(p, 1.0)
+    cm, cp = ensemble.normalized_amplitudes(p, 1.0, 1j, 1.0, 0.3)
+    fixed = CoefficientTrack.balanced_constant_flux(p, cm, cp, 0.7, 0.0, 3.0)
+    # sector mass 0.1 at t = 0, where the phase of c_plus is pi/2
+    scale = abs(ensemble.normalized_amplitudes(p, 1.0, 1j, 1.0, 0.1)[0])
+    t = np.linspace(0.0, 3.0, 33)
+    phase = 0.5 * math.pi + 0.7 * np.sin(2.0 * math.pi * t / 1.5)
+    drifting = CoefficientTrack(
+        p, t, np.full(33, scale), scale * np.exp(1j * phase), np.sqrt(0.9 - 0.05 * t)
+    )
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        paths = _draws(ensemble.draw_path, family, fixed, 300, 0.2)
+        paths += _draws(ensemble.draw_path, family, drifting, 200, None)
+    finally:
+        tracer.restore()
+
+    segments = [seg for path in paths for seg in path.segments]
+    closed = [seg for seg in segments if seg.n_accepted == 0]
+    assert closed and len(closed) < len(segments)
+    assert any(seg.probe_crossings for seg in closed)
+    assert any(path.emissions for path in paths)
+    got = tracer.metrics()
+    assert got["ensemble.paths"] == len(paths)
+    assert got["trajectory.flights"] == len(segments)
+    kinds = Counter(type(seg.terminal).__name__ for seg in segments)
+    assert (
+        got["trajectory.flights_absorbed"],
+        got["trajectory.flights_left_inner"],
+        got["trajectory.flights_time_exhausted"],
+    ) == (kinds["Absorbed"], kinds["LeftInnerRegion"], kinds["TimeExhausted"])
+    assert got["trajectory.steps_accepted"] == sum(seg.n_accepted for seg in segments)
+    assert got["trajectory.steps_rejected"] == sum(seg.n_rejected for seg in segments)
+    assert got["trajectory.probe_crossings"] == sum(
+        len(seg.probe_crossings) for seg in segments
+    )
