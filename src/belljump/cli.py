@@ -385,9 +385,9 @@ def _cmd_simulate(ns) -> int:
     if ns.trace_dir:
         trace_dir = _resolve(str(Path(ns.trace_dir) / "x")).parent
         for i, seg in enumerate(path.segments):
-            # the path's flights sample only their ends and crossings
-            # (closed form) or carry no azimuth (radial DP5); each trace
-            # steps DP5 in (s, phi) along the same flight from its start
+            # a path's flights carry no azimuth after their launch
+            # (TrajectorySegment); each trace is the dense flight from
+            # the flight's first sample, its launch state
             replay = fly(
                 family, track, seg.initial, t_span[1], cfg.run.tol,
                 probe_radius=cfg.run.probe_radius, dense=True,

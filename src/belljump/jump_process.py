@@ -26,20 +26,12 @@ the window.  Every flight, of a path, of `trace` or of `simulate
 --trace-dir`, is launched by fly, the one place that picks its model and
 field: between jumps the particle follows psi_t, so the field is the
 track's coefficients at each time unless they cannot change over the
-flight.  Fixed coefficients and no subleading amplitudes give the exact
-closed-form flight, anything else steps DP5 as a radial flight, unless
-the caller asks for dense samples: fly(dense=True) steps DP5 in (s, phi)
-along any flight, which is how the traces get their samples.  The path
-sampler never sets it, so a path is the same whoever draws it.  A radial
-flight bounds the error of s = r^(1-2B) alone and leaves phi nan after
-its launch: the rates and ds/dt do not depend on the angles, so the
-radial part of the process is a Markov process on its own, and nothing
-the sampler reports reads phi.  At tol 1e-6 it stays within 0.33 tol of
-a DOP853 oracle in r on drifting psi_t flights.  A trace that needs phi
-replays the flight with dense=True from its first sample, which is its
-launch state bit for bit.  Each DP5 stage reads its coefficients
-from a cubic piece in one Python call: a psi_t flight's from the track
-itself, with the bits of CoefficientTrack.coefficients.
+flight.  The segment it returns keeps the contract of
+trajectory.TrajectorySegment, which also lists the routes; the path
+sampler never sets dense, so a path is the same whoever draws it.  Each
+DP5 stage reads its coefficients from a cubic piece in one Python call:
+a psi_t flight's from the track itself, with the bits of
+CoefficientTrack.coefficients.
 
 The emission intensity is exactly 4 pi C_r / |psi0|^2 when C_r > 0, the
 flux of |psi|^2 out of the source; a track is "balanced" when
@@ -501,7 +493,8 @@ def fly(
     the flight keeps the model's coefficients.  Either way each DP5
     stage reads a cubic piece: the track's at the stage's time under
     psi_t (the integrator's `refresh`), or the model's fixed pair.
-    `probe_radius` and `dense` as in integrate.
+    `probe_radius` and `dense` as in integrate; the segment keeps the
+    contract of TrajectorySegment.
     """
     emitted = isinstance(launch, EmissionEvent)
     model = model_family.at(*track.coefficients(launch.t0 if emitted else launch.t))

@@ -12,16 +12,9 @@ integrated at all: every model wave function lies pointwise in the span
 of the two boundary spinors, which makes j_theta vanish identically, so
 theta stays exactly constant along a segment.
 
-Radial flights.  ds/dt and the jump rates do not depend on the angles,
-so the radial part of the process is a Markov process on its own, and no
-path statistic reads phi, which winds without bound near the source (phi
-~ r^(-2B)).  A flight without dense samples (dense=False, every flight
-the path sampler flies) that goes through DP5 therefore steps s alone:
-the error norm and the first-step norms read s only, phi is the launch
-azimuth and then nan, and r[0] is the launch radius itself, so a dense
-flight from seg.initial (how simulate --trace-dir traces it) steps from
-the same bits and gives phi.  t, r, the crossings, the terminal event
-and the step counts mean what they mean on a dense flight.
+Flights.  Every flight is a TrajectorySegment, whose docstring states
+what each route (closed form, radial DP5, dense DP5) samples, what every
+segment holds whatever its route, and what tol delivers.
 
 One call per stage.  Each DP5 stage makes one Python call, field(t, s),
 built once per flight (_make_rhs), plus span_currents inside it.  Every
@@ -49,16 +42,7 @@ f(y), then h1 = (0.01 / max(d1, d2))^(1/5), at most 100 h0, with d2 the
 scaled change of f over an Euler step of h0, all in the flight's norm.
 Probe and terminal crossings, and phi at a terminal crossing, are read
 from DP5's own continuous extension over the crossing step (Hairer's
-CONTD5, order 4).  What tol delivers, against a DOP853 oracle on
-drifting psi_t flights, as the relative error in r at an accepted
-sample, over the 275 flights of the drifting_cli benchmark at seeds
-4242, 11 and 12 (tol 1e-6): radial flights 0.33 tol at worst and 0.18
-tol on nine flights in ten, in 4866 step attempts; dense flights 2.4 tol
-and 0.42 tol, in 7412.  The tests' launched and emitted flights read
-0.14 and 1.84 tol as radial flights at tol 1e-6 and 1e-8, and 0.30-1.09
-tol as dense ones.  The worst errors come from single steps that span
-many track knots (16-18 knots in 0.19-0.21 time units), where the
-embedded estimate misses the error.
+CONTD5, order 4).
 
 Closed forms (pure model, coefficients frozen).  Separating variables,
 with Im = Im[conj(c_minus) c_plus], Re likewise, sgn = sgn(m~ k~):
@@ -71,19 +55,13 @@ with Im = Im[conj(c_minus) c_plus], Re likewise, sgn = sgn(m~ k~):
                     - q sgn |c+|^2/(4B^2 Im) r^(2B)
 
 Both are exact for the subleading-free model, not asymptotic, and r is
-monotone along such a flight.  So a flight with fixed coefficients and
-no subleading amplitudes is evaluated directly from them when the caller
-does not ask for dense samples (`dense=False`; the path sampler always
-does this): the overlap (|c-|^2, |c+|^2, Re, Im) is formed once per
-model (ModelWavefunction.overlap_parts), and terminal event, probe
-crossing and end point cost a few evaluations and at most one root-find
-of t(r).  The DP5 integrator serves dense traces (`trace`, the
-`simulate --trace-dir` CSVs), subleading models, time-varying
-coefficients and flights without radial motion (Im = 0, circling at
-their start radius), the last three as radial flights when dense=False,
-and is tested against the closed forms; emission
-trajectories are seeded from them.  Either way a flight
-records the crossings of at most one probe radius.
+monotone along such a flight.  The closed-form route evaluates t(r)
+alone: the overlap (|c-|^2, |c+|^2, Re, Im) is formed once per model
+(ModelWavefunction.overlap_parts), and terminal event, probe crossing
+and end point cost a few evaluations and at most one root-find of t(r).
+DP5 is tested against both relations, and emission seeds come from
+them.  Either way a flight records the crossings of at most one probe
+radius.
 
 Flights end at the model's r_min (ModelWavefunction.r_min), the
 numerical stand-in for the source.
@@ -162,18 +140,44 @@ class ProbeCrossing:
 
 @dataclass
 class TrajectorySegment:
-    """One deterministic flight.  Integrated flights sample every accepted
-    step plus the terminal point; closed-form flights (n_accepted = 0)
-    sample the start, the probe crossing if any and the terminal point.
+    """One deterministic flight, from its launch to its terminal event.
+
+    Every segment keeps one contract, whatever its route: its first
+    sample is the state it was launched from, bit for bit (for an
+    emitted flight, the seed emit_trajectory computes), and after that
+    sample phi is nan unless the flight was flown with dense=True.  So a
+    flight that needs phi is the dense flight from seg.initial, which is
+    how `trace` and `simulate --trace-dir` get theirs.  The rates and
+    ds/dt do not depend on the angles, so no path statistic reads phi,
+    and the path sampler never sets dense.  integrate picks the route:
+    - closed form (n_accepted = 0): fixed coefficients (no refresh), no
+      subleading amplitudes, Im[conj(c_minus) c_plus] != 0 and
+      dense=False.  Exact; samples the start, the probe crossing if any
+      and the terminal point;
+    - radial DP5, any other flight with dense=False (psi_t, subleading
+      amplitudes, or Im = 0, which circles at its start radius): steps
+      s = r^(1-2B) alone and samples every accepted step plus the
+      terminal point;
+    - dense DP5 (dense=True): steps (s, phi), with the same samples.
+
+    What tol delivers on DP5 flights, against a DOP853 oracle on
+    drifting psi_t flights, as the relative error in r at an accepted
+    sample, over the 275 flights of the drifting_cli benchmark at seeds
+    4242, 11 and 12 (tol 1e-6): radial flights 0.33 tol at worst and
+    0.18 tol on nine flights in ten, in 4866 step attempts; dense flights
+    2.4 tol and 0.42 tol, in 7412.  The tests' launched and emitted
+    flights read 0.14 and 1.84 tol as radial flights at tol 1e-6 and
+    1e-8, and 0.30-1.09 tol as dense ones.  The worst errors come from
+    single steps that span many track knots (16-18 knots in 0.19-0.21
+    time units), where the embedded estimate misses the error.
+
     `model` is the model at the flight's launch time, the coefficients a
     fixed flight keeps throughout; an emitted flight holds those of its
     emission time, not of its first sample (the seed point after it).
-
-    The segment keeps the float arrays its producer built: of equal
-    length, t strictly increasing and r > 0, which integrate and
+    The arrays are the float arrays the producer built: of equal length,
+    t strictly increasing and r > 0, which integrate and
     _closed_form_flight guarantee by construction.  theta is one float:
-    j_theta = 0 keeps every flight on its cone.  A radial flight (DP5
-    with dense=False) carries phi only at its first sample, nan after."""
+    j_theta = 0 keeps every flight on its cone."""
 
     t: np.ndarray
     r: np.ndarray
@@ -328,9 +332,8 @@ def _closed_form_flight(
     construction (t_i < t_c < t_last).
     """
     p = model.params
-    t_i, r_i, phi_i = float(initial.t), float(initial.r), float(initial.phi)
+    t_i, r_i = float(initial.t), float(initial.r)
     t_src = t_i - _elapsed(p, parts, r_i)  # visit to the source
-    phi_label = phi_i - _azimuth(p, parts, r_i)
     inward = parts[3] < 0.0
     r_term = model.r_min if inward else 0.5 * model.r_cut
     lo, hi = sorted((r_i, r_term))
@@ -352,11 +355,10 @@ def _closed_form_flight(
         if t_i < tc < t_last:
             crossings = (ProbeCrossing(t=tc, r=rp, direction=-1 if inward else 1),)
 
-    radii = [r_i, *(pc.r for pc in crossings), r_last]
     t, r, phi = np.array([
         [t_i, *(pc.t for pc in crossings), t_last],
-        radii,
-        [phi_i] + [phi_label + _azimuth(p, parts, r) for r in radii[1:]],
+        [r_i, *(pc.r for pc in crossings), r_last],
+        [float(initial.phi)] + [math.nan] * (len(crossings) + 1),
     ])
     return TrajectorySegment(
         t=t,
@@ -580,20 +582,15 @@ def integrate(
     track's piece at its own time t + c_i h.  Without it the stages read
     the model's fixed pair as one cubic piece (_make_rhs).  Crossings of
     `probe_radius`, when given, must lie in (0, r_cut/2) and are recorded
-    in either direction.  DP5 holds each step's error estimate to 0.3 tol
-    under pure I control (0.9 err^(-1/5)), starts from Hairer's first-step
-    estimate h1, and finds crossings on DP5's continuous extension; the
-    module docstring has the details and the accuracy tol delivers.
-
-    With dense=False, no refresh and no subleading amplitudes the flight
-    is evaluated in closed form instead (exact; Absorbed then carries the
-    exact arrival time at the source, and only the start, the crossing
-    and the terminal point are sampled).  Any other flight with
-    dense=False is radial: DP5 holds the error of s alone to 0.15 tol,
-    and phi is nan after the first sample.  Without refresh or subleading
-    amplitudes and with Im[conj(c_minus) c_plus] = 0 there is no radial
-    motion: DP5 circles at the start radius until t_end, and an infinite
-    t_end raises DegenerateError, since such a flight never ends.
+    in either direction.  `dense`, `refresh` and the model pick the
+    route, closed form or DP5, and the segment keeps the contract that
+    the TrajectorySegment docstring states, with the accuracy tol
+    delivers; the module docstring has DP5's step control.  A closed-form
+    Absorbed carries the exact arrival time at the source.  Without
+    refresh or subleading amplitudes and with Im[conj(c_minus) c_plus] =
+    0 there is no radial motion: DP5 circles at the start radius until
+    t_end, and an infinite t_end raises DegenerateError, since such a
+    flight never ends.
     """
     p = model.params
     r_min = model.r_min
@@ -655,7 +652,7 @@ def integrate(
 
     f_s, f_phi = field(t, s)
 
-    # a radial flight (module docstring) bounds the error of s alone,
+    # a radial flight (TrajectorySegment) bounds the error of s alone,
     # held to 0.15 tol, and carries no phi after its launch
     radial = not dense
     if radial:
@@ -777,10 +774,7 @@ def integrate(
             f_s, f_phi = g_s, g_phi
 
     r_arr = np.array(ss) ** inv_one
-    if radial:
-        # the launch radius itself, not its round trip through s: a dense
-        # flight from seg.initial then steps from the bits this one did
-        r_arr[0] = initial.r
+    r_arr[0] = initial.r  # the launch radius, not its round trip through s
     return TrajectorySegment(
         t=np.array(ts),
         r=r_arr,
@@ -808,9 +802,10 @@ def emit_trajectory(
 ) -> TrajectorySegment:
     """Outgoing trajectory emanating from the source at t0 with labels
     (theta0, phi0): seed (t, phi) at R_SEED_FACTOR * model.r_min from the
-    exact closed forms, then integrate forward until leaving the inner
-    region (or t_end); `dense` as in integrate.  WindowClosed if t_end
-    does not come after the seed time.
+    exact closed forms, then integrate forward from that seed, the
+    segment's first sample, until leaving the inner region (or t_end);
+    `dense` as in integrate.  WindowClosed if t_end does not come after
+    the seed time.
     """
     p = model.params
     seed_radius = R_SEED_FACTOR * model.r_min

@@ -519,7 +519,7 @@ def test_fixed_coefficient_flight_digest_is_stable():
                 (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
             ).encode())
     assert h.hexdigest() == (
-        "4ff459b6dcc63e5660ceadc44086468cbd981588acec81fba4dd748e73b27eb8"
+        "4cc0852128a8fcb3c63e13d7bf0319dbebfc05c58892f2002ee003aea66e9c94"
     )
 
 
@@ -560,7 +560,7 @@ def test_time_dependent_flight_digest_is_stable():
                 (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
             ).encode())
     assert h.hexdigest() == (
-        "f2aeafd31369d441c1deaeb5d1eb2dce51a7f9aef503ea08e47fc9d37e95a13a"
+        "9c16fdb07fb2d9335757ba2f67d740b715819aa56c3f3b915589d3a701896be3"
     )
 
 
@@ -746,9 +746,9 @@ def test_sampler_flights_take_at_most_629_step_attempts():
 def test_sampler_flights_are_radial_and_replay_densely():
     # a sampler flight steps s alone: its phi is its launch azimuth (the
     # seed azimuth of an emitted flight), then nan.  A dense=True flight
-    # from its first sample, as simulate --trace-dir flies it, gives the
-    # bits the sampler flight had while it stepped (s, phi): samples,
-    # terminal, crossings and step counts
+    # from its first sample, as simulate --trace-dir flies it, steps (s,
+    # phi) from the same launch: its samples, terminal, crossings and
+    # step counts stay fixed
     import hashlib
 
     track = _drifting_track()
@@ -766,7 +766,7 @@ def test_sampler_flights_are_radial_and_replay_densely():
                  replay.n_accepted, replay.n_rejected)
             ).encode())
     assert h.hexdigest() == (
-        "73bb808cbf607a822be07a7d2e8cf79d80f1bc440f8fccb34833ed6a4a081f08"
+        "40934aa3664f47bd6d4a532184879d3b5a800afaa4f06ecf77c7543b90bace68"
     )
 
 
