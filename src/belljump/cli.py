@@ -137,8 +137,10 @@ def _jsonl_lines(cfg: RunConfig | None, seed, records):
     header = {"record": "header", "version": __version__, "seed": seed}
     if cfg is not None:
         header["config"] = serialize(cfg)
-    yield json.dumps(header)
-    yield from map(json.dumps, records)
+    # strict JSON: a non-finite float raises instead of writing Infinity
+    yield json.dumps(header, allow_nan=False)
+    for record in records:
+        yield json.dumps(record, allow_nan=False)
 
 
 def _require_seed(cfg: RunConfig) -> int:
@@ -433,7 +435,11 @@ def _cmd_ensemble(ns) -> int:
             "times": stats.time_grid.tolist(),
             "p0_hat": stats.p0_hat.tolist(),
             "expected": comparison.expected.tolist(),
-            "z_scores": comparison.z_scores.tolist(),
+            # infinite where the expected occupancy is exactly 0 or 1
+            "z_scores": [
+                z if math.isfinite(z) else None
+                for z in comparison.z_scores.tolist()
+            ],
         },
         {
             "record": "sector0",

@@ -923,6 +923,45 @@ def test_ensemble_summary_and_histograms(tmp_path):
     assert "snapshot" not in records
 
 
+def _strict_json(line):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def test_ensemble_summary_writes_infinite_z_scores_as_null(tmp_path):
+    # no vacuum and an ingoing field: the expected occupancy is exactly 0,
+    # and absorptions make the estimate positive after t0, where the
+    # z-score is infinite.  The summary stays strict JSON
+    conf = tmp_path / "ens.conf"
+    conf.write_text(MINIMAL.replace("0.9", "0.96") + textwrap.dedent("""\
+        [track]
+        kind = constant
+        psi0 = 0, 0
+        c_minus = 0.2365496301731736, 0
+        c_plus = 0, -0.2365496301731736
+
+        [run]
+        seed = 3
+        n_paths = 200
+        tol = 1e-6
+        time_grid_n = 11
+        """))
+    out = tmp_path / "out"
+    assert dispatch(["ensemble", "--config", str(conf), "--output", str(out)]) == 0
+    summary = (out / "ensemble_summary.json").read_text().splitlines()
+    records = {rec["record"]: rec for rec in map(_strict_json, summary)}
+    occ = records["occupancy"]
+    assert occ["expected"] == [0.0] * 11
+    assert occ["p0_hat"][0] == 0.0 and min(occ["p0_hat"][1:]) > 0.0
+    assert occ["z_scores"] == [0.0] + [None] * 10
+    assert records["sector0"] == {
+        "record": "sector0", "fraction_exceeding": 10 / 11, "passed": False
+    }
+    assert records["totals"]["n_absorptions"] == 56
+
+
 def test_ensemble_writes_the_emission_angle_report(tmp_path):
     # EMITTING_CONF drains the vacuum over its window, so nearly every
     # one of 1100 paths emits once: enough emissions for the angle tests
