@@ -35,7 +35,7 @@ from .jump_process import (
     sample_emission_angles,
     total_jump_rate,
 )
-from .params import ADMISSIBLE_LABELS, canonical_params, circling_sign
+from .params import _Q_LOW, ADMISSIBLE_LABELS, canonical_params, circling_sign
 from .spinor_basis import (
     SpherePoint,
     alpha_component,
@@ -62,8 +62,6 @@ from .wavefunction import (
     current_exact,
     eval_psi1,
 )
-
-_Q_LOW = math.sqrt(3.0) / 2.0
 
 
 @dataclass(frozen=True)
