@@ -148,8 +148,8 @@ class TrajectorySegment:
     sample phi is nan unless the flight was flown with dense=True.  So a
     flight that needs phi is the dense flight from seg.initial, which is
     how `trace` and `simulate --trace-dir` get theirs.  The rates and
-    ds/dt do not depend on the angles, so no path statistic reads phi,
-    and the path sampler never sets dense.  integrate picks the route:
+    ds/dt do not depend on the angles, so no path statistic reads phi.
+    integrate picks the route:
     - closed form (n_accepted = 0): fixed coefficients (no refresh), no
       subleading amplitudes, Im[conj(c_minus) c_plus] != 0 and
       dense=False.  Exact; samples the start, the probe crossing if any
@@ -585,8 +585,7 @@ def integrate(
     in either direction.  `dense`, `refresh` and the model pick the
     route, closed form or DP5, and the segment keeps the contract that
     the TrajectorySegment docstring states, with the accuracy tol
-    delivers; the module docstring has DP5's step control.  A closed-form
-    Absorbed carries the exact arrival time at the source.  Without
+    delivers; the module docstring has DP5's step control.  Without
     refresh or subleading amplitudes and with Im[conj(c_minus) c_plus] =
     0 there is no radial motion: DP5 circles at the start radius until
     t_end, and an infinite t_end raises DegenerateError, since such a
