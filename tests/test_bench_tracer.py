@@ -1,8 +1,17 @@
 """The benchmark's tracer patches package attributes by name; a rename in
-the package must fail here, not only in traced benchmark runs."""
+the package, or a flight that bypasses the names the tracer counts, must
+fail here, not only in traced benchmark runs."""
 
 import importlib.util
+import math
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
+
+from belljump import canonical_params, ensemble
+from belljump.jump_process import CoefficientTrack
+from belljump.wavefunction import ModelFamily
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -28,13 +37,15 @@ def test_tracer_install_and_restore():
         assert owner.__dict__[attr] is original
 
 
-def _draws(draw_path, family, track, n_paths, probe_radius):
-    from belljump import ensemble
-
+def _draws(family, track, n_paths, probe_radius):
+    # through ensemble.draw_path as it is bound now, a tracer's wrapper
+    # when one is installed
     span = (track.t_start, track.t_end)
     sampler = ensemble.make_initial_sampler(family, track, span[0])
     return [
-        draw_path(family, track, span, 5, i, sampler=sampler, probe_radius=probe_radius)
+        ensemble.draw_path(
+            family, track, span, 5, i, sampler=sampler, probe_radius=probe_radius
+        )
         for i in range(n_paths)
     ]
 
@@ -45,15 +56,6 @@ def test_tracer_counts_every_flight_the_paths_hold():
     # here as a path segment the tracer missed.  Closed-form flights,
     # launched and emitted, on a balanced fixed track with a probe;
     # radial DP5 flights on a drifting grid track
-    import math
-    from collections import Counter
-
-    import numpy as np
-
-    from belljump import canonical_params, ensemble
-    from belljump.jump_process import CoefficientTrack
-    from belljump.wavefunction import ModelFamily
-
     p = canonical_params(0.96)
     family = ModelFamily(p, 1.0)
     cm, cp = ensemble.normalized_amplitudes(p, 1.0, 1j, 1.0, 0.3)
@@ -69,8 +71,8 @@ def test_tracer_counts_every_flight_the_paths_hold():
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
-        paths = _draws(ensemble.draw_path, family, fixed, 300, 0.2)
-        paths += _draws(ensemble.draw_path, family, drifting, 200, None)
+        paths = _draws(family, fixed, 300, 0.2)
+        paths += _draws(family, drifting, 200, None)
     finally:
         tracer.restore()
 
