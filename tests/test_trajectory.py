@@ -190,10 +190,7 @@ def test_track_field_gives_the_bits_of_coefficients(monkeypatch):
     # whole flights step the same bits on the oracle field: emitted, and
     # ingoing to absorption, whose extrapolation reads the field behind
     # the step
-    inward = CoefficientTrack(
-        p, track.times, track.c_minus_values, track.c_plus_values.conjugate(),
-        track.psi0_values,
-    )
+    inward = _ingoing_drifting_track()
     family = ModelFamily(p, 1.0)
 
     def flight(tr, start):
@@ -576,6 +573,16 @@ def _drifting_track():
     )
 
 
+def _ingoing_drifting_track():
+    # the drifting track with c_plus conjugated: Im[conj(c-) c+] < 0, so
+    # its flights head for the source
+    track = _drifting_track()
+    return CoefficientTrack(
+        track.params, track.times, track.c_minus_values,
+        track.c_plus_values.conjugate(), track.psi0_values,
+    )
+
+
 def test_track_reader_digest_is_stable():
     # every reader of a track's table, at scalar times and as arrays: the
     # launch reads, the thinning's rate law, the oracle's Im and weight,
@@ -767,6 +774,33 @@ def test_sampler_flights_are_radial_and_replay_densely():
             ).encode())
     assert h.hexdigest() == (
         "40934aa3664f47bd6d4a532184879d3b5a800afaa4f06ecf77c7543b90bace68"
+    )
+
+
+def test_sampler_flight_digest_is_stable():
+    # samples, terminal, crossings and step counts of radial DP5 flights:
+    # the sampler flights, and one flight on the ingoing drifting track
+    # that passes a probe on its way to absorption, which pins Absorbed.t0
+    # and the crossing bits
+    import hashlib
+
+    track = _drifting_track()
+    family = ModelFamily(track.params, 1.0)
+    start = SphericalState(0.4, 0.05, 1.0, 0.3)
+    h = hashlib.sha256()
+    for tol in (1e-6, 1e-8):
+        ingoing = fly(family, _ingoing_drifting_track(), start, 3.0, tol, probe_radius=0.01)
+        assert isinstance(ingoing.terminal, Absorbed)
+        assert len(ingoing.probe_crossings) == 1
+        for seg in [*_sampler_flights(track, tol), ingoing]:
+            assert seg.n_accepted > 0
+            for values in (seg.t, seg.r):
+                h.update(values.tobytes())
+            h.update(repr(
+                (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
+            ).encode())
+    assert h.hexdigest() == (
+        "afd3cd2a16f941e0faaa9865cfd19a289b772d350c99c8921612847c470f2b60"
     )
 
 
