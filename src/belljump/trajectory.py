@@ -70,6 +70,7 @@ numerical stand-in for the source.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -417,51 +418,75 @@ _E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
 _D1, _D3, _D4, _D5, _D6, _D7 = _DP_D
 
 
-def _dp5_attempt(field, t, s, phi, h, k1, q1):
-    """One Dormand-Prince attempt of width h from (t, s, phi), where k1
-    and q1 are the slopes of s and phi: (s_new, phi_new, k7, q7, err_s,
-    err_phi, stages), with k7, q7 the FSAL slopes at t + h, err_* the
-    embedded error estimates and stages = (k3, k4, k5, k6, q3, q4, q5,
-    q6) for the continuous extension (_contd5); None when a stage or
-    s_new reaches s <= 0 (the step passed the source).  Stage i reads
-    field(t + c_i h, s_i).
-    The field depends on s only, so phi is a quadrature of its stages.
-    Each sum runs left to right over all terms, zero ones included."""
-    ys = s + h * (_A21 * k1)
-    if ys <= 0.0:
-        return None
-    k2, q2 = field(t + _C2 * h, ys)
-    ys = s + h * (_A31 * k1 + _A32 * k2)
-    if ys <= 0.0:
-        return None
-    k3, q3 = field(t + _C3 * h, ys)
-    ys = s + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
-    if ys <= 0.0:
-        return None
-    k4, q4 = field(t + _C4 * h, ys)
-    ys = s + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
-    if ys <= 0.0:
-        return None
-    k5, q5 = field(t + _C5 * h, ys)
-    ys = s + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-    if ys <= 0.0:
-        return None
-    t6 = t + _C6 * h
-    k6, q6 = field(t6, ys)
-    s_new = s + h * (_B1 * k1 + _B2 * k2 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    if s_new <= 0.0:
-        return None
-    phi_new = phi + h * (
-        _B1 * q1 + _B2 * q2 + _B3 * q3 + _B4 * q4 + _B5 * q5 + _B6 * q6
-    )
-    k7, q7 = field(t6, s_new)  # FSAL stage, at t + h like the last one
-    err_s = h * (
+def _dp5_increment(h, k1, k2, k3, k4, k5, k6):
+    """h times DP5's fifth-order combination of the stage slopes k1..k6."""
+    return h * (_B1 * k1 + _B2 * k2 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+
+
+def _dp5_error(h, k1, k2, k3, k4, k5, k6, k7):
+    """DP5's embedded error estimate from the stage slopes k1..k7."""
+    return h * (
         _E1 * k1 + _E2 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
     )
-    err_phi = h * (
-        _E1 * q1 + _E2 * q2 + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6 + _E7 * q7
+
+
+def _dp5_attempt(field, azimuth, t, s, phi, h, k1, q1):
+    """One Dormand-Prince attempt of width h from (t, s, phi), where k1 is
+    the slope of s: (s_new, k7, err_s, stages, phi_part), with k7 the FSAL
+    slope at t + h, err_s the embedded error estimate and stages = (k3,
+    k4, k5, k6) for the continuous extension (_contd5); None when a stage
+    or s_new reaches s <= 0 (the step passed the source).  Stage i reads
+    field(t_i, s_i) at t_i = t + c_i h.
+    The field depends on s only, so phi is a quadrature over the same
+    stage points: for a dense flight, with azimuth its rate and q1 that
+    rate at the start, phi_part is (phi_new, q7, err_phi, (q3, q4, q5,
+    q6)) from azimuth(t_i, s_i); a radial flight passes azimuth None,
+    evaluates no azimuth and gets phi_part None.  Each sum runs left to
+    right over all terms, zero ones included."""
+    t2 = t + _C2 * h
+    s2 = s + h * (_A21 * k1)
+    if s2 <= 0.0:
+        return None
+    k2 = field(t2, s2)
+    t3 = t + _C3 * h
+    s3 = s + h * (_A31 * k1 + _A32 * k2)
+    if s3 <= 0.0:
+        return None
+    k3 = field(t3, s3)
+    t4 = t + _C4 * h
+    s4 = s + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
+    if s4 <= 0.0:
+        return None
+    k4 = field(t4, s4)
+    t5 = t + _C5 * h
+    s5 = s + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+    if s5 <= 0.0:
+        return None
+    k5 = field(t5, s5)
+    t6 = t + _C6 * h
+    s6 = s + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+    if s6 <= 0.0:
+        return None
+    k6 = field(t6, s6)
+    s_new = s + _dp5_increment(h, k1, k2, k3, k4, k5, k6)
+    if s_new <= 0.0:
+        return None
+    k7 = field(t6, s_new)  # FSAL stage, at t + h like the last one
+    err_s = _dp5_error(h, k1, k2, k3, k4, k5, k6, k7)
+    if azimuth is None:
+        return s_new, k7, err_s, (k3, k4, k5, k6), None
+    q2 = azimuth(t2, s2)
+    q3 = azimuth(t3, s3)
+    q4 = azimuth(t4, s4)
+    q5 = azimuth(t5, s5)
+    q6 = azimuth(t6, s6)
+    q7 = azimuth(t6, s_new)
+    return s_new, k7, err_s, (k3, k4, k5, k6), (
+        phi + _dp5_increment(h, q1, q2, q3, q4, q5, q6),
+        q7,
+        _dp5_error(h, q1, q2, q3, q4, q5, q6, q7),
+        (q3, q4, q5, q6),
     )
-    return s_new, phi_new, k7, q7, err_s, err_phi, (k3, k4, k5, k6, q3, q4, q5, q6)
 
 
 def _contd5(y0, y1, h, k1, k3, k4, k5, k6, k7):
@@ -495,30 +520,43 @@ def _make_rhs(
     params: PhysParams,
     subleading: tuple[complex, complex],
     coefficients: tuple[complex, complex] | CoefficientTrack,
-) -> Callable[[float, float], tuple[float, float]]:
-    """The guiding field of one flight, field(t, s) -> (ds/dt, dphi/dt)
-    for y = (s, phi) with s = r^(1-2B): one call per DP5 stage.
+) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
+    """The guiding field of one flight in s = r^(1-2B): (field, azimuth),
+    field(t, s) -> ds/dt, which every DP5 stage calls, and azimuth(t, s)
+    -> dphi/dt, which only a dense flight calls, at the same points.
 
-    v = j/rho from span_currents of the real and imaginary parts of the
-    reduced amplitudes, whose common factor cancels from the ratios:
-    ds/dt = (1-2B) r^(-2B) j_r/rho and dphi/dt = (j_phi/sin(theta))/(r rho).
-    Both stay finite as s -> 0 (j_r ~ r^(2B) while rho -> (1+q)|c-|^2/pi).
-    The constants that depend on params only (the exponents and
-    current_weights) are formed once, here.
+    v = j/rho from the currents of the reduced amplitudes, whose common
+    factor cancels from the ratios: ds/dt = (1-2B) r^(-2B) j_r/rho and
+    dphi/dt = (j_phi/sin(theta))/(r rho).  ds/dt stays finite at the
+    source: r^(-2B) j_r = 2 w B Im[conj(c-) c+] exactly, and rho -> w |c-|^2
+    as s -> 0, so ds/dt -> (1-2B) 2B Im/|c-|^2 there.  dphi/dt does not:
+    it grows as -q sgn / r, the particle's infinitely many windings.
+    Without subleading amplitudes, field is that ratio in closed form,
 
-    Each stage reads (c_minus, c_plus) at its time t by Horner from the
-    four c+- columns of a cubic piece (a CoefficientTrack.pair_pieces
-    piece), keeping the piece of its last
-    read and locating another only when t leaves it.  A track (psi_t)
-    supplies its own pieces; a fixed pair is one piece over [0, inf) with
-    zero cubic terms.  Without subleading amplitudes c_plus r^(2B) is
-    formed as (Re c+ u, Im c+ u), the bits of the complex product; with
-    them complex(Re, Im) of the pair goes through reduced_amplitudes.
+        ds/dt = (1-2B) 2B Im / (|c-|^2 + u (2q Re + u |c+|^2)),
+
+    with u = r^(2B) = s^(2B/(1-2B)) and the overlap parts of the stage's
+    (c-, c+): (1-2B) r^(-2B) times the reciprocal of the exact dt/dr
+    of _invert_time, one pow per call, and defined at s = 0.  With them,
+    and for azimuth always, the pair goes through reduced_amplitudes and
+    span_currents.  The constants that depend on params only are formed
+    once, here.
+
+    Both read (c_minus, c_plus) at their time t by Horner from the four
+    c+- columns of a cubic piece (a CoefficientTrack.pair_pieces piece),
+    keeping the piece of their last read; when t leaves it, one bisect on
+    the knots finds the next, with t clamped to the grid as
+    CoefficientTrack.coefficients clamps it.  A track (psi_t) supplies
+    its own pieces; a fixed pair is one piece over [0, inf) with zero
+    cubic terms.
     """
     one = 1.0 - 2.0 * params.B
     inv_one = 1.0 / one
     two_b = 2.0 * params.B
     neg_two_b = -two_b
+    u_exp = two_b / one
+    gain = one * two_b
+    two_q = 2.0 * params.q
     weights = current_weights(params)
     plain = subleading == (0j, 0j)
 
@@ -527,40 +565,66 @@ def _make_rhs(
         columns = (c_minus.real, c_minus.imag, c_plus.real, c_plus.imag)
         knots = (0.0, math.inf)
         pieces = [[w for d in columns for w in (0.0, 0.0, 0.0, d)]]
-        locate = lambda _t: (0, 0.0)
     else:
-        knots, pieces, locate = coefficients.pair_pieces()
+        knots, pieces = coefficients.pair_pieces()
+    first, last, n = knots[0], knots[-1], len(pieces)
     lo = hi = math.nan  # the last read's piece [lo, hi); none yet
     piece = None
 
-    def field(t: float, s: float) -> tuple[float, float]:
+    def pair(t):
+        # (Re c-, Im c-, Re c+, Im c+) at t; field inlines these lines
         nonlocal lo, hi, piece
         if lo <= t < hi:
             x = t - lo
         else:
-            i, x = locate(t)
+            t = first if t < first else last if t > last else t
+            i = bisect_right(knots, t, 1, n) - 1
             lo, hi, piece = knots[i], knots[i + 1], pieces[i]
+            x = t - lo
+        a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 = piece
+        return (
+            ((a0 * x + b0) * x + c0) * x + d0,
+            ((a1 * x + b1) * x + c1) * x + d1,
+            ((a2 * x + b2) * x + c2) * x + d2,
+            ((a3 * x + b3) * x + c3) * x + d3,
+        )
+
+    def currents(cm_r, cm_i, cp_r, cp_i, s):
+        # r and (j_r, j_phi/sin(theta), rho) of the reduced amplitudes
+        r = s**inv_one
+        a, c = reduced_amplitudes(
+            params, complex(cm_r, cm_i), complex(cp_r, cp_i), r, subleading
+        )
+        return r, span_currents(weights, a.real, a.imag, c.real, c.imag)
+
+    def field(t: float, s: float) -> float:
+        nonlocal lo, hi, piece
+        if lo <= t < hi:
+            x = t - lo
+        else:
+            t = first if t < first else last if t > last else t
+            i = bisect_right(knots, t, 1, n) - 1
+            lo, hi, piece = knots[i], knots[i + 1], pieces[i]
+            x = t - lo
         a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 = piece
         cm_r = ((a0 * x + b0) * x + c0) * x + d0
         cm_i = ((a1 * x + b1) * x + c1) * x + d1
         cp_r = ((a2 * x + b2) * x + c2) * x + d2
         cp_i = ((a3 * x + b3) * x + c3) * x + d3
-        r = s**inv_one
         if plain:
-            u = r**two_b
-            j_r, j_phi_over_sin, rho = span_currents(
-                weights, cm_r, cm_i, cp_r * u, cp_i * u
+            u = s**u_exp
+            return gain * (cm_r * cp_i - cm_i * cp_r) / (
+                cm_r * cm_r + cm_i * cm_i
+                + u * (two_q * (cm_r * cp_r + cm_i * cp_i) + u * (cp_r * cp_r + cp_i * cp_i))
             )
-        else:
-            a, c = reduced_amplitudes(
-                params, complex(cm_r, cm_i), complex(cp_r, cp_i), r, subleading
-            )
-            j_r, j_phi_over_sin, rho = span_currents(
-                weights, a.real, a.imag, c.real, c.imag
-            )
-        return one * r**neg_two_b * j_r / rho, j_phi_over_sin / (r * rho)
+        r, (j_r, _, rho) = currents(cm_r, cm_i, cp_r, cp_i, s)
+        return one * r**neg_two_b * j_r / rho
 
-    return field
+    def azimuth(t: float, s: float) -> float:
+        r, (_, j_phi_over_sin, rho) = currents(*pair(t), s)
+        return j_phi_over_sin / (r * rho)
+
+    return field, azimuth
 
 
 def integrate(
@@ -633,7 +697,7 @@ def integrate(
         above = min((lv for lv, _ in levels if lv > s), default=math.inf)
         return below, above
 
-    field = _make_rhs(
+    field, azimuth = _make_rhs(
         p,
         model.subleading_amp,
         (model.c_minus, model.c_plus) if refresh is None else refresh,
@@ -649,13 +713,17 @@ def integrate(
     crossings: list[ProbeCrossing] = []
     n_acc = n_rej = 0
 
-    f_s, f_phi = field(t, s)
+    f_s = field(t, s)
 
-    # a radial flight (TrajectorySegment) bounds the error of s alone,
-    # held to 0.15 tol, and carries no phi after its launch
+    # a radial flight (TrajectorySegment) evaluates no azimuth, bounds the
+    # error of s alone, held to 0.15 tol, and carries no phi after its
+    # launch
     radial = not dense
     if radial:
-        phi = math.nan
+        azimuth = None
+        phi = f_phi = math.nan
+    else:
+        f_phi = azimuth(t, s)
     # dense errors are held to 0.3 tol: pure I control (below) then stays
     # at least as accurate as Hairer's PI controller at tol, in fewer steps
     tol = (0.15 if radial else 0.3) * tol
@@ -673,10 +741,10 @@ def integrate(
         d1 = max(d1, abs(f_phi) / scale_phi)
     d1 = max(d1, 1e-300)
     h = 0.01 * d0 / d1
-    e_s, e_phi = field(t + h, s + h * f_s)
-    d2 = abs(e_s - f_s) / scale_s
+    t_euler, s_euler = t + h, s + h * f_s
+    d2 = abs(field(t_euler, s_euler) - f_s) / scale_s
     if not radial:
-        d2 = max(d2, abs(e_phi - f_phi) / scale_phi)
+        d2 = max(d2, abs(azimuth(t_euler, s_euler) - f_phi) / scale_phi)
     d2 /= h
     h = min(100.0 * h, (0.01 / max(d1, d2)) ** 0.2, t_end - t)
 
@@ -697,18 +765,19 @@ def integrate(
         if final_step:
             h = t_end - t
 
-        attempt = _dp5_attempt(field, t, s, phi, h, f_s, f_phi)
+        attempt = _dp5_attempt(field, azimuth, t, s, phi, h, f_s, f_phi)
         if attempt is None:
             n_rej += 1  # stepped over the source; shrink
             h *= 0.3
             continue
-        s_new, phi_new, g_s, g_phi, err_s, err_phi, stages = attempt
+        s_new, g_s, err_s, stages, phi_part = attempt
         # comparisons in place of min and max, picking what they pick
         s_abs, s_new_abs = abs(s), abs(s_new)
         sc_s = atol_s + tol * (s_new_abs if s_new_abs > s_abs else s_abs)
         if radial:
             err = abs(err_s) / sc_s
         else:
+            phi_new, g_phi, err_phi, phi_stages = phi_part
             phi_abs, phi_new_abs = abs(phi), abs(phi_new)
             phi_abs = phi_abs if phi_abs > 1.0 else 1.0
             sc_phi = tol * (phi_new_abs if phi_new_abs > phi_abs else phi_abs)
@@ -729,7 +798,7 @@ def integrate(
                 g0, g1 = s - level, s_new - level
                 if g0 == 0.0 or (g0 < 0.0) == (g1 < 0.0):
                     continue
-                s_at = _contd5(s, s_new, h, f_s, *stages[:4], g_s)
+                s_at = _contd5(s, s_new, h, f_s, *stages, g_s)
                 tau_c = _bracket_root(lambda u: s_at(u) - level, 0.0, 1.0, g0, g1)
                 hits.append((tau_c, level, 1 if g1 > g0 else -1, is_term))
             hits.sort()
@@ -742,10 +811,11 @@ def integrate(
                     ts.append(tc)
                     ss.append(level)
                     phis.append(
-                        _contd5(phi, phi_new, h, f_phi, *stages[4:], g_phi)(tau_c)
+                        phi if radial
+                        else _contd5(phi, phi_new, h, f_phi, *phi_stages, g_phi)(tau_c)
                     )
                     if level == s_min and direction < 0:
-                        ds_dt = field(tc, s_min)[0]
+                        ds_dt = field(tc, s_min)
                         t0 = tc + s_min / (-ds_dt) if ds_dt < 0.0 else tc
                         terminal = Absorbed(t0=t0)
                     else:
@@ -758,7 +828,9 @@ def integrate(
 
         n_acc += 1
         if terminal is None:
-            t, s, phi = (t_end if final_step else t + h), s_new, phi_new
+            t, s = (t_end if final_step else t + h), s_new
+            if not radial:
+                phi, f_phi = phi_new, g_phi
             if t <= ts[-1]:
                 t = math.nextafter(ts[-1], math.inf)
             ts.append(t)
@@ -770,7 +842,7 @@ def integrate(
             # pure I control; err <= 1 here, so fac >= 0.9 needs no floor
             fac = 0.9 * err**-0.2 if err > 0.0 else 10.0
             h *= fac if fac < 10.0 else 10.0
-            f_s, f_phi = g_s, g_phi
+            f_s = g_s
 
     r_arr = np.array(ss) ** inv_one
     r_arr[0] = initial.r  # the launch radius, not its round trip through s

@@ -98,11 +98,12 @@ def test_phi_rate_correction_matches_series():
 
 
 def test_integrator_rhs_matches_oracles():
-    # the integrator's (ds/dt, dphi/dt) pointwise, ds/dt = (1-2B) r^(-2B)
+    # the integrator's ds/dt and dphi/dt pointwise, ds/dt = (1-2B) r^(-2B)
     # dr/dt: without subleading terms against the pure-model rates,
     # componentwise; with them against the spinor-contraction guiding
     # field v = j/rho, relative to the speed |v| (the contraction loses
-    # the small v_r near the source to cancellation against rho)
+    # the small v_r near the source to cancellation against rho).  Each
+    # case runs at its radius and 1e-22 times it, down to 1e-30
     rng = np.random.default_rng(43)
     labels = ((-0.5, -1), (-0.5, 1), (0.5, -1), (0.5, 1))
     worst = 0.0
@@ -112,48 +113,88 @@ def test_integrator_rhs_matches_oracles():
         )
         cm = complex(rng.normal(), rng.normal())
         cp = complex(rng.normal(), rng.normal())
-        r = math.exp(rng.uniform(math.log(1e-8), math.log(0.5)))
+        r_drawn = math.exp(rng.uniform(math.log(1e-8), math.log(0.5)))
         theta = rng.uniform(0.1, math.pi - 0.1)
-        u, one = r ** (2.0 * p.B), 1.0 - 2.0 * p.B
-        if k % 2 == 0:
-            ds_dt, dphi_dt = _make_rhs(p, (0j, 0j), (cm, cp))(0.0, r**one)
-            dr_dt, _, want_phi = ode_rhs(p, cm, cp, SphericalState(0.0, r, theta, 0.0))
-            want_s = one * dr_dt / u
-            worst = max(
-                worst,
-                abs(ds_dt - want_s) / abs(want_s),
-                abs(dphi_dt - want_phi) / abs(want_phi),
-            )
-        else:
+        one = 1.0 - 2.0 * p.B
+        sub = (0j, 0j)
+        if k % 2:
             sub = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
-            ds_dt, dphi_dt = _make_rhs(p, sub, (cm, cp))(0.0, r**one)
-            model = ModelWavefunction(p, cm, cp, 1.0, sub)
-            v_r, _, v_phi = velocity_field(model, r, theta, 0.3)
-            speed = math.hypot(v_r, v_phi)
-            worst = max(
-                worst,
-                abs(ds_dt * u / one - v_r) / speed,
-                abs(dphi_dt * r * math.sin(theta) - v_phi) / speed,
-            )
+        field, azimuth = _make_rhs(p, sub, (cm, cp))
+        for r in (r_drawn, 1e-22 * r_drawn):
+            u = r ** (2.0 * p.B)
+            ds_dt, dphi_dt = field(0.0, r**one), azimuth(0.0, r**one)
+            if k % 2 == 0:
+                dr_dt, _, want_phi = ode_rhs(p, cm, cp, SphericalState(0.0, r, theta, 0.0))
+                want_s = one * dr_dt / u
+                worst = max(
+                    worst,
+                    abs(ds_dt - want_s) / abs(want_s),
+                    abs(dphi_dt - want_phi) / abs(want_phi),
+                )
+            else:
+                model = ModelWavefunction(p, cm, cp, 1.0, sub)
+                v_r, _, v_phi = velocity_field(model, r, theta, 0.3)
+                speed = math.hypot(v_r, v_phi)
+                worst = max(
+                    worst,
+                    abs(ds_dt * u / one - v_r) / speed,
+                    abs(dphi_dt * r * math.sin(theta) - v_phi) / speed,
+                )
     assert worst < 1e-10
 
 
+def test_radial_speed_is_finite_at_the_source():
+    # ds/dt at s = 0 is (1-2B) 2B Im/|c-|^2 of the stage's pair, where
+    # dphi/dt diverges: on fixed outgoing and ingoing pairs, and on the
+    # drifting track and its ingoing conjugate at random times
+    p = canonical_params(0.96)
+    one, two_b = 1.0 - 2.0 * p.B, 2.0 * p.B
+    rng = np.random.default_rng(61)
+    cases = [((1.0, 1j), 0.0), ((0.8 - 0.3j, -0.4 - 0.9j), 0.0)]
+    for track in (_drifting_track(), _ingoing_drifting_track()):
+        cases += [(track, t) for t in rng.uniform(-0.5, 3.5, 30).tolist()]
+    for coefficients, t in cases:
+        pair = coefficients if isinstance(coefficients, tuple) else coefficients.coefficients(t)
+        m2, _, _, im = overlap_parts(*pair)
+        field, azimuth = _make_rhs(p, (0j, 0j), coefficients)
+        speed = field(t, 0.0)
+        assert speed == pytest.approx(one * two_b * im / m2, rel=1e-15, abs=0.0)
+        assert speed == pytest.approx(field(t, 1e-300), rel=1e-15, abs=0.0)
+        # r = 1e-227 at s = 1e-100: dphi/dt = -q sgn / r to leading order
+        r = 1e-100 ** (1.0 / one)
+        assert azimuth(t, 1e-100) * r == pytest.approx(-p.q * p.sign_mk, rel=1e-12)
+
+
 def _oracle_rhs(params, subleading, track):
-    # the guiding field fed track.coefficients(t) at each stage, through
-    # reduced_amplitudes and span_currents with the operations _make_rhs
-    # applies to their results
-    one = 1.0 - 2.0 * params.B
+    # the guiding field fed track.coefficients(t) at each call, with the
+    # operations of _make_rhs: ds/dt from the overlap of the pair without
+    # subleading amplitudes, and through reduced_amplitudes and
+    # span_currents with them and for dphi/dt
+    B = params.B
+    one = 1.0 - 2.0 * B
     weights = current_weights(params)
 
-    def field(t, s):
+    def currents(t, s):
         r = s ** (1.0 / one)
         a, c = reduced_amplitudes(params, *track.coefficients(t), r, subleading)
-        j_r, j_phi_over_sin, rho = span_currents(
-            weights, a.real, a.imag, c.real, c.imag
-        )
-        return one * r ** (-2.0 * params.B) * j_r / rho, j_phi_over_sin / (r * rho)
+        return r, span_currents(weights, a.real, a.imag, c.real, c.imag)
 
-    return field
+    def field(t, s):
+        if subleading == (0j, 0j):
+            cm, cp = track.coefficients(t)
+            x = cm.conjugate() * cp
+            u = s ** (2.0 * B / one)
+            m2 = cm.real * cm.real + cm.imag * cm.imag
+            p2 = cp.real * cp.real + cp.imag * cp.imag
+            return one * (2.0 * B) * x.imag / (m2 + u * (2.0 * params.q * x.real + u * p2))
+        r, (j_r, _, rho) = currents(t, s)
+        return one * r ** (-2.0 * B) * j_r / rho
+
+    def azimuth(t, s):
+        r, (_, j_phi_over_sin, rho) = currents(t, s)
+        return j_phi_over_sin / (r * rho)
+
+    return field, azimuth
 
 
 def test_track_field_gives_the_bits_of_coefficients(monkeypatch):
@@ -180,13 +221,14 @@ def test_track_field_gives_the_bits_of_coefficients(monkeypatch):
             knots[:-1] + 0.4 * np.diff(knots),
         ))
         for sub in ((0j, 0j), (0.05, 0.05j)):
-            field = _make_rhs(p, sub, tr)
+            rates = _make_rhs(p, sub, tr)
             oracle = _oracle_rhs(p, sub, tr)
             for t in times.tolist():
                 s = rng.uniform(1e-8, 0.5) ** one
-                got = repr(field(t, s))
-                assert got == repr(oracle(t, s))
-                assert got == repr(_make_rhs(p, sub, tr.coefficients(t))(t, s))
+                got = [repr(rate(t, s)) for rate in rates]
+                assert got == [repr(rate(t, s)) for rate in oracle]
+                fixed = _make_rhs(p, sub, tr.coefficients(t))
+                assert got == [repr(rate(t, s)) for rate in fixed]
     # whole flights step the same bits on the oracle field: emitted, and
     # ingoing to absorption, whose extrapolation reads the field behind
     # the step
@@ -516,7 +558,7 @@ def test_fixed_coefficient_flight_digest_is_stable():
                 (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
             ).encode())
     assert h.hexdigest() == (
-        "4cc0852128a8fcb3c63e13d7bf0319dbebfc05c58892f2002ee003aea66e9c94"
+        "14abdc1d1174503cf8a4fc6d4f1443b64a94dff04df244f0b667407dc5388d8e"
     )
 
 
@@ -557,7 +599,7 @@ def test_time_dependent_flight_digest_is_stable():
                 (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
             ).encode())
     assert h.hexdigest() == (
-        "9c16fdb07fb2d9335757ba2f67d740b715819aa56c3f3b915589d3a701896be3"
+        "91e5d2391a51449676dd46a9be8f1a19b9bdc365b4dfe9d32c4acfa24ad4a14d"
     )
 
 
@@ -631,11 +673,11 @@ def test_track_reader_digest_is_stable():
         for name in array_readers:
             feed(getattr(track, name)(times))
         for r in (1e-3, 0.05):
-            field = _make_rhs(p, (0j, 0j), track)
+            field, azimuth = _make_rhs(p, (0j, 0j), track)
             for tq in [*times.tolist(), *times[::-1].tolist()]:
-                feed(field(tq, r**one))
+                feed((field(tq, r**one), azimuth(tq, r**one)))
     assert h.hexdigest() == (
-        "ff3ef33b13b9fbc95a0eba3feec97947da0c08e1578dd7b104af23e452bda76a"
+        "99a2d181c5cc2ab8582ee2ce4700ed2f858be92720726940d1bb47dec4e10f4d"
     )
 
 
@@ -773,7 +815,7 @@ def test_sampler_flights_are_radial_and_replay_densely():
                  replay.n_accepted, replay.n_rejected)
             ).encode())
     assert h.hexdigest() == (
-        "40934aa3664f47bd6d4a532184879d3b5a800afaa4f06ecf77c7543b90bace68"
+        "ed459a49f00842e2699992d949e9b4172c0f13abf7ed359bdeeae4bd56c53411"
     )
 
 
@@ -800,8 +842,56 @@ def test_sampler_flight_digest_is_stable():
                 (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
             ).encode())
     assert h.hexdigest() == (
-        "afd3cd2a16f941e0faaa9865cfd19a289b772d350c99c8921612847c470f2b60"
+        "6b8cc0441d6be22251f45e31c5ea6ff79425190f32d6efbb054bdf9eddc6708f"
     )
+
+
+def test_radial_flights_evaluate_no_azimuth(monkeypatch):
+    # what _make_rhs builds, with each call recorded: a radial flight
+    # calls the field six times per attempt, plus at its launch, at the
+    # first step's Euler point and once per absorption, and never the
+    # azimuth; its dense replay calls the azimuth at the same points,
+    # except the absorption's
+    make = trajectory._make_rhs
+    flights = []
+
+    def recording(*args):
+        rates = make(*args)
+        points = ([], [])
+        flights.append(points)
+
+        def recorded(rate, log):
+            def call(t, s):
+                log.append((t, s))
+                return rate(t, s)
+            return call
+
+        return tuple(recorded(rate, log) for rate, log in zip(rates, points))
+
+    monkeypatch.setattr(trajectory, "_make_rhs", recording)
+    track = _drifting_track()
+    family = ModelFamily(track.params, 1.0)
+    ingoing = _ingoing_drifting_track()
+    start = SphericalState(0.4, 0.05, 1.0, 0.3)
+    for tol in (1e-6, 1e-8):
+        flights.clear()
+        radial = _sampler_flights(track, tol)
+        radial.append(fly(family, ingoing, start, 3.0, tol, probe_radius=0.01))
+        dense = [
+            fly(family, tr, seg.initial, 3.0, tol, probe_radius=0.01, dense=True)
+            for tr, seg in zip([track] * (len(radial) - 1) + [ingoing], radial)
+        ]
+        assert len(flights) == 2 * len(radial)
+        for seg, (field_points, azimuth_points) in zip(radial, flights):
+            absorbed = isinstance(seg.terminal, Absorbed)
+            attempts = seg.n_accepted + seg.n_rejected
+            assert len(field_points) == 6 * attempts + 2 + absorbed
+            assert azimuth_points == []
+        for seg, (field_points, azimuth_points) in zip(dense, flights[len(radial):]):
+            absorbed = isinstance(seg.terminal, Absorbed)
+            assert azimuth_points == field_points[:len(field_points) - absorbed]
+        assert isinstance(radial[-1].terminal, Absorbed)
+        assert isinstance(dense[-1].terminal, Absorbed)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
