@@ -46,7 +46,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -175,15 +175,16 @@ class CoefficientTrack:
         # built at the first psi_t flight, never for fixed coefficients
         return [piece[:16] for piece in self._pieces]
 
-    def pair_pieces(self) -> tuple[list[float], list[list[float]]]:
-        """What a stage of a psi_t flight reads (trajectory._make_rhs):
-        (knots, pieces).  pieces[i] holds the four c+- columns of the
-        piece [knots[i], knots[i+1]] flat, (a, b, c, d) for each of Re
-        c_minus, Im c_minus, Re c_plus, Im c_plus in that order, sliced
-        once per track.  Each column is ((a x + b) x + c) x + d at the
-        offset x = t - knots[i] of a time t clamped to the grid, the bits
-        that coefficients(t) holds."""
-        return self._knots, self._pair_pieces
+    def pair_pieces(self) -> tuple[list[float], list[list[float]], Callable]:
+        """What a psi_t flight reads (trajectory._make_rhs): (knots,
+        pieces, read).  pieces[i] holds the four c+- columns of the piece
+        [knots[i], knots[i+1]] flat, (a, b, c, d) for each of Re c_minus,
+        Im c_minus, Re c_plus, Im c_plus in that order, sliced once per
+        track; each column is ((a x + b) x + c) x + d at the offset x =
+        t - knots[i] of a time t clamped to the grid, the bits that
+        coefficients(t) holds.  read(t) gives the same bits as the first
+        four of the table's six columns at t."""
+        return self._knots, self._pair_pieces, self._columns_at
 
     def _columns_at(self, t: float) -> list[float]:
         """The six real columns at one time (clamped to the grid): Horner

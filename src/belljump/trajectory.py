@@ -1,36 +1,43 @@
 """Bohmian trajectories near the source: the closed-form flow relations,
 a closed-form flight evaluator, an adaptive integrator in the substituted
-radial variable, and emission seeding.  The integrator's guiding field is
-wavefunction.span_currents of the real and imaginary parts of the reduced
-amplitudes, with its parameter weights formed once per flight.
+radial variable, and emission seeding.  The integrator's radial speed is
+the closed form of j_r/rho in the overlap of the coefficients; its
+azimuth rate, and its radial speed under subleading amplitudes, come from
+wavefunction.span_currents of the reduced amplitudes (_make_rhs).
 
 Radial substitution.  With s = r^(1-2B) the leading radial equation
 becomes ds/dt = const near the origin (the power-law r(t) ~ |t|^(1/(1-2B))
-is the integral of exactly that), so an adaptive stepper in (s, phi)
-takes uniform-quality steps all the way into absorption.  theta is not
-integrated at all: every model wave function lies pointwise in the span
-of the two boundary spinors, which makes j_theta vanish identically, so
-theta stays exactly constant along a segment.
+is the integral of exactly that), so an adaptive stepper in s takes
+uniform-quality steps all the way into absorption.  ds/dt is finite at
+s = 0, where it is (1-2B) 2B Im[conj(c_minus) c_plus]/|c_minus|^2; only
+dphi/dt ~ 1/r diverges there, the particle's infinitely many windings.
+theta is not integrated at all: every model wave function lies pointwise
+in the span of the two boundary spinors, which makes j_theta vanish
+identically, so theta stays exactly constant along a segment.
 
 Flights.  Every flight is a TrajectorySegment, whose docstring states
 what each route (closed form, radial DP5, dense DP5) samples, what every
 segment holds whatever its route, and what tol delivers.
 
-One call per stage.  Each DP5 stage makes one Python call, field(t, s),
-built once per flight (_make_rhs), plus span_currents inside it.  Every
-DP5 flight reads its coefficients from a cubic piece by Horner: under
-psi_t the CoefficientTrack's own, with the bits of
+One call per stage.  Each DP5 stage makes one Python call, field(t, s)
+-> ds/dt, built once per flight (_make_rhs); without subleading
+amplitudes it is closed form, with one pow.  A dense flight also calls
+azimuth(t, s) -> dphi/dt at the same stage points; a radial flight never
+does.  Every DP5 flight reads its coefficients from a cubic piece by
+Horner: under psi_t the CoefficientTrack's own, with the bits of
 CoefficientTrack.coefficients, and for a fixed pair one piece whose
-cubic terms are zero.  Without subleading amplitudes the pair enters
-span_currents as real parts, never boxed as complex numbers.
+cubic terms are zero.  A stage whose time leaves the piece of the last
+read finds the next with one bisect on the knots.
 
-Step control.  A DP5 step is accepted when err, the RMS over s and phi
-of its embedded error estimates, each relative to 0.3 tol times the
-larger of the component's values at the step's ends (plus 0.1 s_min for
-s, at least 1 for phi), is at most 1; on a radial flight err is the
-estimate of s alone relative to 0.15 tol times that larger value plus
-0.1 s_min (tighter than the 0.42 tol that the RMS allows s when phi's
-error is 0).  The next step is then
+Step control.  DP5 steps s; a dense flight integrates phi over the same
+stage points.  A step is accepted when err is at most 1.  On a radial
+flight err is the embedded error estimate of s relative to 0.15 tol
+times the larger of its values at the step's ends plus 0.1 s_min; on a
+dense flight it is the RMS over s and phi of their estimates, each
+relative to 0.3 tol times the larger of the component's values at the
+step's ends (plus 0.1 s_min for s, at least 1 for phi), so the radial
+bound on s is tighter than the 0.42 tol that the RMS allows s when phi's
+error is 0.  The next step is then
 0.9 err^(-1/5) times this one: pure I control, growth capped at 10x; a
 rejected step shrinks by the same law, at most 5x.  Near the source the
 step follows the flight's self-similar scale and grows at every step,
@@ -157,9 +164,11 @@ class TrajectorySegment:
       and the terminal point;
     - radial DP5, any other flight with dense=False (psi_t, subleading
       amplitudes, or Im = 0, which circles at its start radius): steps
-      s = r^(1-2B) alone and samples every accepted step plus the
-      terminal point;
-    - dense DP5 (dense=True): steps (s, phi), with the same samples.
+      s = r^(1-2B) alone on ds/dt, evaluates no azimuth rate, and
+      samples every accepted step plus the terminal point;
+    - dense DP5 (dense=True): steps s the same way and integrates phi
+      over the same stage points, bounding the error of both, with the
+      same samples.
 
     What tol delivers on DP5 flights, against a DOP853 oracle on
     drifting psi_t flights, as the relative error in r at an accepted
@@ -542,13 +551,14 @@ def _make_rhs(
     span_currents.  The constants that depend on params only are formed
     once, here.
 
-    Both read (c_minus, c_plus) at their time t by Horner from the four
+    field reads (c_minus, c_plus) at its time t by Horner from the four
     c+- columns of a cubic piece (a CoefficientTrack.pair_pieces piece),
-    keeping the piece of their last read; when t leaves it, one bisect on
+    keeping the piece of its last read; when t leaves it, one bisect on
     the knots finds the next, with t clamped to the grid as
     CoefficientTrack.coefficients clamps it.  A track (psi_t) supplies
     its own pieces; a fixed pair is one piece over [0, inf) with zero
-    cubic terms.
+    cubic terms.  azimuth, off the sampler's path, reads the same bits
+    through the track's own reader.
     """
     one = 1.0 - 2.0 * params.B
     inv_one = 1.0 / one
@@ -565,29 +575,12 @@ def _make_rhs(
         columns = (c_minus.real, c_minus.imag, c_plus.real, c_plus.imag)
         knots = (0.0, math.inf)
         pieces = [[w for d in columns for w in (0.0, 0.0, 0.0, d)]]
+        read = lambda _t: columns
     else:
-        knots, pieces = coefficients.pair_pieces()
+        knots, pieces, read = coefficients.pair_pieces()
     first, last, n = knots[0], knots[-1], len(pieces)
     lo = hi = math.nan  # the last read's piece [lo, hi); none yet
     piece = None
-
-    def pair(t):
-        # (Re c-, Im c-, Re c+, Im c+) at t; field inlines these lines
-        nonlocal lo, hi, piece
-        if lo <= t < hi:
-            x = t - lo
-        else:
-            t = first if t < first else last if t > last else t
-            i = bisect_right(knots, t, 1, n) - 1
-            lo, hi, piece = knots[i], knots[i + 1], pieces[i]
-            x = t - lo
-        a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 = piece
-        return (
-            ((a0 * x + b0) * x + c0) * x + d0,
-            ((a1 * x + b1) * x + c1) * x + d1,
-            ((a2 * x + b2) * x + c2) * x + d2,
-            ((a3 * x + b3) * x + c3) * x + d3,
-        )
 
     def currents(cm_r, cm_i, cp_r, cp_i, s):
         # r and (j_r, j_phi/sin(theta), rho) of the reduced amplitudes
@@ -621,7 +614,8 @@ def _make_rhs(
         return one * r**neg_two_b * j_r / rho
 
     def azimuth(t: float, s: float) -> float:
-        r, (_, j_phi_over_sin, rho) = currents(*pair(t), s)
+        cm_r, cm_i, cp_r, cp_i = read(t)[:4]
+        r, (_, j_phi_over_sin, rho) = currents(cm_r, cm_i, cp_r, cp_i, s)
         return j_phi_over_sin / (r * rho)
 
     return field, azimuth
