@@ -155,20 +155,6 @@ class CoefficientTrack:
         """(c_minus, c_plus) when the track holds them fixed, else None."""
         return self._const_pair
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        """The piece of one time, clamped to the grid, and the time's
-        offset into it."""
-        knots = self._knots
-        t = float(t)
-        if t < knots[0]:
-            t = knots[0]
-        elif t > knots[-1]:
-            t = knots[-1]
-        i = bisect.bisect_right(knots, t) - 1
-        if i == len(self._pieces):  # t on the last knot
-            i -= 1
-        return i, t - knots[i]
-
     @functools.cached_property
     def _pair_pieces(self) -> list[list[float]]:
         # the c+- columns of each piece, all that a flight's stages read;
@@ -189,7 +175,16 @@ class CoefficientTrack:
     def _columns_at(self, t: float) -> list[float]:
         """The six real columns at one time (clamped to the grid): Horner
         on Python floats."""
-        i, x = self._locate(t)
+        knots = self._knots
+        t = float(t)
+        if t < knots[0]:
+            t = knots[0]
+        elif t > knots[-1]:
+            t = knots[-1]
+        i = bisect.bisect_right(knots, t) - 1
+        if i == len(self._pieces):  # t on the last knot
+            i -= 1
+        x = t - knots[i]
         p = self._pieces[i]
         return [
             ((p[k] * x + p[k + 1]) * x + p[k + 2]) * x + p[k + 3] for k in range(0, 24, 4)
