@@ -605,11 +605,12 @@ def _make_rhs(
         cp_r = ((a2 * x + b2) * x + c2) * x + d2
         cp_i = ((a3 * x + b3) * x + c3) * x + d3
         if plain:
+            m2 = cm_r * cm_r + cm_i * cm_i
+            p2 = cp_r * cp_r + cp_i * cp_i
+            re = cm_r * cp_r + cm_i * cp_i
+            im = cm_r * cp_i - cm_i * cp_r
             u = s**u_exp
-            return gain * (cm_r * cp_i - cm_i * cp_r) / (
-                cm_r * cm_r + cm_i * cm_i
-                + u * (two_q * (cm_r * cp_r + cm_i * cp_i) + u * (cp_r * cp_r + cp_i * cp_i))
-            )
+            return gain * im / (m2 + u * (two_q * re + u * p2))
         r, (j_r, _, rho) = currents(cm_r, cm_i, cp_r, cp_i, s)
         return one * r**neg_two_b * j_r / rho
 

@@ -25,10 +25,10 @@ span_currents code these formulas once, for scalars or arrays; the
 integrator's azimuth rate and the radial mass profile evaluate them, and
 current_exact (the spinor contraction) checks them.  The integrator's
 radial speed evaluates them under subleading amplitudes only; without
-them it is their ratio j_r/rho in closed form (trajectory._make_rhs).  For the pure
-model (s = 0) they give the exact expansion coefficients frozen in
-CurrentCoeffs, e.g. r^2 j_r = C_r = 2(1+q) B Im[conj(c_minus) c_plus]/pi
-exactly below r_cut/2.
+them it is their ratio j_r/rho in closed form (trajectory._make_rhs).
+For the pure model (s = 0) they give the exact expansion coefficients
+frozen in CurrentCoeffs, e.g. r^2 j_r = C_r = 2(1+q) B Im[conj(c_minus)
+c_plus]/pi exactly below r_cut/2.
 
 span_currents(current_weights(params), a_r, a_i, c_r, c_i) takes the
 real and imaginary parts of A and C and forms X with the operations of

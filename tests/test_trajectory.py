@@ -154,8 +154,8 @@ def test_radial_speed_is_finite_at_the_source():
     for track in (_drifting_track(), _ingoing_drifting_track()):
         cases += [(track, t) for t in rng.uniform(-0.5, 3.5, 30).tolist()]
     for coefficients, t in cases:
-        pair = coefficients if isinstance(coefficients, tuple) else coefficients.coefficients(t)
-        m2, _, _, im = overlap_parts(*pair)
+        fixed = isinstance(coefficients, tuple)
+        m2, _, _, im = overlap_parts(*(coefficients if fixed else coefficients.coefficients(t)))
         field, azimuth = _make_rhs(p, (0j, 0j), coefficients)
         speed = field(t, 0.0)
         assert speed == pytest.approx(one * two_b * im / m2, rel=1e-15, abs=0.0)
