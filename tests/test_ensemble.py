@@ -32,8 +32,13 @@ from belljump.jump_process import (
     VacuumInterval,
     sample_emission_angles,
 )
-from belljump.trajectory import Absorbed, TrajectorySegment
-from belljump.wavefunction import ModelFamily, ModelWavefunction, particle_sector_mass
+from belljump.trajectory import Absorbed, TrajectorySegment, time_from_radius
+from belljump.wavefunction import (
+    ModelFamily,
+    ModelWavefunction,
+    current_coeffs,
+    particle_sector_mass,
+)
 from oracles import cumulative_hazard, in_vacuum, occupancy, radial_snapshot_ks
 
 P96 = canonical_params(0.96)
@@ -530,6 +535,53 @@ def test_first_flight_starts_at_the_drawn_position():
             assert start == (span[0], r0, theta0, phi0), index
             started += 1
         assert started >= 15
+
+
+def _criterion_9_setup():
+    # criterion 9's track: absorbing flux over the window in which the
+    # influx at the probe radius 1e-4 holds steady
+    fam, _, cm, cp = _ingoing_setup()
+    t_half = abs(time_from_radius(P96, cm, cp, 0.5 * fam.r_cut))
+    t_probe = abs(time_from_radius(P96, cm, cp, 1e-4))
+    c_r = current_coeffs(P96, cm, cp).C_r
+    window = min(0.8 * (t_half - t_probe), 0.6 / abs(4.0 * math.pi * c_r))
+    track = CoefficientTrack.balanced_constant_flux(P96, cm, cp, 0.3, 0.0, window)
+    return fam, track
+
+
+def test_closed_form_segment_digest_is_stable():
+    # the arrays, dtypes, terminals, crossings and step counts of the
+    # closed-form segments draw_path returns: criterion 8's balanced
+    # track with a probe at 0.2 (launched and emitted flights leaving the
+    # inner region or running out of time) and criterion 9's ingoing
+    # track with a probe at 1e-4 (absorptions through the probe)
+    import hashlib
+
+    h = hashlib.sha256()
+    kinds, emitted, crossed = set(), 0, 0
+    for (fam, track), probe in ((_balanced_setup(), 0.2), (_criterion_9_setup(), 1e-4)):
+        span = (track.t_start, track.t_end)
+        sampler = make_initial_sampler(fam, track, span[0])
+        for index in range(100):
+            path = draw_path(
+                fam, track, span, 31, index, sampler=sampler, probe_radius=probe
+            )
+            emitted += len(path.emissions)
+            for seg in path.segments:
+                assert seg.n_accepted == 0
+                kinds.add(type(seg.terminal).__name__)
+                crossed += len(seg.probe_crossings)
+                for values in (seg.t, seg.r, seg.phi):
+                    h.update(values.dtype.str.encode())
+                    h.update(values.tobytes())
+                h.update(repr(
+                    (seg.terminal, seg.probe_crossings, seg.n_accepted)
+                ).encode())
+    assert kinds == {"Absorbed", "LeftInnerRegion", "TimeExhausted"}
+    assert emitted > 0 and crossed > 0
+    assert h.hexdigest() == (
+        "7911ee04990948773c45aeb8f6006304fcd3e42138677f13c44b7414fa6bc6f8"
+    )
 
 
 def test_parked_draws_outside_modeled_region():

@@ -206,6 +206,41 @@ def test_majorant_never_below_rate(grid):
         assert table.untrusted[k] == (later[0] if later else n)
 
 
+def test_majorant_table_digest_is_stable():
+    # every field of the thinning table on four tracks: criterion 8's
+    # balanced track (every interval kept), a balanced track of criterion
+    # 9's absorbing amplitudes (none kept), a 257-knot grid whose c_plus phase drifts (Im > 0
+    # throughout, changing in every interval), and a 200-knot grid on
+    # which Im[conj(c_minus) c_plus] changes sign (part kept)
+    import hashlib
+
+    from belljump.ensemble import normalized_amplitudes
+
+    cm, cp = normalized_amplitudes(P96, 1.0, -1j, 1.0, 0.7)
+    ingoing = CoefficientTrack.balanced_constant_flux(P96, cm, cp, 0.3, 0.0, 0.9)
+    t = np.linspace(0.0, 3.0, 257)
+    phase = 0.5 * math.pi + 0.7 * np.sin(2.0 * math.pi * t / 1.5)
+    drifting = CoefficientTrack(
+        P96, t, np.full_like(t, 0.1), 0.1 * np.exp(1j * phase), np.sqrt(0.97 - 0.01 * t)
+    )
+    t = np.linspace(0.0, 2.0, 200)
+    phase = 0.3 * np.sin(2.0 * math.pi * t)
+    signed = CoefficientTrack(
+        P96, t, np.ones_like(t), np.exp(1j * phase), np.full(200, 0.9 + 0.1j)
+    )
+    h = hashlib.sha256()
+    kept = []
+    for track in (_balanced(), ingoing, drifting, signed):
+        table = track.majorant_table
+        kept.append(len(table.starts))
+        h.update(repr(tuple(table)).encode())
+    assert kept[:3] == [128, 0, 256]
+    assert 0 < kept[3] < 199
+    assert h.hexdigest() == (
+        "99e120645b15ae22de12999445fbcb972ed24a5ed0fb1054868786234302678b"
+    )
+
+
 def _gapped_track():
     # Im[conj(c_minus) c_plus] <= 0 on [0.75, 1.25] (zero majorant there)
     # and complex psi0
