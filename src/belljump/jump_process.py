@@ -255,23 +255,29 @@ class CoefficientTrack:
         MAJORANT_MARGIN times the bound, or inf where no bound can be
         trusted (the weight reaches 0, or the bound exceeds
         _MAJORANT_CAP).  Intervals where Im <= 0 throughout carry no rate
-        and are left out."""
+        and are left out, and the weight is ranged only on the others, so
+        a track whose flux is ingoing throughout ranges no weight."""
         g = self.times
         cols = unit_pieces(g, self._table)
         cmr, cmi, cpr, cpi, pr, pi = cols
-        _, im_max = poly_range(poly_product(cmr, cpi) - poly_product(cmi, cpr))
-        w_min, _ = poly_range(poly_product(pr, pr) + poly_product(pi, pi))
-        # both widened by the rounding of either evaluation; the sum of a
-        # cubic's |coefficients| bounds it on [0, 1]
+        # both ranges widened by the rounding of either evaluation; the sum
+        # of a cubic's |coefficients| bounds it on [0, 1]
         n_cmr, n_cmi, n_cpr, n_cpi, n_pr, n_pi = np.abs(cols).sum(axis=-1)
+        _, im_max = poly_range(poly_product(cmr, cpi) - poly_product(cmi, cpr))
         im_max += _ROUNDING * (n_cmr * n_cpi + n_cmi * n_cpr)
-        w_min -= _ROUNDING * (n_pr**2 + n_pi**2)
+        # the weight is ranged only where the rate can be positive; each
+        # row's range is its own, so the kept rows read as they would in
+        # the whole table
+        keep = im_max > 0.0
+        pr, pi = pr[keep], pi[keep]
+        w_min, _ = poly_range(poly_product(pr, pr) + poly_product(pi, pi))
+        w_min -= _ROUNDING * (n_pr[keep] ** 2 + n_pi[keep] ** 2)
+        im_max = im_max[keep]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             bound = self._gain * im_max / w_min
         trusted = (w_min > 0.0) & (bound <= _MAJORANT_CAP)
         majorant = np.where(trusted, MAJORANT_MARGIN * bound, math.inf)
-        keep = im_max > 0.0
-        majorant, width, trusted = majorant[keep], np.diff(g)[keep], trusted[keep]
+        width = np.diff(g)[keep]
         hazard = np.cumsum(np.where(trusted, majorant * width, 0.0))
         n = len(majorant)
         first = np.where(trusted, n, np.arange(n))

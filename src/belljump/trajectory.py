@@ -118,8 +118,7 @@ class SphericalState(NamedTuple):
     phi: float
 
 
-@dataclass(frozen=True)
-class Absorbed:
+class Absorbed(NamedTuple):
     """Terminal event: the path reached r_min; t0 is the arrival time at
     the source, exact for closed-form flights and extrapolated (linear
     s(t) continuation below r_min) for integrated ones."""
@@ -127,6 +126,8 @@ class Absorbed:
     t0: float
 
 
+# the two empty terminals stay dataclasses: two empty NamedTuples would
+# compare equal, to each other and to ()
 @dataclass(frozen=True)
 class LeftInnerRegion:
     """Terminal event: the path reached r_cut/2 going outward."""
@@ -137,8 +138,7 @@ class TimeExhausted:
     """Terminal event: integration ran to t_end."""
 
 
-@dataclass(frozen=True)
-class ProbeCrossing:
+class ProbeCrossing(NamedTuple):
     """A recorded passage through a probe radius; direction +1 outward."""
 
     t: float
@@ -359,22 +359,19 @@ def _closed_form_flight(
         r_last = _invert_time(p, parts, t_end - t_src, lo, hi)
 
     crossings = ()
+    t, r, phi = (t_i, t_last), (r_i, r_last), (float(initial.phi), math.nan)
     if probe_radius is not None and lo < probe_radius < hi:
         rp = float(probe_radius)
         tc = t_src + _elapsed(p, parts, rp)
         if t_i < tc < t_last:
-            crossings = (ProbeCrossing(t=tc, r=rp, direction=-1 if inward else 1),)
+            crossings = (ProbeCrossing(tc, rp, -1 if inward else 1),)
+            t, r, phi = (t_i, tc, t_last), (r_i, rp, r_last), (phi[0], math.nan, math.nan)
 
-    t, r, phi = np.array([
-        [t_i, *(pc.t for pc in crossings), t_last],
-        [r_i, *(pc.r for pc in crossings), r_last],
-        [float(initial.phi)] + [math.nan] * (len(crossings) + 1),
-    ])
     return TrajectorySegment(
-        t=t,
-        r=r,
+        t=np.array(t),
+        r=np.array(r),
         theta=float(initial.theta),
-        phi=phi,
+        phi=np.array(phi),
         terminal=terminal,
         probe_crossings=crossings,
         model=model,
