@@ -813,9 +813,8 @@ def integrate(
                     else:
                         terminal = LeftInnerRegion()
                     break
-                crossings.append(
-                    ProbeCrossing(t=tc, r=level**inv_one, direction=direction)
-                )
+                # the probe radius itself, not its round trip through s
+                crossings.append(ProbeCrossing(tc, float(probe_radius), direction))
             below, above = bracket(s_new)
 
         n_acc += 1

@@ -479,6 +479,34 @@ def test_probe_crossing_is_found_on_the_dp5_interpolant():
     assert abs(hit.t - want_t) < 1e-10 * want_t
 
 
+@pytest.mark.parametrize("probe", [0.01, 0.0123, 0.2])
+def test_probe_crossings_record_the_probe_radius_exactly(probe):
+    # radial DP5, dense DP5 and closed-form flights, crossing outward and
+    # inward: each records the probe radius itself, which a round trip
+    # through s = r^(1-2B) misses in its last bit at each of these radii
+    track, ingoing = _drifting_track(), _ingoing_drifting_track()
+    family = ModelFamily(track.params, 1.0)
+    inner = SphericalState(0.4, probe / 3.0, 1.0, 0.3)
+    outer = SphericalState(0.4, min(3.0 * probe, 0.45), 1.0, 0.3)
+    segments = [
+        fly(family, tr, start, 3.0, 1e-6, probe_radius=probe, dense=dense)
+        for dense in (False, True)
+        for tr, start in ((track, inner), (ingoing, outer))
+    ]
+    segments += [
+        integrate(_model(cp=cp, r_min=1e-9), start, 1e9, 1e-6,
+                  probe_radius=probe, dense=False)
+        for cp, start in ((1j, inner), (-1j, outer))
+    ]
+    assert [seg.n_accepted > 0 for seg in segments] == [True] * 4 + [False] * 2
+    assert [np.isnan(seg.phi[-1]) for seg in segments[:4]] == [True, True, False, False]
+    for seg in segments:
+        (hit,) = seg.probe_crossings
+        assert hit.r == probe
+    one = 1.0 - 2.0 * track.params.B
+    assert (probe**one) ** (1.0 / one) != probe
+
+
 def test_dp5_tableau_constants_and_order_conditions():
     # the straight-line stages read module floats unpacked from the one
     # tableau; the tableau meets the Dormand-Prince order conditions
@@ -558,7 +586,7 @@ def test_fixed_coefficient_flight_digest_is_stable():
                 (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
             ).encode())
     assert h.hexdigest() == (
-        "14abdc1d1174503cf8a4fc6d4f1443b64a94dff04df244f0b667407dc5388d8e"
+        "8b96a90c6ed23e9f727e6448f2511989817d6cc3f4524be96fd23fb8e4b948a1"
     )
 
 
@@ -599,7 +627,7 @@ def test_time_dependent_flight_digest_is_stable():
                 (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
             ).encode())
     assert h.hexdigest() == (
-        "91e5d2391a51449676dd46a9be8f1a19b9bdc365b4dfe9d32c4acfa24ad4a14d"
+        "c6ea8abad18aebb3c48bfa0a3c668f388e156a6ed3f361d6d20545e4c1edd67b"
     )
 
 
@@ -842,7 +870,7 @@ def test_sampler_flight_digest_is_stable():
                 (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
             ).encode())
     assert h.hexdigest() == (
-        "6b8cc0441d6be22251f45e31c5ea6ff79425190f32d6efbb054bdf9eddc6708f"
+        "49f3fc8c4d0569d69566a5032037456e6a31ce571d8d2754a5ee7dba40346f11"
     )
 
 
