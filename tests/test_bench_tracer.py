@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from belljump import canonical_params, ensemble
 from belljump.jump_process import CoefficientTrack
@@ -95,3 +96,37 @@ def test_tracer_counts_every_flight_the_paths_hold():
     assert got["trajectory.probe_crossings"] == sum(
         len(seg.probe_crossings) for seg in segments
     )
+
+
+@pytest.mark.parametrize("flux", ["outgoing", "ingoing"])
+def test_tracer_counts_what_run_ensemble_reports(flux):
+    # the traced bench run checks its counts against the totals of an
+    # untraced run of the same seed (bench/run.py's cross_check); a
+    # run_ensemble that drew its paths around ensemble.draw_path, or
+    # flew them around the names the tracer wraps, would fail it.  The
+    # balanced outgoing track emits and crosses its probe outward, the
+    # ingoing one absorbs and crosses inward
+    p = canonical_params(0.96)
+    family = ModelFamily(p, 1.0)
+    sector = {"outgoing": (1j, 0.3), "ingoing": (-1j, 0.7)}[flux]
+    cm, cp = ensemble.normalized_amplitudes(p, 1.0, sector[0], 1.0, sector[1])
+    track = CoefficientTrack.balanced_constant_flux(p, cm, cp, 1.0 - sector[1], 0.0, 1.0)
+    n_paths = 60
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        stats = ensemble.run_ensemble(
+            family, track, n_paths, (0.0, 1.0), 7, probe_radius=0.05
+        )
+    finally:
+        tracer.restore()
+
+    got = tracer.metrics()
+    crossings = len(stats.inward_crossing_times) + len(stats.outward_crossing_times)
+    events = len(stats.emission_times) + len(stats.absorption_times)
+    assert crossings > 0 and events > 0
+    assert got["ensemble.paths"] == n_paths
+    assert got["ensemble.emissions"] == len(stats.emission_times)
+    assert got["ensemble.absorptions"] == len(stats.absorption_times)
+    assert got["trajectory.probe_crossings"] == crossings

@@ -16,7 +16,7 @@ from belljump import (
     canonical_params,
 )
 from belljump import jump_process
-from belljump.cubic import cubic_values
+from belljump.cubic import cubic_values, poly_range
 from belljump.jump_process import (
     CoefficientTrack,
     EmissionEvent,
@@ -33,6 +33,7 @@ from belljump.jump_process import (
 from belljump.trajectory import (
     Absorbed,
     LeftInnerRegion,
+    ProbeCrossing,
     SphericalState,
     TimeExhausted,
     emit_trajectory,
@@ -209,9 +210,10 @@ def test_majorant_never_below_rate(grid):
 def test_majorant_table_digest_is_stable():
     # every field of the thinning table on four tracks: criterion 8's
     # balanced track (every interval kept), a balanced track of criterion
-    # 9's absorbing amplitudes (none kept), a 257-knot grid whose c_plus phase drifts (Im > 0
-    # throughout, changing in every interval), and a 200-knot grid on
-    # which Im[conj(c_minus) c_plus] changes sign (part kept)
+    # 9's absorbing amplitudes (none kept), a 257-knot grid whose c_plus
+    # phase drifts (Im > 0 throughout, changing in every interval), and a
+    # 200-knot grid on which Im[conj(c_minus) c_plus] changes sign (part
+    # kept)
     import hashlib
 
     from belljump.ensemble import normalized_amplitudes
@@ -239,6 +241,24 @@ def test_majorant_table_digest_is_stable():
     assert h.hexdigest() == (
         "99e120645b15ae22de12999445fbcb972ed24a5ed0fb1054868786234302678b"
     )
+
+
+def test_majorant_table_ranges_the_weight_only_where_it_thins(monkeypatch):
+    # poly_range sees every interval's Im, then only the kept intervals'
+    # |psi0|^2: none on a track whose flux is ingoing throughout, six of
+    # eight on the gapped track
+    rows = []
+
+    def recording(coeffs):
+        rows.append(len(coeffs))
+        return poly_range(coeffs)
+
+    monkeypatch.setattr(jump_process, "poly_range", recording)
+    _constant_track(cp=-1j).majorant_table
+    assert rows == [32, 0]
+    rows.clear()
+    assert len(_gapped_track().majorant_table.starts) == 6
+    assert rows == [8, 6]
 
 
 def _gapped_track():
@@ -563,22 +583,42 @@ def test_simulate_path_alternation_and_spans():
 
 
 @pytest.mark.parametrize(
-    "record, field, text",
+    "record, fields, text",
     [
-        (VacuumInterval(0.5, 1.25), "t_end", "VacuumInterval(t_start=0.5, t_end=1.25)"),
+        (
+            VacuumInterval(0.5, 1.25),
+            ("t_start", "t_end"),
+            "VacuumInterval(t_start=0.5, t_end=1.25)",
+        ),
         (
             EmissionEvent(0.2, 1.0, 0.3),
-            "theta0",
+            ("t0", "theta0", "phi0"),
             "EmissionEvent(t0=0.2, theta0=1.0, phi0=0.3)",
         ),
+        (Absorbed(0.75), ("t0",), "Absorbed(t0=0.75)"),
+        (
+            ProbeCrossing(0.5, 0.01, -1),
+            ("t", "r", "direction"),
+            "ProbeCrossing(t=0.5, r=0.01, direction=-1)",
+        ),
     ],
-    ids=["VacuumInterval", "EmissionEvent"],
+    ids=["VacuumInterval", "EmissionEvent", "Absorbed", "ProbeCrossing"],
 )
-def test_path_records_are_immutable_with_named_fields(record, field, text):
-    with pytest.raises(AttributeError):
-        setattr(record, field, 0.0)
+def test_path_records_are_immutable_with_named_fields(record, fields, text):
+    assert record._fields == fields
+    for i, field in enumerate(fields):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+        assert getattr(record, field) == record[i]
     assert repr(record) == text
-    assert getattr(record, field) == record[record._fields.index(field)]
+
+
+def test_empty_terminals_tell_each_other_apart():
+    # the two terminals without fields are not tuples: two empty
+    # NamedTuples would compare equal, to each other and to ()
+    assert LeftInnerRegion() != TimeExhausted()
+    assert LeftInnerRegion() != () and TimeExhausted() != ()
+    assert LeftInnerRegion() == LeftInnerRegion()
 
 
 def test_simulate_path_ingoing_absorbs_then_stays_vacuum():
