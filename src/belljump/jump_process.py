@@ -269,8 +269,7 @@ class CoefficientTrack:
         # row's range is its own, so the kept rows read as they would in
         # the whole table
         keep = im_max > 0.0
-        pr, pi = pr[keep], pi[keep]
-        w_min, _ = poly_range(poly_product(pr, pr) + poly_product(pi, pi))
+        w_min, _ = poly_range((poly_product(pr, pr) + poly_product(pi, pi))[keep])
         w_min -= _ROUNDING * (n_pr[keep] ** 2 + n_pi[keep] ** 2)
         im_max = im_max[keep]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
