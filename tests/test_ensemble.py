@@ -201,9 +201,6 @@ def test_balanced_run_digest_is_stable():
 def _ingoing_window(cm, cp):
     """The ingoing run's window: short of the shell from r_cut/2 and of
     draining 60% of the flight mass."""
-    from belljump.trajectory import time_from_radius
-    from belljump.wavefunction import current_coeffs
-
     t_half = abs(time_from_radius(P96, cm, cp, 0.5))
     drain = abs(4.0 * math.pi * current_coeffs(P96, cm, cp).C_r)
     return min(0.8 * t_half, 0.6 / drain)
@@ -773,11 +770,7 @@ def test_equivariance_check_loads_no_lazy_numpy_submodule():
 @pytest.fixture(scope="module")
 def ingoing_run():
     fam, track, cm, cp = _ingoing_setup()
-    from belljump.trajectory import time_from_radius
-
     t_half = abs(time_from_radius(P96, cm, cp, 0.5))
-    from belljump.wavefunction import current_coeffs
-
     drain = abs(4.0 * math.pi * current_coeffs(P96, cm, cp).C_r)
     window = min(0.8 * t_half, 0.6 / drain)
     stats = run_ensemble(
