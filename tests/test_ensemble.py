@@ -695,11 +695,29 @@ def test_master_equation_refuses_inflow_between_output_times():
         master_equation_occupancy(track, fam, (0.0, 3.0), time_grid_n=11)
 
 
-def _drifting_track(n):
+def _drifting_track(n, amp=0.2):
     t = np.linspace(0.0, 3.0, n)
     phase = 0.5 * math.pi + 0.7 * np.sin(2.0 * math.pi * t / 1.5)
     return CoefficientTrack(
-        P96, t, np.full(n, 0.2), 0.2 * np.exp(1j * phase), np.sqrt(0.9 - 0.05 * t)
+        P96, t, np.full(n, amp), amp * np.exp(1j * phase), np.sqrt(0.9 - 0.05 * t)
+    )
+
+
+def test_drifting_snapshot_radii_digest_is_stable():
+    # snapshot radii of a psi_t run, whose flights are DP5 flights: each
+    # is radius_at on the flight that covers the snapshot time, read from
+    # DP5's continuous extension over the step that holds it.  Sector
+    # mass 0.1 at t = 0, so the two-sector state is normalized there
+    import hashlib
+
+    amp = abs(normalized_amplitudes(P96, 1.0, 1j, 1.0, 0.1)[0])
+    stats = run_ensemble(
+        ModelFamily(P96, 1.0), _drifting_track(33, amp), 300, (0.0, 3.0), 4242,
+        time_grid_n=31, tol=1e-6, snapshot_time=1.5,
+    )
+    assert len(stats.snapshot_radii) == 23
+    assert hashlib.sha256(stats.snapshot_radii.tobytes()).hexdigest() == (
+        "88f61856c13e239a33bcbc95f3a1c8f1350a6ab737fe3d0b88c944eae2d15012"
     )
 
 

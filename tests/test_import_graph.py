@@ -79,3 +79,11 @@ def test_cli_import_loads_the_ensemble_module():
     seen = _loaded_after("import belljump.cli")
     assert "belljump.ensemble" in seen["modules"]
     assert "belljump.acceptance" not in seen["modules"]
+
+
+def test_trajectory_import_loads_no_cubic_tables():
+    # flights read their continuous extension, not an interpolant; cubic
+    # tables serve coefficient tracks only
+    seen = _loaded_after("import belljump.trajectory")
+    assert "belljump.trajectory" in seen["modules"]
+    assert "belljump.cubic" not in seen["modules"]
