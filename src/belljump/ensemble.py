@@ -47,7 +47,6 @@ from .jump_process import (
     EmissionEvent,
     Particle,
     ProcessPath,
-    Vacuum,
     VacuumInterval,
     sample_emission_angles,
     simulate_path,
@@ -276,7 +275,7 @@ def draw_path(
     rng = _path_stream(seed, index, rng)
     r_top = 0.5 * model_family.r_cut
     if rng.random() < sampler.vac_weight:
-        config: Vacuum | Particle = Vacuum()
+        config = None  # the vacuum
     else:
         r0 = sampler.draw_radius(rng.random())
         theta0, phi0 = sample_emission_angles(rng)

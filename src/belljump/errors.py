@@ -42,7 +42,7 @@ def integer_at_least(name: str, value, least: int) -> int:
 
 
 class WindowClosed(DomainError):
-    """The window ends before an emitted particle reaches its seed radius."""
+    """The window ends before the flight's first sample."""
 
 
 class OriginError(BelljumpError, ValueError):

@@ -123,9 +123,6 @@ class CoefficientTrack:
         if not all(np.isfinite(a).all() for a in (t, cm, cp, p0)):
             raise DomainError("track times and values must be finite")
         self.times = t
-        self.c_minus_values = cm
-        self.c_plus_values = cp
-        self.psi0_values = p0
         # fixed coefficients: flights under them are evaluated in closed
         # form, flux_report and the master-equation oracle read the pair,
         # and coefficients() returns it without the table
@@ -337,11 +334,6 @@ class CoefficientTrack:
 # configurations and paths
 # =====================================================================
 
-@dataclass(frozen=True)
-class Vacuum:
-    """The empty configuration."""
-
-
 class Particle(NamedTuple):
     """A single particle at spherical position (r, theta, phi), the
     coordinates every flight runs in.  Its flight checks the radius:
@@ -520,15 +512,16 @@ def fly(
 def simulate_path(
     model_family: ModelFamily,
     track: CoefficientTrack,
-    q_init: Vacuum | Particle,
+    q_init: Particle | None,
     t_span: tuple[float, float],
     rng: np.random.Generator,
     *,
     tol: float = 1e-8,
     probe_radius: float | None = None,
 ) -> ProcessPath:
-    """One realization of the process on t_span, from q_init: the vacuum,
-    or a Particle whose first flight starts at (t_span[0], r, theta, phi).
+    """One realization of the process on t_span, from q_init: None for
+    the vacuum, the empty configuration, or a Particle whose first flight
+    starts at (t_span[0], r, theta, phi).
 
     Each flight, after an emission or from the initial particle, is
     fly's: it follows psi_t unless the track's coefficients are
@@ -551,7 +544,7 @@ def simulate_path(
     events: list = []
     t, config = t_a, q_init
     while True:
-        if isinstance(config, Vacuum):
+        if config is None:
             t_jump = sample_waiting_time(track, t, rng)
             if t_jump is None or t_jump >= t_b:
                 entries.append(VacuumInterval(t, t_b))
@@ -577,7 +570,7 @@ def simulate_path(
             # window over while in flight.
             break
         events.append(terminal)
-        t, config = terminal.t0, Vacuum()
+        t, config = terminal.t0, None
 
     return ProcessPath(
         t_span=(t_a, t_b),

@@ -465,9 +465,11 @@ def _dp5_attempt(field, azimuth, t, s, phi, h, k1, q1):
     evaluates no azimuth and gets phi_part None.  Each sum runs left to
     right over all terms, zero ones included."""
     t2 = t + _C2 * h
+    # s2 > 0 without a guard: k1 >= 0 gives s2 >= s, and k1 < 0 comes with
+    # h cut to at most (0.5 s_min - s) / k1 (integrate), so s + h k1 >=
+    # 0.5 s_min and s2 = 0.8 s + 0.2 (s + h k1) > 0; later stages keep
+    # their guards, since their slopes can be steeper than k1
     s2 = s + h * (_A21 * k1)
-    if s2 <= 0.0:
-        return None
     k2 = field(t2, s2)
     t3 = t + _C3 * h
     s3 = s + h * (_A31 * k1 + _A32 * k2)
@@ -535,6 +537,12 @@ def _bracket_root(g, lo, hi, g_lo, g_hi):
         else:
             lo, g_lo = mid, g_mid
     return 0.5 * (lo + hi)
+
+
+def _crossing(s_at, level, s, s_new):
+    """The fraction of a step from s to s_new, on either side of level, at
+    which its continuous extension s_at crosses level."""
+    return _bracket_root(lambda u: s_at(u) - level, 0.0, 1.0, s - level, s_new - level)
 
 
 def _make_rhs(
@@ -647,13 +655,15 @@ def integrate(
     """Integrate the guiding equation forward from `initial` to t_end.
 
     Stops early with Absorbed (r crossed model.r_min, t0 extrapolated) or
-    LeftInnerRegion (r crossed r_cut/2).  `refresh`, a CoefficientTrack
-    when given, supplies (c_minus(t), c_plus(t)): the flight then solves
-    the time-dependent guiding equation, each DP5 stage reading the
-    track's piece at its own time t + c_i h.  Without it the stages read
-    the model's fixed pair as one cubic piece (_make_rhs).  Crossings of
-    `probe_radius`, when given, must lie in (0, r_cut/2) and are recorded
-    in either direction.  `dense`, `refresh` and the model pick the
+    LeftInnerRegion (r crossed r_cut/2); WindowClosed unless t_end comes
+    after initial.t.  `refresh`, a CoefficientTrack when given, supplies
+    (c_minus(t), c_plus(t)): the flight then solves the time-dependent
+    guiding equation, each DP5 stage reading the track's piece at its own
+    time t + c_i h.  Without it the stages read the model's fixed pair as
+    one cubic piece (_make_rhs).  Crossings of `probe_radius`, when given,
+    must lie in (0, r_cut/2) and are recorded in either direction, by the
+    rules the TrajectorySegment docstring states.  `dense`, `refresh` and
+    the model pick the
     route, closed form or DP5, and the segment keeps the contract that
     the TrajectorySegment docstring states, with the accuracy tol
     delivers; the module docstring has DP5's step control.  Without
@@ -670,7 +680,7 @@ def integrate(
             f"initial radius {initial.r!r} outside ({r_min!r}, {r_top!r})"
         )
     if not t_end > initial.t:
-        raise DomainError("t_end must exceed the initial time")
+        raise WindowClosed(f"t_end = {t_end!r} does not exceed the initial time")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol = {tol!r} outside (0, inf)")
     if probe_radius is not None and not 0.0 < probe_radius < r_top:
@@ -693,16 +703,8 @@ def integrate(
     inv_one = 1.0 / one
     s_min = r_min**one
     s_top = r_top**one
-    levels = [(s_min, True), (s_top, True)]  # (s level, is terminal)
-    if probe_radius is not None:
-        levels.append((float(probe_radius) ** one, False))
-
-    def bracket(s):
-        # the nearest levels at or below s and above it: a step from s
-        # crosses a level only if it ends outside [below, above)
-        below = max((lv for lv, _ in levels if lv <= s), default=-math.inf)
-        above = min((lv for lv, _ in levels if lv > s), default=math.inf)
-        return below, above
+    # nan without a probe, which no step then passes
+    s_probe = math.nan if probe_radius is None else float(probe_radius) ** one
 
     field, azimuth = _make_rhs(
         p,
@@ -716,7 +718,6 @@ def integrate(
     theta = float(initial.theta)
 
     ts, ss, phis = [t], [s], [phi]
-    below, above = bracket(s)
     crossings: list[ProbeCrossing] = []
     steps: list[tuple] = []  # per accepted step, what _contd5 needs
     n_rej = 0
@@ -797,41 +798,40 @@ def integrate(
             h *= fac if fac > 0.2 else 0.2
             continue
 
-        # accepted: a step that leaves [below, above) may cross a probe or
-        # terminal level; scan [t, t+h] for them, found on the step's
-        # continuous extension
-        if not below <= s_new < above:
-            hits: list[tuple[float, float, int, bool]] = []  # (tau, s_level, dir, is_terminal)
-            for level, is_term in levels:
-                g0, g1 = s - level, s_new - level
-                if g0 == 0.0 or (g0 < 0.0) == (g1 < 0.0):
-                    continue
-                s_at = _contd5(s, s_new, h, f_s, *stages, g_s)
-                tau_c = _bracket_root(lambda u: s_at(u) - level, 0.0, 1.0, g0, g1)
-                hits.append((tau_c, level, 1 if g1 > g0 else -1, is_term))
-            hits.sort()
-
-            for tau_c, level, direction, is_term in hits:
-                tc = t + tau_c * h
-                if tc <= ts[-1]:
-                    tc = math.nextafter(ts[-1], math.inf)
-                if is_term:
-                    ts.append(tc)
-                    ss.append(level)
-                    phis.append(
-                        phi if radial
-                        else _contd5(phi, phi_new, h, f_phi, *phi_stages, g_phi)(tau_c)
-                    )
-                    if level == s_min and direction < 0:
-                        ds_dt = field(tc, s_min)
-                        t0 = tc + s_min / (-ds_dt) if ds_dt < 0.0 else tc
-                        terminal = Absorbed(t0=t0)
-                    else:
-                        terminal = LeftInnerRegion()
-                    break
-                # the probe radius itself, not its round trip through s
-                crossings.append(ProbeCrossing(tc, float(probe_radius), direction))
-            below, above = bracket(s_new)
+        # accepted: the step ends the flight when it lands below s_min
+        # (Absorbed) or at s_top or above (LeftInnerRegion), and passes the
+        # probe when its ends lie on either side of s_probe; each crossing
+        # is a root of the step's continuous extension, and the probe is
+        # recorded only when it comes strictly before the terminal crossing
+        absorbed = s_new < s_min
+        level = s_min if absorbed else s_top if s_new >= s_top else None
+        passes = s != s_probe and (s < s_probe) != (s_new < s_probe)
+        if level is not None or passes:
+            s_at = _contd5(s, s_new, h, f_s, *stages, g_s)
+            after = math.nextafter(t, math.inf)  # crossings come after t
+            tau_c = math.inf if level is None else _crossing(s_at, level, s, s_new)
+            if passes:
+                tau_p = _crossing(s_at, s_probe, s, s_new)
+                if tau_p < tau_c:
+                    # the probe radius itself, not its round trip through s
+                    crossings.append(ProbeCrossing(
+                        max(t + tau_p * h, after), float(probe_radius),
+                        1 if s < s_probe else -1,
+                    ))
+            if level is not None:
+                tc = max(t + tau_c * h, after)
+                ts.append(tc)
+                ss.append(level)
+                phis.append(
+                    phi if radial
+                    else _contd5(phi, phi_new, h, f_phi, *phi_stages, g_phi)(tau_c)
+                )
+                if absorbed:
+                    ds_dt = field(tc, s_min)
+                    t0 = tc + s_min / (-ds_dt) if ds_dt < 0.0 else tc
+                    terminal = Absorbed(t0=t0)
+                else:
+                    terminal = LeftInnerRegion()
 
         steps.append((h, s, s_new, f_s, stages, g_s))
         if terminal is None:
@@ -882,8 +882,8 @@ def emit_trajectory(
     (theta0, phi0): seed (t, phi) at R_SEED_FACTOR * model.r_min from the
     exact closed forms, then integrate forward from that seed, the
     segment's first sample, until leaving the inner region (or t_end);
-    `dense` as in integrate.  WindowClosed if t_end does not come after
-    the seed time.
+    `dense` as in integrate, which raises WindowClosed if t_end does not
+    come after the seed time.
     """
     p = model.params
     seed_radius = R_SEED_FACTOR * model.r_min
@@ -895,8 +895,6 @@ def emit_trajectory(
     t_seed = t0 + _elapsed(p, parts, seed_radius)
     phi_seed = phi0 + _azimuth(p, parts, seed_radius)
     start = SphericalState(t=t_seed, r=seed_radius, theta=theta0, phi=phi_seed)
-    if not t_end > t_seed:
-        raise WindowClosed("t_end precedes the seed time")
     if math.isinf(t_end):
         # generous bound: exact exit time for frozen coefficients, doubled
         t_end = t_seed + 2.0 * abs(_elapsed(p, parts, 0.5 * model.r_cut)) + 1.0

@@ -168,11 +168,11 @@ def validate_balance(track, balance_tol=BALANCE_TOL):
     t = track.times
     if len(t) < 3:
         raise DomainError("balance check needs at least 3 grid times")
-    lhs = np.gradient(np.abs(track.psi0_values) ** 2, t, edge_order=2)
+    lhs = np.gradient([abs(track.psi0(ti)) ** 2 for ti in t], t, edge_order=2)
     rhs = np.array(
         [
-            -4.0 * math.pi * current_coeffs(track.params, cm, cp).C_r
-            for cm, cp in zip(track.c_minus_values, track.c_plus_values)
+            -4.0 * math.pi * current_coeffs(track.params, *track.coefficients(ti)).C_r
+            for ti in t
         ]
     )
     resid = np.abs(lhs - rhs)

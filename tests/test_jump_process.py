@@ -21,7 +21,6 @@ from belljump.jump_process import (
     CoefficientTrack,
     EmissionEvent,
     Particle,
-    Vacuum,
     VacuumInterval,
     fly,
     jump_rate_density,
@@ -544,7 +543,7 @@ def test_simulate_path_deterministic():
     fam, tr = _family(), _balanced()
     paths = [
         simulate_path(
-            fam, tr, Vacuum(), (0.0, 3.0),
+            fam, tr, None, (0.0, 3.0),
             np.random.Generator(np.random.Philox(key=np.array([9, 4], dtype=np.uint64))),
             tol=1e-6,
         )
@@ -563,7 +562,7 @@ def test_simulate_path_alternation_and_spans():
         rng = np.random.Generator(
             np.random.Philox(key=np.array([13, seed], dtype=np.uint64))
         )
-        path = simulate_path(fam, tr, Vacuum(), (0.0, 3.0), rng, tol=1e-6)
+        path = simulate_path(fam, tr, None, (0.0, 3.0), rng, tol=1e-6)
         kinds = [isinstance(e, VacuumInterval) for e in path.entries]
         assert all(a != b for a, b in zip(kinds, kinds[1:]))
         times = [e.t0 for e in path.events]
@@ -659,7 +658,7 @@ def test_emission_inside_seed_time_of_window_end_records_no_flight(monkeypatch):
         emit_trajectory(model, t_jump, 1.0, 0.0, t_end=t_b)
     monkeypatch.setattr(jump_process, "sample_waiting_time", lambda *a: t_jump)
     rng = np.random.default_rng(58)
-    path = simulate_path(fam, tr, Vacuum(), (0.0, t_b), rng)
+    path = simulate_path(fam, tr, None, (0.0, t_b), rng)
     assert path.vacuum_spans == ((0.0, t_jump),)
     assert len(path.emissions) == 1 and path.emissions[0].t0 == t_jump
     assert path.segments == ()
@@ -779,9 +778,9 @@ def test_fixed_flights_share_one_model():
 def test_simulate_path_guards():
     fam, tr, rng = _family(), _balanced(), np.random.default_rng(60)
     with pytest.raises(DomainError):
-        simulate_path(fam, tr, Vacuum(), (0.0, 5.0), rng)  # beyond the track
+        simulate_path(fam, tr, None, (0.0, 5.0), rng)  # beyond the track
     with pytest.raises(DomainError):
-        simulate_path(fam, tr, Vacuum(), (1.0, 1.0), rng)
+        simulate_path(fam, tr, None, (1.0, 1.0), rng)
     # the flight checks a particle's radius: r_min < r < r_cut/2
     for r in (0.0, -1e-3, math.nan, 0.9):
         with pytest.raises(DomainError, match="initial radius"):
@@ -789,5 +788,5 @@ def test_simulate_path_guards():
     # the family must fly with the params the track's rate law uses
     other = ModelFamily(canonical_params(-0.93), 1.0)
     with pytest.raises(DomainError, match="params"):
-        simulate_path(other, tr, Vacuum(), (0.0, 1.0), rng)
+        simulate_path(other, tr, None, (0.0, 1.0), rng)
 

@@ -631,26 +631,23 @@ def test_time_dependent_flight_digest_is_stable():
     )
 
 
-def _drifting_track():
+def _drifting_track(ingoing=False):
     # a spline track whose c_plus phase drifts as pi/2 + 0.7 sin(2 pi t/1.5)
     # on 256 intervals of [0, 3]: Im[conj(c-) c+] stays positive but
     # changes within every interval
     t = np.linspace(0.0, 3.0, 257)
     phase = 0.5 * math.pi + 0.7 * np.sin(2.0 * math.pi * t / 1.5)
+    c_plus = np.exp(1j * phase)
     return CoefficientTrack(
-        canonical_params(0.96), t, np.ones_like(t), np.exp(1j * phase),
-        np.full_like(t, math.sqrt(0.97)),
+        canonical_params(0.96), t, np.ones_like(t),
+        c_plus.conjugate() if ingoing else c_plus, np.full_like(t, math.sqrt(0.97)),
     )
 
 
 def _ingoing_drifting_track():
     # the drifting track with c_plus conjugated: Im[conj(c-) c+] < 0, so
     # its flights head for the source
-    track = _drifting_track()
-    return CoefficientTrack(
-        track.params, track.times, track.c_minus_values,
-        track.c_plus_values.conjugate(), track.psi0_values,
-    )
+    return _drifting_track(ingoing=True)
 
 
 def test_track_reader_digest_is_stable():
