@@ -389,11 +389,9 @@ def _cmd_simulate(ns) -> int:
         for i, seg in enumerate(path.segments):
             # a path's flights carry no azimuth after their launch
             # (TrajectorySegment); each trace is the dense flight from
-            # the flight's first sample, its launch state
-            replay = fly(
-                family, track, seg.initial, t_span[1], cfg.run.tol,
-                probe_radius=cfg.run.probe_radius, dense=True,
-            )
+            # the flight's first sample, its launch state.  A trace writes
+            # no crossings, and a probe changes no DP5 step
+            replay = fly(family, track, seg.initial, t_span[1], cfg.run.tol, dense=True)
             _write_lines(trace_dir / f"flight_{i:03d}.csv", _trace_lines(cfg, replay))
     return 0
 

@@ -10,6 +10,7 @@ from belljump import (
     DomainError,
     InsufficientEvents,
     NormalizationError,
+    VacuumEmpty,
     canonical_params,
 )
 from belljump import ensemble
@@ -160,6 +161,13 @@ def test_merge_rejects_mismatched_layouts():
         base.merge(
             EnsembleStats.empty(np.linspace(0.0, 1.0, 5), snapshot_time=0.5)
         )
+
+
+def test_stats_refuse_vacuum_counts_outside_the_path_count():
+    grid = np.linspace(0.0, 1.0, 3)
+    for counts in ([0, 3, 1], [0, -1, 0]):
+        with pytest.raises(ValueError, match="vacuum counts"):
+            EnsembleStats(n_paths=2, time_grid=grid, vacuum_counts=np.array(counts))
 
 
 def test_empty_stats():
@@ -613,11 +621,13 @@ def test_balanced_run_tracks_weight():
     stats = run_ensemble(fam, track, 400, (0.0, 3.0), 66, time_grid_n=31)
     # grid z-scores are strongly correlated (the same 400 paths enter
     # every time), so gate on |z| < 4 at this ensemble size
-    comp = sector0_comparison(stats, track, z_limit=4.0)
-    assert comp.passed, f"fraction beyond 4 sigma: {comp.fraction_exceeding}"
+    z = sector0_comparison(stats, track).z_scores
+    beyond = float(np.mean(np.abs(z) > 4.0))
+    assert beyond <= 0.01, f"fraction beyond 4 sigma: {beyond}"
     # same run against the oracle curve instead of the exact weight
     _, oracle = master_equation_occupancy(track, fam, (0.0, 3.0), time_grid_n=31)
-    assert sector0_comparison(stats, track, expected=oracle, z_limit=4.0).passed
+    z = sector0_comparison(stats, track, expected=oracle).z_scores
+    assert float(np.mean(np.abs(z) > 4.0)) <= 0.01
 
 
 def test_unbalanced_expectation_detected():
@@ -678,6 +688,19 @@ def test_master_equation_oracle_regimes():
     varying = CoefficientTrack(P96, t, np.ones(33), -1j * (1.0 + t), np.full(33, 0.8))
     with pytest.raises(DomainError):
         master_equation_occupancy(varying, fam, (0.0, 1.0))
+
+
+def test_master_equation_refuses_an_empty_vacuum_and_an_overfull_one():
+    fam = ModelFamily(P96, 1.0)
+    # psi0 = 0 under positive flux: the emission rate is unbounded
+    empty = CoefficientTrack.constant(P96, 1.0, 1j, 0.0, 0.0, 1.0)
+    with pytest.raises(VacuumEmpty):
+        master_equation_occupancy(empty, fam, (0.0, 1.0))
+    # ingoing flux into a vacuum weight of 0.99: p0 would pass 1 long
+    # before the last shell arrives
+    full = CoefficientTrack.constant(P96, 1.0, -1j, math.sqrt(0.99), 0.0, 1.0)
+    with pytest.raises(DomainError, match="window too long"):
+        master_equation_occupancy(full, fam, (0.0, 1.0))
 
 
 def test_master_equation_refuses_inflow_between_output_times():

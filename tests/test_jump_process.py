@@ -148,6 +148,14 @@ def test_waiting_time_majorant_guards():
         )
 
 
+def test_waiting_time_refuses_a_rate_above_its_majorant(monkeypatch):
+    # a rate law that the table does not bound is a hard error, never a
+    # thinning acceptance capped at 1
+    monkeypatch.setattr(jump_process, "total_jump_rate", lambda track, t: 1e300)
+    with pytest.raises(MajorantError, match="exceeds majorant"):
+        sample_waiting_time(_constant_track(), 0.0, np.random.default_rng(57))
+
+
 def test_majorant_bounds_rate_between_grid_points():
     # psi0's spline crosses zero inside [0, 1/3] although no grid value
     # is small there: the rate is unbounded on that interval, which

@@ -194,6 +194,18 @@ def test_closed_forms_reject_higher_sectors():
         phi_basis(2, 0.5, 1, SpherePoint(1.0, 0.0))
 
 
+def test_spinor_helpers_refuse_labels_outside_their_range():
+    p, pt = canonical_params(0.96), SpherePoint(1.0, 0.0)
+    with pytest.raises(DomainError, match="sign"):
+        f_boundary(0, pt, p)
+    with pytest.raises(DomainError, match="order"):
+        sphere_quadrature(lambda point: 1.0, 0)
+    with pytest.raises(DomainError, match="k must be"):
+        basis_alpha_overlap_closed(1, -1, 0.5, 1, "x", pt)
+    with pytest.raises(DomainError, match="k must be"):
+        boundary_alpha_overlap_closed(1, -1, p, "x", pt)
+
+
 # ---------------------------------------------------------------------
 # geometry
 # ---------------------------------------------------------------------

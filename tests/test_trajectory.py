@@ -14,6 +14,7 @@ from belljump import (
     FitError,
     OriginError,
     StepFailure,
+    WindowClosed,
     canonical_params,
     circling_sign,
 )
@@ -301,6 +302,15 @@ def test_radius_from_time_guards():
         radius_from_time(p, 1.0, 1.0, 0.1, r_max=0.5)
 
 
+def test_closed_forms_refuse_the_origin():
+    p = canonical_params(0.96)
+    for r in (0.0, -1e-3):
+        with pytest.raises(OriginError):
+            time_from_radius(p, 1.0, 1j, r)
+        with pytest.raises(OriginError):
+            azimuth_from_radius(p, 1.0, 1j, r)
+
+
 def test_azimuth_matches_integrated_rate():
     # independent route: quad of dphi/dr = (dphi/dt)/(dr/dt)
     from scipy.integrate import quad
@@ -435,6 +445,13 @@ def test_ingoing_flight_from_next_to_r_min_is_absorbed(start, tol):
     assert abs(seg.terminal.t0 - want) < 1e-8 * want
 
 
+def test_step_size_underflow_raises_step_failure():
+    # at t = 1e16 a step shorter than 16 ulp of t cannot advance the flight
+    start = SphericalState(1e16, 0.01, 1.0, 0.0)
+    with pytest.raises(StepFailure, match="underflow"):
+        integrate(_model(), start, math.inf, 1e-8, dense=True)
+
+
 def test_step_budget_raises_step_failure(monkeypatch):
     m = _model()
     start = SphericalState(0.0, 0.01, 1.0, 0.0)
@@ -477,6 +494,30 @@ def test_probe_crossing_is_found_on_the_dp5_interpolant():
     (hit,) = seg.probe_crossings
     want_t = time_from_radius(p, 1.0, 1j, 0.2)
     assert abs(hit.t - want_t) < 1e-10 * want_t
+
+
+def test_the_absorption_wins_a_tie_with_the_probe_on_every_route():
+    # ingoing flights from r = 0.01 by each route: closed form, radial DP5
+    # (a subleading amplitude keeps it off the closed form) and dense DP5.
+    # A probe at r_min is crossed where the flight ends, so none records
+    # it; one at 1.5 r_min is crossed once, inward, before the absorption
+    pure = _model(cp=-1j)
+    sub = _model(cp=-1j, subleading_amp=(0.01j, 0))
+    start = SphericalState(0.0, 0.01, 1.0, 0.0)
+    for probe in (pure.r_min, 1.5 * pure.r_min):
+        segments = [
+            integrate(m, start, math.inf, 1e-8, probe_radius=probe, dense=dense)
+            for m, dense in ((pure, False), (sub, False), (pure, True))
+        ]
+        assert [seg.n_accepted > 0 for seg in segments] == [False, True, True]
+        for seg in segments:
+            assert isinstance(seg.terminal, Absorbed)
+            if probe == pure.r_min:
+                assert seg.probe_crossings == ()
+            else:
+                (hit,) = seg.probe_crossings
+                assert hit.direction == -1 and hit.r == probe
+                assert seg.t[0] < hit.t < seg.t[-1]
 
 
 @pytest.mark.parametrize("probe", [0.01, 0.0123, 0.2])
@@ -1014,6 +1055,17 @@ def test_closed_form_flight_agrees_with_integrator(case):
     assert exact.initial == start
 
 
+def test_invert_time_returns_the_nearer_end_outside_the_bracket():
+    # a time that rounding puts just outside t([r_lo, r_hi]) maps to the
+    # nearer end of the bracket
+    p, parts = canonical_params(0.96), overlap_parts(1.0, 1j)
+    lo, hi = 1e-3, 0.1
+    t_lo = trajectory._elapsed(p, parts, lo)
+    t_hi = trajectory._elapsed(p, parts, hi)
+    assert trajectory._invert_time(p, parts, t_lo * (1.0 - 1e-12), lo, hi) == lo
+    assert trajectory._invert_time(p, parts, t_hi * (1.0 + 1e-12), lo, hi) == hi
+
+
 def test_closed_form_radius_at_matches_integrator():
     m, start, t_end, probe = _flight_cases()["ingoing_probe"]
     exact = integrate(m, start, t_end, probe_radius=probe, dense=False)
@@ -1105,6 +1157,19 @@ def test_integrate_guards():
         assert np.all(np.abs(seg.r / 0.01 - 1.0) <= 1e-12)
     with pytest.raises(DegenerateError):
         emit_trajectory(_model(cp=-1j), 0.0, 1.0, 0.0)
+
+
+def test_integrate_closes_the_window_before_the_first_sample():
+    # one rule for every route, and for emitted flights, whose first
+    # sample is their seed
+    m = _model()
+    start = SphericalState(1.0, 0.01, 1.0, 0.0)
+    for t_end in (1.0, 0.5):
+        for dense in (True, False):
+            with pytest.raises(WindowClosed):
+                integrate(m, start, t_end, dense=dense)
+    with pytest.raises(WindowClosed):
+        emit_trajectory(m, 1.0, 1.0, 0.0, t_end=1.0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])

@@ -4,8 +4,9 @@ No linter is a dependency of the project, so this parses each module of
 src/belljump and lists the imported names that no expression references
 (except in __init__.py, whose imports are its public surface) and the
 module-level `_name` bindings that the module never reads.  It also lists
-the parameter fields that only the config parser reads, and the fields of
-the flight and report records that nothing in the package reads.
+the parameter fields that only the config parser reads, the fields of the
+flight and report records that nothing in the package reads, and the
+attributes a coefficient track sets that nothing in the package reads.
 """
 
 import ast
@@ -174,3 +175,59 @@ def test_every_record_field_is_read_in_the_package():
         AngleUniformityReport,
     ]
     assert unread_fields(classes, sources) == []
+
+
+def init_attributes(source: str, cls: str) -> list[str]:
+    """The `self.name` attributes that `cls.__init__` in source assigns."""
+    tree = ast.parse(source)
+    (init,) = (
+        node
+        for top in tree.body
+        if isinstance(top, ast.ClassDef) and top.name == cls
+        for node in top.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    )
+    return [
+        node.attr
+        for node in ast.walk(init)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ]
+
+
+def unread_attributes(names, sources) -> list[str]:
+    """The names that no loaded `obj.name` attribute in sources reads."""
+    read = {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in names if name not in read]
+
+
+def test_detector_flags_only_unread_attributes():
+    source = (
+        "class Track:\n"
+        "    def __init__(self, x):\n"
+        "        self.kept = x\n"
+        "        self.copy = x\n"
+        "        self.copy = x + 1\n"
+        "    def value(self):\n"
+        "        return self.kept\n"
+    )
+    assert init_attributes(source, "Track") == ["kept", "copy", "copy"]
+    assert unread_attributes(["kept", "copy"], [source]) == ["copy"]
+
+
+def test_every_track_attribute_is_read_in_the_package():
+    # a track keeps the table it interpolates, not copies of its inputs
+    sources = [
+        path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
+    ]
+    source = (PACKAGE / "jump_process.py").read_text(encoding="utf-8")
+    assigned = init_attributes(source, "CoefficientTrack")
+    assert "times" in assigned and "_table" in assigned
+    assert unread_attributes(assigned, sources) == []
