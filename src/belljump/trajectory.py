@@ -853,6 +853,8 @@ def integrate(
 
     r_arr = np.array(ss) ** inv_one
     r_arr[0] = initial.r  # the launch radius, not its round trip through s
+    if not isinstance(terminal, TimeExhausted):  # and the terminal radius
+        r_arr[-1] = r_min if isinstance(terminal, Absorbed) else r_top
     return TrajectorySegment(
         t=np.array(ts),
         r=r_arr,

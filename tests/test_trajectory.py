@@ -627,7 +627,7 @@ def test_fixed_coefficient_flight_digest_is_stable():
                 (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
             ).encode())
     assert h.hexdigest() == (
-        "8b96a90c6ed23e9f727e6448f2511989817d6cc3f4524be96fd23fb8e4b948a1"
+        "ec7090114b9bc25aa3b8de36cc82ece27e267ca7cb560670acbb6f4f8f15aebb"
     )
 
 
@@ -668,7 +668,7 @@ def test_time_dependent_flight_digest_is_stable():
                 (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
             ).encode())
     assert h.hexdigest() == (
-        "c6ea8abad18aebb3c48bfa0a3c668f388e156a6ed3f361d6d20545e4c1edd67b"
+        "6565acb168e14a23fd43e954e2b8c2b371fbebcb9d23c33d3c2f9ae1c4f23d81"
     )
 
 
@@ -881,7 +881,7 @@ def test_sampler_flights_are_radial_and_replay_densely():
                  replay.n_accepted, replay.n_rejected)
             ).encode())
     assert h.hexdigest() == (
-        "ed459a49f00842e2699992d949e9b4172c0f13abf7ed359bdeeae4bd56c53411"
+        "bd76551fbddbe9a2081f32be6a26933c199586289bbb203ebdcff1ba82f18be3"
     )
 
 
@@ -908,7 +908,7 @@ def test_sampler_flight_digest_is_stable():
                 (seg.terminal, seg.probe_crossings, seg.n_accepted, seg.n_rejected)
             ).encode())
     assert h.hexdigest() == (
-        "49f3fc8c4d0569d69566a5032037456e6a31ce571d8d2754a5ee7dba40346f11"
+        "44474a681b6bda4b8bab85b7d8e68f534cce31c4b82d2f2f2f85fa867a0cde52"
     )
 
 
@@ -1157,6 +1157,19 @@ def test_integrate_guards():
         assert np.all(np.abs(seg.r / 0.01 - 1.0) <= 1e-12)
     with pytest.raises(DegenerateError):
         emit_trajectory(_model(cp=-1j), 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("q", [0.96, 0.9])
+def test_terminal_samples_hold_r_min_and_r_cut_half_exactly(q):
+    # closed-form, radial DP5 and dense DP5 flights end on the terminal
+    # radius itself, which a round trip through s = r^(1-2B) misses
+    start = SphericalState(0.0, 0.01, 1.0, 0.0)
+    for cp, kind in ((-1j, Absorbed), (1j, LeftInnerRegion)):
+        for sub, dense in (((0j, 0j), False), ((0.01j, 0j), False), ((0j, 0j), True)):
+            m = _model(q=q, cp=cp, subleading_amp=sub)
+            seg = integrate(m, start, math.inf, 1e-8, dense=dense)
+            assert isinstance(seg.terminal, kind)
+            assert seg.r[-1] == (m.r_min if kind is Absorbed else 0.5 * m.r_cut)
 
 
 def test_integrate_closes_the_window_before_the_first_sample():
