@@ -158,6 +158,15 @@ class TrajectorySegment:
     flight that needs phi is the dense flight from seg.initial, which is
     how `trace` and `simulate --trace-dir` get theirs.  The rates and
     ds/dt do not depend on the angles, so no path statistic reads phi.
+
+    The events are the same on every route.  A flight ends Absorbed when
+    r falls below model.r_min, LeftInnerRegion when it reaches r_cut/2,
+    and TimeExhausted at t_end; the last sample of the first two holds
+    r_min or r_cut/2 exactly.  A passage of the probe radius, from one
+    side to the other, is recorded at the probe radius itself, and only
+    strictly before the terminal crossing: the terminal wins a tie, so a
+    probe at r_min is never crossed.
+
     integrate picks the route:
     - closed form (n_accepted = 0): fixed coefficients (no refresh), no
       subleading amplitudes, Im[conj(c_minus) c_plus] != 0 and
@@ -663,14 +672,13 @@ def integrate(
     one cubic piece (_make_rhs).  Crossings of `probe_radius`, when given,
     must lie in (0, r_cut/2) and are recorded in either direction, by the
     rules the TrajectorySegment docstring states.  `dense`, `refresh` and
-    the model pick the
-    route, closed form or DP5, and the segment keeps the contract that
-    the TrajectorySegment docstring states, with the accuracy tol
-    delivers; the module docstring has DP5's step control.  Without
-    refresh or subleading amplitudes and with Im[conj(c_minus) c_plus] =
-    0 there is no radial motion: DP5 circles at the start radius until
-    t_end, and an infinite t_end raises DegenerateError, since such a
-    flight never ends.
+    the model pick the route, closed form or DP5, and the segment keeps
+    the contract that the TrajectorySegment docstring states, with the
+    accuracy tol delivers; the module docstring has DP5's step control.
+    Without refresh or subleading amplitudes and with Im[conj(c_minus)
+    c_plus] = 0 there is no radial motion: DP5 circles at the start
+    radius until t_end, and an infinite t_end raises DegenerateError,
+    since such a flight never ends.
     """
     p = model.params
     r_min = model.r_min
@@ -852,8 +860,10 @@ def integrate(
             f_s = g_s
 
     r_arr = np.array(ss) ** inv_one
-    r_arr[0] = initial.r  # the launch radius, not its round trip through s
-    if not isinstance(terminal, TimeExhausted):  # and the terminal radius
+    # the launch and terminal radii themselves, not their round trips
+    # through s
+    r_arr[0] = initial.r
+    if not isinstance(terminal, TimeExhausted):
         r_arr[-1] = r_min if isinstance(terminal, Absorbed) else r_top
     return TrajectorySegment(
         t=np.array(ts),

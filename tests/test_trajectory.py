@@ -278,6 +278,8 @@ def test_time_sign_follows_flow_direction():
     assert time_from_radius(p, 1.0, -1j, 0.1) < 0.0  # ingoing
     with pytest.raises(OriginError):
         time_from_radius(p, 1.0, 1j, 0.0)
+    with pytest.raises(OriginError):
+        azimuth_from_radius(p, 1.0, 1j, 0.0)
     with pytest.raises(DegenerateError):
         time_from_radius(p, 1.0, 1.0, 0.1)
 
@@ -300,15 +302,6 @@ def test_radius_from_time_guards():
         radius_from_time(p, 1.0, 1j, 1e9, r_max=0.5)
     with pytest.raises(DegenerateError):
         radius_from_time(p, 1.0, 1.0, 0.1, r_max=0.5)
-
-
-def test_closed_forms_refuse_the_origin():
-    p = canonical_params(0.96)
-    for r in (0.0, -1e-3):
-        with pytest.raises(OriginError):
-            time_from_radius(p, 1.0, 1j, r)
-        with pytest.raises(OriginError):
-            azimuth_from_radius(p, 1.0, 1j, r)
 
 
 def test_azimuth_matches_integrated_rate():
@@ -1135,8 +1128,14 @@ def test_integrate_guards():
         integrate(
             _model(r_min=1e-6), SphericalState(0.0, 1e-10, 1.0, 0.0), t_end=1.0
         )
-    with pytest.raises(DomainError):
-        integrate(m, SphericalState(1.0, 0.01, 1.0, 0.0), t_end=0.5)
+    # a window that ends before the first sample is closed, on every
+    # route and for emitted flights, whose first sample is their seed
+    for t_end in (1.0, 0.5):
+        for dense in (True, False):
+            with pytest.raises(WindowClosed):
+                integrate(m, SphericalState(1.0, 0.01, 1.0, 0.0), t_end, dense=dense)
+    with pytest.raises(WindowClosed):
+        emit_trajectory(m, 1.0, 1.0, 0.0, t_end=1.0)
     for dense in (True, False):
         with pytest.raises(DomainError, match="probe_radius"):
             integrate(
@@ -1170,19 +1169,6 @@ def test_terminal_samples_hold_r_min_and_r_cut_half_exactly(q):
             seg = integrate(m, start, math.inf, 1e-8, dense=dense)
             assert isinstance(seg.terminal, kind)
             assert seg.r[-1] == (m.r_min if kind is Absorbed else 0.5 * m.r_cut)
-
-
-def test_integrate_closes_the_window_before_the_first_sample():
-    # one rule for every route, and for emitted flights, whose first
-    # sample is their seed
-    m = _model()
-    start = SphericalState(1.0, 0.01, 1.0, 0.0)
-    for t_end in (1.0, 0.5):
-        for dense in (True, False):
-            with pytest.raises(WindowClosed):
-                integrate(m, start, t_end, dense=dense)
-    with pytest.raises(WindowClosed):
-        emit_trajectory(m, 1.0, 1.0, 0.0, t_end=1.0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
